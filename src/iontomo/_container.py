@@ -1,4 +1,4 @@
-"""Shared grid file formats: CSV triples and a JSON-header binary container.
+"""Shared file formats: ``%.17g`` CSV tables and a JSON-header binary grid container.
 
 Container layout: one UTF-8 JSON line (terminated by ``\\n``) describing axes,
 shape and dtype, followed by the flat values as little-endian float64 in
@@ -17,14 +17,18 @@ import numpy as np
 _FORMAT = "iontomo-grid"
 _VERSION = 1
 
+#: Rows formatted per chunk by :func:`save_csv_rows`; bounds the text held in memory.
+_CSV_BLOCK_ROWS = 4096
 
-def _atomic_write(path: str, data: bytes) -> None:
+
+def _atomic_write(path: str, data) -> None:
+    """Write ``data`` (bytes, or an iterable of bytes chunks) to ``path``."""
     # temp-then-rename in the destination directory, never a partial file
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            fh.writelines([data] if isinstance(data, bytes) else data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -81,13 +85,26 @@ def is_container(path: str) -> bool:
     return first == b"{"
 
 
+def save_csv_rows(path: str, colnames, columns) -> None:
+    """CSV with a header line and row i holding ``column[i]`` of every column.
+
+    Values are written as ``%.17g``, which round-trips float64 exactly.
+    """
+    table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+
+    def chunks():
+        yield (",".join(colnames) + "\n").encode()
+        for start in range(0, table.shape[0], _CSV_BLOCK_ROWS):
+            block = table[start:start + _CSV_BLOCK_ROWS]
+            yield ((row * block.shape[0]) % tuple(block.ravel().tolist())).encode()
+
+    _atomic_write(path, chunks())
+
+
 def save_csv_triples(path: str, colnames: tuple[str, str, str], ax0: np.ndarray, ax1: np.ndarray, values: np.ndarray) -> None:
     """Row-major (ax0-major) CSV with one (a0, a1, value) triple per line."""
-    lines = [",".join(colnames)]
-    for i, a in enumerate(ax0):
-        for j, b in enumerate(ax1):
-            lines.append(f"{a:.17g},{b:.17g},{values[i, j]:.17g}")
-    _atomic_write(path, ("\n".join(lines) + "\n").encode())
+    save_csv_rows(path, colnames, (np.repeat(ax0, len(ax1)), np.tile(ax1, len(ax0)), np.ravel(values)))
 
 
 def load_csv_triples(path: str, colnames: tuple[str, str, str]):

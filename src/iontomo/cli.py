@@ -18,12 +18,11 @@ import json
 import math
 import os
 import sys
-from typing import Callable
 
 import numpy as np
 
 from . import _svg
-from ._container import _atomic_write
+from ._container import _atomic_write, save_csv_rows
 from .errors import (
     ConfigError,
     DegenerateFrameError,
@@ -33,7 +32,7 @@ from .errors import (
     SolverError,
 )
 from .oscillator import OscillatorParams, epsilon_at, solve_epsilon, symplectic_map
-from .states import CatSpec, GaussianState, WignerGrid, evolve_wigner, gaussian_from_epsilon, wigner_cat, wigner_gaussian
+from .states import CatSpec, WignerGrid, evolve_wigner, gaussian_from_epsilon, wigner_cat, wigner_gaussian
 from .tomography import (
     GaussianTomogram,
     OpticalSinogram,
@@ -109,18 +108,30 @@ def _oscillator_params(cfg: dict, context: str) -> OscillatorParams:
     return OscillatorParams(kappa=kappa, omega_drive=omega)
 
 
-def _state_config(cfg: dict, context: str):
-    """Returns (tomogram evaluator (Y, mu, nu), Wigner evaluator (q, p)) at t=0."""
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"{context}: state must be an object")
+def _section(cfg: dict, key: str, allowed: set, context: str) -> dict:
+    """The nested object ``cfg[key]`` ({} when absent), with unknown keys rejected."""
+    section = cfg.get(key, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{context}: {key!r} must be an object")
+    unknown = sorted(set(section) - allowed)
+    if unknown:
+        raise ConfigError(f"unknown {context}.{key} keys: {', '.join(unknown)}")
+    return section
+
+
+def _state(cfg: dict, context: str, params: OscillatorParams | None, t: float):
+    """Returns (tomogram evaluator (Y, mu, nu), Wigner evaluator (q, p)) evolved to t.
+
+    ``cfg`` holds the state keys ``kind``, ``alpha`` and ``parity``; ``params``
+    is only read when ``t > 0``.
+    """
     kind = cfg.get("kind")
     if kind == "gaussian":
-        _check_state_keys(cfg, {"kind", "alpha"}, context)
-        alpha = _complex_amplitude(cfg.get("alpha", 0.0), context)
-        state = gaussian_from_epsilon(1.0, 1.0j, alpha)
-        return GaussianTomogram(state), (lambda q, p: wigner_gaussian(state, q, p))
-    if kind == "cat":
-        _check_state_keys(cfg, {"kind", "alpha", "parity"}, context)
+        if "parity" in cfg:
+            raise ConfigError(f"{context}: parity applies to cat states only")
+        state = gaussian_from_epsilon(1.0, 1.0j, _complex_amplitude(cfg.get("alpha", 0.0), context))
+        tomogram, wigner = GaussianTomogram(state), (lambda q, p: wigner_gaussian(state, q, p))
+    elif kind == "cat":
         parity = cfg.get("parity", "even")
         if parity not in ("even", "odd"):
             raise ConfigError(f"{context}: parity must be 'even' or 'odd', got {parity!r}")
@@ -129,16 +140,17 @@ def _state_config(cfg: dict, context: str):
             spec = CatSpec(alpha=alpha, parity=parity)
         except NormalizationDivergenceError as exc:
             raise ConfigError(f"{context}: {exc}") from exc
-        return cat_evaluator(spec), (lambda q, p: wigner_cat(spec, q, p))
-    if kind == "number":
+        tomogram, wigner = cat_evaluator(spec), (lambda q, p: wigner_cat(spec, q, p))
+    elif kind == "number":
         raise ConfigError(f"{context}: number states have no analytic tomogram; use gaussian or cat")
-    raise ConfigError(f"{context}: state.kind must be 'gaussian' or 'cat', got {kind!r}")
-
-
-def _check_state_keys(cfg: dict, allowed: set, context: str) -> None:
-    unknown = sorted(set(cfg) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown {context} state keys: {', '.join(unknown)}")
+    else:
+        raise ConfigError(f"{context}: state.kind must be 'gaussian' or 'cat', got {kind!r}")
+    if t == 0.0:
+        return tomogram, wigner
+    eps, deps = epsilon_at(params, t)
+    smap = symplectic_map(eps, deps)
+    return (lambda Y, mu, nu: evolve_tomogram(tomogram, eps, deps, TomogramQuery(X=Y, mu=mu, nu=nu)),
+            lambda q, p: evolve_wigner(wigner, smap, q, p))
 
 
 def _resolve_out(cfg: dict, args) -> str:
@@ -180,12 +192,8 @@ def cmd_epsilon(cfg: dict, args) -> int:
 
     traj = solve_epsilon(params, t_end=t_end, n_steps=n_steps, tol=tol)
     w = traj.wronskian()
-    lines = ["t,re_eps,im_eps,re_deps,im_deps,wronskian"]
-    for i in range(traj.times.size):
-        lines.append(",".join(f"{v:.17g}" for v in (
-            traj.times[i], traj.eps[i].real, traj.eps[i].imag,
-            traj.deps[i].real, traj.deps[i].imag, w[i])))
-    _atomic_write(out, ("\n".join(lines) + "\n").encode())
+    save_csv_rows(out, ("t", "re_eps", "im_eps", "re_deps", "im_deps", "wronskian"),
+                  (traj.times, traj.eps.real, traj.eps.imag, traj.deps.real, traj.deps.imag, w))
 
     if args.plot:
         _svg.svg_polyline(_plot_path(out), traj.times,
@@ -204,26 +212,15 @@ def cmd_tomogram(cfg: dict, args) -> int:
     t = _number(cfg, "time", default=0.0, minimum=0.0, context="tomogram")
     if "state" not in cfg:
         raise ConfigError("tomogram: missing required key 'state'")
-    base, _ = _state_config(cfg["state"], "tomogram")
+    state_cfg = _section(cfg, "state", {"kind", "alpha", "parity"}, "tomogram")
+    evaluator, _ = _state(state_cfg, "tomogram", params, t)
     mode = cfg.get("mode", "sinogram")
     out = _resolve_out(cfg, args)
     _validate_seed(cfg, args)
 
-    if t > 0.0:
-        eps, deps = epsilon_at(params, t)
-        def evaluator(Y, mu, nu):
-            return evolve_tomogram(base, eps, deps, TomogramQuery(X=Y, mu=mu, nu=nu))
-    else:
-        evaluator = base
-
     if mode == "sinogram":
         fmt = _resolve_format(cfg, args)
-        sino_cfg = cfg.get("sinogram", {})
-        if not isinstance(sino_cfg, dict):
-            raise ConfigError("tomogram: 'sinogram' must be an object")
-        unknown = sorted(set(sino_cfg) - {"n_phi", "x_min", "x_max", "n_x"})
-        if unknown:
-            raise ConfigError(f"unknown tomogram.sinogram keys: {', '.join(unknown)}")
+        sino_cfg = _section(cfg, "sinogram", {"n_phi", "x_min", "x_max", "n_x"}, "tomogram")
         n_phi = _integer(sino_cfg, "n_phi", default=180, minimum=1, context="sinogram")
         x_min = _number(sino_cfg, "x_min", default=-8.0, context="sinogram")
         x_max = _number(sino_cfg, "x_max", default=8.0, context="sinogram")
@@ -257,10 +254,7 @@ def cmd_tomogram(cfg: dict, args) -> int:
         w = np.array([
             float(evaluator(x - d, m, n)) for x, m, n, d in rows
         ])
-        lines = ["X,mu,nu,delta,w"]
-        for (x, m, n, d), val in zip(rows, w):
-            lines.append(f"{x:.17g},{m:.17g},{n:.17g},{d:.17g},{val:.17g}")
-        _atomic_write(out, ("\n".join(lines) + "\n").encode())
+        save_csv_rows(out, ("X", "mu", "nu", "delta", "w"), (*rows.T, w))
         if args.plot:
             order = np.argsort(rows[:, 0])
             _svg.svg_polyline(_plot_path(out), rows[order, 0], [("w", w[order])],
@@ -268,37 +262,6 @@ def cmd_tomogram(cfg: dict, args) -> int:
         return 0
 
     raise ConfigError(f"tomogram: mode must be 'sinogram' or 'samples', got {mode!r}")
-
-
-def _reference_evaluator(ref: dict) -> Callable:
-    if not isinstance(ref, dict):
-        raise ConfigError("reconstruct: 'reference' must be an object")
-    unknown = sorted(set(ref) - {"kind", "alpha", "parity", "time", "kappa", "omega_drive"})
-    if unknown:
-        raise ConfigError(f"unknown reconstruct.reference keys: {', '.join(unknown)}")
-    t = _number(ref, "time", default=0.0, minimum=0.0, context="reference")
-    if t > 0.0:
-        params = _oscillator_params(ref, "reference")
-        eps, deps = epsilon_at(params, t)
-    else:
-        eps, deps = 1.0 + 0.0j, 1.0j
-
-    kind = ref.get("kind")
-    if kind == "gaussian":
-        alpha = _complex_amplitude(ref.get("alpha", 0.0), "reference")
-        state = gaussian_from_epsilon(eps, deps, alpha)
-        return lambda q, p: wigner_gaussian(state, q, p)
-    if kind == "cat":
-        parity = ref.get("parity", "even")
-        if parity not in ("even", "odd"):
-            raise ConfigError(f"reference: parity must be 'even' or 'odd', got {parity!r}")
-        spec = CatSpec(alpha=_complex_amplitude(ref.get("alpha", 1.0), "reference"), parity=parity)
-        w0 = lambda q, p: wigner_cat(spec, q, p)
-        if t > 0.0:
-            smap = symplectic_map(eps, deps)
-            return lambda q, p: evolve_wigner(w0, smap, q, p)
-        return w0
-    raise ConfigError(f"reference: kind must be 'gaussian' or 'cat', got {kind!r}")
 
 
 def cmd_reconstruct(cfg: dict, args) -> int:
@@ -310,20 +273,35 @@ def cmd_reconstruct(cfg: dict, args) -> int:
     method = cfg.get("method", "fbp")
     if method not in ("fbp", "fourier"):
         raise ConfigError(f"reconstruct: method must be 'fbp' or 'fourier', got {method!r}")
-    grid_cfg = cfg.get("grid", {})
-    if not isinstance(grid_cfg, dict):
-        raise ConfigError("reconstruct: 'grid' must be an object")
-    unknown = sorted(set(grid_cfg) - {"q_min", "q_max", "n_q", "p_min", "p_max", "n_p"})
-    if unknown:
-        raise ConfigError(f"unknown reconstruct.grid keys: {', '.join(unknown)}")
+    grid_cfg = _section(cfg, "grid", {"q_min", "q_max", "n_q", "p_min", "p_max", "n_p"}, "reconstruct")
     q_axis = np.linspace(_number(grid_cfg, "q_min", default=-6.0, context="grid"),
                          _number(grid_cfg, "q_max", default=6.0, context="grid"),
                          _integer(grid_cfg, "n_q", default=121, minimum=2, context="grid"))
     p_axis = np.linspace(_number(grid_cfg, "p_min", default=-6.0, context="grid"),
                          _number(grid_cfg, "p_max", default=6.0, context="grid"),
                          _integer(grid_cfg, "n_p", default=121, minimum=2, context="grid"))
+    apod = cfg.get("apodization", "hann")
+    if apod is None:
+        apod = "none"
+    if apod not in ("hann", "none"):
+        raise ConfigError(f"reconstruct: apodization must be 'hann' or 'none', got {apod!r}")
+    fourier_cfg = _section(cfg, "fourier", {"k_max", "n_nodes", "n_y", "y_halfwidth_sigmas"}, "reconstruct")
+    fourier_kw = {
+        "k_max": _number(fourier_cfg, "k_max", default=12.0, strict_min=0.0, context="fourier"),
+        "n_nodes": _integer(fourier_cfg, "n_nodes", default=193, minimum=3, context="fourier"),
+        "n_y": _integer(fourier_cfg, "n_y", default=513, minimum=3, context="fourier"),
+        "y_halfwidth_sigmas": _number(fourier_cfg, "y_halfwidth_sigmas", default=12.0,
+                                      strict_min=0.0, context="fourier"),
+    }
     norm_tol = _number(cfg, "norm_tol", default=0.05, strict_min=0.0, context="reconstruct")
     l2_tol = _number(cfg, "l2_tol", default=0.05, strict_min=0.0, context="reconstruct")
+    reference = None
+    if "reference" in cfg:
+        ref_cfg = _section(cfg, "reference", {"kind", "alpha", "parity", "time", "kappa", "omega_drive"},
+                           "reconstruct")
+        t_ref = _number(ref_cfg, "time", default=0.0, minimum=0.0, context="reference")
+        ref_params = _oscillator_params(ref_cfg, "reference") if t_ref > 0.0 else None
+        _, reference = _state(ref_cfg, "reference", ref_params, t_ref)
     out = _resolve_out(cfg, args)
     fmt = _resolve_format(cfg, args)
     _validate_seed(cfg, args)
@@ -337,28 +315,9 @@ def cmd_reconstruct(cfg: dict, args) -> int:
 
     try:
         if method == "fbp":
-            apod = cfg.get("apodization", "hann")
-            if apod is None:
-                apod = "none"
-            if apod not in ("hann", "none"):
-                raise ConfigError(f"reconstruct: apodization must be 'hann' or 'none', got {apod!r}")
             grid = radon_reconstruct(sino, q_axis, p_axis, apodization=apod)
         else:
-            fourier_cfg = cfg.get("fourier", {})
-            if not isinstance(fourier_cfg, dict):
-                raise ConfigError("reconstruct: 'fourier' must be an object")
-            unknown = sorted(set(fourier_cfg) - {"k_max", "n_nodes", "n_y", "y_halfwidth_sigmas"})
-            if unknown:
-                raise ConfigError(f"unknown reconstruct.fourier keys: {', '.join(unknown)}")
-            grid = invert_to_wigner(
-                sinogram_evaluator(sino), q_axis, p_axis,
-                k_max=_number(fourier_cfg, "k_max", default=12.0, strict_min=0.0, context="fourier"),
-                n_nodes=_integer(fourier_cfg, "n_nodes", default=193, minimum=3, context="fourier"),
-                n_y=_integer(fourier_cfg, "n_y", default=513, minimum=3, context="fourier"),
-                y_halfwidth_sigmas=_number(fourier_cfg, "y_halfwidth_sigmas", default=12.0,
-                                           strict_min=0.0, context="fourier"),
-                norm_tol=norm_tol,
-            )
+            grid = invert_to_wigner(sinogram_evaluator(sino), q_axis, p_axis, norm_tol=norm_tol, **fourier_kw)
     except InsufficientAnglesError as exc:
         return _fail(2, str(exc))
     except ReconstructionQualityError as exc:
@@ -372,9 +331,8 @@ def cmd_reconstruct(cfg: dict, args) -> int:
         "norm_tol": norm_tol,
         "rel_l2_error": None,
     }
-    if "reference" in cfg:
-        ref = _reference_evaluator(cfg["reference"])
-        target = WignerGrid.from_evaluator(ref, q_axis, p_axis)
+    if reference is not None:
+        target = WignerGrid.from_evaluator(reference, q_axis, p_axis)
         num = float(np.linalg.norm(grid.values - target.values))
         den = float(np.linalg.norm(target.values))
         report["rel_l2_error"] = num / den
@@ -395,13 +353,6 @@ def cmd_reconstruct(cfg: dict, args) -> int:
 
 
 def _probe_from_config(cfg: dict) -> ProbeGrid:
-    if not isinstance(cfg, dict):
-        raise ConfigError("verify: 'probe' must be an object")
-    allowed = {"x_values", "mu_values", "nu_values", "t_values", "delta_values",
-               "h_t", "h_mu", "h_nu"}
-    unknown = sorted(set(cfg) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown verify.probe keys: {', '.join(unknown)}")
     kwargs = {}
     for key in ("x_values", "mu_values", "nu_values", "t_values", "delta_values"):
         if key in cfg:
@@ -427,14 +378,11 @@ def cmd_verify(cfg: dict, args) -> int:
     if suite not in ("default", "negative-control"):
         raise ConfigError(f"verify: suite must be 'default' or 'negative-control', got {suite!r}")
     alpha = _complex_amplitude(cfg.get("alpha", 1.0), "verify")
-    cat_cfg = cfg.get("cat", {"alpha": 1.0, "parity": "even"})
-    if not isinstance(cat_cfg, dict):
-        raise ConfigError("verify: 'cat' must be an object")
-    unknown = sorted(set(cat_cfg) - {"alpha", "parity"})
-    if unknown:
-        raise ConfigError(f"unknown verify.cat keys: {', '.join(unknown)}")
-    cat_eval, _ = _state_config({"kind": "cat", **cat_cfg}, "verify")
-    probe = _probe_from_config(cfg.get("probe", {}))
+    base_g, _ = _state({"kind": "gaussian", "alpha": cfg.get("alpha", 1.0)}, "verify", params, 0.0)
+    cat_cfg = _section(cfg, "cat", {"alpha", "parity"}, "verify")
+    cat_eval, _ = _state({"kind": "cat", **cat_cfg}, "verify", params, 0.0)
+    probe = _probe_from_config(_section(cfg, "probe", {"x_values", "mu_values", "nu_values", "t_values",
+                                                       "delta_values", "h_t", "h_mu", "h_nu"}, "verify"))
     moment_h = _number(cfg, "moment_h", default=1e-4, strict_min=0.0, context="verify")
     t_end = _number(cfg, "t_end", default=10.0, strict_min=0.0, context="verify")
     out = _resolve_out(cfg, args)
@@ -448,7 +396,6 @@ def cmd_verify(cfg: dict, args) -> int:
         "negative_ratio": 1e3,
     }
 
-    base_g = GaussianTomogram(gaussian_from_epsilon(1.0, 1.0j, alpha))
     rep_g = pde_residual(replacement_evolution(base_g, params), params, probe)
     rep_c = pde_residual(replacement_evolution(cat_eval, params), params, probe)
     traj = solve_epsilon(params, t_end=t_end)

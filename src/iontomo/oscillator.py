@@ -254,6 +254,16 @@ class SymplecticMap:
         return mu_t, nu_t
 
 
+def _check_wronskian(eps: complex, deps: complex) -> tuple[complex, complex]:
+    """``(eps, deps)`` as complex, or InvalidTrajectoryError off the Wronskian invariant."""
+    eps = complex(eps)
+    deps = complex(deps)
+    w = (np.conj(eps) * deps).imag
+    if abs(w - 1.0) >= WRONSKIAN_ATOL:
+        raise InvalidTrajectoryError(f"Im(eps* deps) = {w!r} violates the Wronskian invariant")
+    return eps, deps
+
+
 def symplectic_map(eps: complex, deps: complex) -> SymplecticMap:
     """Build the integral-of-motion map from a mode-function sample.
 
@@ -262,13 +272,7 @@ def symplectic_map(eps: complex, deps: complex) -> SymplecticMap:
     InvalidTrajectoryError
         If ``|Im(eps* deps) - 1| >= 1e-6`` (not a valid trajectory point).
     """
-    eps = complex(eps)
-    deps = complex(deps)
-    w = (np.conj(eps) * deps).imag
-    if abs(w - 1.0) >= WRONSKIAN_ATOL:
-        raise InvalidTrajectoryError(
-            f"Im(eps* deps) = {w!r} violates the Wronskian invariant"
-        )
+    eps, deps = _check_wronskian(eps, deps)
     return SymplecticMap(
         lam_pp=eps.real,
         lam_pq=-deps.real,

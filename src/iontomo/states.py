@@ -17,8 +17,8 @@ from typing import Callable, Literal, Sequence
 import numpy as np
 
 from . import _container
-from .errors import InvalidTrajectoryError, NormalizationDivergenceError
-from .oscillator import WRONSKIAN_ATOL, SymplecticMap
+from .errors import NormalizationDivergenceError
+from .oscillator import SymplecticMap, _check_wronskian
 
 __all__ = [
     "GaussianState",
@@ -38,15 +38,6 @@ __all__ = [
 MAX_NUMBER_INDEX = 200
 
 Parity = Literal["even", "odd"]
-
-
-def _check_wronskian(eps: complex, deps: complex) -> tuple[complex, complex]:
-    eps = complex(eps)
-    deps = complex(deps)
-    w = (np.conj(eps) * deps).imag
-    if abs(w - 1.0) >= WRONSKIAN_ATOL:
-        raise InvalidTrajectoryError(f"Im(eps* deps) = {w!r} violates the Wronskian invariant")
-    return eps, deps
 
 
 @dataclass(frozen=True)

@@ -413,3 +413,30 @@ def test_verify_custom_probe(tmp_path):
 def test_verify_config_errors(tmp_path, extra):
     cfg = cfg_file(tmp_path, verify_cfg(**extra))
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 2
+
+
+# ------------------------------------------------------------ nested sections
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("tomogram", tomogram_cfg({"kind": "cat", "phase": 0.3})),
+        ("tomogram", tomogram_cfg({"kind": "gaussian"}, sinogram={"n_phi": 24, "bins": 9})),
+        ("reconstruct", {"grid": {"n_q": 41, "n_r": 41}}),
+        ("reconstruct", {"grid": [41, 41]}),  # not an object
+        ("reconstruct", {"method": "fourier", "fourier": {"k_max": 8.0, "n_k": 9}}),
+        ("reconstruct", {"reference": {"kind": "cat", "phase": 0.3}}),
+        ("reconstruct", {"reference": {"kind": "bogus"}}),
+        ("reconstruct", {"reference": {"kind": "gaussian", "parity": "even"}}),  # cat-only key
+        ("reconstruct", {"reference": {"kind": "cat", "alpha": 0.0, "parity": "odd"}}),  # diverges
+        ("verify", verify_cfg(cat={"alpha": 1.0, "phase": 0.3})),
+        ("verify", verify_cfg(probe={"x_values": [0.0], "x_step": 0.1})),
+    ],
+)
+def test_nested_config_errors_write_nothing(tmp_path, cat_sinogram_file, command, payload):
+    if command == "reconstruct":
+        payload = {"input": cat_sinogram_file, **payload}
+    cfg = cfg_file(tmp_path, payload)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out.csv")]) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]

@@ -12,6 +12,8 @@ from iontomo import (
     OscillatorParams,
     SolverError,
     epsilon_at,
+    eval_wavefunction,
+    gaussian_from_epsilon,
     omega_squared,
     solve_epsilon,
     symplectic_map,
@@ -177,3 +179,7 @@ def test_map_determinant_one_along_trajectory(traj04, i):
 def test_invalid_trajectory_point_rejected():
     with pytest.raises(InvalidTrajectoryError):
         symplectic_map(1.0 + 0.0j, 2.0j)
+    with pytest.raises(InvalidTrajectoryError):
+        gaussian_from_epsilon(1.0 + 0.0j, 2.0j)
+    with pytest.raises(InvalidTrajectoryError):
+        eval_wavefunction("ground", 1.0 + 0.0j, 2.0j, 0.0)

@@ -28,6 +28,7 @@ from iontomo import (
     wigner_cat,
     wigner_gaussian,
 )
+from iontomo import _container
 from iontomo.states import _wab
 
 ROOT2 = math.sqrt(2.0)
@@ -387,6 +388,25 @@ def test_wigner_grid_round_trip(tmp_path, fmt):
     assert np.array_equal(back.q_axis, grid.q_axis)
     assert np.array_equal(back.p_axis, grid.p_axis)
     assert np.array_equal(back.values, grid.values)
+
+
+def test_csv_golden_bytes(tmp_path):
+    # %.17g text: signed zero, subnormal, inexact decimal, huge and plain values
+    ax0 = np.array([-1.5, 0.1])
+    ax1 = np.array([-0.0, 1e308])
+    values = np.array([[5e-324, 0.1], [1e308, -0.0]])
+    path = tmp_path / "table.csv"
+    _container.save_csv_triples(str(path), ("q", "p", "w"), ax0, ax1, values)
+    assert path.read_text() == (
+        "q,p,w\n"
+        "-1.5,-0,4.9406564584124654e-324\n"
+        "-1.5,1e+308,0.10000000000000001\n"
+        "0.10000000000000001,-0,1e+308\n"
+        "0.10000000000000001,1e+308,-0\n"
+    )
+    back = _container.load_csv_triples(str(path), ("q", "p", "w"))
+    for got, want in zip(back, (ax0, ax1, values)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_wigner_grid_save_rejects_unknown_format(tmp_path):
