@@ -42,6 +42,9 @@ _STEPS_PER_UNIT_TIME = 2000
 #: Hard floor on the RK4 step size; below this the tolerance is unreachable.
 _MIN_STEP = 1e-12
 
+#: Steps per block of the running step-matrix product in :func:`_rk4`.
+_BLOCK = 4096
+
 
 @dataclass(frozen=True)
 class OscillatorParams:
@@ -116,33 +119,34 @@ class EpsilonTrajectory:
 
 
 def _rk4(params: OscillatorParams, t_end: float, n_steps: int):
-    """Classic fixed-step RK4 over the complexified system (eps, eps')."""
+    """Classic fixed-step RK4 over (eps, eps'), as a running product of step matrices.
+
+    Each step is ``y_{i+1} = (I + d_i) y_i`` for a real 2x2 ``d_i``.  Within blocks
+    of ``_BLOCK`` steps the product is formed in log2(_BLOCK) doubling passes as
+    ``d_late + d_early + d_late @ d_early``, so the identity is never rounded
+    into a step; each block then carries its start point forward.
+    """
     t = np.linspace(0.0, t_end, n_steps + 1)
     h = t_end / n_steps
-    eps = np.empty(n_steps + 1, dtype=complex)
-    deps = np.empty(n_steps + 1, dtype=complex)
-    eps[0] = 1.0
-    deps[0] = 1.0j
-
-    k2 = params.kappa ** 2
-    om = params.omega_drive
-
-    def f(ti, y0, y1):
-        w2 = 1.0 + k2 * math.sin(om * ti) ** 2
-        return y1, -w2 * y0
-
-    y0, y1 = eps[0], deps[0]
-    for i in range(n_steps):
-        ti = t[i]
-        a0, a1 = f(ti, y0, y1)
-        b0, b1 = f(ti + h / 2, y0 + h / 2 * a0, y1 + h / 2 * a1)
-        c0, c1 = f(ti + h / 2, y0 + h / 2 * b0, y1 + h / 2 * b1)
-        d0, d1 = f(ti + h, y0 + h * c0, y1 + h * c1)
-        y0 = y0 + h / 6 * (a0 + 2 * b0 + 2 * c0 + d0)
-        y1 = y1 + h / 6 * (a1 + 2 * b1 + 2 * c1 + d1)
-        eps[i + 1] = y0
-        deps[i + 1] = y1
-    return t, eps, deps
+    w0, wm, w1 = (omega_squared(t[:-1] + c, params) for c in (0.0, h / 2, h))
+    # the four RK4 stages of y' = [[0, 1], [-omega^2, 0]] y, summed into one matrix
+    d = np.empty((n_steps, 2, 2))
+    d[:, 0, 0] = -h * h / 6 * (w0 + 2 * wm - h * h / 4 * w0 * wm)
+    d[:, 0, 1] = h - h ** 3 / 6 * wm
+    d[:, 1, 0] = -h / 6 * (w0 + 4 * wm + w1 - h * h / 2 * wm * (w0 + w1))
+    d[:, 1, 1] = -h * h / 6 * (2 * wm + w1 - h * h / 4 * wm * w1)
+    del w0, wm, w1
+    y = np.empty((n_steps + 1, 2), dtype=complex)
+    y[0] = 1.0, 1.0j
+    for s in range(0, n_steps, _BLOCK):
+        block = d[s:s + _BLOCK]
+        k = 1
+        while k < len(block):
+            late, early = block[k:], block[:-k]
+            block[k:] = late + early + late @ early
+            k *= 2
+        y[s + 1:s + 1 + len(block)] = y[s] + block @ y[s]
+    return t, y[:, 0], y[:, 1]
 
 
 def solve_epsilon(
@@ -165,7 +169,9 @@ def solve_epsilon(
     tol : float
         Accuracy target.  The Wronskian drift is required to stay below
         ``10 * tol``; if it does not, the step count is doubled and the
-        integration retried.
+        integration retried.  Once ``h * sqrt(1 + kappa^2) <= 1/2000`` (the
+        default density at the fastest trap frequency), a doubling that fails
+        to halve the drift ends the retries: round-off, not the step, sets it.
 
     Returns
     -------
@@ -174,7 +180,8 @@ def solve_epsilon(
     Raises
     ------
     SolverError
-        If the tolerance remains unreachable down to the step-size floor.
+        If a doubling of a resolved grid fails to halve the drift, or at the
+        step-size floor.
     """
     if not (t_end > 0.0):
         raise ValueError(f"t_end must be > 0, got {t_end}")
@@ -186,17 +193,21 @@ def solve_epsilon(
         raise ValueError(f"n_steps must be >= 2, got {n_steps}")
 
     gate = 10.0 * tol
+    resolved_step = 1.0 / (_STEPS_PER_UNIT_TIME * math.hypot(1.0, params.kappa))
+    prev_drift = math.inf
     while True:
         t, eps, deps = _rk4(params, t_end, n_steps)
         drift = np.max(np.abs(np.imag(np.conj(eps) * deps) - 1.0))
         if drift <= gate:
             return EpsilonTrajectory(params=params, times=t, eps=eps, deps=deps)
-        if t_end / (2 * n_steps) < _MIN_STEP:
-            raise SolverError(
-                f"Wronskian drift {drift:.3e} exceeds gate {gate:.3e} at the "
-                f"step-size floor (n_steps={n_steps}); tolerance unreachable"
-            )
-        n_steps *= 2
+        if t_end / n_steps <= resolved_step and drift > prev_drift / 2:
+            why = f"doubling to n_steps={n_steps} on a resolved grid did not halve it from {prev_drift:.3e}"
+        elif t_end / (2 * n_steps) < _MIN_STEP:
+            why = f"n_steps={n_steps} is at the step-size floor"
+        else:
+            prev_drift, n_steps = drift, 2 * n_steps
+            continue
+        raise SolverError(f"Wronskian drift {drift:.3e} exceeds gate {gate:.3e}: {why}; tolerance unreachable")
 
 
 def epsilon_at(params: OscillatorParams, t: float, tol: float = DEFAULT_TOL) -> tuple[complex, complex]:

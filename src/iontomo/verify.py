@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -93,19 +92,14 @@ class ResidualReport:
         return json.dumps(self.as_dict(), sort_keys=True)
 
 
-@lru_cache(maxsize=4096)
-def _eps_cached(params: OscillatorParams, t: float) -> tuple[complex, complex]:
-    return epsilon_at(params, t)
-
-
 def replacement_evolution(initial: Callable, params: OscillatorParams) -> Callable:
     """Evolution evaluator (X, mu, nu, delta, t) by frame transport.
 
     ``initial`` is a t=0 tomogram evaluator (Y, mu, nu).  The mode function is
-    solved exactly at each requested t and memoized.
+    solved exactly at each requested t.
     """
     def evolution(X, mu, nu, delta, t):
-        eps, deps = _eps_cached(params, float(t))
+        eps, deps = epsilon_at(params, float(t))
         return evolve_tomogram(initial, eps, deps, TomogramQuery(X=X, mu=mu, nu=nu, delta=delta))
     return evolution
 
@@ -119,29 +113,40 @@ def frozen_frame_evolution(initial: Callable) -> Callable:
 
 def _residual_samples(evolution: Callable, params: OscillatorParams, probe: ProbeGrid,
                       h_t: float, h_mu: float, h_nu: float) -> np.ndarray:
-    X = np.asarray(probe.x_values, dtype=float)[:, np.newaxis]
-    delta = np.asarray(probe.delta_values, dtype=float)[np.newaxis, :]
+    mu, nu, X, delta = np.ix_(*(np.asarray(v, dtype=float) for v in (
+        probe.mu_values, probe.nu_values, probe.x_values, probe.delta_values)))
     out = []
     for t in probe.t_values:
         w2 = float(omega_squared(t, params))
-        for mu in probe.mu_values:
-            for nu in probe.nu_values:
-                d_t = (evolution(X, mu, nu, delta, t + h_t)
-                       - evolution(X, mu, nu, delta, t - h_t)) / (2.0 * h_t)
-                d_nu = (evolution(X, mu, nu + h_nu, delta, t)
-                        - evolution(X, mu, nu - h_nu, delta, t)) / (2.0 * h_nu)
-                d_mu = (evolution(X, mu + h_mu, nu, delta, t)
-                        - evolution(X, mu - h_mu, nu, delta, t)) / (2.0 * h_mu)
-                res = d_t - mu * d_nu + w2 * nu * d_mu
-                if not np.all(np.isfinite(res)):
-                    raise ValueError(f"non-finite residual at t={t}, mu={mu}, nu={nu}")
-                out.append(np.abs(res).ravel())
+        d_t = (evolution(X, mu, nu, delta, t + h_t)
+               - evolution(X, mu, nu, delta, t - h_t)) / (2.0 * h_t)
+        d_nu = (evolution(X, mu, nu + h_nu, delta, t)
+                - evolution(X, mu, nu - h_nu, delta, t)) / (2.0 * h_nu)
+        d_mu = (evolution(X, mu + h_mu, nu, delta, t)
+                - evolution(X, mu - h_mu, nu, delta, t)) / (2.0 * h_mu)
+        res = d_t - mu * d_nu + w2 * nu * d_mu
+        bad = np.argwhere(~np.isfinite(res))
+        if bad.size:
+            i, j = bad[0][:2]
+            raise ValueError(f"non-finite residual at t={t}, mu={mu.flat[i]}, nu={nu.flat[j]}")
+        out.append(np.abs(res).ravel())
     return np.concatenate(out)
+
+
+def _report(res_h: np.ndarray, res_half: np.ndarray, **fields) -> ResidualReport:
+    """Max and rms of the step-h residuals; order is log2 of the rms ratio to half steps."""
+    rms = float(np.sqrt(np.mean(res_h ** 2)))
+    rms_half = float(np.sqrt(np.mean(res_half ** 2)))
+    order = math.log2(rms / rms_half) if rms_half > 0.0 else None
+    return ResidualReport(max_abs_residual=float(res_h.max()), rms_residual=rms,
+                          convergence_order=order, **fields)
 
 
 def pde_residual(evolution: Callable, params: OscillatorParams, probe: ProbeGrid | None = None) -> ResidualReport:
     """Central-difference residual of the evolution equation on the probe grid.
 
+    ``evolution(X, mu, nu, delta, t)`` must broadcast over array X, mu, nu and
+    delta, as every evolution in this package does; each call covers one t.
     Runs the stencil at the probe steps and again at half steps; the reported
     convergence order is log2 of the rms ratio and should sit near 2.
     """
@@ -150,25 +155,15 @@ def pde_residual(evolution: Callable, params: OscillatorParams, probe: ProbeGrid
     res_h = _residual_samples(evolution, params, probe, probe.h_t, probe.h_mu, probe.h_nu)
     res_half = _residual_samples(evolution, params, probe,
                                  probe.h_t / 2.0, probe.h_mu / 2.0, probe.h_nu / 2.0)
-    rms = float(np.sqrt(np.mean(res_h ** 2)))
-    rms_half = float(np.sqrt(np.mean(res_half ** 2)))
-    order = math.log2(rms / rms_half) if rms_half > 0.0 else None
-    return ResidualReport(
-        max_abs_residual=float(res_h.max()),
-        rms_residual=rms,
-        h_t=probe.h_t,
-        h_mu=probe.h_mu,
-        h_nu=probe.h_nu,
-        convergence_order=order,
-        grid_spec=probe.spec(),
-    )
+    return _report(res_h, res_half, h_t=probe.h_t, h_mu=probe.h_mu, h_nu=probe.h_nu,
+                   grid_spec=probe.spec())
 
 
 _MOMENT_FRACTIONS = (0.1, 0.25, 0.4, 0.55, 0.7, 0.85, 0.95)
 
 
 def _moments(params: OscillatorParams, t: float, alpha: complex) -> np.ndarray:
-    eps, deps = _eps_cached(params, t)
+    eps, deps = epsilon_at(params, t)
     s = gaussian_from_epsilon(eps, deps, alpha)
     return np.array([s.mean_q, s.mean_p, s.sigma_qq, s.sigma_pq, s.sigma_pp])
 
@@ -201,16 +196,8 @@ def moment_odes_check(traj: EpsilonTrajectory, alpha: complex = 0j, *, h: float 
     t_values = [max(h, f * t_end) for f in _MOMENT_FRACTIONS]
     res_h = _moment_residuals(traj.params, complex(alpha), t_values, h)
     res_half = _moment_residuals(traj.params, complex(alpha), t_values, h / 2.0)
-    rms = float(np.sqrt(np.mean(res_h ** 2)))
-    rms_half = float(np.sqrt(np.mean(res_half ** 2)))
-    order = math.log2(rms / rms_half) if rms_half > 0.0 else None
-    return ResidualReport(
-        max_abs_residual=float(res_h.max()),
-        rms_residual=rms,
-        h_t=h,
-        convergence_order=order,
-        grid_spec={"t_values": list(t_values), "alpha": [complex(alpha).real, complex(alpha).imag]},
-    )
+    return _report(res_h, res_half, h_t=h,
+                   grid_spec={"t_values": list(t_values), "alpha": [complex(alpha).real, complex(alpha).imag]})
 
 
 def wavefunction_moment_oracle(kind: str, eps: complex, deps: complex, alpha: complex = 0j) -> GaussianState:

@@ -55,11 +55,16 @@ def test_epsilon_driven_matches_frozen_reference(tmp_path):
     assert complex(data["re_deps"][-1], data["im_deps"][-1]) == pytest.approx(DEPS_AT_10, abs=1e-9)
 
 
-def test_epsilon_unreachable_tolerance_fails_numerically(tmp_path):
-    cfg = cfg_file(
-        tmp_path,
+@pytest.mark.parametrize(
+    "payload",
+    [
         {"kappa": 0.0, "omega_drive": 1.0, "t_end": 1e-7, "n_steps": 60001, "tol": 1e-30},
-    )
+        {"kappa": 1.0, "omega_drive": 1.2247, "t_end": 100.0},
+    ],
+    ids=["step-floor", "resonance"],
+)
+def test_epsilon_unreachable_tolerance_fails_numerically(tmp_path, payload):
+    cfg = cfg_file(tmp_path, payload)
     out = tmp_path / "eps.csv"
     assert main(["epsilon", "--config", cfg, "--out", str(out)]) == 1
     assert not out.exists()

@@ -18,6 +18,7 @@ from iontomo import (
     solve_epsilon,
     symplectic_map,
 )
+from iontomo.oscillator import _BLOCK
 
 PARAMS04 = OscillatorParams(kappa=0.4, omega_drive=2.0)
 
@@ -145,11 +146,72 @@ def test_solve_epsilon_rejects_bad_arguments(kwargs):
         solve_epsilon(PARAMS04, **kwargs)
 
 
-def test_solver_error_when_tolerance_unreachable():
-    # roundoff keeps the Wronskian drift near 1e-14 here, far above a 1e-30
-    # target, and the step size already sits at the refinement floor
-    with pytest.raises(SolverError):
-        solve_epsilon(PARAMS04, t_end=1e-7, n_steps=60001, tol=1e-30)
+@pytest.mark.parametrize(
+    "params, kwargs",
+    [
+        # roundoff keeps the Wronskian drift near 1e-14 here, far above a 1e-30
+        # target, and the step size already sits at the refinement floor
+        (PARAMS04, {"t_end": 1e-7, "n_steps": 60001, "tol": 1e-30}),
+        # inside the first instability tongue |eps| reaches ~1e4 by t = 100 and
+        # roundoff holds the drift near 1e-7 whatever the step count
+        (OscillatorParams(1.0, 1.2247), {"t_end": 100.0}),
+    ],
+    ids=["step-floor", "resonance"],
+)
+def test_solver_error_when_tolerance_unreachable(params, kwargs):
+    with pytest.raises(SolverError, match="tolerance unreachable"):
+        solve_epsilon(params, **kwargs)
+
+
+def test_coarse_start_refines_until_converged():
+    # from 8 steps the drift first rises (0.47 -> 0.56) before RK4 converges;
+    # the no-progress stop must not fire on an unresolved grid
+    traj = solve_epsilon(OscillatorParams(3.0, 5.0), t_end=10.0, n_steps=8)
+    assert traj.times.size == 2049
+    assert np.max(np.abs(traj.wronskian() - 1.0)) <= 1e-8
+
+
+def _loop_rk4(params, t_end, n_steps):
+    """Reference: the classic RK4 loop, one Python step at a time."""
+    t = np.linspace(0.0, t_end, n_steps + 1)
+    h = t_end / n_steps
+    eps = np.empty(n_steps + 1, dtype=complex)
+    deps = np.empty(n_steps + 1, dtype=complex)
+    eps[0] = 1.0
+    deps[0] = 1.0j
+
+    k2 = params.kappa ** 2
+    om = params.omega_drive
+
+    def f(ti, y0, y1):
+        w2 = 1.0 + k2 * math.sin(om * ti) ** 2
+        return y1, -w2 * y0
+
+    y0, y1 = eps[0], deps[0]
+    for i in range(n_steps):
+        ti = t[i]
+        a0, a1 = f(ti, y0, y1)
+        b0, b1 = f(ti + h / 2, y0 + h / 2 * a0, y1 + h / 2 * a1)
+        c0, c1 = f(ti + h / 2, y0 + h / 2 * b0, y1 + h / 2 * b1)
+        d0, d1 = f(ti + h, y0 + h * c0, y1 + h * c1)
+        y0 = y0 + h / 6 * (a0 + 2 * b0 + 2 * c0 + d0)
+        y1 = y1 + h / 6 * (a1 + 2 * b1 + 2 * c1 + d1)
+        eps[i + 1] = y0
+        deps[i + 1] = y1
+    return eps, deps
+
+
+@pytest.mark.parametrize("n", [2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7])
+@settings(max_examples=8, deadline=None)
+@given(kappa=st.floats(0.0, 1.5), omega=st.floats(0.2, 4.0))
+def test_step_matrix_product_matches_loop_across_blocks(n, kappa, omega):
+    params = OscillatorParams(kappa, omega)
+    traj = solve_epsilon(params, t_end=n / 1000.0, n_steps=n, tol=1.0)
+    eps, deps = _loop_rk4(params, n / 1000.0, n)
+    assert traj.times.size == n + 1
+    scale = max(1.0, np.max(np.abs(eps)), np.max(np.abs(deps)))
+    assert np.max(np.abs(traj.eps - eps)) <= 1e-13 * scale
+    assert np.max(np.abs(traj.deps - deps)) <= 1e-13 * scale
 
 
 def test_identity_map_at_t0():

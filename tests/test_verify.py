@@ -73,8 +73,15 @@ def test_non_finite_residual_rejected():
     def evolution(X, mu, nu, delta, t):
         return np.asarray(X, dtype=float) * np.asarray(delta, dtype=float) * np.nan
 
-    with pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(ValueError, match=r"non-finite residual at t=0\.5, mu=0\.3, nu=-1\.2$"):
         pde_residual(evolution, STATIC)
+
+    def one_bad_frame(X, mu, nu, delta, t):
+        bad = (t > 1.5) & np.isclose(mu, 0.9) & np.isclose(nu, 0.6)
+        return np.where(bad, np.nan, 0.0) + X + delta
+
+    with pytest.raises(ValueError, match=r"non-finite residual at t=2\.0, mu=0\.9, nu=0\.6$"):
+        pde_residual(one_bad_frame, STATIC)
 
 
 def test_custom_probe_grid_is_honored():
