@@ -371,36 +371,25 @@ class WignerGrid:
         """Catmull-Rom bicubic interpolation; 0 outside the grid.
 
         Error is O(h^4) for smooth data, which keeps grid-backed projections
-        usable as oracles at desk tolerances.
+        usable as oracles at desk tolerances.  The stencil index, weights and
+        inside mask are formed once per axis, on that axis's own input shape;
+        each of the 16 stencil values is then one flat gather over the
+        broadcast shape of q and p, which is the shape of the result.
         """
-        q = np.asarray(q, dtype=float)
-        p = np.asarray(p, dtype=float)
-        q, p = np.broadcast_arrays(q, p)
         nq, npp = self.values.shape
+        iq, wq, inside_q = _stencil(np.asarray(q, dtype=float), self.q_axis[0], self.dq, nq)
+        ip, wp, inside_p = _stencil(np.asarray(p, dtype=float), self.p_axis[0], self.dp, npp)
 
-        sq = (q - self.q_axis[0]) / self.dq
-        sp = (p - self.p_axis[0]) / self.dp
-        inside = (sq >= 0.0) & (sq <= nq - 1.0) & (sp >= 0.0) & (sp <= npp - 1.0)
-        sq = np.where(inside, sq, 0.0)
-        sp = np.where(inside, sp, 0.0)
-        iq = np.minimum(sq.astype(int), nq - 2)
-        ip = np.minimum(sp.astype(int), npp - 2)
-        tq = sq - iq
-        tp = sp - ip
+        # zero-padded by one ring so the 4-point stencil never leaves the array;
+        # padded[iq + a, ip + b] is flat[a * stride + b + base]
+        stride = npp + 2
+        flat = np.zeros((nq + 2) * stride)
+        flat.reshape(nq + 2, stride)[1:-1, 1:-1] = self.values
+        base = iq * stride + ip
 
-        # zero-padded by one ring so the 4-point stencil never leaves the array
-        padded = np.zeros((nq + 2, npp + 2))
-        padded[1:-1, 1:-1] = self.values
-
-        wq = _catmull_rom_weights(tq)
-        wp = _catmull_rom_weights(tp)
-        out = np.zeros_like(sq)
-        for a in range(4):
-            row = np.zeros_like(sq)
-            for b in range(4):
-                row += wp[b] * padded[iq + a, ip + b]
-            out += wq[a] * row
-        return np.where(inside, out, 0.0)
+        out = sum(wq[a] * sum(wp[b] * flat[a * stride + b:].take(base) for b in range(4))
+                  for a in range(4))
+        return np.where(inside_q & inside_p, out, 0.0)
 
     def save(self, path: str, fmt: str = "csv") -> None:
         """Write as CSV rows ``q,p,w`` or as the JSON+binary container."""
@@ -421,6 +410,19 @@ class WignerGrid:
         else:
             q_axis, p_axis, values = _container.load_csv_triples(path, ("q", "p", "w"))
         return WignerGrid(q_axis=q_axis, p_axis=p_axis, values=values)
+
+
+def _stencil(x: np.ndarray, start: float, step: float, n: int):
+    """Stencil start index, Catmull-Rom weights and inside mask along one axis.
+
+    Points outside [start, start + (n - 1) step], NaN included, get index 0 so
+    the gather stays in bounds; the caller zeroes them through the mask.
+    """
+    s = (x - start) / step
+    inside = (s >= 0.0) & (s <= n - 1.0)
+    s = np.where(inside, s, 0.0)
+    i = np.minimum(s.astype(int), n - 2)
+    return i, _catmull_rom_weights(s - i), inside
 
 
 def _catmull_rom_weights(t: np.ndarray) -> list[np.ndarray]:

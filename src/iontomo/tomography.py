@@ -272,6 +272,13 @@ def invert_to_wigner(
     ``y_halfwidth_sigmas`` standard widths.  The node mu = nu = 0 is never
     evaluated; its Fourier coefficient is exactly 1 for a normalized tomogram.
 
+    Only the half plane of the first ``(n_nodes + 1) // 2`` mu rows is
+    evaluated.  The rest follows from F(-mu, -nu) = conj F(mu, nu), which
+    holds because homogeneity at lambda = -1 gives
+    w(Y, -mu, -nu) = w(-Y, mu, nu); every tomogram in this package satisfies
+    it (acceptance criterion 10), and so must ``evaluator``.  The nodes are
+    made exactly antisymmetric for this mirror.
+
     ``evaluator(Y, mu, nu)`` must broadcast over array arguments.
 
     Raises
@@ -283,11 +290,15 @@ def invert_to_wigner(
     q_axis = np.asarray(q_axis, dtype=float)
     p_axis = np.asarray(p_axis, dtype=float)
     nodes = np.linspace(-k_max, k_max, n_nodes)
+    # exactly antisymmetric (moves linspace by at most 1 ulp), so row and
+    # column n - 1 - i hold the mirrored frame (-mu, -nu)
+    nodes = 0.5 * (nodes - nodes[::-1])
+    half = (n_nodes + 1) // 2
 
     F = np.empty((n_nodes, n_nodes), dtype=complex)
     scan_u = np.linspace(-1.0, 1.0, n_coarse)[:, np.newaxis]
     fine_t = np.linspace(0.0, 1.0, n_y)[:, np.newaxis]
-    for i, m in enumerate(nodes):
+    for i, m in enumerate(nodes[:half]):
         nu = nodes
         degenerate = (m == 0.0) & (nu == 0.0)
         safe_nu = np.where(degenerate, 1.0, nu)
@@ -309,6 +320,8 @@ def invert_to_wigner(
         kernel[-1, :] *= 0.5
         F[i, :] = kernel.sum(axis=0) * (hi - lo) / (n_y - 1)
         F[i, degenerate] = 1.0
+    # F(-mu, -nu) = conj F(mu, nu) for every real tomogram with w(Y, -mu, -nu) = w(-Y, mu, nu)
+    F[n_nodes - half:] = np.conj(F[half - 1::-1, ::-1])
 
     # separable phase factors turn the double (mu, nu) sum into two matmuls
     w_nodes = np.full(n_nodes, nodes[1] - nodes[0])

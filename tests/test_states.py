@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iontomo import (
     CatSpec,
@@ -29,7 +31,7 @@ from iontomo import (
     wigner_gaussian,
 )
 from iontomo import _container
-from iontomo.states import _wab
+from iontomo.states import _catmull_rom_weights, _wab
 
 ROOT2 = math.sqrt(2.0)
 
@@ -375,6 +377,66 @@ def test_wigner_grid_interpolation():
     assert np.max(np.abs(grid.interpolate(qs, ps) - wigner_gaussian(vac, qs, ps))) <= 1e-4
     assert grid.interpolate(7.0, 0.0) == 0.0
     assert grid.interpolate(0.0, -6.5) == 0.0
+
+
+def interpolate_reference(grid, q, p):
+    """Catmull-Rom on the broadcast inputs with 16 two-axis gathers (the original loop)."""
+    q, p = np.broadcast_arrays(np.asarray(q, dtype=float), np.asarray(p, dtype=float))
+    nq, npp = grid.values.shape
+    sq = (q - grid.q_axis[0]) / grid.dq
+    sp = (p - grid.p_axis[0]) / grid.dp
+    inside = (sq >= 0.0) & (sq <= nq - 1.0) & (sp >= 0.0) & (sp <= npp - 1.0)
+    sq = np.where(inside, sq, 0.0)
+    sp = np.where(inside, sp, 0.0)
+    iq = np.minimum(sq.astype(int), nq - 2)
+    ip = np.minimum(sp.astype(int), npp - 2)
+    padded = np.zeros((nq + 2, npp + 2))
+    padded[1:-1, 1:-1] = grid.values
+    wq = _catmull_rom_weights(sq - iq)
+    wp = _catmull_rom_weights(sp - ip)
+    out = np.zeros_like(sq)
+    for a in range(4):
+        row = np.zeros_like(sq)
+        for b in range(4):
+            row += wp[b] * padded[iq + a, ip + b]
+        out += wq[a] * row
+    return np.where(inside, out, 0.0)
+
+
+@st.composite
+def _axis(draw):
+    n = draw(st.integers(2, 9))
+    # dyadic steps put the last node exactly at s = n - 1
+    step = draw(st.one_of(st.sampled_from([0.125, 0.5, 1.0]), st.floats(0.05, 2.0)))
+    start = draw(st.integers(-8, 8)) * step
+    return start + step * np.arange(n)
+
+
+def _points(axis, shape):
+    lo, hi = axis[0], axis[-1]
+    span = hi - lo
+    point = st.one_of(
+        st.floats(lo, hi),
+        st.floats(lo - span, hi + span),
+        st.sampled_from([lo, hi, math.nan]),
+    )
+    size = math.prod(shape)
+    return st.lists(point, min_size=size, max_size=size).map(lambda v: np.array(v).reshape(shape))
+
+
+@settings(max_examples=300, deadline=None)
+@given(q_axis=_axis(), p_axis=_axis(), seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 5),
+       k=st.integers(1, 5), layout=st.sampled_from(["scalar", "row-q", "row-p", "outer"]), data=st.data())
+def test_interpolate_matches_sixteen_gather_reference(q_axis, p_axis, seed, n, k, layout, data):
+    values = np.random.default_rng(seed).standard_normal((q_axis.size, p_axis.size))
+    grid = WignerGrid(q_axis=q_axis, p_axis=p_axis, values=values)
+    q_shape, p_shape = {"scalar": ((), ()), "row-q": ((1, k), (n, k)),
+                        "row-p": ((n, k), (1, k)), "outer": ((n, 1), (1, k))}[layout]
+    q = data.draw(_points(q_axis, q_shape))
+    p = data.draw(_points(p_axis, p_shape))
+    got = grid.interpolate(q, p)
+    assert got.shape == np.broadcast_shapes(q_shape, p_shape)
+    assert np.all(got == interpolate_reference(grid, q, p))
 
 
 @pytest.mark.parametrize("fmt", ["csv", "bin"])

@@ -366,6 +366,73 @@ def test_invert_cat_against_analytic_wigner():
     assert rel_l2 < 0.05
 
 
+def invert_full_plane_reference(evaluator, q_axis, p_axis, *, k_max, n_nodes, n_y,
+                                y_halfwidth_sigmas=12.0, n_coarse=129):
+    """Grid values of the Fourier inversion evaluated on every (mu, nu) node (the original loop)."""
+    nodes = np.linspace(-k_max, k_max, n_nodes)
+    F = np.empty((n_nodes, n_nodes), dtype=complex)
+    scan_u = np.linspace(-1.0, 1.0, n_coarse)[:, np.newaxis]
+    fine_t = np.linspace(0.0, 1.0, n_y)[:, np.newaxis]
+    for i, m in enumerate(nodes):
+        nu = nodes
+        degenerate = (m == 0.0) & (nu == 0.0)
+        safe_nu = np.where(degenerate, 1.0, nu)
+        radius = np.sqrt(m ** 2 + safe_nu ** 2)
+        scan_half = y_halfwidth_sigmas * np.maximum(1.0, radius)
+        Ys = scan_u * scan_half[np.newaxis, :]
+        Pv = np.abs(np.asarray(evaluator(Ys, m, safe_nu[np.newaxis, :]), dtype=float))
+        mass = Pv.sum(axis=0)
+        mass = np.where(mass > 0.0, mass, 1.0)
+        center = (Ys * Pv).sum(axis=0) / mass
+        width = np.sqrt(np.maximum(((Ys - center) ** 2 * Pv).sum(axis=0) / mass, 1e-6))
+        lo = center - y_halfwidth_sigmas * width
+        hi = center + y_halfwidth_sigmas * width
+        Yf = lo[np.newaxis, :] + (hi - lo)[np.newaxis, :] * fine_t
+        kernel = np.exp(1j * Yf) * np.asarray(evaluator(Yf, m, safe_nu[np.newaxis, :]), dtype=complex)
+        kernel[0, :] *= 0.5
+        kernel[-1, :] *= 0.5
+        F[i, :] = kernel.sum(axis=0) * (hi - lo) / (n_y - 1)
+        F[i, degenerate] = 1.0
+    w_nodes = np.full(n_nodes, nodes[1] - nodes[0])
+    w_nodes[[0, -1]] *= 0.5
+    A = np.exp(-1j * np.outer(q_axis, nodes)) * w_nodes
+    B = np.exp(-1j * np.outer(nodes, p_axis)) * w_nodes[:, np.newaxis]
+    return np.real(A @ F @ B) / (2.0 * math.pi)
+
+
+def _asymmetric_cat_sinogram():
+    phi = np.linspace(0.0, math.pi, 120, endpoint=False)
+    x = np.linspace(-8.0, 8.0, 161)
+    return sinogram_evaluator(OpticalSinogram.from_evaluator(cat_evaluator(CatSpec(1.2 + 0.7j, "odd")), phi, x))
+
+
+@pytest.mark.parametrize("k_max, n_nodes, n_y", [(8.0, 97, 257), (6.0, 48, 129), (5.0, 31, 129)],
+                         ids=["odd-97", "even-48", "odd-31"])
+@pytest.mark.parametrize("source", ["gaussian", "cat-sinogram"])
+def test_half_plane_inversion_matches_full_plane(source, k_max, n_nodes, n_y):
+    # none of these linspace node sets is exactly antisymmetric
+    nodes = np.linspace(-k_max, k_max, n_nodes)
+    assert not np.array_equal(nodes, -nodes[::-1])
+    if source == "gaussian":
+        # displaced, squeezed and correlated: no symmetry in q, p or the frame
+        evaluator = GaussianTomogram(GaussianState(mean_p=-0.7, mean_q=1.1, sigma_pp=0.3,
+                                                   sigma_qq=1.1, sigma_pq=0.35))
+    else:
+        evaluator = _asymmetric_cat_sinogram()
+    rows = set()
+
+    def recorded(Y, mu, nu):
+        rows.add(float(mu))
+        return evaluator(Y, mu, nu)
+
+    axis = np.linspace(-5.0, 5.0, 41)
+    kw = {"k_max": k_max, "n_nodes": n_nodes, "n_y": n_y}
+    grid = invert_to_wigner(recorded, axis, axis, **kw)
+    want = invert_full_plane_reference(evaluator, axis, axis, **kw)
+    assert len(rows) <= (n_nodes + 1) // 2
+    assert np.max(np.abs(grid.values - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 def test_invert_rejects_truncated_cutoff():
     axis = np.linspace(-4.0, 4.0, 33)
     with pytest.raises(ReconstructionQualityError, match="integrates to"):
