@@ -41,7 +41,7 @@ from .tomography import (
     evolve_tomogram,
     invert_to_wigner,
     radon_reconstruct,
-    sinogram_evaluator,
+    sinogram_evaluator,  # noqa: F401  (unused here; kept in this namespace for perfbench/traced_cli.py)
 )
 from .verify import (
     ProbeGrid,
@@ -317,7 +317,7 @@ def cmd_reconstruct(cfg: dict, args) -> int:
         if method == "fbp":
             grid = radon_reconstruct(sino, q_axis, p_axis, apodization=apod)
         else:
-            grid = invert_to_wigner(sinogram_evaluator(sino), q_axis, p_axis, norm_tol=norm_tol, **fourier_kw)
+            grid = invert_to_wigner(sino, q_axis, p_axis, norm_tol=norm_tol, **fourier_kw)
     except InsufficientAnglesError as exc:
         return _fail(2, str(exc))
     except ReconstructionQualityError as exc:

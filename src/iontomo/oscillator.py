@@ -30,7 +30,8 @@ __all__ = [
     "symplectic_map",
 ]
 
-#: Wronskian slack accepted when building maps from externally supplied points.
+#: Wronskian slack accepted when building maps from externally supplied points,
+#: relative to ``max(1, |eps| |deps|)``.
 WRONSKIAN_ATOL = 1e-6
 
 #: Default local-error target for :func:`solve_epsilon`.
@@ -44,6 +45,13 @@ _MIN_STEP = 1e-12
 
 #: Steps per block of the running step-matrix product in :func:`_rk4`.
 _BLOCK = 4096
+
+#: Most RK4 steps :func:`solve_epsilon` integrates in one pass (about 2 GB of
+#: trajectory and step matrices).
+_MAX_STEPS = 2 ** 24
+
+#: RK4 is stable for y'' = -omega^2 y while h * omega <= 2 sqrt(2).
+_RK4_STABLE = 2.0 * math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -172,6 +180,10 @@ def solve_epsilon(
         integration retried.  Once ``h * sqrt(1 + kappa^2) <= 1/2000`` (the
         default density at the fastest trap frequency), a doubling that fails
         to halve the drift ends the retries: round-off, not the step, sets it.
+        No pass takes more than ``_MAX_STEPS = 2**24`` steps.  On a grid where
+        RK4 is stable (``h * sqrt(1 + kappa^2) <= 2 sqrt(2)``) the retries also
+        end once the drift, falling no faster than ``h^5``, would need more
+        steps than that.
 
     Returns
     -------
@@ -180,8 +192,9 @@ def solve_epsilon(
     Raises
     ------
     SolverError
-        If a doubling of a resolved grid fails to halve the drift, or at the
-        step-size floor.
+        If a doubling of a resolved grid fails to halve the drift, at the
+        step-size floor, or when the tolerance needs more than ``_MAX_STEPS``
+        steps (a user ``n_steps`` above it fails before any integration).
     """
     if not (t_end > 0.0):
         raise ValueError(f"t_end must be > 0, got {t_end}")
@@ -191,19 +204,30 @@ def solve_epsilon(
         n_steps = max(1000, math.ceil(_STEPS_PER_UNIT_TIME * t_end))
     if n_steps < 2:
         raise ValueError(f"n_steps must be >= 2, got {n_steps}")
+    if n_steps > _MAX_STEPS:
+        raise SolverError(f"n_steps={n_steps} exceeds the cap of {_MAX_STEPS} steps; tolerance unreachable")
 
     gate = 10.0 * tol
-    resolved_step = 1.0 / (_STEPS_PER_UNIT_TIME * math.hypot(1.0, params.kappa))
+    omega_max = math.hypot(1.0, params.kappa)
+    resolved_step = 1.0 / (_STEPS_PER_UNIT_TIME * omega_max)
     prev_drift = math.inf
     while True:
-        t, eps, deps = _rk4(params, t_end, n_steps)
-        drift = np.max(np.abs(np.imag(np.conj(eps) * deps) - 1.0))
+        # an unstable grid may overflow; its drift is then inf or NaN and it is refined
+        with np.errstate(over="ignore", invalid="ignore"):
+            t, eps, deps = _rk4(params, t_end, n_steps)
+            drift = np.max(np.abs(np.imag(np.conj(eps) * deps) - 1.0))
         if drift <= gate:
             return EpsilonTrajectory(params=params, times=t, eps=eps, deps=deps)
-        if t_end / n_steps <= resolved_step and drift > prev_drift / 2:
+        h = t_end / n_steps
+        # on a stable grid the drift falls no faster than h^5; NaN (overflow)
+        # there counts as needing too many steps
+        needed = n_steps * (drift / gate) ** 0.2
+        if h <= resolved_step and drift > prev_drift / 2:
             why = f"doubling to n_steps={n_steps} on a resolved grid did not halve it from {prev_drift:.3e}"
-        elif t_end / (2 * n_steps) < _MIN_STEP:
+        elif h / 2 < _MIN_STEP:
             why = f"n_steps={n_steps} is at the step-size floor"
+        elif 2 * n_steps > _MAX_STEPS or (h * omega_max <= _RK4_STABLE and not needed <= _MAX_STEPS):
+            why = f"n_steps={n_steps} cannot reach it within the cap of {_MAX_STEPS} steps"
         else:
             prev_drift, n_steps = drift, 2 * n_steps
             continue
@@ -270,7 +294,8 @@ def _check_wronskian(eps: complex, deps: complex) -> tuple[complex, complex]:
     eps = complex(eps)
     deps = complex(deps)
     w = (np.conj(eps) * deps).imag
-    if abs(w - 1.0) >= WRONSKIAN_ATOL:
+    # relative: the rounding of Im(eps* deps) grows like |eps| |deps|
+    if not abs(w - 1.0) < WRONSKIAN_ATOL * max(1.0, abs(eps) * abs(deps)):
         raise InvalidTrajectoryError(f"Im(eps* deps) = {w!r} violates the Wronskian invariant")
     return eps, deps
 
@@ -281,7 +306,8 @@ def symplectic_map(eps: complex, deps: complex) -> SymplecticMap:
     Raises
     ------
     InvalidTrajectoryError
-        If ``|Im(eps* deps) - 1| >= 1e-6`` (not a valid trajectory point).
+        If ``|Im(eps* deps) - 1| >= 1e-6 * max(1, |eps| |deps|)`` (not a
+        valid trajectory point), or it is not finite.
     """
     eps, deps = _check_wronskian(eps, deps)
     return SymplecticMap(

@@ -140,7 +140,7 @@ def gaussian_from_epsilon(eps: complex, deps: complex, alpha: complex = 0j) -> G
     ----------
     eps, deps : complex
         Mode function value and derivative; must satisfy the Wronskian
-        invariant within 1e-6.
+        invariant, ``|Im(eps* deps) - 1| < 1e-6 * max(1, |eps| |deps|)``.
     alpha : complex
         Coherent amplitude (0 for the squeezed ground state).
 

@@ -27,7 +27,7 @@ from .errors import (
     SupportTruncationWarning,
 )
 from .oscillator import symplectic_map
-from .states import CatSpec, GaussianState, WignerGrid
+from .states import CatSpec, GaussianState, WignerGrid, _stencil
 
 __all__ = [
     "TomogramQuery",
@@ -248,7 +248,7 @@ def project_wigner(
 
 
 def invert_to_wigner(
-    evaluator: Callable,
+    evaluator: Union[Callable, OpticalSinogram],
     q_axis,
     p_axis,
     *,
@@ -266,23 +266,36 @@ def invert_to_wigner(
     (``n_nodes`` each).  k_max must cover the Fourier transform of the state:
     superpositions of coherent pieces separated by 2 alpha carry interference
     lobes centered at radius 2 sqrt(2) |alpha|, so the default reaches
-    |alpha| = 3.  The Y quadrature uses a per-node window: the tomogram
-    width grows like sqrt(mu^2 + nu^2), so a coarse scan first locates the
-    support of each column, then ``n_y`` points cover its center +-
-    ``y_halfwidth_sigmas`` standard widths.  The node mu = nu = 0 is never
-    evaluated; its Fourier coefficient is exactly 1 for a normalized tomogram.
+    |alpha| = 3.  The node mu = nu = 0 is never evaluated; its Fourier
+    coefficient is exactly 1 for a normalized tomogram.
+
+    ``evaluator`` is either of two sources:
+
+    * a callable ``evaluator(Y, mu, nu)`` that broadcasts over array
+      arguments.  The Y quadrature uses a per-node window: the tomogram width
+      grows like sqrt(mu^2 + nu^2), so a coarse scan of ``n_coarse`` points
+      first locates the support of each column, then ``n_y`` points cover its
+      center +- ``y_halfwidth_sigmas`` standard widths.
+    * an :class:`OpticalSinogram`.  By homogeneity the coefficient on the ray
+      (mu, nu) = r (cos phi, sin phi) is the 1-D transform of one marginal,
+      F = integral w_opt(X, phi) exp(i k X) dX with k = r, or k = -r where phi
+      folds back into [0, pi).  The marginal at phi combines the four wrapped
+      angle rows with the Catmull-Rom weights of :func:`sinogram_evaluator`,
+      and the transform is the trapezoid sum on the sinogram's own X samples,
+      so nothing is interpolated in X.  ``n_y``, ``y_halfwidth_sigmas`` and
+      ``n_coarse`` have no effect here.
 
     Only the half plane of the first ``(n_nodes + 1) // 2`` mu rows is
     evaluated.  The rest follows from F(-mu, -nu) = conj F(mu, nu), which
     holds because homogeneity at lambda = -1 gives
     w(Y, -mu, -nu) = w(-Y, mu, nu); every tomogram in this package satisfies
-    it (acceptance criterion 10), and so must ``evaluator``.  The nodes are
-    made exactly antisymmetric for this mirror.
-
-    ``evaluator(Y, mu, nu)`` must broadcast over array arguments.
+    it (acceptance criterion 10), and so must a callable ``evaluator``.  The
+    nodes are made exactly antisymmetric for this mirror.
 
     Raises
     ------
+    ValueError
+        When a sinogram's angles do not tile [0, pi) uniformly.
     ReconstructionQualityError
         When the reconstructed grid misses 2 pi normalization by more than
         ``norm_tol`` (cutoff k_max or the output window too small).
@@ -295,30 +308,14 @@ def invert_to_wigner(
     nodes = 0.5 * (nodes - nodes[::-1])
     half = (n_nodes + 1) // 2
 
+    if isinstance(evaluator, OpticalSinogram):
+        spectrum = _ray_spectrum(evaluator)
+    else:
+        spectrum = _window_spectrum(evaluator, n_y, y_halfwidth_sigmas, n_coarse)
     F = np.empty((n_nodes, n_nodes), dtype=complex)
-    scan_u = np.linspace(-1.0, 1.0, n_coarse)[:, np.newaxis]
-    fine_t = np.linspace(0.0, 1.0, n_y)[:, np.newaxis]
     for i, m in enumerate(nodes[:half]):
-        nu = nodes
-        degenerate = (m == 0.0) & (nu == 0.0)
-        safe_nu = np.where(degenerate, 1.0, nu)
-
-        radius = np.sqrt(m ** 2 + safe_nu ** 2)
-        scan_half = y_halfwidth_sigmas * np.maximum(1.0, radius)
-        Ys = scan_u * scan_half[np.newaxis, :]
-        Pv = np.abs(np.asarray(evaluator(Ys, m, safe_nu[np.newaxis, :]), dtype=float))
-        mass = Pv.sum(axis=0)
-        mass = np.where(mass > 0.0, mass, 1.0)
-        center = (Ys * Pv).sum(axis=0) / mass
-        width = np.sqrt(np.maximum(((Ys - center) ** 2 * Pv).sum(axis=0) / mass, 1e-6))
-        lo = center - y_halfwidth_sigmas * width
-        hi = center + y_halfwidth_sigmas * width
-
-        Yf = lo[np.newaxis, :] + (hi - lo)[np.newaxis, :] * fine_t
-        kernel = np.exp(1j * Yf) * np.asarray(evaluator(Yf, m, safe_nu[np.newaxis, :]), dtype=complex)
-        kernel[0, :] *= 0.5
-        kernel[-1, :] *= 0.5
-        F[i, :] = kernel.sum(axis=0) * (hi - lo) / (n_y - 1)
+        degenerate = (m == 0.0) & (nodes == 0.0)
+        F[i, :] = spectrum(m, np.where(degenerate, 1.0, nodes))
         F[i, degenerate] = 1.0
     # F(-mu, -nu) = conj F(mu, nu) for every real tomogram with w(Y, -mu, -nu) = w(-Y, mu, nu)
     F[n_nodes - half:] = np.conj(F[half - 1::-1, ::-1])
@@ -338,6 +335,53 @@ def invert_to_wigner(
             f"increase k_max={k_max}, the node counts, or the output window"
         )
     return grid
+
+
+def _window_spectrum(evaluator: Callable, n_y: int, y_halfwidth_sigmas: float, n_coarse: int) -> Callable:
+    """Coefficients F(m, nu) of one mu row by a windowed Y quadrature of ``evaluator``."""
+    scan_u = np.linspace(-1.0, 1.0, n_coarse)[:, np.newaxis]
+    fine_t = np.linspace(0.0, 1.0, n_y)[:, np.newaxis]
+
+    def spectrum(m, nu):
+        radius = np.sqrt(m ** 2 + nu ** 2)
+        scan_half = y_halfwidth_sigmas * np.maximum(1.0, radius)
+        Ys = scan_u * scan_half[np.newaxis, :]
+        Pv = np.abs(np.asarray(evaluator(Ys, m, nu[np.newaxis, :]), dtype=float))
+        mass = Pv.sum(axis=0)
+        mass = np.where(mass > 0.0, mass, 1.0)
+        center = (Ys * Pv).sum(axis=0) / mass
+        width = np.sqrt(np.maximum(((Ys - center) ** 2 * Pv).sum(axis=0) / mass, 1e-6))
+        lo = center - y_halfwidth_sigmas * width
+        hi = center + y_halfwidth_sigmas * width
+
+        Yf = lo[np.newaxis, :] + (hi - lo)[np.newaxis, :] * fine_t
+        kernel = np.exp(1j * Yf) * np.asarray(evaluator(Yf, m, nu[np.newaxis, :]), dtype=complex)
+        kernel[0, :] *= 0.5
+        kernel[-1, :] *= 0.5
+        return kernel.sum(axis=0) * (hi - lo) / (n_y - 1)
+
+    return spectrum
+
+
+def _ray_spectrum(sinogram: OpticalSinogram) -> Callable:
+    """Coefficients F(m, nu) of one mu row as 1-D transforms of sinogram marginals."""
+    grid = _wrapped_grid(sinogram)
+    n_rows = grid.values.shape[0]
+    # zero-padded by one row on each side, so rows[i + a] is grid row i + a - 1
+    # as in WignerGrid.interpolate; angles in [0, pi] give the padding weight 0
+    rows = np.zeros((n_rows + 2, grid.p_axis.size))
+    rows[1:-1] = grid.values * _trapezoid_weights(grid.p_axis)
+
+    def spectrum(m, nu):
+        angle, k = _fold(m, nu)
+        i, w, _ = _stencil(angle, grid.q_axis[0], grid.dq, n_rows)
+        marginal = sum(w[a][:, np.newaxis] * rows[i + a] for a in range(4))
+        # the marginal is real: two real trig tables cost less than one complex exp
+        phase = k[:, np.newaxis] * grid.p_axis
+        return (np.einsum("nj,nj->n", marginal, np.cos(phase))
+                + 1j * np.einsum("nj,nj->n", marginal, np.sin(phase)))
+
+    return spectrum
 
 
 @dataclass(frozen=True)
@@ -381,11 +425,7 @@ class OpticalSinogram:
 
     def column_norms(self) -> np.ndarray:
         """Trapezoid integral of each phi-row over X."""
-        dx = np.diff(self.x_axis)
-        w = np.zeros(self.x_axis.size)
-        w[:-1] += 0.5 * dx
-        w[1:] += 0.5 * dx
-        return self.values @ w
+        return self.values @ _trapezoid_weights(self.x_axis)
 
     @classmethod
     def from_evaluator(cls, evaluator: Callable, phi_axis, x_axis) -> "OpticalSinogram":
@@ -475,13 +515,42 @@ def sinogram_evaluator(sinogram: OpticalSinogram) -> Callable:
     w(X, phi + pi) = w(-X, phi).  Interpolation is bicubic on the (phi, X)
     grid with angle rows wrapped under that fold, 0 outside the X range.
     """
+    grid = _wrapped_grid(sinogram)
+
+    def evaluator(Y, mu, nu):
+        angle, k = _fold(np.asarray(mu, dtype=float), np.asarray(nu, dtype=float))
+        if np.any(k == 0.0):
+            raise DegenerateFrameError("tomogram frame (mu, nu) = (0, 0) has no density")
+        r = np.abs(k)
+        return grid.interpolate(angle, np.sign(k) * np.asarray(Y, dtype=float) / r) / r
+
+    return evaluator
+
+
+def _fold(mu, nu):
+    """Angle phi in [0, pi] and signed radius k of the frame (mu, nu) = k (cos phi, sin phi).
+
+    k = -sqrt(mu^2 + nu^2) where the frame folds back from below the axis,
+    since w(X, phi + pi) = w(-X, phi).
+    """
+    r = np.hypot(mu, nu)
+    angle = np.arctan2(nu, mu)
+    flip = angle < 0.0
+    return np.where(flip, angle + math.pi, angle), np.where(flip, -r, r)
+
+
+def _wrapped_grid(sinogram: OpticalSinogram) -> WignerGrid:
+    """The sinogram on a (phi, X) grid with two wrap rows on each side of [0, pi).
+
+    The wrap rows use row(phi + pi) = row(phi) with X reversed, so a 4-point
+    Catmull-Rom stencil in phi stays on the grid for every angle in [0, pi].
+    """
     phi = sinogram.phi_axis
     nphi = phi.size
     dphi = math.pi / nphi
     if nphi > 1 and not math.isclose(float(phi[1] - phi[0]), dphi, rel_tol=1e-9):
         raise ValueError("sinogram angles must tile [0, pi) uniformly for interpolation")
 
-    # two wrap rows on each side: row(phi + pi) = row(phi) with X reversed
     ext = np.empty((nphi + 4, sinogram.x_axis.size))
     ext[2:-2] = sinogram.values
     ext[0] = sinogram.values[-2, ::-1]
@@ -489,18 +558,13 @@ def sinogram_evaluator(sinogram: OpticalSinogram) -> Callable:
     ext[-2] = sinogram.values[0, ::-1]
     ext[-1] = sinogram.values[1, ::-1]
     ext_phi = np.concatenate(([phi[0] - 2 * dphi, phi[0] - dphi], phi, [phi[-1] + dphi, phi[-1] + 2 * dphi]))
-    grid = WignerGrid(q_axis=ext_phi, p_axis=sinogram.x_axis, values=ext)
+    return WignerGrid(q_axis=ext_phi, p_axis=sinogram.x_axis, values=ext)
 
-    def evaluator(Y, mu, nu):
-        mu = np.asarray(mu, dtype=float)
-        nu = np.asarray(nu, dtype=float)
-        r = np.hypot(mu, nu)
-        if np.any(r == 0.0):
-            raise DegenerateFrameError("tomogram frame (mu, nu) = (0, 0) has no density")
-        angle = np.arctan2(nu, mu)
-        flip = angle < 0.0
-        angle = np.where(flip, angle + math.pi, angle)
-        Ys = np.where(flip, -1.0, 1.0) * np.asarray(Y, dtype=float) / r
-        return grid.interpolate(angle, Ys) / r
 
-    return evaluator
+def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
+    """Trapezoid quadrature weights on the increasing samples ``x``."""
+    dx = np.diff(x)
+    w = np.zeros(x.size)
+    w[:-1] += 0.5 * dx
+    w[1:] += 0.5 * dx
+    return w

@@ -18,7 +18,8 @@ from iontomo import (
     solve_epsilon,
     symplectic_map,
 )
-from iontomo.oscillator import _BLOCK
+from iontomo import oscillator
+from iontomo.oscillator import _BLOCK, _MAX_STEPS
 
 PARAMS04 = OscillatorParams(kappa=0.4, omega_drive=2.0)
 
@@ -163,6 +164,22 @@ def test_solver_error_when_tolerance_unreachable(params, kwargs):
         solve_epsilon(params, **kwargs)
 
 
+def test_step_count_cap_fails_fast():
+    # kappa = 1e4 would keep doubling toward h * sqrt(1 + kappa^2) <= 1/2000,
+    # about 2e9 steps at t_end = 100, before the resolved-grid stop could apply
+    with pytest.raises(SolverError, match=f"cap of {_MAX_STEPS} steps"):
+        solve_epsilon(OscillatorParams(1e4, 2.0), t_end=100.0)
+
+
+def test_user_step_count_over_cap_fails_before_integration(monkeypatch):
+    def never(*args):
+        raise AssertionError("_rk4 called")
+
+    monkeypatch.setattr(oscillator, "_rk4", never)
+    with pytest.raises(SolverError, match=f"cap of {_MAX_STEPS} steps"):
+        solve_epsilon(PARAMS04, t_end=1.0, n_steps=_MAX_STEPS + 1)
+
+
 def test_coarse_start_refines_until_converged():
     # from 8 steps the drift first rises (0.47 -> 0.56) before RK4 converges;
     # the no-progress stop must not fire on an unresolved grid
@@ -245,3 +262,16 @@ def test_invalid_trajectory_point_rejected():
         gaussian_from_epsilon(1.0 + 0.0j, 2.0j)
     with pytest.raises(InvalidTrajectoryError):
         eval_wavefunction("ground", 1.0 + 0.0j, 2.0j, 0.0)
+
+
+def test_wronskian_gate_is_relative_to_the_amplitude():
+    # |eps| |deps| = 1e8 as in parametric resonance; W is off by 1e-5, a 1e-13
+    # relative rounding of the product, which an absolute 1e-6 gate rejects
+    eps, deps = 1e4 + 0.0j, complex(1e4, (1.0 + 1e-5) / 1e4)
+    smap = symplectic_map(eps, deps)
+    assert smap.det == pytest.approx(1.0 + 1e-5, rel=1e-9)
+    # off by 1e-5 relative to the product: a wrong point, not rounding
+    with pytest.raises(InvalidTrajectoryError):
+        symplectic_map(eps, complex(1e4, 1e3 / 1e4))
+    with pytest.raises(InvalidTrajectoryError):
+        symplectic_map(complex(math.nan, 0.0), 1.0j)
