@@ -50,6 +50,10 @@ _BLOCK = 4096
 #: trajectory and step matrices).
 _MAX_STEPS = 2 ** 24
 
+#: Samples the Floquet tables of :func:`epsilon_at` may hold together (40
+#: bytes each, so about 42 MB).
+_TABLE_SAMPLES = 2 ** 20
+
 #: RK4 is stable for y'' = -omega^2 y while h * omega <= 2 sqrt(2).
 _RK4_STABLE = 2.0 * math.sqrt(2.0)
 
@@ -126,6 +130,19 @@ class EpsilonTrajectory:
         return complex(e_re, e_im), complex(d_re, d_im)
 
 
+def _step_matrices(params: OscillatorParams, t0, h: float) -> np.ndarray:
+    """RK4 step matrices ``d`` with ``y(t0 + h) = (I + d) y(t0)``, shape ``t0.shape + (2, 2)``."""
+    t0 = np.asarray(t0, dtype=float)
+    w0, wm, w1 = (omega_squared(t0 + c, params) for c in (0.0, h / 2, h))
+    # the four RK4 stages of y' = [[0, 1], [-omega^2, 0]] y, summed into one matrix
+    d = np.empty(t0.shape + (2, 2))
+    d[..., 0, 0] = -h * h / 6 * (w0 + 2 * wm - h * h / 4 * w0 * wm)
+    d[..., 0, 1] = h - h ** 3 / 6 * wm
+    d[..., 1, 0] = -h / 6 * (w0 + 4 * wm + w1 - h * h / 2 * wm * (w0 + w1))
+    d[..., 1, 1] = -h * h / 6 * (2 * wm + w1 - h * h / 4 * wm * w1)
+    return d
+
+
 def _rk4(params: OscillatorParams, t_end: float, n_steps: int):
     """Classic fixed-step RK4 over (eps, eps'), as a running product of step matrices.
 
@@ -135,15 +152,7 @@ def _rk4(params: OscillatorParams, t_end: float, n_steps: int):
     into a step; each block then carries its start point forward.
     """
     t = np.linspace(0.0, t_end, n_steps + 1)
-    h = t_end / n_steps
-    w0, wm, w1 = (omega_squared(t[:-1] + c, params) for c in (0.0, h / 2, h))
-    # the four RK4 stages of y' = [[0, 1], [-omega^2, 0]] y, summed into one matrix
-    d = np.empty((n_steps, 2, 2))
-    d[:, 0, 0] = -h * h / 6 * (w0 + 2 * wm - h * h / 4 * w0 * wm)
-    d[:, 0, 1] = h - h ** 3 / 6 * wm
-    d[:, 1, 0] = -h / 6 * (w0 + 4 * wm + w1 - h * h / 2 * wm * (w0 + w1))
-    d[:, 1, 1] = -h * h / 6 * (2 * wm + w1 - h * h / 4 * wm * w1)
-    del w0, wm, w1
+    d = _step_matrices(params, t[:-1], t_end / n_steps)
     y = np.empty((n_steps + 1, 2), dtype=complex)
     y[0] = 1.0, 1.0j
     for s in range(0, n_steps, _BLOCK):
@@ -234,18 +243,102 @@ def solve_epsilon(
         raise SolverError(f"Wronskian drift {drift:.3e} exceeds gate {gate:.3e}: {why}; tolerance unreachable")
 
 
+#: Floquet tables by (params, tol, n_steps), least recently used first.
+_tables: dict[tuple[OscillatorParams, float, int | None], EpsilonTrajectory] = {}
+
+
+def _period_table(params: OscillatorParams, tol: float, n_steps: int | None) -> EpsilonTrajectory:
+    """The mode function over one drive period ``pi / Omega``: the Floquet table.
+
+    Tables are kept while all of them together hold at most ``_TABLE_SAMPLES``
+    samples, the least recently used dropped first; a larger table is
+    returned without being kept.
+    """
+    key = (params, tol, n_steps)
+    table = _tables.pop(key, None)
+    if table is None:
+        table = solve_epsilon(params, t_end=math.pi / params.omega_drive, n_steps=n_steps, tol=tol)
+    if table.times.size <= _TABLE_SAMPLES:
+        _tables[key] = table
+        while sum(kept.times.size for kept in _tables.values()) > _TABLE_SAMPLES:
+            del _tables[next(iter(_tables))]
+    return table
+
+
+def _floquet_point(table: EpsilonTrajectory, t: float) -> tuple[complex, complex]:
+    """``(eps, deps)`` at ``t = k T + s`` from a one-period table.
+
+    Re and Im of the table are the two real fundamental solutions, so node j
+    holds ``Phi(j h)`` and the last node the monodromy ``Phi(T)``; the point is
+    ``(I + d(j h, r)) Phi(j h) Phi(T)^k (1, i)`` with one partial RK4 step of
+    length ``r = s - j h`` from the last node at or below ``s``.
+    """
+    def phi(i):
+        return np.array([[table.eps[i].real, table.eps[i].imag],
+                         [table.deps[i].real, table.deps[i].imag]])
+
+    times = table.times
+    k, s = divmod(t, float(times[-1]))  # 0 <= s < T = times[-1]
+    j = int(np.searchsorted(times, s, side="right")) - 1
+    y = phi(j) @ (np.linalg.matrix_power(phi(-1), int(k)) @ np.array([1.0, 1.0j]))
+    # the partial step adds its increment, so the identity is never rounded into it
+    y = y + _step_matrices(table.params, times[j], s - times[j]) @ y
+    return complex(y[0]), complex(y[1])
+
+
 def epsilon_at(params: OscillatorParams, t: float, tol: float = DEFAULT_TOL) -> tuple[complex, complex]:
     """``(eps, deps)`` at a single time, with the sample landing exactly on ``t``.
 
     Used where interpolation error is not acceptable, e.g. finite-difference
     stencils in the verification harness.
+
+    The drive has period ``T = pi / Omega``, so the flow follows from one
+    period: the first call for a ``(params, tol)`` pair solves ``[0, T]`` with
+    :func:`solve_epsilon` and keeps that table.  A query ``t = k T + s`` then
+    costs one 2x2 power ``Phi(T)^k`` (repeated squaring), one table node at or
+    below ``s`` and one partial RK4 step onto ``s``, never an interpolation.
+    ``t == 0`` returns the exact initial point.  A drive whose period needs
+    more than ``_MAX_STEPS`` steps (``Omega`` below about ``4e-4``) raises.
+
+    The returned point always meets ``|Im(eps* deps) - 1| <= 10 * tol``.  When
+    it does not, the table's step count is doubled; if that fails to halve the
+    point's drift, or would pass ``_MAX_STEPS``, the call raises.  Each
+    doubled table is kept too, so a later query walks the same steps without
+    integrating.
+
+    A table holds 40 bytes per step: about 80 kB per unit of ``T`` at the
+    default 2000 steps per unit time, twice that per doubling.  The process
+    keeps the most recently used tables up to ``2**20`` samples (about 42 MB)
+    in all; a larger table is rebuilt on every call.
+
+    Raises
+    ------
+    ValueError
+        If ``t < 0``.
+    SolverError
+        As :func:`solve_epsilon`, or when the point's drift cannot meet the
+        gate; the message says "tolerance unreachable".
     """
     if t < 0.0:
         raise ValueError(f"t must be >= 0, got {t}")
     if t == 0.0:
         return 1.0 + 0.0j, 1.0j
-    traj = solve_epsilon(params, t_end=t, tol=tol)
-    return complex(traj.eps[-1]), complex(traj.deps[-1])
+    gate = 10.0 * tol
+    prev_drift = math.inf
+    n_steps = None
+    while True:
+        table = _period_table(params, tol, n_steps)
+        # far into a resonance Phi(T)^k overflows; the NaN drift then raises below
+        with np.errstate(over="ignore", invalid="ignore"):
+            eps, deps = _floquet_point(table, float(t))
+        drift = abs((eps.conjugate() * deps).imag - 1.0)
+        if drift <= gate:
+            return eps, deps
+        n_steps = 2 * (table.times.size - 1)
+        if not drift <= prev_drift / 2 or n_steps > _MAX_STEPS:
+            raise SolverError(f"Wronskian drift {drift:.3e} at t={t} exceeds gate {gate:.3e} from a "
+                              f"{n_steps // 2}-step period table; tolerance unreachable")
+        prev_drift = drift
 
 
 @dataclass(frozen=True)

@@ -58,10 +58,19 @@ class GaussianState:
     sigma_pp: float = 0.5
     sigma_qq: float = 0.5
     sigma_pq: float = 0.0
+    # d when known without cancellation: W^2 / 4 for a mode-function state,
+    # where sigma_pp sigma_qq and sigma_pq^2 agree to all digits in resonance
+    _d: float | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (self.sigma_pp > 0.0 and self.sigma_qq > 0.0):
             raise ValueError("sigma_pp and sigma_qq must be positive")
+        if self._d is not None:
+            naive = self.sigma_pp * self.sigma_qq - self.sigma_pq ** 2
+            # both forms from one (eps, deps) differ only by rounding, which
+            # stays below 8 ulp of sigma_pp sigma_qq (3 seen in resonance)
+            if not abs(naive - self._d) <= 8 * 2.0 ** -52 * self.sigma_pp * self.sigma_qq:
+                raise ValueError(f"d = {self._d} does not match sigma_pp sigma_qq - sigma_pq^2 = {naive}")
         if not (self.d > 0.0):
             raise ValueError(f"dispersion determinant d = {self.d} must be positive")
 
@@ -72,7 +81,13 @@ class GaussianState:
 
     @property
     def d(self) -> float:
-        """Determinant invariant sigma_pp sigma_qq - sigma_pq^2; 1/4 for pure states."""
+        """Determinant invariant sigma_pp sigma_qq - sigma_pq^2; 1/4 for pure states.
+
+        For a state from :func:`gaussian_from_epsilon` it is the equal,
+        cancellation-free W^2 / 4.
+        """
+        if self._d is not None:
+            return self._d
         return self.sigma_pp * self.sigma_qq - self.sigma_pq ** 2
 
     @property
@@ -147,17 +162,22 @@ def gaussian_from_epsilon(eps: complex, deps: complex, alpha: complex = 0j) -> G
     Returns
     -------
     GaussianState
-        Pure state with d = 1/4 up to rounding.
+        Pure state with d = W^2 / 4 for the Wronskian ``W = Im(eps* deps)``,
+        so 1/4 up to the solver's drift.  ``d`` is taken from ``W`` rather
+        than from ``sigma_pp sigma_qq - sigma_pq^2``, whose two terms cancel
+        to rounding at large ``|eps|``.
     """
     eps, deps = _check_wronskian(eps, deps)
     alpha = complex(alpha)
     sq2 = math.sqrt(2.0)
+    wronskian = float((np.conj(eps) * deps).imag)
     return GaussianState(
         mean_p=sq2 * (alpha * np.conj(deps)).real,
         mean_q=sq2 * (alpha * np.conj(eps)).real,
         sigma_pp=abs(deps) ** 2 / 2.0,
         sigma_qq=abs(eps) ** 2 / 2.0,
         sigma_pq=(np.conj(eps) * deps).real / 2.0,
+        _d=wronskian ** 2 / 4.0,
     )
 
 

@@ -295,7 +295,8 @@ def invert_to_wigner(
     Raises
     ------
     ValueError
-        When a sinogram's angles do not tile [0, pi) uniformly.
+        When a sinogram has fewer than 2 angles, or its angles do not tile
+        [0, pi) uniformly.
     ReconstructionQualityError
         When the reconstructed grid misses 2 pi normalization by more than
         ``norm_tol`` (cutoff k_max or the output window too small).
@@ -514,6 +515,12 @@ def sinogram_evaluator(sinogram: OpticalSinogram) -> Callable:
     (mu, nu) = r (cos phi, sin phi); angles outside [0, pi) fold back via
     w(X, phi + pi) = w(-X, phi).  Interpolation is bicubic on the (phi, X)
     grid with angle rows wrapped under that fold, 0 outside the X range.
+
+    Raises
+    ------
+    ValueError
+        When the sinogram has fewer than 2 angles, or its angles do not tile
+        [0, pi) uniformly.
     """
     grid = _wrapped_grid(sinogram)
 
@@ -547,8 +554,10 @@ def _wrapped_grid(sinogram: OpticalSinogram) -> WignerGrid:
     """
     phi = sinogram.phi_axis
     nphi = phi.size
+    if nphi < 2:
+        raise ValueError(f"sinogram has {nphi} angle(s); interpolation in phi needs at least 2")
     dphi = math.pi / nphi
-    if nphi > 1 and not math.isclose(float(phi[1] - phi[0]), dphi, rel_tol=1e-9):
+    if not math.isclose(float(phi[1] - phi[0]), dphi, rel_tol=1e-9):
         raise ValueError("sinogram angles must tile [0, pi) uniformly for interpolation")
 
     ext = np.empty((nphi + 4, sinogram.x_axis.size))

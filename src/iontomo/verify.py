@@ -7,9 +7,10 @@ The evolved tomogram of the trapped ion must satisfy the first-order equation
 for any state.  This harness measures central-difference residuals of that
 equation on probe grids, checks the Ehrenfest/variance ODEs of the Gaussian
 moments, and recomputes Gaussian moments by wavefunction quadrature as an
-independent oracle.  Mode-function values at stencil times are re-solved
-exactly (never interpolated) so discretization of the trajectory cannot leak
-into the residuals.
+independent oracle.  Mode-function values at stencil times come from
+:func:`~iontomo.oscillator.epsilon_at`: exact at t from the one-period table,
+never interpolated, so discretization of the trajectory cannot leak into the
+residuals.
 """
 
 from __future__ import annotations
@@ -95,8 +96,9 @@ class ResidualReport:
 def replacement_evolution(initial: Callable, params: OscillatorParams) -> Callable:
     """Evolution evaluator (X, mu, nu, delta, t) by frame transport.
 
-    ``initial`` is a t=0 tomogram evaluator (Y, mu, nu).  The mode function is
-    solved exactly at each requested t.
+    ``initial`` is a t=0 tomogram evaluator (Y, mu, nu).  The mode function at
+    each requested t comes from :func:`epsilon_at`, exact at t from the
+    one-period table.
     """
     def evolution(X, mu, nu, delta, t):
         eps, deps = epsilon_at(params, float(t))
@@ -195,7 +197,8 @@ def moment_odes_check(traj: EpsilonTrajectory, alpha: complex = 0j, *, h: float 
     """Ehrenfest and variance ODE residuals along a solved trajectory.
 
     Probe times are interior fractions of the trajectory span; moments at the
-    stencil points come from exact re-solves, so the residual is pure stencil
+    stencil points come from :func:`epsilon_at`, exact at t from the
+    one-period table and never interpolated, so the residual is pure stencil
     truncation plus solver noise.
     """
     t_end = float(traj.times[-1])

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from iontomo import (
@@ -109,9 +109,145 @@ def test_epsilon_at_zero_is_exact():
 
 
 def test_epsilon_at_matches_endpoint(traj04):
+    # the period table's grid (h = T / n) is not the endpoint's (10 / 20000),
+    # so the two agree to the solver's accuracy rather than bit for bit
     eps, deps = epsilon_at(traj04.params, 10.0)
-    assert eps == complex(traj04.eps[-1])
-    assert deps == complex(traj04.deps[-1])
+    scale = max(abs(traj04.eps[-1]), abs(traj04.deps[-1]))
+    assert abs(eps - traj04.eps[-1]) <= 1e-13 * scale
+    assert abs(deps - traj04.deps[-1]) <= 1e-13 * scale
+
+
+def test_epsilon_at_matches_mpmath_oracle():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(25):
+        k2 = mpmath.mpf(PARAMS04.kappa) ** 2
+        om = mpmath.mpf(PARAMS04.omega_drive)
+
+        def rhs(t, y):
+            w2 = 1 + k2 * mpmath.sin(om * t) ** 2
+            return [y[1], -w2 * y[0], y[3], -w2 * y[2]]
+
+        # Re eps and Im eps: the solutions from (1, 0) and from (0, 1)
+        u, du, v, dv = (complex(c) for c in mpmath.odefun(rhs, 0, [1, 0, 0, 1])(2))
+    eps, deps = epsilon_at(PARAMS04, 2.0)
+    assert abs(eps - (u + 1j * v)) <= 1e-13
+    assert abs(deps - (du + 1j * dv)) <= 1e-13
+
+
+def test_epsilon_at_period_over_the_step_cap_raises():
+    # T = pi / 1e-4 needs 2000 T > 2**24 steps: refused before any integration
+    with pytest.raises(SolverError, match="tolerance unreachable"):
+        epsilon_at(OscillatorParams(0.4, 1e-4), 1.0)
+
+
+def test_epsilon_at_unreachable_in_resonance():
+    # |eps| ~ 1e12 at t = 300: round-off alone puts Im(eps* deps) far off 1
+    with pytest.raises(SolverError, match="tolerance unreachable"):
+        epsilon_at(OscillatorParams(1.0, 1.2247), 300.0)
+
+
+def test_epsilon_at_rejects_negative_time():
+    with pytest.raises(ValueError):
+        epsilon_at(PARAMS04, -1e-9)
+
+
+def _monodromy(params):
+    table = oscillator._period_table(params, oscillator.DEFAULT_TOL, None)
+    return np.array([[table.eps[-1].real, table.eps[-1].imag],
+                     [table.deps[-1].real, table.deps[-1].imag]])
+
+
+# kappa in [0, 1.5] and Omega in [0.5, 4] reach the first instability tongue,
+# centred near (1, 1.2247), where |eps| grows like the Floquet multiplier
+DRIVES = {"kappa": st.floats(0.0, 1.5), "omega": st.floats(0.5, 4.0)}
+
+
+@settings(max_examples=25, deadline=None)
+@given(**DRIVES, t=st.floats(0.0, 30.0))
+@example(kappa=1.0, omega=1.2247, t=30.0)
+@example(kappa=0.4, omega=2.0, t=math.pi / 2)
+def test_floquet_table_matches_direct_solve(kappa, omega, t):
+    params = OscillatorParams(kappa, omega)
+    gate = 10.0 * oscillator.DEFAULT_TOL
+    assert abs(np.linalg.det(_monodromy(params)) - 1.0) <= gate
+    eps, deps = epsilon_at(params, t)
+    assert abs((eps.conjugate() * deps).imag - 1.0) <= gate
+    if t == 0.0:
+        assert (eps, deps) == (1.0, 1.0j)
+        return
+    traj = solve_epsilon(params, t_end=t)
+    scale = max(1.0, abs(traj.eps[-1]))
+    assert abs(eps - traj.eps[-1]) <= 1e-11 * scale
+    assert abs(deps - traj.deps[-1]) <= 1e-11 * scale
+
+
+@settings(max_examples=25, deadline=None)
+@given(**DRIVES)
+@example(kappa=1.0, omega=1.2247)
+@example(kappa=1.5, omega=1.45)
+def test_floquet_growth_exactly_outside_the_stable_band(kappa, omega):
+    # det Phi(T) = 1, so eps((k + 1) T) = tr eps(k T) - eps((k - 1) T): with
+    # |tr| < 2 the sequence rotates by cos(theta) = tr / 2 and stays bounded,
+    # with |tr| > 2 it grows by the multiplier (|tr| + sqrt(tr^2 - 4)) / 2
+    params = OscillatorParams(kappa, omega)
+    tr = float(np.trace(_monodromy(params)))
+    assume(abs(abs(tr) - 2.0) > 0.05)  # near the band edge growth takes too many periods
+    period = math.pi / omega
+    # a loose tol lets round-off in Im(eps* deps) grow with |eps|^2 up to 1e-1
+    eps = [epsilon_at(params, k * period, tol=1e-2)[0] for k in range(2)]
+    if abs(tr) < 2.0:
+        sin_theta = math.sqrt(1.0 - tr * tr / 4.0)
+        bound = abs(eps[0]) + abs(eps[1] - eps[0] * tr / 2.0) / sin_theta
+        for k in range(2, 60):
+            eps.append(epsilon_at(params, k * period, tol=1e-2)[0])
+        assert max(map(abs, eps)) <= bound * (1.0 + 1e-9)
+    else:
+        multiplier = (abs(tr) + math.sqrt(tr * tr - 4.0)) / 2.0
+        k = math.ceil(math.log(1e4) / math.log(multiplier))
+        grown = [abs(epsilon_at(params, j * period, tol=1e-2)[0]) for j in (k - 1, k)]
+        assert grown[1] > 1e3
+        assert grown[1] / grown[0] == pytest.approx(multiplier, rel=1e-3)
+
+
+@pytest.mark.parametrize("params", [PARAMS04, OscillatorParams(1.0, 1.2247)], ids=["stable", "resonance"])
+def test_epsilon_at_integrates_one_period_table(monkeypatch, params):
+    # a step count, not a timing: 100 queries over [0, 100] cost one table
+    # (with its step-count doublings), never a solve from t = 0
+    steps = []
+    rk4 = oscillator._rk4
+
+    def counted(p, t_end, n_steps):
+        steps.append(n_steps)
+        return rk4(p, t_end, n_steps)
+
+    monkeypatch.setattr(oscillator, "_rk4", counted)
+    monkeypatch.setattr(oscillator, "_tables", {})
+    returned = 0
+    for t in np.linspace(0.0, 100.0, 100):
+        try:
+            epsilon_at(params, t)
+            returned += 1
+        except SolverError:  # late resonant points whose round-off exceeds the gate
+            assert params != PARAMS04
+    assert returned >= 90
+    assert sum(steps) <= 2 * max(steps) <= 4 * math.ceil(2000 * math.pi / params.omega_drive)
+
+
+def test_period_tables_are_bounded_by_samples(monkeypatch):
+    monkeypatch.setattr(oscillator, "_tables", {})
+    tol = oscillator.DEFAULT_TOL
+    resonant = OscillatorParams(1.0, 1.2247)
+    epsilon_at(resonant, 95.0)  # |eps| ~ 1e4: the point needs a doubled table
+    assert list(oscillator._tables) == [(resonant, tol, None), (resonant, tol, 10262)]
+    # Omega = 2, 2.5, 3: tables of 3143, 2515 and 2096 samples
+    drives = [OscillatorParams(0.4, omega) for omega in (2.0, 2.5, 3.0)]
+    monkeypatch.setattr(oscillator, "_TABLE_SAMPLES", 6000)
+    for params in drives:
+        epsilon_at(params, 1.0)
+    assert list(oscillator._tables) == [(drives[1], tol, None), (drives[2], tol, None)]
+    epsilon_at(OscillatorParams(0.4, 0.5), 1.0)  # 12567 samples: built, never kept
+    epsilon_at(drives[1], 1.0)  # reused, now the most recently used
+    assert list(oscillator._tables) == [(drives[2], tol, None), (drives[1], tol, None)]
 
 
 def test_at_interpolates_between_samples(traj04):

@@ -6,6 +6,7 @@ quadrature straight from the wavefunctions, never from the closed-form
 Wigner expressions it is used to check.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from iontomo import (
     MultimodeCatSpec,
     NormalizationDivergenceError,
     OscillatorParams,
+    SolverError,
     WignerGrid,
     epsilon_at,
     eval_wavefunction,
@@ -86,6 +88,36 @@ def test_purity_along_trajectory(traj04):
     for i in idx:
         s = gaussian_from_epsilon(traj04.eps[i], traj04.deps[i])
         assert abs(s.d - 0.25) <= 1e-10
+
+
+def test_gaussian_from_epsilon_on_resonant_points():
+    # inside the first instability tongue |eps| reaches ~1e4 by t = 100, where
+    # sigma_pp sigma_qq and sigma_pq^2 (~1e15) agree to every digit
+    params = OscillatorParams(1.0, 1.2247)
+    points = []
+    for t in np.linspace(60.0, 100.0, 400):
+        try:
+            points.append(epsilon_at(params, t))
+        except SolverError:  # the point's Wronskian drift is round-off above 10 * tol
+            pass
+    assert len(points) > 300
+    cancelled = 0
+    for eps, deps in points:
+        s = gaussian_from_epsilon(eps, deps)
+        assert abs(s.d - 0.25) <= 1e-7
+        cancelled += not s.sigma_pp * s.sigma_qq - s.sigma_pq ** 2 > 0.0
+    assert cancelled > 0  # the naive determinant would have rejected these states
+
+
+def test_gaussian_state_rejects_a_determinant_off_its_sigmas():
+    # a d carried beside the sigmas must still describe them, so a matrix that
+    # is not positive definite cannot borrow a positive one
+    with pytest.raises(ValueError, match="does not match"):
+        GaussianState(sigma_pp=1.0, sigma_qq=1.0, sigma_pq=5.0, _d=0.25)
+    state = gaussian_from_epsilon(1.0, 1.0j)
+    with pytest.raises(ValueError, match="does not match"):
+        dataclasses.replace(state, sigma_pq=2.0)
+    assert dataclasses.replace(state, mean_q=1.0).d == 0.25
 
 
 def test_static_trap_variance_constant():

@@ -474,6 +474,16 @@ def test_sinogram_inversion_requires_full_angle_coverage():
         invert_to_wigner(sino, axis, axis, **FAST_INVERT)
 
 
+def test_one_angle_sinogram_rejected_by_both_entry_points():
+    # a valid sinogram, but the 4-point angle stencil needs two rows to wrap
+    sino = OpticalSinogram.from_evaluator(GaussianTomogram(VACUUM), [0.0], np.linspace(-6.0, 6.0, 65))
+    axis = np.linspace(-4.0, 4.0, 33)
+    with pytest.raises(ValueError, match="1 angle"):
+        sinogram_evaluator(sino)
+    with pytest.raises(ValueError, match="1 angle"):
+        invert_to_wigner(sino, axis, axis, **FAST_INVERT)
+
+
 @pytest.mark.parametrize("n_nodes", [97, 48])
 def test_sinogram_inversion_computes_half_plane(monkeypatch, n_nodes):
     # each computed mu row forms its angle stencil exactly once
