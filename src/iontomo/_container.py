@@ -103,8 +103,24 @@ def save_csv_rows(path: str, colnames, columns) -> None:
 
 
 def save_csv_triples(path: str, colnames: tuple[str, str, str], ax0: np.ndarray, ax1: np.ndarray, values: np.ndarray) -> None:
-    """Row-major (ax0-major) CSV with one (a0, a1, value) triple per line."""
-    save_csv_rows(path, colnames, (np.repeat(ax0, len(ax1)), np.tile(ax1, len(ax0)), np.ravel(values)))
+    """Row-major (ax0-major) CSV with one (a0, a1, value) triple per line.
+
+    The same bytes as :func:`save_csv_rows` on the repeated and tiled axes,
+    but each axis value is formatted once: a line template carries the axis
+    text and only the values go through ``%``.
+    """
+    values = np.asarray(values, dtype=float).reshape(len(ax0), len(ax1))
+    tails = [",%.17g,%%.17g\n" % a1 for a1 in np.asarray(ax1, dtype=float).tolist()]
+
+    def chunks():
+        yield (",".join(colnames) + "\n").encode()
+        for a0, row in zip(np.asarray(ax0, dtype=float).tolist(), values):
+            head = "%.17g" % a0
+            for start in range(0, len(tails), _CSV_BLOCK_ROWS):
+                template = head + head.join(tails[start:start + _CSV_BLOCK_ROWS])
+                yield (template % tuple(row[start:start + _CSV_BLOCK_ROWS].tolist())).encode()
+
+    _atomic_write(path, chunks())
 
 
 def load_csv_triples(path: str, colnames: tuple[str, str, str]):

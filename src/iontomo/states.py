@@ -61,6 +61,10 @@ class GaussianState:
     # d when known without cancellation: W^2 / 4 for a mode-function state,
     # where sigma_pp sigma_qq and sigma_pq^2 agree to all digits in resonance
     _d: float | None = field(default=None, repr=False, compare=False)
+    # (eps, deps) of a mode-function state: in resonance the sigmas (~|eps|^2)
+    # cannot carry the squeezed variance (~1 / |eps|^2), the quadratic forms
+    # |mu eps + nu deps|^2 / 2 and |dp eps - dq deps|^2 / 2 can
+    _eps: tuple[complex, complex] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (self.sigma_pp > 0.0 and self.sigma_qq > 0.0):
@@ -71,6 +75,8 @@ class GaussianState:
             # stays below 8 ulp of sigma_pp sigma_qq (3 seen in resonance)
             if not abs(naive - self._d) <= 8 * 2.0 ** -52 * self.sigma_pp * self.sigma_qq:
                 raise ValueError(f"d = {self._d} does not match sigma_pp sigma_qq - sigma_pq^2 = {naive}")
+        if self._eps is not None and _eps_moments(*self._eps) != (self.sigma_pp, self.sigma_qq, self.sigma_pq):
+            raise ValueError("sigma_pp, sigma_qq, sigma_pq do not match the mode function (eps, deps)")
         if not (self.d > 0.0):
             raise ValueError(f"dispersion determinant d = {self.d} must be positive")
 
@@ -171,14 +177,33 @@ def gaussian_from_epsilon(eps: complex, deps: complex, alpha: complex = 0j) -> G
     alpha = complex(alpha)
     sq2 = math.sqrt(2.0)
     wronskian = float((np.conj(eps) * deps).imag)
+    sigma_pp, sigma_qq, sigma_pq = _eps_moments(eps, deps)
     return GaussianState(
         mean_p=sq2 * (alpha * np.conj(deps)).real,
         mean_q=sq2 * (alpha * np.conj(eps)).real,
-        sigma_pp=abs(deps) ** 2 / 2.0,
-        sigma_qq=abs(eps) ** 2 / 2.0,
-        sigma_pq=(np.conj(eps) * deps).real / 2.0,
+        sigma_pp=sigma_pp,
+        sigma_qq=sigma_qq,
+        sigma_pq=sigma_pq,
         _d=wronskian ** 2 / 4.0,
+        _eps=(eps, deps),
     )
+
+
+def _eps_moments(eps: complex, deps: complex) -> tuple[float, float, float]:
+    """(sigma_pp, sigma_qq, sigma_pq) of the mode-function point (eps, deps)."""
+    return abs(deps) ** 2 / 2.0, abs(eps) ** 2 / 2.0, float((np.conj(eps) * deps).real) / 2.0
+
+
+def _quadrature_variance(state: GaussianState, mu, nu):
+    """sigma_X = mu^2 sigma_qq + nu^2 sigma_pp + 2 mu nu sigma_pq on the frame (mu, nu).
+
+    A state from :func:`gaussian_from_epsilon` uses the equal
+    |mu eps + nu deps|^2 / 2, which keeps its squeezed direction in resonance.
+    """
+    if state._eps is not None:
+        eps, deps = state._eps
+        return ((mu * eps.real + nu * deps.real) ** 2 + (mu * eps.imag + nu * deps.imag) ** 2) / 2.0
+    return mu ** 2 * state.sigma_qq + nu ** 2 * state.sigma_pp + 2.0 * mu * nu * state.sigma_pq
 
 
 def schroedinger_relation_check(state: GaussianState) -> tuple[float, float]:
@@ -267,11 +292,18 @@ def wigner_gaussian(state: GaussianState, q, p):
 
     W = d^{-1/2} exp( -[sigma_qq (p-<p>)^2 + sigma_pp (q-<q>)^2
                         - 2 sigma_pq (p-<p>)(q-<q>)] / (2d) ), strictly positive.
+    For a state from :func:`gaussian_from_epsilon` the bracket is the equal
+    |(p-<p>) eps - (q-<q>) deps|^2 / 2, which keeps the squeezed direction in
+    resonance, where the sigma terms cancel to rounding.
     """
     dq = np.asarray(q, dtype=float) - state.mean_q
     dp = np.asarray(p, dtype=float) - state.mean_p
     d = state.d
-    quad = state.sigma_qq * dp ** 2 + state.sigma_pp * dq ** 2 - 2.0 * state.sigma_pq * dp * dq
+    if state._eps is not None:
+        eps, deps = state._eps
+        quad = ((dp * eps.real - dq * deps.real) ** 2 + (dp * eps.imag - dq * deps.imag) ** 2) / 2.0
+    else:
+        quad = state.sigma_qq * dp ** 2 + state.sigma_pp * dq ** 2 - 2.0 * state.sigma_pq * dp * dq
     return np.exp(-quad / (2.0 * d)) / math.sqrt(d)
 
 

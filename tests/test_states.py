@@ -120,6 +120,21 @@ def test_gaussian_state_rejects_a_determinant_off_its_sigmas():
     assert dataclasses.replace(state, mean_q=1.0).d == 0.25
 
 
+def test_resonant_wigner_keeps_its_long_axis():
+    # deep in resonance the sigmas (~5e6) cancel to rounding along the long
+    # axis of W; the quadratic form in (eps, deps) must match the evolved vacuum
+    eps, deps = epsilon_at(OscillatorParams(1.0, 1.2247), 80.0)
+    state = gaussian_from_epsilon(eps, deps)
+    vals, vecs = np.linalg.eigh([[state.sigma_qq, state.sigma_pq], [state.sigma_pq, state.sigma_pp]])
+    c = np.array([0.5, 1.0, 2.0])[:, np.newaxis] * math.sqrt(vals[1]) * vecs[:, 1]
+    want = evolve_wigner(lambda q0, p0: wigner_gaussian(GaussianState(), q0, p0),
+                         symplectic_map(eps, deps), c[:, 0], c[:, 1])
+    np.testing.assert_allclose(wigner_gaussian(state, c[:, 0], c[:, 1]), want, rtol=1e-8)
+    # the stored (eps, deps) must describe the sigmas beside it
+    with pytest.raises(ValueError, match="do not match the mode function"):
+        dataclasses.replace(state, mean_q=1.0, _eps=(eps, 1.0001 * deps))
+
+
 def test_static_trap_variance_constant():
     traj = solve_epsilon(OscillatorParams(0.0, 1.0), t_end=10.0)
     sigma_qq = np.abs(traj.eps) ** 2 / 2.0
@@ -501,6 +516,23 @@ def test_csv_golden_bytes(tmp_path):
     back = _container.load_csv_triples(str(path), ("q", "p", "w"))
     for got, want in zip(back, (ax0, ax1, values)):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("block_rows", [3, _container._CSV_BLOCK_ROWS])
+def test_csv_triples_match_row_writer(tmp_path, monkeypatch, block_rows):
+    # the triple writer formats each axis value once; its bytes must equal the
+    # generic row writer's on the repeated and tiled axes, across block breaks
+    monkeypatch.setattr(_container, "_CSV_BLOCK_ROWS", block_rows)
+    rng = np.random.default_rng(5)
+    ax0 = np.linspace(0.0, math.pi, 4, endpoint=False)
+    ax1 = np.linspace(-8.0, 8.0, 7)
+    values = rng.standard_normal((4, 7)) * 10.0 ** rng.integers(-300, 300, (4, 7))
+    values[0, 0] = -0.0
+    triples, rows = tmp_path / "triples.csv", tmp_path / "rows.csv"
+    _container.save_csv_triples(str(triples), ("phi", "x", "w"), ax0, ax1, values)
+    _container.save_csv_rows(str(rows), ("phi", "x", "w"),
+                             (np.repeat(ax0, ax1.size), np.tile(ax1, ax0.size), values.ravel()))
+    assert triples.read_bytes() == rows.read_bytes()
 
 
 def test_wigner_grid_save_rejects_unknown_format(tmp_path):

@@ -10,7 +10,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from iontomo import (
@@ -178,6 +178,17 @@ def test_shift_covariance_exact():
         np.testing.assert_array_equal(
             tomogram_gaussian(coh, shifted), tomogram_gaussian(coh, base)
         )
+
+
+def test_resonant_gaussian_marginal_keeps_its_squeezed_direction():
+    # on the frame proportional to (Im deps, -Im eps) sigma_X ~ 1e-7 is the
+    # difference of sigma terms ~5e6; the evolved vacuum gives the exact value
+    eps, deps = epsilon_at(OscillatorParams(1.0, 1.2247), 80.0)
+    r = math.hypot(deps.imag, eps.imag)
+    q = TomogramQuery(X=np.array([0.0, 3e-4]), mu=deps.imag / r, nu=-eps.imag / r)
+    want = evolve_tomogram(GaussianTomogram(VACUUM), eps, deps, q)
+    assert want[0] == pytest.approx(1168.488, abs=1e-3)
+    np.testing.assert_allclose(tomogram_gaussian(gaussian_from_epsilon(eps, deps), q), want, rtol=1e-9)
 
 
 # -------------------------------------------------------------- normalization
@@ -501,6 +512,55 @@ def test_sinogram_inversion_computes_half_plane(monkeypatch, n_nodes):
     axis = np.linspace(-5.0, 5.0, 41)
     invert_to_wigner(sino, axis, axis, k_max=6.0, n_nodes=n_nodes)
     assert rows == [(n_nodes,)] * ((n_nodes + 1) // 2)
+
+
+def ray_spectrum_reference(sinogram):
+    """Per-node transform: each node's Catmull-Rom marginal summed against exp(i k X) on the X samples."""
+    grid = tomography._wrapped_grid(sinogram)
+    n_rows = grid.values.shape[0]
+    rows = np.zeros((n_rows + 2, grid.p_axis.size))
+    rows[1:-1] = grid.values * tomography._trapezoid_weights(grid.p_axis)
+
+    def spectrum(m, nu):
+        angle, k = tomography._fold(m, nu)
+        i, w, _ = tomography._stencil(angle, grid.q_axis[0], grid.dq, n_rows)
+        marginal = sum(w[a][:, np.newaxis] * rows[i + a] for a in range(4))
+        phase = k[:, np.newaxis] * grid.p_axis
+        return (np.einsum("nj,nj->n", marginal, np.cos(phase))
+                + 1j * np.einsum("nj,nj->n", marginal, np.sin(phase)))
+
+    return spectrum
+
+
+@settings(max_examples=60, deadline=None)
+@example(x_lo=-1.0, x_hi=2.0, n_x=16, n_phi=2, k_max=40.0, seed=0)  # k past one period of the X sum
+@given(x_lo=st.floats(-8.0, -1.0), x_hi=st.floats(2.0, 10.0), n_x=st.integers(16, 300),
+       n_phi=st.sampled_from([2, 3]), k_max=st.floats(1.0, 40.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_ray_spectrum_matches_per_node_transform(x_lo, x_hi, n_x, n_phi, k_max, seed):
+    # arbitrary nonnegative rows, so the X edges carry as much mass as the
+    # middle: the hardest case for interpolating the row spectra in k
+    rng = np.random.default_rng(seed)
+    x = np.linspace(x_lo, x_hi, n_x)
+    values = rng.uniform(0.0, 1.0, (n_phi, n_x))
+    values /= (values @ tomography._trapezoid_weights(x))[:, np.newaxis]
+    sino = OpticalSinogram(phi_axis=np.arange(n_phi) * (math.pi / n_phi), x_axis=x, values=values)
+    k_reach = math.hypot(k_max, k_max)
+    table, dk, n_fft = tomography._row_spectra(tomography._wrapped_grid(sino), k_reach)
+
+    # the k grid is 8x finer than a row's bandwidth, and only the band |k| <= k_reach
+    # (k_max past the X Nyquist frequency included: at most one period) is kept
+    assert dk * (x_hi - x_lo) / 2.0 <= math.pi / 8.0
+    assert table.shape[0] == n_phi + 6
+    kept = min(math.ceil(k_reach / dk), n_fft) + tomography._K_STENCIL + 2
+    assert table.size <= table.shape[0] * kept
+
+    on_node = dk * np.arange(1, int(k_reach / dk) + 1, max(1, int(k_reach / dk) // 8))
+    mu = np.concatenate((rng.uniform(-k_max, k_max, 64), [k_max, k_max, -k_max], on_node, 0.0 * on_node))
+    # frames with nu < 0 fold back to k = -r; the on-node pair gives k = +j dk and k = -j dk
+    nu = np.concatenate((rng.uniform(-k_max, k_max, 64), [k_max, -k_max, -k_max], 0.0 * on_node, -on_node))
+    want = ray_spectrum_reference(sino)(mu, nu)
+    got = tomography._ray_spectrum(sino, k_reach)(mu, nu)
+    assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
 
 
 def test_invert_rejects_truncated_cutoff():
