@@ -280,6 +280,8 @@ def cmd_reconstruct(cfg: dict, args) -> int:
     p_axis = np.linspace(_number(grid_cfg, "p_min", default=-6.0, context="grid"),
                          _number(grid_cfg, "p_max", default=6.0, context="grid"),
                          _integer(grid_cfg, "n_p", default=121, minimum=2, context="grid"))
+    if q_axis[-1] <= q_axis[0] or p_axis[-1] <= p_axis[0]:
+        raise ConfigError("grid: q_max and p_max must exceed q_min and p_min")
     apod = cfg.get("apodization", "hann")
     if apod is None:
         apod = "none"
@@ -320,6 +322,8 @@ def cmd_reconstruct(cfg: dict, args) -> int:
             grid = invert_to_wigner(sino, q_axis, p_axis, norm_tol=norm_tol, **fourier_kw)
     except InsufficientAnglesError as exc:
         return _fail(2, str(exc))
+    except ValueError as exc:  # the Fourier path's angle wrap cannot read this sinogram
+        return _fail(2, f"input file invalid: {exc}")
     except ReconstructionQualityError as exc:
         return _fail(1, str(exc))
 

@@ -272,40 +272,39 @@ def invert_to_wigner(
     |alpha| = 3.  The node mu = nu = 0 is never evaluated; its Fourier
     coefficient is exactly 1 for a normalized tomogram.
 
-    ``evaluator`` is either of two sources:
+    ``evaluator`` is an :class:`OpticalSinogram` or a callable
+    ``evaluator(Y, mu, nu)`` that broadcasts over arrays.  By homogeneity a
+    callable's optical slices determine it, so it is first sampled into a
+    sinogram on ceil(pi (n_nodes - 1) / sqrt 2) angles, which makes the angle
+    step at the outermost node radius sqrt(2) k_max the node step.
+    ``n_coarse`` points over +-``y_halfwidth_sigmas`` scan |w| at each angle
+    for its centre c and width s, and ``n_y`` samples cover
+    X = +-max(|c| + ``y_halfwidth_sigmas`` s), symmetric about 0 for the
+    angle fold.  These three keywords do nothing for a sinogram.
 
-    * a callable ``evaluator(Y, mu, nu)`` that broadcasts over array
-      arguments.  The Y quadrature uses a per-node window: the tomogram width
-      grows like sqrt(mu^2 + nu^2), so a coarse scan of ``n_coarse`` points
-      first locates the support of each column, then ``n_y`` points cover its
-      center +- ``y_halfwidth_sigmas`` standard widths.
-    * an :class:`OpticalSinogram`.  By homogeneity the coefficient on the ray
-      (mu, nu) = r (cos phi, sin phi) is the 1-D transform of one marginal,
-      F = integral w_opt(X, phi) exp(i k X) dX with k = r, or k = -r where phi
-      folds back into [0, pi).  The marginal at phi combines the four wrapped
-      angle rows with the Catmull-Rom weights of :func:`sinogram_evaluator`,
-      and the transform is the trapezoid sum on the sinogram's own X samples,
-      so nothing is interpolated in X.  Each row's sum is taken once for all
-      k, by a zero-padded FFT on a k grid at least 8x finer than the row's
-      bandwidth, and read at k = +-r by a 16-point Lagrange stencil.  That
-      differs from the sum at each node by at most about 1e-12 of max |F|
-      (7.6e-13 measured for rows with their mass on the two X ends, the
-      worst case) and moves W by 1.5e-13 of max |W| on a 180x321 cat
-      sinogram.
-      ``n_y``, ``y_halfwidth_sigmas`` and ``n_coarse`` have no effect here.
+    By homogeneity the coefficient on the ray (mu, nu) = r (cos phi, sin phi)
+    is the 1-D transform of one marginal, F = integral w_opt(X, phi)
+    exp(i k X) dX with k = r, or k = -r where phi folds back into [0, pi).
+    The marginal at phi combines four wrapped angle rows with the Catmull-Rom
+    weights of :func:`sinogram_evaluator`; its transform is the trapezoid sum
+    on the sinogram's own X samples, so nothing is interpolated in X.  Each
+    row's sum is taken once for all k, by a zero-padded FFT at least 8x
+    oversampled in k, and read at k = +-r by a 16-point Lagrange stencil:
+    within about 1e-12 of max |F| of the sum at each node, and 1.5e-13 of
+    max |W| on a 180x321 cat sinogram.
 
     Only the half plane of the first ``(n_nodes + 1) // 2`` mu rows is
     evaluated.  The rest follows from F(-mu, -nu) = conj F(mu, nu), which
     holds because homogeneity at lambda = -1 gives
-    w(Y, -mu, -nu) = w(-Y, mu, nu); every tomogram in this package satisfies
-    it (acceptance criterion 10), and so must a callable ``evaluator``.  The
-    nodes are made exactly antisymmetric for this mirror.
+    w(Y, -mu, -nu) = w(-Y, mu, nu), the fold every sinogram is read with.
+    The nodes are made exactly antisymmetric for this mirror.
 
     Raises
     ------
     ValueError
-        When a sinogram has fewer than 2 angles, or its angles do not tile
-        [0, pi) uniformly.
+        When a sinogram has fewer than 2 angles, angles that do not tile
+        [0, pi) uniformly or an X axis not symmetric about 0, or when a
+        callable's X window loses so much mass that its sinogram is rejected.
     ReconstructionQualityError
         When the reconstructed grid misses 2 pi normalization by more than
         ``norm_tol`` (cutoff k_max or the output window too small).
@@ -318,10 +317,10 @@ def invert_to_wigner(
     nodes = 0.5 * (nodes - nodes[::-1])
     half = (n_nodes + 1) // 2
 
-    if isinstance(evaluator, OpticalSinogram):
-        spectrum = _ray_spectrum(evaluator, float(np.hypot(nodes[-1], nodes[-1])))
-    else:
-        spectrum = _window_spectrum(evaluator, n_y, y_halfwidth_sigmas, n_coarse)
+    if not isinstance(evaluator, OpticalSinogram):
+        n_phi = math.ceil(math.pi * (n_nodes - 1) / math.sqrt(2.0))
+        evaluator = _sampled_sinogram(evaluator, n_phi, n_y, y_halfwidth_sigmas, n_coarse)
+    spectrum = _ray_spectrum(evaluator, float(np.hypot(nodes[-1], nodes[-1])))
     F = np.empty((n_nodes, n_nodes), dtype=complex)
     for i, m in enumerate(nodes[:half]):
         degenerate = (m == 0.0) & (nodes == 0.0)
@@ -349,30 +348,16 @@ def invert_to_wigner(
     return grid
 
 
-def _window_spectrum(evaluator: Callable, n_y: int, y_halfwidth_sigmas: float, n_coarse: int) -> Callable:
-    """Coefficients F(m, nu) of one mu row by a windowed Y quadrature of ``evaluator``."""
-    scan_u = np.linspace(-1.0, 1.0, n_coarse)[:, np.newaxis]
-    fine_t = np.linspace(0.0, 1.0, n_y)[:, np.newaxis]
-
-    def spectrum(m, nu):
-        radius = np.sqrt(m ** 2 + nu ** 2)
-        scan_half = y_halfwidth_sigmas * np.maximum(1.0, radius)
-        Ys = scan_u * scan_half[np.newaxis, :]
-        Pv = np.abs(np.asarray(evaluator(Ys, m, nu[np.newaxis, :]), dtype=float))
-        mass = Pv.sum(axis=0)
-        mass = np.where(mass > 0.0, mass, 1.0)
-        center = (Ys * Pv).sum(axis=0) / mass
-        width = np.sqrt(np.maximum(((Ys - center) ** 2 * Pv).sum(axis=0) / mass, 1e-6))
-        lo = center - y_halfwidth_sigmas * width
-        hi = center + y_halfwidth_sigmas * width
-
-        Yf = lo[np.newaxis, :] + (hi - lo)[np.newaxis, :] * fine_t
-        kernel = np.exp(1j * Yf) * np.asarray(evaluator(Yf, m, nu[np.newaxis, :]), dtype=complex)
-        kernel[0, :] *= 0.5
-        kernel[-1, :] *= 0.5
-        return kernel.sum(axis=0) * (hi - lo) / (n_y - 1)
-
-    return spectrum
+def _sampled_sinogram(evaluator: Callable, n_phi: int, n_x: int, halfwidth_sigmas: float, n_coarse: int) -> OpticalSinogram:
+    """The callable's sinogram on the X window of :func:`invert_to_wigner`."""
+    phi = np.arange(n_phi) * (math.pi / n_phi)
+    scan = np.linspace(-halfwidth_sigmas, halfwidth_sigmas, n_coarse)[:, np.newaxis]
+    density = np.abs(np.asarray(optical_slice(evaluator, phi, scan), dtype=float))
+    mass = np.maximum(density.sum(axis=0), np.finfo(float).tiny)
+    centre = (scan * density).sum(axis=0) / mass
+    width = np.sqrt(np.maximum(((scan - centre) ** 2 * density).sum(axis=0) / mass, 1e-6))
+    half = float(np.max(np.abs(centre) + halfwidth_sigmas * width))
+    return OpticalSinogram.from_evaluator(evaluator, phi, np.linspace(-half, half, n_x))
 
 
 #: FFT length of a sinogram row, as a multiple of its sample count (rounded up
@@ -393,15 +378,14 @@ def _ray_spectrum(sinogram: OpticalSinogram, k_reach: float) -> Callable:
     The transform is linear in the marginal, so the Catmull-Rom combination of
     four angle rows is applied to the rows' spectra from :func:`_row_spectra`.
     A node reads each row at |k| with a ``_K_STENCIL``-point Lagrange stencil
-    in k, conjugates where k < 0 (the rows are real) and restores the factor
-    exp(i k x_c) of the X midpoint x_c.  Nothing is interpolated in X.
+    in k and conjugates where k < 0 (the rows are real).  Nothing is
+    interpolated in X.
     """
     grid = _wrapped_grid(sinogram)
     n_rows = grid.values.shape[0]
     table, dk, n_fft = _row_spectra(grid, k_reach)
     n_cols = table.shape[1]
     flat = table.ravel()
-    x_c = 0.5 * (grid.p_axis[0] + grid.p_axis[-1])
     odd_x = (grid.p_axis.size - 1) % 2
     offsets = np.arange(_K_STENCIL) - (_K_STENCIL // 2 - 1)
     denominators = np.array([np.prod([float(d - e) for e in offsets if e != d]) for d in offsets])
@@ -411,8 +395,8 @@ def _ray_spectrum(sinogram: OpticalSinogram, k_reach: float) -> Callable:
         angle, k = _fold(m, nu)
         i, w, _ = _stencil(angle, grid.q_axis[0], grid.dq, n_rows)
         s = np.abs(k) / dk
-        # the centred X sum repeats every n_fft columns up to the sign
-        # (-1)^(n_x - 1), so the table holds at most one period
+        # on an X axis symmetric about 0 the X sum repeats every n_fft
+        # columns up to the sign (-1)^(n_x - 1), so the table holds at most one period
         periods = np.floor(s / n_fft)
         s -= periods * n_fft
         j = s.astype(int)
@@ -421,7 +405,7 @@ def _ray_spectrum(sinogram: OpticalSinogram, k_reach: float) -> Callable:
         at = (i * n_cols + j + 1)[np.newaxis, :] + taps
         row_sum = sum(w[a] * (lagrange * flat[at + a * n_cols]).sum(axis=0) for a in range(4))
         row_sum = np.where(periods % 2 * odd_x == 1.0, -row_sum, row_sum)
-        return np.exp(1j * k * x_c) * np.where(k < 0.0, np.conj(row_sum), row_sum)
+        return np.where(k < 0.0, np.conj(row_sum), row_sum)
 
     return spectrum
 
@@ -429,10 +413,11 @@ def _ray_spectrum(sinogram: OpticalSinogram, k_reach: float) -> Callable:
 def _row_spectra(grid: WignerGrid, k_reach: float) -> tuple[np.ndarray, float, int]:
     """Transforms of the trapezoid-weighted rows of a wrapped sinogram on a k grid.
 
-    Returns ``(table, dk, n)`` with ``table[r + 1, c]`` = sum_j w_rj exp(i k (x_j - x_c))
-    at k = (c - _K_STENCIL // 2) dk, x_c the X midpoint; rows 0 and -1 are zero
-    padding, as in :meth:`WignerGrid.interpolate`.  Centring on x_c gives the
-    rows the smallest bandwidth in k, half the X range.  Each row is one
+    Returns ``(table, dk, n)`` with ``table[r + 1, c]`` = sum_j w_rj exp(i k x_j)
+    at k = (c - _K_STENCIL // 2) dk; rows 0 and -1 are zero padding, as in
+    :meth:`WignerGrid.interpolate`.  On the X axis symmetric about 0 that
+    :func:`_wrapped_grid` requires, the rows have the smallest bandwidth in k,
+    half the X range.  Each row is one
     zero-padded rfft of length n >= ``_K_OVERSAMPLE`` n_x, taken in blocks of
     ``_FFT_BLOCK_ROWS`` rows; only the columns of 0 <= k <= ``k_reach``, at
     most one period of n columns, and a stencil guard on each side are kept.
@@ -447,7 +432,7 @@ def _row_spectra(grid: WignerGrid, k_reach: float) -> tuple[np.ndarray, float, i
     wrapped = cols % n_fft
     upper = wrapped > n_fft // 2
     column = np.where(upper, n_fft - wrapped, wrapped)
-    phase = np.exp(1j * (cols * dk) * (x[0] - 0.5 * (x[0] + x[-1])))
+    phase = np.exp(1j * (cols * dk) * x[0])
     table = np.zeros((weights.shape[0] + 2, cols.size), dtype=complex)
     for start in range(0, weights.shape[0], _FFT_BLOCK_ROWS):
         spec = np.fft.rfft(weights[start:start + _FFT_BLOCK_ROWS], n=n_fft)[:, column]
@@ -498,6 +483,8 @@ class OpticalSinogram:
                 raise ValueError("phi_axis must be uniform")
         if x.ndim != 1 or x.size < 2 or not np.all(np.diff(x) > 0):
             raise ValueError("x_axis must be increasing")
+        if not np.allclose(np.diff(x), x[1] - x[0], rtol=1e-9, atol=0.0):
+            raise ValueError("x_axis must be uniform")
         if v.shape != (phi.size, x.size):
             raise ValueError(f"values shape {v.shape} does not match axes ({phi.size}, {x.size})")
         if not np.all(np.isfinite(v)):
@@ -600,8 +587,8 @@ def sinogram_evaluator(sinogram: OpticalSinogram) -> Callable:
     Raises
     ------
     ValueError
-        When the sinogram has fewer than 2 angles, or its angles do not tile
-        [0, pi) uniformly.
+        When the sinogram has fewer than 2 angles, its angles do not tile
+        [0, pi) uniformly, or its X axis is not symmetric about 0.
     """
     grid = _wrapped_grid(sinogram)
 
@@ -640,6 +627,10 @@ def _wrapped_grid(sinogram: OpticalSinogram) -> WignerGrid:
     dphi = math.pi / nphi
     if not math.isclose(float(phi[1] - phi[0]), dphi, rel_tol=1e-9):
         raise ValueError("sinogram angles must tile [0, pi) uniformly for interpolation")
+    x = sinogram.x_axis
+    if abs(x[0] + x[-1]) > 1e-9 * (x[-1] - x[0]):
+        raise ValueError(f"sinogram X axis [{x[0]:.6g}, {x[-1]:.6g}] is not symmetric about 0, "
+                         "as the fold w(X, phi + pi) = w(-X, phi) needs")
 
     ext = np.empty((nphi + 4, sinogram.x_axis.size))
     ext[2:-2] = sinogram.values

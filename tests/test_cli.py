@@ -389,6 +389,26 @@ def test_reconstruct_rejects_few_angles_and_bad_apodization(tmp_path):
     assert main(["reconstruct", "--config", cfg2, "--out", str(tmp_path / "w.csv")]) == 2
 
 
+@pytest.mark.parametrize(
+    "sinogram, message",
+    [({"n_phi": 1, "n_x": 65}, "1 angle"),
+     ({"n_phi": 24, "x_min": -6, "x_max": 7, "n_x": 66}, "not symmetric about 0")],
+    ids=["one-angle", "off-centre-x"],
+)
+def test_reconstruct_fourier_rejects_a_sinogram_it_cannot_fold(tmp_path, capsys, sinogram, message):
+    # valid sinograms that the Fourier path's angle wrap cannot read
+    scfg = cfg_file(tmp_path, tomogram_cfg({"kind": "gaussian"}, sinogram=sinogram), name="sino.json")
+    sino = tmp_path / "sino.csv"
+    assert main(["tomogram", "--config", scfg, "--out", str(sino)]) == 0
+    cfg = cfg_file(tmp_path, {"input": str(sino), "method": "fourier"}, name="rec.json")
+    before = sorted(p.name for p in tmp_path.iterdir())
+    capsys.readouterr()
+    assert main(["reconstruct", "--config", cfg, "--out", str(tmp_path / "w.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("iontomo: input file invalid: ") and message in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
 # --------------------------------------------------------------------- verify
 
 
@@ -469,6 +489,7 @@ def test_verify_config_errors(tmp_path, extra):
         ("reconstruct", {"reference": {"kind": "cat", "alpha": 0.0, "parity": "odd"}}),  # diverges
         ("verify", verify_cfg(cat={"alpha": 1.0, "phase": 0.3})),
         ("verify", verify_cfg(probe={"x_values": [0.0], "x_step": 0.1})),
+        ("reconstruct", {"method": "fourier", "grid": {"q_min": 6.0, "q_max": -6.0}}),  # reversed
     ],
 )
 def test_nested_config_errors_write_nothing(tmp_path, cat_sinogram_file, command, payload):

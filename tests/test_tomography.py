@@ -376,35 +376,18 @@ def test_invert_cat_against_analytic_wigner():
     Q, P = np.meshgrid(axis, axis, indexing="ij")
     exact = wigner_cat(spec, Q, P)
     rel_l2 = np.linalg.norm(grid.values - exact) / np.linalg.norm(exact)
-    assert rel_l2 < 0.05
+    # measured 6.23e-6, through the sampled 427-angle sinogram
+    assert rel_l2 <= 1e-5
 
 
-def invert_full_plane_reference(evaluator, q_axis, p_axis, *, k_max, n_nodes, n_y,
-                                y_halfwidth_sigmas=12.0, n_coarse=129):
-    """Grid values of the Fourier inversion evaluated on every (mu, nu) node (the original loop)."""
+def invert_full_plane_reference(sinogram, q_axis, p_axis, *, k_max, n_nodes):
+    """Grid values of the Fourier inversion with ``_ray_spectrum`` evaluated on every (mu, nu) node."""
     nodes = np.linspace(-k_max, k_max, n_nodes)
+    spectrum = tomography._ray_spectrum(sinogram, math.hypot(k_max, k_max))
     F = np.empty((n_nodes, n_nodes), dtype=complex)
-    scan_u = np.linspace(-1.0, 1.0, n_coarse)[:, np.newaxis]
-    fine_t = np.linspace(0.0, 1.0, n_y)[:, np.newaxis]
     for i, m in enumerate(nodes):
-        nu = nodes
-        degenerate = (m == 0.0) & (nu == 0.0)
-        safe_nu = np.where(degenerate, 1.0, nu)
-        radius = np.sqrt(m ** 2 + safe_nu ** 2)
-        scan_half = y_halfwidth_sigmas * np.maximum(1.0, radius)
-        Ys = scan_u * scan_half[np.newaxis, :]
-        Pv = np.abs(np.asarray(evaluator(Ys, m, safe_nu[np.newaxis, :]), dtype=float))
-        mass = Pv.sum(axis=0)
-        mass = np.where(mass > 0.0, mass, 1.0)
-        center = (Ys * Pv).sum(axis=0) / mass
-        width = np.sqrt(np.maximum(((Ys - center) ** 2 * Pv).sum(axis=0) / mass, 1e-6))
-        lo = center - y_halfwidth_sigmas * width
-        hi = center + y_halfwidth_sigmas * width
-        Yf = lo[np.newaxis, :] + (hi - lo)[np.newaxis, :] * fine_t
-        kernel = np.exp(1j * Yf) * np.asarray(evaluator(Yf, m, safe_nu[np.newaxis, :]), dtype=complex)
-        kernel[0, :] *= 0.5
-        kernel[-1, :] *= 0.5
-        F[i, :] = kernel.sum(axis=0) * (hi - lo) / (n_y - 1)
+        degenerate = (m == 0.0) & (nodes == 0.0)
+        F[i, :] = spectrum(m, np.where(degenerate, 1.0, nodes))
         F[i, degenerate] = 1.0
     w_nodes = np.full(n_nodes, nodes[1] - nodes[0])
     w_nodes[[0, -1]] *= 0.5
@@ -416,34 +399,73 @@ def invert_full_plane_reference(evaluator, q_axis, p_axis, *, k_max, n_nodes, n_
 def _asymmetric_cat_sinogram():
     phi = np.linspace(0.0, math.pi, 120, endpoint=False)
     x = np.linspace(-8.0, 8.0, 161)
-    return sinogram_evaluator(OpticalSinogram.from_evaluator(cat_evaluator(CatSpec(1.2 + 0.7j, "odd")), phi, x))
+    return OpticalSinogram.from_evaluator(cat_evaluator(CatSpec(1.2 + 0.7j, "odd")), phi, x)
 
 
 @pytest.mark.parametrize("k_max, n_nodes, n_y", [(8.0, 97, 257), (6.0, 48, 129), (5.0, 31, 129)],
                          ids=["odd-97", "even-48", "odd-31"])
 @pytest.mark.parametrize("source", ["gaussian", "cat-sinogram"])
-def test_half_plane_inversion_matches_full_plane(source, k_max, n_nodes, n_y):
+def test_half_plane_inversion_matches_full_plane(monkeypatch, source, k_max, n_nodes, n_y):
     # none of these linspace node sets is exactly antisymmetric
     nodes = np.linspace(-k_max, k_max, n_nodes)
     assert not np.array_equal(nodes, -nodes[::-1])
     if source == "gaussian":
-        # displaced, squeezed and correlated: no symmetry in q, p or the frame
-        evaluator = GaussianTomogram(GaussianState(mean_p=-0.7, mean_q=1.1, sigma_pp=0.3,
-                                                   sigma_qq=1.1, sigma_pq=0.35))
+        # displaced, squeezed and correlated: no symmetry in q, p or the frame;
+        # a callable, so the inversion samples its sinogram first
+        source = GaussianTomogram(GaussianState(mean_p=-0.7, mean_q=1.1, sigma_pp=0.3,
+                                                sigma_qq=1.1, sigma_pq=0.35))
     else:
-        evaluator = _asymmetric_cat_sinogram()
-    rows = set()
+        source = _asymmetric_cat_sinogram()
+    sinograms, rows = [], set()
+    ray_spectrum = tomography._ray_spectrum
 
-    def recorded(Y, mu, nu):
-        rows.add(float(mu))
-        return evaluator(Y, mu, nu)
+    def recorded(sinogram, k_reach):
+        sinograms.append(sinogram)
+        spectrum = ray_spectrum(sinogram, k_reach)
 
+        def spectrum_rows(m, nu):
+            rows.add(float(m))
+            return spectrum(m, nu)
+
+        return spectrum_rows
+
+    monkeypatch.setattr(tomography, "_ray_spectrum", recorded)
     axis = np.linspace(-5.0, 5.0, 41)
-    kw = {"k_max": k_max, "n_nodes": n_nodes, "n_y": n_y}
-    grid = invert_to_wigner(recorded, axis, axis, **kw)
-    want = invert_full_plane_reference(evaluator, axis, axis, **kw)
+    grid = invert_to_wigner(source, axis, axis, k_max=k_max, n_nodes=n_nodes, n_y=n_y)
+    monkeypatch.undo()
+    want = invert_full_plane_reference(sinograms[0], axis, axis, k_max=k_max, n_nodes=n_nodes)
     assert len(rows) <= (n_nodes + 1) // 2
     assert np.max(np.abs(grid.values - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_callable_inversion_samples_one_sinogram(monkeypatch):
+    # default keywords: 427 angles, each one support scan (n_coarse = 129) and
+    # one sinogram row (n_y = 513); the windowed Y quadrature took 12.0M points
+    state = gaussian_from_epsilon(1.0, 1.0j, 1.0 + 0.0j)
+    points, sinograms = [], []
+    ray_spectrum = tomography._ray_spectrum
+
+    def counted(Y, mu, nu):
+        points.append(np.broadcast(Y, mu, nu).size)
+        return GaussianTomogram(state)(Y, mu, nu)
+
+    def recorded(sinogram, k_reach):
+        sinograms.append(sinogram)
+        return ray_spectrum(sinogram, k_reach)
+
+    monkeypatch.setattr(tomography, "_ray_spectrum", recorded)
+    axis = np.linspace(-6.0, 6.0, 49)
+    grid = invert_to_wigner(counted, axis, axis)
+    monkeypatch.undo()
+    (sino,) = sinograms
+    assert sino.phi_axis.size == math.ceil(math.pi * 192 / math.sqrt(2.0)) == 427
+    assert sum(points) <= 427 * (129 + 513)
+    # the window holds the marginal at every angle (the mean sqrt(2) at phi = 0
+    # plus 12 widths sqrt(1/2)), on an X axis that the angle fold maps onto itself
+    assert sino.x_axis.size == 513 and sino.x_axis[0] == -sino.x_axis[-1]
+    assert sino.x_axis[-1] >= math.sqrt(2.0) + 12.0 * math.sqrt(0.5) - 1e-2
+    np.testing.assert_allclose(sino.column_norms(), 1.0, atol=1e-12)
+    assert np.array_equal(grid.values, invert_to_wigner(sino, axis, axis).values)
 
 
 SKEW_GAUSSIAN = GaussianState(mean_p=-0.7, mean_q=1.1, sigma_pp=0.3, sigma_qq=1.1, sigma_pq=0.35)
@@ -453,7 +475,7 @@ SKEW_GAUSSIAN = GaussianState(mean_p=-0.7, mean_q=1.1, sigma_pp=0.3, sigma_qq=1.
 def test_sinogram_inversion_beats_its_evaluator(name):
     # same sinogram both ways: the per-ray transform on the native X samples
     # must be at least as close to the analytic Wigner function as the
-    # windowed Y quadrature of the interpolating evaluator
+    # interpolating evaluator, which the inversion resamples on 214 angles
     if name == "gaussian":
         evaluator, exact_w = GaussianTomogram(SKEW_GAUSSIAN), lambda q, p: wigner_gaussian(SKEW_GAUSSIAN, q, p)
     else:
@@ -467,7 +489,7 @@ def test_sinogram_inversion_beats_its_evaluator(name):
     def rel_l2(grid):
         return np.linalg.norm(grid.values - exact) / np.linalg.norm(exact)
 
-    # measured: 7.7e-6 (gaussian) and 2.4e-6 (cat) direct, 1.2e-4 and 6.6e-4 via the evaluator
+    # measured: 7.7e-6 (gaussian) and 2.4e-6 (cat) direct, 2.5e-4 and 5.6e-4 via the evaluator
     kw = {"k_max": 12.0, "n_nodes": 97, "n_y": 257}
     direct = rel_l2(invert_to_wigner(sino, axis, axis, **kw))
     via_evaluator = rel_l2(invert_to_wigner(sinogram_evaluator(sino), axis, axis, **kw))
@@ -493,6 +515,24 @@ def test_one_angle_sinogram_rejected_by_both_entry_points():
         sinogram_evaluator(sino)
     with pytest.raises(ValueError, match="1 angle"):
         invert_to_wigner(sino, axis, axis, **FAST_INVERT)
+
+
+def test_off_centre_x_axis_rejected_by_both_entry_points():
+    # reversing X is the fold X -> -X only on an axis symmetric about 0; on
+    # [-8, 9] the wrap rows were misplaced (rel-L2 6.9e-2 instead of 6.4e-6)
+    sino = OpticalSinogram.from_evaluator(cat_evaluator(CatSpec(2.0 + 0.0j, "even")),
+                                          np.linspace(0.0, math.pi, 180, endpoint=False),
+                                          np.linspace(-8.0, 9.0, 273))
+    axis = np.linspace(-4.0, 4.0, 33)
+    message = r"X axis \[-8, 9\] is not symmetric about 0.*w\(X, phi \+ pi\) = w\(-X, phi\)"
+    with pytest.raises(ValueError, match=message):
+        sinogram_evaluator(sino)
+    with pytest.raises(ValueError, match=message):
+        invert_to_wigner(sino, axis, axis, **FAST_INVERT)
+    # filtered backprojection has no angle fold and still takes it
+    exact = wigner_cat(CatSpec(2.0 + 0.0j, "even"), *np.meshgrid(axis, axis, indexing="ij"))
+    fbp = radon_reconstruct(sino, axis, axis)
+    assert np.linalg.norm(fbp.values - exact) / np.linalg.norm(exact) < 0.05
 
 
 @pytest.mark.parametrize("n_nodes", [97, 48])
@@ -533,14 +573,14 @@ def ray_spectrum_reference(sinogram):
 
 
 @settings(max_examples=60, deadline=None)
-@example(x_lo=-1.0, x_hi=2.0, n_x=16, n_phi=2, k_max=40.0, seed=0)  # k past one period of the X sum
-@given(x_lo=st.floats(-8.0, -1.0), x_hi=st.floats(2.0, 10.0), n_x=st.integers(16, 300),
+@example(x_half=1.5, n_x=16, n_phi=2, k_max=40.0, seed=0)  # k past one period of the X sum
+@given(x_half=st.floats(1.5, 9.0), n_x=st.integers(16, 300),
        n_phi=st.sampled_from([2, 3]), k_max=st.floats(1.0, 40.0), seed=st.integers(0, 2 ** 32 - 1))
-def test_ray_spectrum_matches_per_node_transform(x_lo, x_hi, n_x, n_phi, k_max, seed):
+def test_ray_spectrum_matches_per_node_transform(x_half, n_x, n_phi, k_max, seed):
     # arbitrary nonnegative rows, so the X edges carry as much mass as the
     # middle: the hardest case for interpolating the row spectra in k
     rng = np.random.default_rng(seed)
-    x = np.linspace(x_lo, x_hi, n_x)
+    x = np.linspace(-x_half, x_half, n_x)
     values = rng.uniform(0.0, 1.0, (n_phi, n_x))
     values /= (values @ tomography._trapezoid_weights(x))[:, np.newaxis]
     sino = OpticalSinogram(phi_axis=np.arange(n_phi) * (math.pi / n_phi), x_axis=x, values=values)
@@ -549,7 +589,7 @@ def test_ray_spectrum_matches_per_node_transform(x_lo, x_hi, n_x, n_phi, k_max, 
 
     # the k grid is 8x finer than a row's bandwidth, and only the band |k| <= k_reach
     # (k_max past the X Nyquist frequency included: at most one period) is kept
-    assert dk * (x_hi - x_lo) / 2.0 <= math.pi / 8.0
+    assert dk * x_half <= math.pi / 8.0
     assert table.shape[0] == n_phi + 6
     kept = min(math.ceil(k_reach / dk), n_fft) + tomography._K_STENCIL + 2
     assert table.size <= table.shape[0] * kept
@@ -598,6 +638,14 @@ def test_sinogram_validation():
         spoiled = w.copy()
         spoiled[0, 0] = np.inf
         OpticalSinogram(phi_axis=good_phi, x_axis=x, values=spoiled)
+
+
+def test_sinogram_rejects_non_uniform_x():
+    # 50 points in [-8, 0) and 101 in [0, 8]: increasing, but two step sizes
+    x = np.concatenate((np.linspace(-8.0, 0.0, 50, endpoint=False), np.linspace(0.0, 8.0, 101)))
+    w = np.tile(np.exp(-x ** 2) / math.sqrt(math.pi), (32, 1))
+    with pytest.raises(ValueError, match="x_axis must be uniform"):
+        OpticalSinogram(phi_axis=np.linspace(0.0, math.pi, 32, endpoint=False), x_axis=x, values=w)
 
 
 def test_vacuum_sinogram_columns():
