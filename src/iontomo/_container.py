@@ -17,8 +17,11 @@ import numpy as np
 _FORMAT = "iontomo-grid"
 _VERSION = 1
 
-#: Rows formatted per chunk by :func:`save_csv_rows`; bounds the text held in memory.
-_CSV_BLOCK_ROWS = 4096
+#: Rows formatted per chunk by the CSV writers.  A ``%.17g`` value takes at most
+#: 25 bytes with its separator, so a block of the six-column epsilon table is at
+#: most 154 kB of text; with its bytes copy and Python floats, :func:`save_csv_rows`
+#: peaks at about 0.45 MB however long the table.
+_CSV_BLOCK_ROWS = 1024
 
 
 def _atomic_write(path: str, data) -> None:
@@ -88,15 +91,25 @@ def is_container(path: str) -> bool:
 def save_csv_rows(path: str, colnames, columns) -> None:
     """CSV with a header line and row i holding ``column[i]`` of every column.
 
-    Values are written as ``%.17g``, which round-trips float64 exactly.
+    Values are written as ``%.17g``, which round-trips float64 exactly.  Rows
+    are stacked and formatted one block at a time, so no copy of the whole
+    table is made.
+
+    Raises
+    ------
+    ValueError
+        If the columns are not 1-D or differ in length; nothing is written.
     """
-    table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
-    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    if any(c.ndim != 1 or c.size != columns[0].size for c in columns):
+        raise ValueError(f"columns must be 1-D and of equal length, got shapes {[c.shape for c in columns]}")
+    n_rows = columns[0].size if columns else 0
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
 
     def chunks():
         yield (",".join(colnames) + "\n").encode()
-        for start in range(0, table.shape[0], _CSV_BLOCK_ROWS):
-            block = table[start:start + _CSV_BLOCK_ROWS]
+        for start in range(0, n_rows, _CSV_BLOCK_ROWS):
+            block = np.column_stack([c[start:start + _CSV_BLOCK_ROWS] for c in columns])
             yield ((row * block.shape[0]) % tuple(block.ravel().tolist())).encode()
 
     _atomic_write(path, chunks())
@@ -134,12 +147,23 @@ def load_csv_triples(path: str, colnames: tuple[str, str, str]):
         raise ValueError(f"{path}: expected 3 columns, got {data.shape[1]}")
     col0 = data[:, 0]
     # length of the first ax0 run gives the inner (ax1) dimension
-    changes = np.nonzero(col0 != col0[0])[0]
-    n1 = int(changes[0]) if changes.size else data.shape[0]
+    starts_run = col0 != col0[0]
+    n1 = int(np.argmax(starts_run)) if starts_run.any() else data.shape[0]
+    if n1 == 0:
+        raise ValueError(f"{path}: row 1 after the header: {colnames[0]} is not a number")
     if data.shape[0] % n1 != 0:
         raise ValueError(f"{path}: ragged grid ({data.shape[0]} rows, inner run {n1})")
     n0 = data.shape[0] // n1
-    ax0 = col0[::n1].copy()
-    ax1 = data[:n1, 1].copy()
-    values = data[:, 2].reshape(n0, n1).copy()
+    grid = data.reshape(n0, n1, 3)
+    # each run holds one ax0 value and repeats the first run's ax1 axis
+    bad = (grid[:, :, 0] != grid[:, :1, 0]) | (grid[:, :, 1] != grid[:1, :, 1])
+    if bad.any():
+        i, j = divmod(int(np.argmax(bad)), n1)
+        got, want = grid[i, j, :2].tolist(), [grid[i, 0, 0].item(), grid[0, j, 1].item()]
+        raise ValueError(f"{path}: row {i * n1 + j + 1} after the header: ({colnames[0]}, {colnames[1]}) = "
+                         f"{tuple(got)}, expected {tuple(want)}: each run of {n1} rows must hold one "
+                         f"{colnames[0]} and repeat the first run's {colnames[1]}")
+    ax0 = grid[:, 0, 0].copy()
+    ax1 = grid[0, :, 1].copy()
+    values = grid[:, :, 2].copy()
     return ax0, ax1, values

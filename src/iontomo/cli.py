@@ -200,7 +200,7 @@ def cmd_epsilon(cfg: dict, args) -> int:
                           [("Re eps", traj.eps.real), ("Im eps", traj.eps.imag)],
                           title=f"mode function (kappa={params.kappa}, Omega={params.omega_drive})",
                           xlabel="t", ylabel="eps(t)")
-    drift = float(np.max(np.abs(w - 1.0)))
+    drift = float(max(w.max() - 1.0, 1.0 - w.min()))  # max |w - 1|, without a full-length temporary
     if drift > 10.0 * tol:
         return _fail(1, f"Wronskian drift {drift:.3e} exceeds 10*tol")
     return 0

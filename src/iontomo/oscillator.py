@@ -43,11 +43,13 @@ _STEPS_PER_UNIT_TIME = 2000
 #: Hard floor on the RK4 step size; below this the tolerance is unreachable.
 _MIN_STEP = 1e-12
 
-#: Steps per block of the running step-matrix product in :func:`_rk4`.
+#: Steps per block of :func:`_rk4`'s step matrices and samples per block of the
+#: Wronskian; bounds their scratch at about 0.5 MB.
 _BLOCK = 4096
 
-#: Most RK4 steps :func:`solve_epsilon` integrates in one pass (about 2 GB of
-#: trajectory and step matrices).
+#: Most RK4 steps :func:`solve_epsilon` integrates in one pass.  The pass holds
+#: 40 bytes per step, the trajectory (times, eps, deps), about 0.67 GB at the
+#: cap; step matrices and Wronskian drift only ever hold one block.
 _MAX_STEPS = 2 ** 24
 
 #: Samples the Floquet tables of :func:`epsilon_at` may hold together (40
@@ -111,7 +113,10 @@ class EpsilonTrajectory:
 
     def wronskian(self) -> np.ndarray:
         """``Im(eps* eps')`` at every sample; identically 1 for the exact flow."""
-        return np.imag(np.conj(self.eps) * self.deps)
+        w = np.empty(self.eps.shape)
+        for b in _blocks(w.size):
+            w[b] = _wronskian(self.eps[b], self.deps[b])
+        return w
 
     def at(self, t: float) -> tuple[complex, complex]:
         """Linearly interpolated ``(eps, deps)`` at time ``t``.
@@ -128,6 +133,21 @@ class EpsilonTrajectory:
         d_re = np.interp(t, self.times, self.deps.real)
         d_im = np.interp(t, self.times, self.deps.imag)
         return complex(e_re, e_im), complex(d_re, d_im)
+
+
+def _blocks(n: int):
+    """Slices of ``range(n)`` in blocks of ``_BLOCK``."""
+    return (slice(s, s + _BLOCK) for s in range(0, n, _BLOCK))
+
+
+def _wronskian(eps, deps):
+    """``Im(eps* deps)`` of mode-function samples."""
+    return np.imag(np.conj(eps) * deps)
+
+
+def _drift(eps, deps) -> float:
+    """``max |Im(eps* deps) - 1|``, one block of samples at a time; NaN if any sample is."""
+    return np.max([np.max(np.abs(_wronskian(eps[b], deps[b]) - 1.0)) for b in _blocks(eps.size)])
 
 
 def _step_matrices(params: OscillatorParams, t0, h: float) -> np.ndarray:
@@ -149,14 +169,15 @@ def _rk4(params: OscillatorParams, t_end: float, n_steps: int):
     Each step is ``y_{i+1} = (I + d_i) y_i`` for a real 2x2 ``d_i``.  Within blocks
     of ``_BLOCK`` steps the product is formed in log2(_BLOCK) doubling passes as
     ``d_late + d_early + d_late @ d_early``, so the identity is never rounded
-    into a step; each block then carries its start point forward.
+    into a step; each block then carries its start point forward.  Only one
+    block of step matrices exists at a time.
     """
     t = np.linspace(0.0, t_end, n_steps + 1)
-    d = _step_matrices(params, t[:-1], t_end / n_steps)
+    h = t_end / n_steps
     y = np.empty((n_steps + 1, 2), dtype=complex)
     y[0] = 1.0, 1.0j
     for s in range(0, n_steps, _BLOCK):
-        block = d[s:s + _BLOCK]
+        block = _step_matrices(params, t[s:min(s + _BLOCK, n_steps)], h)
         k = 1
         while k < len(block):
             late, early = block[k:], block[:-k]
@@ -224,7 +245,7 @@ def solve_epsilon(
         # an unstable grid may overflow; its drift is then inf or NaN and it is refined
         with np.errstate(over="ignore", invalid="ignore"):
             t, eps, deps = _rk4(params, t_end, n_steps)
-            drift = np.max(np.abs(np.imag(np.conj(eps) * deps) - 1.0))
+            drift = _drift(eps, deps)
         if drift <= gate:
             return EpsilonTrajectory(params=params, times=t, eps=eps, deps=deps)
         h = t_end / n_steps

@@ -367,6 +367,26 @@ def test_reconstruct_missing_and_invalid_input(tmp_path):
     assert main(["reconstruct", "--config", cfg2, "--out", str(tmp_path / "w.csv")]) == 2
 
 
+def test_reconstruct_rejects_a_sinogram_csv_off_its_grid(tmp_path, capsys):
+    # the third of 24 angles lists X in reverse; the displaced state's values
+    # would land on the wrong X, so the file is invalid input: exit 2, nothing written
+    scfg = cfg_file(
+        tmp_path,
+        tomogram_cfg({"kind": "gaussian", "alpha": [1.0, 0.0]}, sinogram={"n_phi": 24, "x_min": -6, "x_max": 6, "n_x": 65}),
+        name="sino.json",
+    )
+    sino = tmp_path / "sino.csv"
+    assert main(["tomogram", "--config", scfg, "--out", str(sino)]) == 0
+    lines = sino.read_text().splitlines(keepends=True)
+    lines[131:196] = lines[131:196][::-1]
+    sino.write_text("".join(lines))
+    cfg = cfg_file(tmp_path, {"input": str(sino)})
+    assert main(["reconstruct", "--config", cfg, "--out", str(tmp_path / "w.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "input file invalid" in err and "row 131 after the header" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "sino.csv", "sino.json"]
+
+
 def test_reconstruct_rejects_few_angles_and_bad_apodization(tmp_path):
     scfg = cfg_file(
         tmp_path,

@@ -1,6 +1,7 @@
 """Mode-function solver, Wronskian conservation, and the integral-of-motion map."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -365,6 +366,70 @@ def test_step_matrix_product_matches_loop_across_blocks(n, kappa, omega):
     scale = max(1.0, np.max(np.abs(eps)), np.max(np.abs(deps)))
     assert np.max(np.abs(traj.eps - eps)) <= 1e-13 * scale
     assert np.max(np.abs(traj.deps - deps)) <= 1e-13 * scale
+
+
+def rk4_reference(params, t_end, n_steps, block):
+    """Full-array step-matrix product: every step matrix is built before the per-block doubling."""
+    t = np.linspace(0.0, t_end, n_steps + 1)
+    d = oscillator._step_matrices(params, t[:-1], t_end / n_steps)
+    y = np.empty((n_steps + 1, 2), dtype=complex)
+    y[0] = 1.0, 1.0j
+    for s in range(0, n_steps, block):
+        b = d[s:s + block]
+        k = 1
+        while k < len(b):
+            late, early = b[k:], b[:-k]
+            b[k:] = late + early + late @ early
+            k *= 2
+        y[s + 1:s + 1 + len(b)] = y[s] + b @ y[s]
+    return t, y[:, 0], y[:, 1]
+
+
+@pytest.mark.parametrize("block", [3, _BLOCK])
+@pytest.mark.parametrize("n", [2, 3, 4, 7, 2 * _BLOCK + 5])
+@pytest.mark.parametrize("params", [PARAMS04, OscillatorParams(1.0, 1.2247)], ids=["stable", "resonance"])
+def test_blocked_trajectory_is_bit_identical_to_full_arrays(monkeypatch, block, n, params):
+    # step matrices, Wronskian and drift are taken one block at a time; every
+    # value is elementwise, so each must equal its full-array form bit for bit
+    monkeypatch.setattr(oscillator, "_BLOCK", block)
+    t_end = n / 500.0
+    t, eps, deps = rk4_reference(params, t_end, n, block)
+    for got, want in zip(oscillator._rk4(params, t_end, n), (t, eps, deps)):
+        assert got.tobytes() == want.tobytes()
+    traj = solve_epsilon(params, t_end=t_end, n_steps=n, tol=1.0)
+    assert traj.eps.tobytes() == eps.tobytes() and traj.deps.tobytes() == deps.tobytes()
+    w = np.imag(np.conj(eps) * deps)
+    assert traj.wronskian().tobytes() == w.tobytes()
+    assert oscillator._drift(eps, deps) == np.max(np.abs(w - 1.0))
+
+
+@pytest.mark.parametrize("bad", [1, 7])
+def test_blocked_drift_is_nan_when_any_sample_is(monkeypatch, bad):
+    # an overflowed grid must keep failing the gate, whichever block holds the NaN
+    monkeypatch.setattr(oscillator, "_BLOCK", 3)
+    eps = np.ones(10, dtype=complex)
+    deps = np.full(10, 1.0j)
+    deps[bad] = complex(np.nan, np.nan)
+    assert np.isnan(oscillator._drift(eps, deps))
+
+
+def test_solve_epsilon_scratch_is_bounded():
+    # the trajectory takes 40 bytes per step; step matrices and the drift only
+    # ever hold one block (a full-array pass peaked at about 88 bytes per step)
+    n = 2 ** 18
+    tracemalloc.start()
+    try:
+        traj = solve_epsilon(PARAMS04, t_end=n / 2000, n_steps=n, tol=1.0)
+        solve_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        w = traj.wronskian()
+        wronskian_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert traj.times.size == n + 1
+    assert solve_peak <= 48 * n + 2 ** 20
+    assert wronskian_peak <= w.nbytes + 2 ** 20
 
 
 def test_identity_map_at_t0():

@@ -8,6 +8,7 @@ Wigner expressions it is used to check.
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from iontomo import (
     wigner_cat,
     wigner_gaussian,
 )
-from iontomo import _container
+from iontomo import _container, states
 from iontomo.states import _catmull_rom_weights, _wab
 
 ROOT2 = math.sqrt(2.0)
@@ -533,6 +534,102 @@ def test_csv_triples_match_row_writer(tmp_path, monkeypatch, block_rows):
     _container.save_csv_rows(str(rows), ("phi", "x", "w"),
                              (np.repeat(ax0, ax1.size), np.tile(ax1, ax0.size), values.ravel()))
     assert triples.read_bytes() == rows.read_bytes()
+
+
+def wigner_grid_reference(evaluator, q_axis, p_axis):
+    """The evaluator on the whole meshgrid at once."""
+    Q, P = np.meshgrid(q_axis, p_axis, indexing="ij")
+    return np.asarray(evaluator(Q, P), dtype=float)
+
+
+def csv_rows_reference(colnames, columns):
+    """The whole table stacked at once, then one ``%.17g`` row at a time."""
+    table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
+    lines = [",".join(colnames)] + [",".join("%.17g" % v for v in row) for row in table.tolist()]
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("block_points", [3, states._EVAL_BLOCK_POINTS])
+def test_from_evaluator_blocks_are_bit_identical(monkeypatch, block_points):
+    # blocks of whole q rows (one row per block at 3 points); the evolved odd
+    # cat is the reference the CLI samples
+    monkeypatch.setattr(states, "_EVAL_BLOCK_POINTS", block_points)
+    spec = CatSpec(1.5 + 0.5j, "odd")
+    smap = symplectic_map(*epsilon_at(OscillatorParams(0.4, 2.0), 3.0))
+
+    def evaluator(q, p):
+        return evolve_wigner(lambda q0, p0: wigner_cat(spec, q0, p0), smap, q, p)
+
+    q_axis, p_axis = np.linspace(-6.0, 6.0, 101), np.linspace(-5.0, 5.0, 67)
+    grid = WignerGrid.from_evaluator(evaluator, q_axis, p_axis)
+    assert grid.values.tobytes() == wigner_grid_reference(evaluator, q_axis, p_axis).tobytes()
+
+
+def test_from_evaluator_scratch_is_bounded():
+    # a 201^2 cat on the whole meshgrid took about 4.2 MB of scratch
+    spec = CatSpec(1.5 + 0.5j, "odd")
+    axis = np.linspace(-6.0, 6.0, 201)
+    tracemalloc.start()
+    try:
+        grid = WignerGrid.from_evaluator(lambda q, p: wigner_cat(spec, q, p), axis, axis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= grid.values.nbytes + 2 ** 20
+
+
+@pytest.mark.parametrize("block_rows", [3, _container._CSV_BLOCK_ROWS])
+def test_csv_rows_blocks_are_bit_identical(tmp_path, monkeypatch, block_rows):
+    monkeypatch.setattr(_container, "_CSV_BLOCK_ROWS", block_rows)
+    rng = np.random.default_rng(7)
+    n = 2 * block_rows + 2  # a short last block
+    columns = [np.arange(n) * 0.1, rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n),
+               rng.standard_normal(n).astype(np.float32), list(range(n))]
+    columns[1][:4] = -0.0, 5e-324, np.inf, np.nan
+    path = tmp_path / "rows.csv"
+    _container.save_csv_rows(str(path), ("a", "b", "c", "d"), columns)
+    assert path.read_bytes() == csv_rows_reference(("a", "b", "c", "d"), columns)
+
+
+def test_csv_rows_scratch_is_bounded(tmp_path):
+    # a full-table copy of these columns would take 1.6 MB
+    rng = np.random.default_rng(3)
+    columns = [rng.standard_normal(2 ** 15) for _ in range(6)]
+    tracemalloc.start()
+    try:
+        _container.save_csv_rows(str(tmp_path / "rows.csv"), tuple("abcdef"), columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 ** 20
+
+
+@pytest.mark.parametrize("columns", [(np.zeros(5), np.zeros(4)), (np.zeros(4), np.zeros((4, 1)))],
+                         ids=["unequal", "2-D"])
+def test_csv_rows_rejects_uneven_columns_before_writing(tmp_path, columns):
+    # a per-block writer would otherwise drop the tail of the longer column
+    with pytest.raises(ValueError, match="equal length"):
+        _container.save_csv_rows(str(tmp_path / "rows.csv"), ("a", "b"), columns)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flaw, row", [("reversed", 11), ("outer", 9), ("nan", 1)])
+def test_csv_triples_rejects_a_broken_grid(tmp_path, flaw, row):
+    # 4 runs of 5: the third run lists its inner axis in reverse, the second
+    # run holds a stray outer value, or the first outer value is NaN (which
+    # starts no run); the first inner run sets the grid
+    ax0, ax1 = np.arange(4.0), np.linspace(-2.0, 2.0, 5)
+    col0, col1 = np.repeat(ax0, 5), np.tile(ax1, 4)
+    if flaw == "reversed":
+        col1[10:15] = ax1[::-1]
+    elif flaw == "outer":
+        col0[8] = 7.0
+    else:
+        col0[0] = np.nan
+    path = str(tmp_path / "grid.csv")
+    _container.save_csv_rows(path, ("q", "p", "w"), (col0, col1, np.arange(20.0)))
+    with pytest.raises(ValueError, match=f"row {row} after the header"):
+        _container.load_csv_triples(path, ("q", "p", "w"))
 
 
 def test_wigner_grid_save_rejects_unknown_format(tmp_path):

@@ -673,6 +673,20 @@ def test_sinogram_round_trip(tmp_path, fmt):
     assert again.read_bytes() == path.read_bytes()
 
 
+def test_sinogram_csv_with_a_reversed_angle_is_rejected(tmp_path):
+    # the third angle of a displaced state lists X in reverse; its values
+    # would land on the wrong X
+    sino = OpticalSinogram.from_evaluator(GaussianTomogram(gaussian_from_epsilon(1.0, 1.0j, 1.0)),
+                                          np.arange(4) * math.pi / 4, np.linspace(-8.0, 8.0, 65))
+    path = tmp_path / "sino.csv"
+    sino.save(str(path), fmt="csv")
+    lines = path.read_text().splitlines(keepends=True)
+    lines[131:196] = lines[131:196][::-1]
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError, match="row 131 after the header"):
+        OpticalSinogram.load(str(path))
+
+
 # ------------------------------------------------------- filtered backprojection
 
 
