@@ -519,7 +519,7 @@ def test_csv_golden_bytes(tmp_path):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("block_rows", [3, _container._CSV_BLOCK_ROWS])
+@pytest.mark.parametrize("block_rows", sorted({3, 4096, _container._CSV_BLOCK_ROWS}))
 def test_csv_triples_match_row_writer(tmp_path, monkeypatch, block_rows):
     # the triple writer formats each axis value once; its bytes must equal the
     # generic row writer's on the repeated and tiled axes, across block breaks
