@@ -65,6 +65,16 @@ def _check_keys(cfg: dict, allowed: set, context: str) -> None:
         raise ConfigError(f"unknown {context} config keys: {', '.join(unknown)}")
 
 
+def _is_number(v) -> bool:
+    """A JSON number that is a finite float: no bool, NaN, +-Infinity or int past the float range."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 def _number(cfg: dict, key: str, *, required: bool = False, default=None,
             minimum=None, strict_min=None, context: str = "config"):
     if key not in cfg:
@@ -72,8 +82,8 @@ def _number(cfg: dict, key: str, *, required: bool = False, default=None,
             raise ConfigError(f"{context}: missing required key {key!r}")
         return default
     v = cfg[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{context}: {key} must be a number, got {v!r}")
+    if not _is_number(v):
+        raise ConfigError(f"{context}: {key} must be a finite number, got {v!r}")
     v = float(v)
     if minimum is not None and v < minimum:
         raise ConfigError(f"{context}: {key} must be >= {minimum}, got {v}")
@@ -94,12 +104,11 @@ def _integer(cfg: dict, key: str, *, default=None, minimum=None, context: str = 
 
 
 def _complex_amplitude(value, context: str) -> complex:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    if _is_number(value):
         return complex(float(value), 0.0)
-    if (isinstance(value, list) and len(value) == 2
-            and all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in value)):
+    if isinstance(value, list) and len(value) == 2 and all(_is_number(c) for c in value):
         return complex(float(value[0]), float(value[1]))
-    raise ConfigError(f"{context}: alpha must be a number or [re, im], got {value!r}")
+    raise ConfigError(f"{context}: alpha must be a finite number or [re, im], got {value!r}")
 
 
 def _oscillator_params(cfg: dict, context: str) -> OscillatorParams:
@@ -190,19 +199,17 @@ def cmd_epsilon(cfg: dict, args) -> int:
     _resolve_format(cfg, args, allowed=("csv",))
     _validate_seed(cfg, args)
 
+    # solve_epsilon returns only trajectories whose Wronskian drift meets 10 * tol
     traj = solve_epsilon(params, t_end=t_end, n_steps=n_steps, tol=tol)
-    w = traj.wronskian()
     save_csv_rows(out, ("t", "re_eps", "im_eps", "re_deps", "im_deps", "wronskian"),
-                  (traj.times, traj.eps.real, traj.eps.imag, traj.deps.real, traj.deps.imag, w))
+                  (traj.times, traj.eps.real, traj.eps.imag, traj.deps.real, traj.deps.imag,
+                   traj.wronskian()))
 
     if args.plot:
         _svg.svg_polyline(_plot_path(out), traj.times,
                           [("Re eps", traj.eps.real), ("Im eps", traj.eps.imag)],
                           title=f"mode function (kappa={params.kappa}, Omega={params.omega_drive})",
                           xlabel="t", ylabel="eps(t)")
-    drift = float(max(w.max() - 1.0, 1.0 - w.min()))  # max |w - 1|, without a full-length temporary
-    if drift > 10.0 * tol:
-        return _fail(1, f"Wronskian drift {drift:.3e} exceeds 10*tol")
     return 0
 
 
@@ -244,8 +251,7 @@ def cmd_tomogram(cfg: dict, args) -> int:
         _resolve_format(cfg, args, allowed=("csv",))
         queries = cfg.get("queries")
         if (not isinstance(queries, list) or not queries
-                or not all(isinstance(r, list) and len(r) == 4
-                           and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in r)
+                or not all(isinstance(r, list) and len(r) == 4 and all(_is_number(v) for v in r)
                            for r in queries)):
             raise ConfigError("tomogram: mode 'samples' needs 'queries' as a list of [X, mu, nu, delta] rows")
         rows = np.asarray(queries, dtype=float)
@@ -361,9 +367,8 @@ def _probe_from_config(cfg: dict) -> ProbeGrid:
     for key in ("x_values", "mu_values", "nu_values", "t_values", "delta_values"):
         if key in cfg:
             v = cfg[key]
-            if (not isinstance(v, list) or not v
-                    or not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in v)):
-                raise ConfigError(f"verify.probe: {key} must be a non-empty number list")
+            if not isinstance(v, list) or not v or not all(_is_number(c) for c in v):
+                raise ConfigError(f"verify.probe: {key} must be a non-empty list of finite numbers")
             kwargs[key] = tuple(float(c) for c in v)
     for key in ("h_t", "h_mu", "h_nu"):
         if key in cfg:
@@ -406,7 +411,8 @@ def cmd_verify(cfg: dict, args) -> int:
     rep_m = moment_odes_check(traj, alpha, h=moment_h)
 
     def order_ok(rep):
-        return rep.convergence_order is not None and 1.7 <= rep.convergence_order <= 2.3
+        low, high = thresholds["order_range"]
+        return rep.convergence_order is not None and low <= rep.convergence_order <= high
 
     checks = {
         "pde_gaussian_max": rep_g.max_abs_residual < thresholds["pde_max"],

@@ -352,7 +352,7 @@ def epsilon_at(params: OscillatorParams, t: float, tol: float = DEFAULT_TOL) -> 
         # far into a resonance Phi(T)^k overflows; the NaN drift then raises below
         with np.errstate(over="ignore", invalid="ignore"):
             eps, deps = _floquet_point(table, float(t))
-        drift = abs((eps.conjugate() * deps).imag - 1.0)
+        drift = abs(_wronskian(eps, deps) - 1.0)
         if drift <= gate:
             return eps, deps
         n_steps = 2 * (table.times.size - 1)
@@ -407,7 +407,7 @@ def _check_wronskian(eps: complex, deps: complex) -> tuple[complex, complex]:
     """``(eps, deps)`` as complex, or InvalidTrajectoryError off the Wronskian invariant."""
     eps = complex(eps)
     deps = complex(deps)
-    w = (np.conj(eps) * deps).imag
+    w = _wronskian(eps, deps)
     # relative: the rounding of Im(eps* deps) grows like |eps| |deps|
     if not abs(w - 1.0) < WRONSKIAN_ATOL * max(1.0, abs(eps) * abs(deps)):
         raise InvalidTrajectoryError(f"Im(eps* deps) = {w!r} violates the Wronskian invariant")

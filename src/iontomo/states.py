@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _container
 from .errors import NormalizationDivergenceError
-from .oscillator import SymplecticMap, _check_wronskian
+from .oscillator import SymplecticMap, _check_wronskian, _wronskian, symplectic_map
 
 __all__ = [
     "GaussianState",
@@ -61,23 +61,14 @@ class GaussianState:
     sigma_pp: float = 0.5
     sigma_qq: float = 0.5
     sigma_pq: float = 0.0
-    # d when known without cancellation: W^2 / 4 for a mode-function state,
-    # where sigma_pp sigma_qq and sigma_pq^2 agree to all digits in resonance
-    _d: float | None = field(default=None, repr=False, compare=False)
     # (eps, deps) of a mode-function state: in resonance the sigmas (~|eps|^2)
-    # cannot carry the squeezed variance (~1 / |eps|^2), the quadratic forms
-    # |mu eps + nu deps|^2 / 2 and |dp eps - dq deps|^2 / 2 can
+    # cannot carry the squeezed variance (~1 / |eps|^2) or d, whose two terms
+    # agree to all digits; the map of (eps, deps) and W^2 / 4 can
     _eps: tuple[complex, complex] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (self.sigma_pp > 0.0 and self.sigma_qq > 0.0):
             raise ValueError("sigma_pp and sigma_qq must be positive")
-        if self._d is not None:
-            naive = self.sigma_pp * self.sigma_qq - self.sigma_pq ** 2
-            # both forms from one (eps, deps) differ only by rounding, which
-            # stays below 8 ulp of sigma_pp sigma_qq (3 seen in resonance)
-            if not abs(naive - self._d) <= 8 * 2.0 ** -52 * self.sigma_pp * self.sigma_qq:
-                raise ValueError(f"d = {self._d} does not match sigma_pp sigma_qq - sigma_pq^2 = {naive}")
         if self._eps is not None and _eps_moments(*self._eps) != (self.sigma_pp, self.sigma_qq, self.sigma_pq):
             raise ValueError("sigma_pp, sigma_qq, sigma_pq do not match the mode function (eps, deps)")
         if not (self.d > 0.0):
@@ -93,10 +84,10 @@ class GaussianState:
         """Determinant invariant sigma_pp sigma_qq - sigma_pq^2; 1/4 for pure states.
 
         For a state from :func:`gaussian_from_epsilon` it is the equal,
-        cancellation-free W^2 / 4.
+        cancellation-free W^2 / 4 of the Wronskian ``W = Im(eps* deps)``.
         """
-        if self._d is not None:
-            return self._d
+        if self._eps is not None:
+            return float(_wronskian(*self._eps)) ** 2 / 4.0
         return self.sigma_pp * self.sigma_qq - self.sigma_pq ** 2
 
     @property
@@ -179,7 +170,6 @@ def gaussian_from_epsilon(eps: complex, deps: complex, alpha: complex = 0j) -> G
     eps, deps = _check_wronskian(eps, deps)
     alpha = complex(alpha)
     sq2 = math.sqrt(2.0)
-    wronskian = float((np.conj(eps) * deps).imag)
     sigma_pp, sigma_qq, sigma_pq = _eps_moments(eps, deps)
     return GaussianState(
         mean_p=sq2 * (alpha * np.conj(deps)).real,
@@ -187,7 +177,6 @@ def gaussian_from_epsilon(eps: complex, deps: complex, alpha: complex = 0j) -> G
         sigma_pp=sigma_pp,
         sigma_qq=sigma_qq,
         sigma_pq=sigma_pq,
-        _d=wronskian ** 2 / 4.0,
         _eps=(eps, deps),
     )
 
@@ -201,11 +190,12 @@ def _quadrature_variance(state: GaussianState, mu, nu):
     """sigma_X = mu^2 sigma_qq + nu^2 sigma_pp + 2 mu nu sigma_pq on the frame (mu, nu).
 
     A state from :func:`gaussian_from_epsilon` uses the equal
-    |mu eps + nu deps|^2 / 2, which keeps its squeezed direction in resonance.
+    |mu eps + nu deps|^2 / 2, the frame carried by its map, which keeps its
+    squeezed direction in resonance.
     """
     if state._eps is not None:
-        eps, deps = state._eps
-        return ((mu * eps.real + nu * deps.real) ** 2 + (mu * eps.imag + nu * deps.imag) ** 2) / 2.0
+        mu_t, nu_t = symplectic_map(*state._eps).frame(mu, nu)
+        return (mu_t ** 2 + nu_t ** 2) / 2.0
     return mu ** 2 * state.sigma_qq + nu ** 2 * state.sigma_pp + 2.0 * mu * nu * state.sigma_pq
 
 
@@ -296,15 +286,16 @@ def wigner_gaussian(state: GaussianState, q, p):
     W = d^{-1/2} exp( -[sigma_qq (p-<p>)^2 + sigma_pp (q-<q>)^2
                         - 2 sigma_pq (p-<p>)(q-<q>)] / (2d) ), strictly positive.
     For a state from :func:`gaussian_from_epsilon` the bracket is the equal
-    |(p-<p>) eps - (q-<q>) deps|^2 / 2, which keeps the squeezed direction in
-    resonance, where the sigma terms cancel to rounding.
+    |(p-<p>) eps - (q-<q>) deps|^2 / 2, the squared initial point of its map,
+    which keeps the squeezed direction in resonance, where the sigma terms
+    cancel to rounding.
     """
     dq = np.asarray(q, dtype=float) - state.mean_q
     dp = np.asarray(p, dtype=float) - state.mean_p
     d = state.d
     if state._eps is not None:
-        eps, deps = state._eps
-        quad = ((dp * eps.real - dq * deps.real) ** 2 + (dp * eps.imag - dq * deps.imag) ** 2) / 2.0
+        p0, q0 = symplectic_map(*state._eps).apply(dp, dq)
+        quad = (p0 ** 2 + q0 ** 2) / 2.0
     else:
         quad = state.sigma_qq * dp ** 2 + state.sigma_pp * dq ** 2 - 2.0 * state.sigma_pq * dp * dq
     return np.exp(-quad / (2.0 * d)) / math.sqrt(d)

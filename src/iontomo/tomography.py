@@ -27,7 +27,7 @@ from .errors import (
     SupportTruncationWarning,
 )
 from .oscillator import symplectic_map
-from .states import CatSpec, GaussianState, WignerGrid, _quadrature_variance, _stencil
+from .states import CatSpec, GaussianState, WignerGrid, _quadrature_variance, _stencil, _uniform_spacing
 
 __all__ = [
     "TomogramQuery",
@@ -481,10 +481,7 @@ class OpticalSinogram:
             steps = np.diff(phi)
             if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
                 raise ValueError("phi_axis must be uniform")
-        if x.ndim != 1 or x.size < 2 or not np.all(np.diff(x) > 0):
-            raise ValueError("x_axis must be increasing")
-        if not np.allclose(np.diff(x), x[1] - x[0], rtol=1e-9, atol=0.0):
-            raise ValueError("x_axis must be uniform")
+        _uniform_spacing(x, "x_axis")
         if v.shape != (phi.size, x.size):
             raise ValueError(f"values shape {v.shape} does not match axes ({phi.size}, {x.size})")
         if not np.all(np.isfinite(v)):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -79,15 +79,7 @@ class ResidualReport:
     grid_spec: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return {
-            "max_abs_residual": self.max_abs_residual,
-            "rms_residual": self.rms_residual,
-            "h_t": self.h_t,
-            "h_mu": self.h_mu,
-            "h_nu": self.h_nu,
-            "convergence_order": self.convergence_order,
-            "grid_spec": self.grid_spec,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), sort_keys=True)

@@ -1,11 +1,19 @@
 """End-to-end checks of the four subcommands through ``iontomo.cli.main``."""
 
+import contextlib
+import copy
+import io
 import json
 import math
+import os
+import pathlib
+import tempfile
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iontomo import (
     OpticalSinogram,
@@ -106,6 +114,9 @@ def test_malformed_config_is_usage_error(tmp_path):
         {"kappa": -0.5, "omega_drive": 1.0, "t_end": 1.0},  # invalid kappa
         {"kappa": 0.0, "omega_drive": 1.0, "t_end": 1.0, "seed": 1.5},  # bad seed
         [1, 2, 3],  # not an object
+        {"kappa": 0.0, "omega_drive": 1.0, "t_end": math.inf},
+        {"kappa": 0.0, "omega_drive": 1.0, "t_end": 10 ** 400},  # past the float range
+        {"kappa": math.nan, "omega_drive": 1.0, "t_end": 1.0},
     ],
 )
 def test_epsilon_config_errors(tmp_path, payload):
@@ -220,6 +231,8 @@ def test_tomogram_samples_mode(tmp_path):
         tomogram_cfg({"kind": "gaussian"}, mode="pdf"),
         tomogram_cfg({"kind": "gaussian", "parity": "even"}),  # key not valid for gaussian
         tomogram_cfg({"kind": "cat", "alpha": 0.0, "parity": "odd"}),  # diverges
+        tomogram_cfg({"kind": "gaussian", "alpha": math.nan}),
+        tomogram_cfg({"kind": "gaussian"}, mode="samples", queries=[[0.0, math.nan, 0.0, 0.0]]),
     ],
 )
 def test_tomogram_config_errors(tmp_path, payload):
@@ -485,6 +498,7 @@ def test_verify_custom_probe(tmp_path):
         {"probe": {"mu_values": [0.0005, 1.0]}},  # too close to the degenerate frame
         {"suite": "bogus"},
         {"cat": {"alpha": 1.0, "parity": "even", "phase": 0.3}},  # unknown cat key
+        {"probe": {"h_t": math.nan}},
     ],
 )
 def test_verify_config_errors(tmp_path, extra):
@@ -518,3 +532,77 @@ def test_nested_config_errors_write_nothing(tmp_path, cat_sinogram_file, command
     cfg = cfg_file(tmp_path, payload)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out.csv")]) == 2
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+# ----------------------------------------------------------- non-finite numbers
+
+
+def _leaves(value, path=()):
+    """Paths to every number in a config, list entries included."""
+    if isinstance(value, dict):
+        return [leaf for key, v in value.items() for leaf in _leaves(v, path + (key,))]
+    if isinstance(value, list):
+        return [path] + [leaf for i, v in enumerate(value) for leaf in _leaves(v, path + (i,))]
+    return [path] if isinstance(value, float) else []
+
+
+#: Every number key, alpha, probe list and query row of each subcommand, set
+#: so that each one is read: the reference's drive only when its time is > 0.
+#: The integer keys (n_steps, n_phi, n_x, n_q, ...) are left out.
+NUMBER_CONFIGS = {
+    "epsilon": {"kappa": 0.4, "omega_drive": 2.0, "t_end": 1.0, "tol": 1e-9},
+    "tomogram": {"kappa": 0.4, "omega_drive": 2.0, "time": 0.5,
+                 "state": {"kind": "gaussian", "alpha": [0.5, 0.5]},
+                 "sinogram": {"x_min": -6.0, "x_max": 6.0}},
+    "samples": {"kappa": 0.4, "omega_drive": 2.0, "time": 0.5,
+                "state": {"kind": "cat", "alpha": 1.0, "parity": "odd"}, "mode": "samples",
+                "queries": [[0.3, 1.0, 0.0, 0.0], [-0.7, 0.6, -0.8, 0.4]]},
+    "reconstruct": {"method": "fourier", "norm_tol": 0.05, "l2_tol": 0.05,
+                    "grid": {"q_min": -6.0, "q_max": 6.0, "p_min": -6.0, "p_max": 6.0},
+                    "fourier": {"k_max": 12.0, "y_halfwidth_sigmas": 12.0},
+                    "reference": {"kind": "gaussian", "alpha": 0.5, "time": 0.5,
+                                  "kappa": 0.4, "omega_drive": 2.0}},
+    "verify": {"kappa": 0.4, "omega_drive": 2.0, "alpha": 1.0, "moment_h": 1e-4, "t_end": 1.0,
+               "cat": {"alpha": [1.0, 0.0]},
+               "probe": {"x_values": [0.0, 1.0], "mu_values": [0.5], "nu_values": [0.0],
+                         "t_values": [0.5], "delta_values": [0.0],
+                         "h_t": 1e-3, "h_mu": 1e-3, "h_nu": 1e-3}},
+}
+BAD_NUMBERS = [math.nan, math.inf, -math.inf, 10 ** 400]
+BAD_NUMBER_CASES = [(name, path, bad) for name, cfg in NUMBER_CONFIGS.items()
+                    for path in _leaves(cfg) for bad in BAD_NUMBERS]
+
+
+@pytest.fixture(scope="module")
+def vacuum_sinogram_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("vacuum") / "sino.csv"
+    cfg = cfg_file(path.parent, tomogram_cfg({"kind": "gaussian"},
+                                             sinogram={"n_phi": 8, "x_min": -6, "x_max": 6, "n_x": 33}))
+    assert main(["tomogram", "--config", cfg, "--out", str(path)]) == 0
+    return str(path)
+
+
+@settings(max_examples=2 * len(BAD_NUMBER_CASES), deadline=None)
+@given(case=st.sampled_from(BAD_NUMBER_CASES))
+def test_non_finite_numbers_are_config_errors(vacuum_sinogram_file, case):
+    # json reads NaN, Infinity and integers of any length; none is a number
+    # the CLI can compute with, so each must stop before any output
+    name, path, bad = case
+    payload = copy.deepcopy(NUMBER_CONFIGS[name])
+    if name == "reconstruct":
+        payload["input"] = vacuum_sinogram_file
+    parent = payload
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = bad
+    command = "tomogram" if name == "samples" else name
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = cfg_file(pathlib.Path(tmp), payload)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([command, "--config", cfg, "--out", os.path.join(tmp, "out.csv")])
+        assert os.listdir(tmp) == ["cfg.json"]
+    assert code == 2
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("iontomo: ")
+    assert next(k for k in reversed(path) if isinstance(k, str)) in lines[0]

@@ -111,14 +111,48 @@ def test_gaussian_from_epsilon_on_resonant_points():
 
 
 def test_gaussian_state_rejects_a_determinant_off_its_sigmas():
-    # a d carried beside the sigmas must still describe them, so a matrix that
-    # is not positive definite cannot borrow a positive one
-    with pytest.raises(ValueError, match="does not match"):
-        GaussianState(sigma_pp=1.0, sigma_qq=1.0, sigma_pq=5.0, _d=0.25)
+    # d of a mode-function state comes from its (eps, deps), so sigmas that
+    # the point does not describe cannot borrow its positive d
     state = gaussian_from_epsilon(1.0, 1.0j)
-    with pytest.raises(ValueError, match="does not match"):
+    with pytest.raises(ValueError, match="do not match the mode function"):
         dataclasses.replace(state, sigma_pq=2.0)
     assert dataclasses.replace(state, mean_q=1.0).d == 0.25
+
+
+def _expanded_sigma_x(eps, deps, mu, nu):
+    """|mu eps + nu deps|^2 / 2 written out in the real and imaginary parts."""
+    return ((mu * eps.real + nu * deps.real) ** 2 + (mu * eps.imag + nu * deps.imag) ** 2) / 2.0
+
+
+def _expanded_wigner(eps, deps, alpha, q, p):
+    """Gaussian Wigner function of (eps, deps) with |dp eps - dq deps|^2 / 2 written out."""
+    state = gaussian_from_epsilon(eps, deps, alpha)
+    dq = np.asarray(q, dtype=float) - state.mean_q
+    dp = np.asarray(p, dtype=float) - state.mean_p
+    d = float((np.conj(eps) * deps).imag) ** 2 / 4.0
+    quad = ((dp * eps.real - dq * deps.real) ** 2 + (dp * eps.imag - dq * deps.imag) ** 2) / 2.0
+    return np.exp(-quad / (2.0 * d)) / math.sqrt(d)
+
+
+def test_resonant_forms_match_expanded_reference():
+    # the symplectic map's frame and initial point carry the same products as
+    # the quadratic forms written out in (eps, deps), so the bits agree
+    resonance = OscillatorParams(1.0, 1.2247)
+    points = [epsilon_at(resonance, t) for t in (0.7, 5.0, 20.0, 41.3, 60.0, 80.0)]
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        eps = complex(*rng.normal(size=2)) * 10.0 ** rng.uniform(-2.0, 3.0)
+        points.append((eps, (rng.normal() + 1j) / eps.conjugate()))
+    for eps, deps in points:
+        alpha = complex(*rng.normal(size=2))
+        state = gaussian_from_epsilon(eps, deps, alpha)
+        # random frames plus the squeezed direction, where the sigma form fails
+        mu = np.append(rng.normal(size=64), deps.imag)
+        nu = np.append(rng.normal(size=64), -eps.imag)
+        assert np.array_equal(states._quadrature_variance(state, mu, nu), _expanded_sigma_x(eps, deps, mu, nu))
+        q = state.mean_q + rng.normal(size=(8, 8)) * abs(eps)
+        p = state.mean_p + rng.normal(size=(8, 8)) * abs(deps)
+        assert np.array_equal(wigner_gaussian(state, q, p), _expanded_wigner(eps, deps, alpha, q, p))
 
 
 def test_resonant_wigner_keeps_its_long_axis():
