@@ -30,7 +30,6 @@ from .oscillator import (
 from .states import (
     CatSpec,
     GaussianState,
-    MultimodeCatSpec,
     WignerGrid,
     eval_wavefunction,
     evolve_wigner,
@@ -60,7 +59,6 @@ from .verify import (
     moment_odes_check,
     pde_residual,
     replacement_evolution,
-    wavefunction_moment_oracle,
 )
 
 __version__ = "0.1.0"

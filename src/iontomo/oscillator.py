@@ -118,22 +118,6 @@ class EpsilonTrajectory:
             w[b] = _wronskian(self.eps[b], self.deps[b])
         return w
 
-    def at(self, t: float) -> tuple[complex, complex]:
-        """Linearly interpolated ``(eps, deps)`` at time ``t``.
-
-        Interpolation error is O(h^2) in the sample spacing; invariants are
-        only guaranteed at the samples themselves.  Use :func:`epsilon_at`
-        when an off-grid point is needed at solver accuracy.
-        """
-        t = float(t)
-        if t < self.times[0] or t > self.times[-1]:
-            raise ValueError(f"t={t} outside trajectory range [{self.times[0]}, {self.times[-1]}]")
-        e_re = np.interp(t, self.times, self.eps.real)
-        e_im = np.interp(t, self.times, self.eps.imag)
-        d_re = np.interp(t, self.times, self.deps.real)
-        d_im = np.interp(t, self.times, self.deps.imag)
-        return complex(e_re, e_im), complex(d_re, d_im)
-
 
 def _blocks(n: int):
     """Slices of ``range(n)`` in blocks of ``_BLOCK``."""

@@ -23,7 +23,6 @@ from .oscillator import SymplecticMap, _check_wronskian, _wronskian, symplectic_
 __all__ = [
     "GaussianState",
     "CatSpec",
-    "MultimodeCatSpec",
     "WignerGrid",
     "gaussian_from_epsilon",
     "schroedinger_relation_check",
@@ -90,10 +89,6 @@ class GaussianState:
             return float(_wronskian(*self._eps)) ** 2 / 4.0
         return self.sigma_pp * self.sigma_qq - self.sigma_pq ** 2
 
-    @property
-    def is_pure(self) -> bool:
-        return abs(self.d - 0.25) < 1e-10
-
 
 @dataclass(frozen=True)
 class CatSpec:
@@ -112,38 +107,6 @@ class CatSpec:
     def norm_squared(self) -> float:
         """N^2 = exp(|alpha|^2) / (4 cosh|alpha|^2) (even) or sinh (odd)."""
         a2 = abs(self.alpha) ** 2
-        den = math.cosh(a2) if self.parity == "even" else math.sinh(a2)
-        return math.exp(a2) / (4.0 * den)
-
-
-@dataclass(frozen=True)
-class MultimodeCatSpec:
-    """n-mode even/odd coherent superposition |A> +/- |-A>, A = (alpha_1..alpha_n)."""
-
-    alphas: tuple[complex, ...]
-    parity: Parity
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "alphas", tuple(complex(a) for a in self.alphas))
-        if len(self.alphas) == 0:
-            raise ValueError("at least one mode required")
-        if self.parity not in ("even", "odd"):
-            raise ValueError(f"parity must be 'even' or 'odd', got {self.parity!r}")
-        if self.parity == "odd" and self.amp_squared == 0.0:
-            raise NormalizationDivergenceError("odd cat normalization diverges at A = 0")
-
-    @property
-    def n_modes(self) -> int:
-        return len(self.alphas)
-
-    @property
-    def amp_squared(self) -> float:
-        """|A|^2 = sum |alpha_i|^2."""
-        return float(sum(abs(a) ** 2 for a in self.alphas))
-
-    @property
-    def norm_squared(self) -> float:
-        a2 = self.amp_squared
         den = math.cosh(a2) if self.parity == "even" else math.sinh(a2)
         return math.exp(a2) / (4.0 * den)
 
@@ -301,50 +264,35 @@ def wigner_gaussian(state: GaussianState, q, p):
     return np.exp(-quad / (2.0 * d)) / math.sqrt(d)
 
 
-def _wab(A: np.ndarray, B: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """Coherent-pair Wigner kernel W_{A,B}(Z), modes summed over the last axis.
+def _wab(a: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Coherent-pair Wigner kernel W_{a,b}(z) of one mode.
 
-    W_{A,B} = 2^n exp(-2 Z Z* + 2 A Z* + 2 B* Z - A B* - |A|^2/2 - |B|^2/2)
+    W_{a,b} = 2 exp(-2 z z* + 2 a z* + 2 b* z - a b* - |a|^2/2 - |b|^2/2)
     """
-    n = Z.shape[-1]
-    expo = (-2.0 * Z * np.conj(Z) + 2.0 * A * np.conj(Z) + 2.0 * np.conj(B) * Z
-            - A * np.conj(B) - np.abs(A) ** 2 / 2.0 - np.abs(B) ** 2 / 2.0)
-    return 2.0 ** n * np.exp(expo.sum(axis=-1))
+    expo = (-2.0 * z * np.conj(z) + 2.0 * a * np.conj(z) + 2.0 * np.conj(b) * z
+            - a * np.conj(b) - np.abs(a) ** 2 / 2.0 - np.abs(b) ** 2 / 2.0)
+    return 2.0 * np.exp(expo)
 
 
-def wigner_cat(spec: MultimodeCatSpec | CatSpec, q, p):
-    """Wigner function of an n-mode even/odd cat at phase-space points.
-
-    Parameters
-    ----------
-    spec : MultimodeCatSpec or CatSpec
-        A one-mode CatSpec is promoted to n=1.
-    q, p : array_like
-        Mode coordinates; the last axis (or scalars for n=1) runs over modes.
+def wigner_cat(spec: CatSpec, q, p):
+    """Wigner function of a one-mode even/odd cat at phase-space points.
 
     Returns
     -------
     ndarray of float
-        Real value; the two interference terms are complex conjugates, so the
-        imaginary part cancels identically.  May be negative; the odd cat has
-        W(0) = -2 for one mode.
+        Real value of the broadcast shape of q and p; the two interference
+        terms are complex conjugates, so the imaginary part cancels
+        identically.  May be negative; the odd cat has W(0) = -2.
     """
-    if isinstance(spec, CatSpec):
-        spec = MultimodeCatSpec(alphas=(spec.alpha,), parity=spec.parity)
-    q = np.asarray(q, dtype=float)
-    p = np.asarray(p, dtype=float)
-    if spec.n_modes == 1 and (q.ndim == 0 or q.shape[-1] != 1):
-        q = q[..., np.newaxis]
-        p = p[..., np.newaxis]
-    if q.shape[-1] != spec.n_modes:
-        raise ValueError(f"expected {spec.n_modes} mode coordinates, got {q.shape[-1]}")
-
-    Z = (q + 1j * p) / math.sqrt(2.0)
-    A = np.asarray(spec.alphas)
+    z = (np.asarray(q, dtype=float) + 1j * np.asarray(p, dtype=float)) / math.sqrt(2.0)
+    shape = z.shape
+    # arrays, never scalars: numpy rounds scalar complex products differently
+    z = np.atleast_1d(z)
+    a = np.full(1, complex(spec.alpha))
     sign = 1.0 if spec.parity == "even" else -1.0
-    total = (_wab(A, A, Z) + _wab(-A, -A, Z)
-             + sign * (_wab(A, -A, Z) + _wab(-A, A, Z)))
-    return spec.norm_squared * np.real(total)
+    total = (_wab(a, a, z) + _wab(-a, -a, z)
+             + sign * (_wab(a, -a, z) + _wab(-a, a, z)))
+    return spec.norm_squared * np.real(total).reshape(shape)
 
 
 def evolve_wigner(initial: Callable, smap: SymplecticMap, q, p):

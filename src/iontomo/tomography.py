@@ -154,18 +154,10 @@ def evolve_tomogram(initial: Callable, eps: complex, deps: complex, q: TomogramQ
     return initial(q.Y, mu_t, nu_t)
 
 
-def optical_slice(evaluator: Callable, phi, X, eps: complex | None = None, deps: complex | None = None):
-    """Rotated-quadrature restriction mu = cos(phi), nu = sin(phi), delta = 0.
-
-    With (eps, deps) supplied the slice is evolved in time, i.e. the evaluator
-    is read at the transported frame parameters.
-    """
+def optical_slice(evaluator: Callable, phi, X):
+    """Rotated-quadrature restriction mu = cos(phi), nu = sin(phi), delta = 0."""
     phi = np.asarray(phi, dtype=float)
-    mu = np.cos(phi)
-    nu = np.sin(phi)
-    if eps is not None:
-        return evolve_tomogram(evaluator, eps, deps, TomogramQuery(X=X, mu=mu, nu=nu))
-    return evaluator(np.asarray(X, dtype=float), mu, nu)
+    return evaluator(np.asarray(X, dtype=float), np.cos(phi), np.sin(phi))
 
 
 WignerSource = Union[WignerGrid, Callable]

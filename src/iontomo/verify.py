@@ -5,9 +5,8 @@ The evolved tomogram of the trapped ion must satisfy the first-order equation
     dw/dt - mu dw/dnu + omega^2(t) nu dw/dmu = 0
 
 for any state.  This harness measures central-difference residuals of that
-equation on probe grids, checks the Ehrenfest/variance ODEs of the Gaussian
-moments, and recomputes Gaussian moments by wavefunction quadrature as an
-independent oracle.  Mode-function values at stencil times come from
+equation on probe grids and checks the Ehrenfest/variance ODEs of the
+Gaussian moments.  Mode-function values at stencil times come from
 :func:`~iontomo.oscillator.epsilon_at`: exact at t from the one-period table,
 never interpolated, so discretization of the trajectory cannot leak into the
 residuals.
@@ -15,7 +14,6 @@ residuals.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field
 from typing import Callable
@@ -23,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .oscillator import OscillatorParams, EpsilonTrajectory, epsilon_at, omega_squared
-from .states import GaussianState, eval_wavefunction, gaussian_from_epsilon
+from .states import gaussian_from_epsilon
 from .tomography import TomogramQuery, evolve_tomogram
 
 __all__ = [
@@ -31,7 +29,6 @@ __all__ = [
     "ResidualReport",
     "pde_residual",
     "moment_odes_check",
-    "wavefunction_moment_oracle",
     "replacement_evolution",
     "frozen_frame_evolution",
 ]
@@ -80,9 +77,6 @@ class ResidualReport:
 
     def as_dict(self) -> dict:
         return asdict(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True)
 
 
 def replacement_evolution(initial: Callable, params: OscillatorParams) -> Callable:
@@ -199,47 +193,3 @@ def moment_odes_check(traj: EpsilonTrajectory, alpha: complex = 0j, *, h: float 
     res_half = _moment_residuals(traj.params, complex(alpha), t_values, h / 2.0)
     return _report(res_h, res_half, h_t=h,
                    grid_spec={"t_values": list(t_values), "alpha": [complex(alpha).real, complex(alpha).imag]})
-
-
-def wavefunction_moment_oracle(kind: str, eps: complex, deps: complex, alpha: complex = 0j) -> GaussianState:
-    """Gaussian moments recomputed by quadrature over the wavefunction.
-
-    Position moments integrate |Psi|^2 directly; momentum moments use the
-    analytic derivative of the closed-form exponent,
-    Psi' = (i deps x / eps + sqrt(2) alpha / eps) Psi, never a finite
-    difference.  Only the Gaussian family is supported.
-    """
-    if kind not in ("ground", "coherent"):
-        raise ValueError(f"moment oracle supports 'ground' and 'coherent', got {kind!r}")
-    eps = complex(eps)
-    deps = complex(deps)
-    alpha = complex(alpha) if kind == "coherent" else 0j
-
-    sigma_q = abs(eps) / math.sqrt(2.0)
-    center = math.sqrt(2.0) * (alpha * np.conj(eps)).real
-    x = np.linspace(center - 12.0 * sigma_q, center + 12.0 * sigma_q, 4001)
-    dx = x[1] - x[0]
-    w = np.full(x.size, dx)
-    w[[0, -1]] *= 0.5
-
-    psi = eval_wavefunction(kind, eps, deps, x, alpha=alpha)
-    dpsi = (1j * deps * x / eps + math.sqrt(2.0) * alpha / eps) * psi
-    prob = np.abs(psi) ** 2
-    if max(prob[0], prob[-1]) > 1e-14 * prob.max():
-        raise RuntimeError("quadrature window does not capture the wavefunction support")
-
-    norm = float(prob @ w)
-    mean_q = float((x * prob) @ w) / norm
-    sigma_qq = float(((x - mean_q) ** 2 * prob) @ w) / norm
-    mean_p = float(np.real(np.conj(psi) * (-1j) * dpsi @ w)) / norm
-    p2 = float(np.abs(dpsi) ** 2 @ w) / norm
-    corr = np.conj(psi) * x * dpsi
-    # <(qp + pq)/2> = Re(-i (integral psi* x psi' dx + 1/2))
-    sym = float(np.real(-1j * (complex(corr @ w) + 0.5 * norm))) / norm
-    return GaussianState(
-        mean_p=mean_p,
-        mean_q=mean_q,
-        sigma_pp=p2 - mean_p ** 2,
-        sigma_qq=sigma_qq,
-        sigma_pq=sym - mean_q * mean_p,
-    )

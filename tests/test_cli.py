@@ -1,5 +1,6 @@
 """End-to-end checks of the four subcommands through ``iontomo.cli.main``."""
 
+import ast
 import contextlib
 import copy
 import io
@@ -22,6 +23,7 @@ from iontomo import (
     gaussian_from_epsilon,
     tomogram_gaussian,
 )
+from iontomo import _container, cli, states, tomography, verify
 from iontomo.cli import main
 from test_oscillator import DEPS_AT_10, EPS_AT_10
 
@@ -606,3 +608,31 @@ def test_non_finite_numbers_are_config_errors(vacuum_sinogram_file, case):
     lines = err.getvalue().splitlines()
     assert len(lines) == 1 and lines[0].startswith("iontomo: ")
     assert next(k for k in reversed(path) if isinstance(k, str)) in lines[0]
+
+
+# ------------------------------------------------------------ benchmark hooks
+
+TRACED_CLI = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "traced_cli.py"
+
+#: The names perfbench/traced_cli.py replaces with traced wrappers, by module.
+PATCHED = {
+    "cli": {"epsilon_at", "solve_epsilon", "replacement_evolution", "frozen_frame_evolution",
+            "pde_residual", "moment_odes_check", "sinogram_evaluator", "invert_to_wigner",
+            "radon_reconstruct", "_atomic_write", "_DISPATCH"},
+    "verify": {"epsilon_at"},
+    "_container": {"save_csv_triples", "load_csv_triples", "save_container", "load_container"},
+}
+
+
+def test_names_the_benchmark_patches_exist():
+    modules = {"cli": cli, "verify": verify, "_container": _container,
+               "tomography": tomography, "states": states}
+    tree = ast.parse(TRACED_CLI.read_text(encoding="utf-8"))
+    used = {(node.value.id, node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in modules}
+    assert {(m, name) for m, names in PATCHED.items() for name in names} <= used
+    missing = sorted(f"{m}.{name}" for m, name in used if not hasattr(modules[m], name))
+    assert missing == []
+    for owner in (tomography.OpticalSinogram, states.WignerGrid):
+        assert callable(owner.from_evaluator.__func__)

@@ -251,25 +251,6 @@ def test_period_tables_are_bounded_by_samples(monkeypatch):
     assert list(oscillator._tables) == [(drives[2], tol, None), (drives[1], tol, None)]
 
 
-def test_at_interpolates_between_samples(traj04):
-    h = float(traj04.times[1] - traj04.times[0])
-    t_mid = float(traj04.times[500]) + 0.5 * h
-    eps_i, deps_i = traj04.at(t_mid)
-    eps_x, deps_x = epsilon_at(traj04.params, t_mid)
-    assert abs(eps_i - eps_x) <= 1e-6  # linear interpolation, O(h^2)
-    assert abs(deps_i - deps_x) <= 1e-6
-    eps_s, deps_s = traj04.at(float(traj04.times[700]))
-    assert eps_s == complex(traj04.eps[700])
-    assert deps_s == complex(traj04.deps[700])
-
-
-def test_at_outside_range_raises(traj04):
-    with pytest.raises(ValueError):
-        traj04.at(10.5)
-    with pytest.raises(ValueError):
-        traj04.at(-0.1)
-
-
 @pytest.mark.parametrize(
     "kwargs",
     [

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from iontomo import (
     CatSpec,
     GaussianState,
-    MultimodeCatSpec,
     NormalizationDivergenceError,
     OscillatorParams,
     SolverError,
@@ -52,7 +51,6 @@ def test_vacuum_defaults():
     s = GaussianState()
     assert s.T == 1.0
     assert s.d == 0.25
-    assert s.is_pure
 
 
 @pytest.mark.parametrize(
@@ -202,15 +200,10 @@ def test_schroedinger_relation_minimized_along_trajectory(traj04):
 def test_odd_cat_needs_nonzero_alpha():
     with pytest.raises(NormalizationDivergenceError):
         CatSpec(alpha=0.0j, parity="odd")
-    with pytest.raises(NormalizationDivergenceError):
-        MultimodeCatSpec(alphas=(0.0j, 0.0j), parity="odd")
 
 
 def test_cat_spec_norm():
     assert CatSpec(alpha=0.0j, parity="even").norm_squared == pytest.approx(0.25)
-    spec = MultimodeCatSpec(alphas=(1.0 + 0.0j, 1.0j), parity="even")
-    assert spec.n_modes == 2
-    assert spec.amp_squared == pytest.approx(2.0)
 
 
 def test_parity_validated():
@@ -374,25 +367,37 @@ def test_cat_term_structure():
 
 
 def test_multimode_cat_values():
-    assert wigner_cat(MultimodeCatSpec((0.0j, 0.0j), "even"), (0.0, 0.0), (0.0, 0.0)) \
-        == pytest.approx(4.0, abs=1e-12)
-    assert wigner_cat(MultimodeCatSpec((2.0 + 0.0j, 0.5j), "odd"), (0.0, 0.0), (0.0, 0.0)) \
-        == pytest.approx(-4.0, abs=1e-12)
+    assert wigner_cat(CatSpec(0.0j, "even"), 0.0, 0.0) == pytest.approx(2.0, abs=1e-12)
+    assert wigner_cat(CatSpec(2.0 + 0.0j, "odd"), 0.0, 0.0) == pytest.approx(-2.0, abs=1e-12)
 
 
-def test_multimode_factorizes_on_empty_mode():
-    two = MultimodeCatSpec((2.0 + 0.0j, 0.0j), "even")
-    one = CatSpec(2.0 + 0.0j, "even")
-    rng = np.random.default_rng(3)
-    for q1, p1, q2, p2 in rng.uniform(-2.5, 2.5, size=(20, 4)):
-        lhs = wigner_cat(two, (q1, q2), (p1, p2))
-        rhs = wigner_cat(one, q1, p1) * 2.0 * math.exp(-q2 ** 2 - p2 ** 2)
-        assert lhs == pytest.approx(rhs, abs=1e-12)
+def _wab_n_modes(A, B, Z):
+    """n-mode coherent-pair kernel, modes summed over the last axis: the reference."""
+    n = Z.shape[-1]
+    expo = (-2.0 * Z * np.conj(Z) + 2.0 * A * np.conj(Z) + 2.0 * np.conj(B) * Z
+            - A * np.conj(B) - np.abs(A) ** 2 / 2.0 - np.abs(B) ** 2 / 2.0)
+    return 2.0 ** n * np.exp(expo.sum(axis=-1))
 
 
-def test_wigner_cat_mode_count_checked():
-    with pytest.raises(ValueError):
-        wigner_cat(MultimodeCatSpec((1.0 + 0.0j, 1.0j), "even"), (0.0,), (0.0,))
+def _wigner_cat_n_modes(spec, q, p):
+    """The n-mode cat Wigner function at n = 1, with the mode on a trailing axis."""
+    Z = ((np.asarray(q, dtype=float) + 1j * np.asarray(p, dtype=float)) / ROOT2)[..., np.newaxis]
+    A = np.asarray((complex(spec.alpha),))
+    sign = 1.0 if spec.parity == "even" else -1.0
+    total = (_wab_n_modes(A, A, Z) + _wab_n_modes(-A, -A, Z)
+             + sign * (_wab_n_modes(A, -A, Z) + _wab_n_modes(-A, A, Z)))
+    return spec.norm_squared * np.real(total)
+
+
+@pytest.mark.parametrize("spec", [CatSpec(0.0j, "even"), CatSpec(1.5 + 0.5j, "even"),
+                                  CatSpec(2.0 + 0.0j, "odd"), CatSpec(-0.3 + 1.1j, "odd")])
+def test_one_mode_cat_equals_n_mode_path(spec):
+    grid = np.linspace(-4.0, 4.0, 41)
+    Q, P = np.meshgrid(grid, grid, indexing="ij")
+    np.testing.assert_array_equal(wigner_cat(spec, Q, P), _wigner_cat_n_modes(spec, Q, P))
+    np.testing.assert_array_equal(wigner_cat(spec, grid, 0.7), _wigner_cat_n_modes(spec, grid, 0.7))
+    point = wigner_cat(spec, 0.3, -1.2)
+    assert point.shape == () and point == _wigner_cat_n_modes(spec, 0.3, -1.2)
 
 
 # -------------------------------------------------------------------- evolve

@@ -275,18 +275,6 @@ def test_optical_slice_vacuum_and_fringes():
     assert len(_local_maxima(X, optical_slice(ev, math.pi / 2, X), 1e-3)) == 5
 
 
-def test_optical_slice_evolved_equals_composition(point04_t2):
-    eps, deps = point04_t2
-    ev = cat_evaluator(CatSpec(1.0 + 0.0j, "odd"))
-    X = np.linspace(-4, 4, 33)
-    phi = 0.77
-    via_slice = optical_slice(ev, phi, X, eps=eps, deps=deps)
-    via_evolve = evolve_tomogram(
-        ev, eps, deps, TomogramQuery(X=X, mu=math.cos(phi), nu=math.sin(phi))
-    )
-    np.testing.assert_array_equal(via_slice, via_evolve)
-
-
 # ----------------------------------------------------------------- projection
 
 
@@ -744,7 +732,7 @@ def test_radon_consistent_under_rotation():
 
     rotated = np.empty((phi.size, x.size))
     for i, angle in enumerate(phi):
-        rotated[i] = optical_slice(ev, angle, x, eps=eps, deps=deps)
+        rotated[i] = evolve_tomogram(ev, eps, deps, TomogramQuery(X=x, mu=np.cos(angle), nu=np.sin(angle)))
     rec = radon_reconstruct(OpticalSinogram(phi_axis=phi, x_axis=x, values=rotated), axis, axis)
     c, s = math.cos(t), math.sin(t)
     exact_rot = wigner_cat(spec, c * Q - s * P, c * P + s * Q)
