@@ -100,15 +100,21 @@ class CatSpec:
     def __post_init__(self) -> None:
         if self.parity not in ("even", "odd"):
             raise ValueError(f"parity must be 'even' or 'odd', got {self.parity!r}")
-        if self.parity == "odd" and abs(self.alpha) == 0.0:
+        # |alpha|^2 is what the odd normalization divides by; it underflows
+        # to 0 for |alpha| below about 1e-162
+        if self.parity == "odd" and abs(self.alpha) ** 2 == 0.0:
             raise NormalizationDivergenceError("odd cat normalization diverges at alpha = 0")
 
     @property
     def norm_squared(self) -> float:
-        """N^2 = exp(|alpha|^2) / (4 cosh|alpha|^2) (even) or sinh (odd)."""
+        """N^2 = exp(|alpha|^2) / (4 cosh|alpha|^2) (even) or sinh (odd).
+
+        Evaluated as 1 / (2 (1 +/- exp(-2|alpha|^2))), which cannot overflow.
+        """
         a2 = abs(self.alpha) ** 2
-        den = math.cosh(a2) if self.parity == "even" else math.sinh(a2)
-        return math.exp(a2) / (4.0 * den)
+        if self.parity == "even":
+            return 0.5 / (1.0 + math.exp(-2.0 * a2))
+        return -0.5 / math.expm1(-2.0 * a2)
 
 
 def gaussian_from_epsilon(eps: complex, deps: complex, alpha: complex = 0j) -> GaussianState:
@@ -234,10 +240,8 @@ def eval_wavefunction(
             raise ValueError("kind='cat' requires a CatSpec")
         alpha = complex(cat.alpha)
         a2 = abs(alpha) ** 2
-        norm = math.exp(a2 / 2.0) / (2.0 * math.sqrt(
-            math.cosh(a2) if cat.parity == "even" else math.sinh(a2)))
         hyp = np.cosh if cat.parity == "even" else np.sinh
-        return (2.0 * norm * psi0
+        return (2.0 * math.sqrt(cat.norm_squared) * psi0
                 * np.exp(-a2 / 2.0 - np.conj(eps) * alpha ** 2 / (2.0 * eps))
                 * hyp(math.sqrt(2.0) * alpha * x / eps))
     raise ValueError(f"unknown wavefunction kind {kind!r}")

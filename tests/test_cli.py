@@ -242,6 +242,31 @@ def test_tomogram_config_errors(tmp_path, payload):
     assert main(["tomogram", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
 
 
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_large_cat_samples_are_finite(tmp_path, parity):
+    # cosh|alpha|^2 overflows a float from |alpha| = 26.7 on; the marginal does not
+    peak = 27.0 * math.sqrt(2.0)
+    queries = [[peak, 1.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]]
+    cfg = cfg_file(tmp_path, tomogram_cfg({"kind": "cat", "alpha": 27.0, "parity": parity},
+                                          mode="samples", queries=queries))
+    out = tmp_path / "samples.csv"
+    assert main(["tomogram", "--config", cfg, "--out", str(out)]) == 0
+    w = read_csv(out)["w"]
+    assert np.all(np.isfinite(w))
+    assert w[0] == pytest.approx(0.5 / math.sqrt(math.pi), rel=1e-12)
+    assert w[1] == 0.0
+
+
+@pytest.mark.parametrize("command", ["tomogram", "verify"])
+def test_odd_cat_with_underflowing_alpha_is_config_error(tmp_path, command):
+    cat = {"alpha": 1e-200, "parity": "odd"}
+    payload = (tomogram_cfg({"kind": "cat", **cat}) if command == "tomogram"
+               else {"kappa": 0.4, "omega_drive": 2.0, "t_end": 1.0, "cat": cat})
+    cfg = cfg_file(tmp_path, payload)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out.json")]) == 2
+    assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
+
 def test_serial_reruns_are_byte_identical(tmp_path):
     cfg = cfg_file(
         tmp_path,

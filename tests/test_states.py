@@ -21,6 +21,7 @@ from iontomo import (
     NormalizationDivergenceError,
     OscillatorParams,
     SolverError,
+    TomogramQuery,
     WignerGrid,
     epsilon_at,
     eval_wavefunction,
@@ -29,6 +30,7 @@ from iontomo import (
     schroedinger_relation_check,
     solve_epsilon,
     symplectic_map,
+    tomogram_cat,
     wigner_cat,
     wigner_gaussian,
 )
@@ -200,10 +202,19 @@ def test_schroedinger_relation_minimized_along_trajectory(traj04):
 def test_odd_cat_needs_nonzero_alpha():
     with pytest.raises(NormalizationDivergenceError):
         CatSpec(alpha=0.0j, parity="odd")
+    with pytest.raises(NormalizationDivergenceError):
+        CatSpec(alpha=1e-200 + 0.0j, parity="odd")  # |alpha|^2 underflows to 0
 
 
 def test_cat_spec_norm():
     assert CatSpec(alpha=0.0j, parity="even").norm_squared == pytest.approx(0.25)
+    # cosh|alpha|^2 overflows a float from |alpha| = 26.7 on
+    X = np.linspace(-60.0, 60.0, 24001)
+    for parity in ("even", "odd"):
+        spec = CatSpec(alpha=27.0 + 0.0j, parity=parity)
+        assert spec.norm_squared == 0.5
+        w = tomogram_cat(spec, TomogramQuery(X=X, mu=0.6, nu=0.8))
+        assert np.trapezoid(w, X) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_parity_validated():
