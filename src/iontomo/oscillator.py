@@ -208,13 +208,18 @@ def solve_epsilon(
     SolverError
         If a doubling of a resolved grid fails to halve the drift, at the
         step-size floor, or when the tolerance needs more than ``_MAX_STEPS``
-        steps (a user ``n_steps`` above it fails before any integration).
+        steps (a user ``n_steps`` above it, or a ``t_end`` whose default
+        step count is above it, fails before any integration).
     """
     if not (t_end > 0.0):
         raise ValueError(f"t_end must be > 0, got {t_end}")
     if not (tol > 0.0):
         raise ValueError(f"tol must be > 0, got {tol}")
     if n_steps is None:
+        # checked as a float: 2000 * t_end is inf for t_end above about 9e304
+        if _STEPS_PER_UNIT_TIME * t_end > _MAX_STEPS:
+            raise SolverError(f"t_end={t_end} needs more than the cap of {_MAX_STEPS} steps; "
+                              "tolerance unreachable")
         n_steps = max(1000, math.ceil(_STEPS_PER_UNIT_TIME * t_end))
     if n_steps < 2:
         raise ValueError(f"n_steps must be >= 2, got {n_steps}")

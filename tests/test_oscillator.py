@@ -298,6 +298,17 @@ def test_user_step_count_over_cap_fails_before_integration(monkeypatch):
         solve_epsilon(PARAMS04, t_end=1.0, n_steps=_MAX_STEPS + 1)
 
 
+@pytest.mark.parametrize("t_end", [1e5, 1e308])
+def test_long_default_step_count_fails_before_integration(monkeypatch, t_end):
+    # 2000 * 1e308 is inf: the default step count is capped before it is rounded
+    def never(*args):
+        raise AssertionError("_rk4 called")
+
+    monkeypatch.setattr(oscillator, "_rk4", never)
+    with pytest.raises(SolverError, match="tolerance unreachable"):
+        solve_epsilon(PARAMS04, t_end=t_end)
+
+
 def test_coarse_start_refines_until_converged():
     # from 8 steps the drift first rises (0.47 -> 0.56) before RK4 converges;
     # the no-progress stop must not fire on an unresolved grid
