@@ -98,6 +98,8 @@ def _integer(cfg: dict, key: str, *, default=None, minimum=None, context: str = 
     v = cfg[key]
     if isinstance(v, bool) or not isinstance(v, int):
         raise ConfigError(f"{context}: {key} must be an integer, got {v!r}")
+    if v > sys.maxsize:  # not a size numpy or the stdlib can represent
+        raise ConfigError(f"{context}: {key} must be at most {sys.maxsize}")
     if minimum is not None and v < minimum:
         raise ConfigError(f"{context}: {key} must be >= {minimum}, got {v}")
     return v

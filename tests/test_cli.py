@@ -88,6 +88,17 @@ def test_epsilon_step_count_cap_exits_1(tmp_path):
     assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
 
 
+def test_epsilon_unrepresentable_step_count_exits_1(tmp_path):
+    cfg = cfg_file(tmp_path, {"kappa": 0.0, "omega_drive": 1.0, "t_end": 1e308})
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["epsilon", "--config", cfg, "--out", str(tmp_path / "eps.csv")])
+    assert code == 1
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("iontomo: ") and "tolerance unreachable" in lines[0]
+    assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
+
 def test_epsilon_plot(tmp_path):
     cfg = cfg_file(tmp_path, {"kappa": 0.0, "omega_drive": 1.0, "t_end": 1.0})
     out = tmp_path / "eps.csv"
@@ -661,3 +672,41 @@ def test_names_the_benchmark_patches_exist():
     assert missing == []
     for owner in (tomography.OpticalSinogram, states.WignerGrid):
         assert callable(owner.from_evaluator.__func__)
+
+
+# ------------------------------------------------------------- integer sizes
+
+#: Every integer key, as (command, config, path to the key).
+INTEGER_KEYS = [
+    ("epsilon", {"kappa": 0.0, "omega_drive": 1.0, "t_end": 1.0}, ("n_steps",)),
+    ("tomogram", tomogram_cfg({"kind": "gaussian"}), ("sinogram", "n_phi")),
+    ("tomogram", tomogram_cfg({"kind": "gaussian"}), ("sinogram", "n_x")),
+    ("reconstruct", {"method": "fbp"}, ("grid", "n_q")),
+    ("reconstruct", {"method": "fbp"}, ("grid", "n_p")),
+    ("reconstruct", {"method": "fourier"}, ("fourier", "n_nodes")),
+    ("reconstruct", {"method": "fourier"}, ("fourier", "n_y")),
+]
+
+
+@pytest.mark.parametrize("big", [10 ** 400, 2 ** 63], ids=["10**400", "2**63"])
+@pytest.mark.parametrize("command, base, path", INTEGER_KEYS,
+                         ids=[".".join(path) for _, _, path in INTEGER_KEYS])
+def test_unrepresentable_integers_are_config_errors(tmp_path, vacuum_sinogram_file,
+                                                    command, base, path, big):
+    # only sizes past sys.maxsize: a representable huge size would allocate
+    payload = copy.deepcopy(base)
+    if command == "reconstruct":
+        payload["input"] = vacuum_sinogram_file
+    parent = payload
+    for key in path[:-1]:
+        parent = parent.setdefault(key, {})
+    parent[path[-1]] = big
+    cfg = cfg_file(tmp_path, payload)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([command, "--config", cfg, "--out", str(tmp_path / "out.csv")])
+    assert code == 2
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("iontomo: ") and path[-1] in lines[0]
+    assert len(lines[0]) < 200
+    assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
