@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Literal, Sequence
+from typing import Callable, Literal
 
 import numpy as np
 
