@@ -7,8 +7,11 @@ keys are rejected before any compute.  Exit codes: 0 success, 1 numeric
 failure of a computed result (solver tolerance, residual or reconstruction
 thresholds), 2 usage/config/input-validation error.
 
-All computation is vectorized serial numpy, so outputs are byte-identical
-with and without ``--serial``; the flag is accepted to pin that guarantee.
+All computation is vectorized serial numpy, and BLAS runs on one thread
+unless the user sets ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or
+``MKL_NUM_THREADS``, so outputs are byte-identical with and without
+``--serial`` and on any core count; the flag is accepted to pin that
+guarantee.
 """
 
 from __future__ import annotations
@@ -19,11 +22,20 @@ import math
 import os
 import sys
 
-import numpy as np
+if "numpy" not in sys.modules:
+    # One CLI step gains nothing from BLAS threads: OpenBLAS starts one worker
+    # per core at import, which spins ~0.1 s of CPU idle, and a threaded matmul
+    # (the Fourier inversion's A @ F @ B) makes the output bytes depend on the
+    # core count.  A value set by the user wins; a host that already loaded
+    # numpy is left as it is, since the setting could only leak to its children.
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_var, "1")
 
-from . import _svg
-from ._container import _atomic_write, save_csv_rows
-from .errors import (
+import numpy as np  # noqa: E402  (after the thread setting)
+
+from . import _svg  # noqa: E402
+from ._container import _atomic_write, save_csv_rows  # noqa: E402
+from .errors import (  # noqa: E402
     ConfigError,
     DegenerateFrameError,
     InsufficientAnglesError,
@@ -31,9 +43,9 @@ from .errors import (
     ReconstructionQualityError,
     SolverError,
 )
-from .oscillator import OscillatorParams, epsilon_at, solve_epsilon, symplectic_map
-from .states import CatSpec, WignerGrid, evolve_wigner, gaussian_from_epsilon, wigner_cat, wigner_gaussian
-from .tomography import (
+from .oscillator import OscillatorParams, epsilon_at, solve_epsilon, symplectic_map  # noqa: E402
+from .states import CatSpec, WignerGrid, evolve_wigner, gaussian_from_epsilon, wigner_cat, wigner_gaussian  # noqa: E402
+from .tomography import (  # noqa: E402
     GaussianTomogram,
     OpticalSinogram,
     TomogramQuery,
@@ -43,7 +55,7 @@ from .tomography import (
     radon_reconstruct,
     sinogram_evaluator,  # noqa: F401  (unused here; kept in this namespace for perfbench/traced_cli.py)
 )
-from .verify import (
+from .verify import (  # noqa: E402
     ProbeGrid,
     frozen_frame_evolution,
     moment_odes_check,
@@ -407,8 +419,11 @@ def cmd_verify(cfg: dict, args) -> int:
         "negative_ratio": 1e3,
     }
 
-    rep_g = pde_residual(replacement_evolution(base_g, params), params, probe)
-    rep_c = pde_residual(replacement_evolution(cat_eval, params), params, probe)
+    try:
+        rep_g = pde_residual(replacement_evolution(base_g, params), params, probe)
+        rep_c = pde_residual(replacement_evolution(cat_eval, params), params, probe)
+    except ValueError as exc:  # a non-finite residual: the evolution under test overflowed
+        return _fail(1, str(exc))
     traj = solve_epsilon(params, t_end=t_end)
     rep_m = moment_odes_check(traj, alpha, h=moment_h)
 

@@ -100,10 +100,11 @@ class CatSpec:
     def __post_init__(self) -> None:
         if self.parity not in ("even", "odd"):
             raise ValueError(f"parity must be 'even' or 'odd', got {self.parity!r}")
-        # |alpha|^2 is what the odd normalization divides by; it underflows
-        # to 0 for |alpha| below about 1e-162
-        if self.parity == "odd" and abs(self.alpha) ** 2 == 0.0:
-            raise NormalizationDivergenceError("odd cat normalization diverges at alpha = 0")
+        # the odd N^2 ~ 1 / (4 |alpha|^2) overflows for |alpha| below about
+        # 3.7e-155, and |alpha|^2 underflows to 0 below about 1e-162
+        if self.parity == "odd" and not (abs(self.alpha) ** 2 > 0.0 and math.isfinite(self.norm_squared)):
+            raise NormalizationDivergenceError(
+                f"odd cat normalization diverges at |alpha| = {abs(self.alpha):.3g}")
 
     @property
     def norm_squared(self) -> float:
@@ -221,15 +222,22 @@ def eval_wavefunction(
     x = np.asarray(x, dtype=float)
 
     # common squeezed-vacuum envelope pi^{-1/4} eps^{-1/2} exp(i deps x^2 / (2 eps))
-    psi0 = math.pi ** -0.25 / np.sqrt(eps) * np.exp(0.5j * deps / eps * x ** 2)
+    scale = math.pi ** -0.25 / np.sqrt(eps)
+    envelope = 0.5j * deps / eps * x ** 2
+    psi0 = scale * np.exp(envelope)
+
+    def displaced(alpha: complex, shift) -> np.ndarray:
+        # the coherent state |alpha> for shift = sqrt(2) alpha x / eps, as one
+        # exp of the summed exponent: apart, the envelope underflows where
+        # exp(shift) overflows
+        return scale * np.exp(envelope - abs(alpha) ** 2 / 2.0 - alpha ** 2 * np.conj(eps) / (2.0 * eps)
+                              + shift)
 
     if kind == "ground":
         return psi0
     if kind == "coherent":
         alpha = complex(alpha)
-        a2 = abs(alpha) ** 2
-        return psi0 * np.exp(-a2 / 2.0 - alpha ** 2 * np.conj(eps) / (2.0 * eps)
-                             + math.sqrt(2.0) * alpha * x / eps)
+        return displaced(alpha, math.sqrt(2.0) * alpha * x / eps)
     if kind == "number":
         if not (0 <= m <= MAX_NUMBER_INDEX):
             raise ValueError(f"number index must be in [0, {MAX_NUMBER_INDEX}], got {m}")
@@ -239,11 +247,16 @@ def eval_wavefunction(
         if cat is None:
             raise ValueError("kind='cat' requires a CatSpec")
         alpha = complex(cat.alpha)
-        a2 = abs(alpha) ** 2
-        hyp = np.cosh if cat.parity == "even" else np.sinh
-        return (2.0 * math.sqrt(cat.norm_squared) * psi0
-                * np.exp(-a2 / 2.0 - np.conj(eps) * alpha ** 2 / (2.0 * eps))
-                * hyp(math.sqrt(2.0) * alpha * x / eps))
+        # N (displaced(alpha, shift) +/- displaced(alpha, -shift)), factored as
+        # N displaced(alpha, t) (1 + exp(-2t)) (even) or -s N displaced(alpha, t)
+        # expm1(-2t) (odd) with t = s shift and the sign s that makes Re t >= 0,
+        # so no factor overflows; expm1 keeps the odd difference's digits at
+        # small |alpha|
+        shift = math.sqrt(2.0) * alpha * x / eps
+        s = np.where(shift.real >= 0.0, 1.0, -1.0)
+        t = s * shift
+        pair = 1.0 + np.exp(-2.0 * t) if cat.parity == "even" else -s * np.expm1(-2.0 * t)
+        return math.sqrt(cat.norm_squared) * displaced(alpha, t) * pair
     raise ValueError(f"unknown wavefunction kind {kind!r}")
 
 

@@ -524,6 +524,15 @@ def test_verify_config_errors(tmp_path, extra):
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 2
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_verify_non_finite_residual_exits_1(tmp_path, capsys):
+    # N^2 ~ 1.6e308 is finite, but the odd cat's marginal scaled by it overflows
+    cfg = cfg_file(tmp_path, verify_cfg(cat={"alpha": 4e-155, "parity": "odd"}, t_end=1.0))
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 1
+    assert "non-finite residual" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
 # ------------------------------------------------------------ nested sections
 
 
@@ -544,6 +553,7 @@ def test_verify_config_errors(tmp_path, extra):
         ("reconstruct", {"method": "fourier", "grid": {"q_min": 6.0, "q_max": -6.0}}),  # reversed
         ("tomogram", tomogram_cfg({"kind": "cat", "alpha": 1e-200, "parity": "odd"})),  # |alpha|^2 = 0
         ("verify", verify_cfg(cat={"alpha": 1e-200, "parity": "odd"})),
+        ("verify", verify_cfg(cat={"alpha": 1e-155, "parity": "odd"})),  # N^2 overflows
     ],
 )
 def test_nested_config_errors_write_nothing(tmp_path, cat_sinogram_file, command, payload):

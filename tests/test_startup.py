@@ -1,0 +1,91 @@
+"""Process start-up: the lazy package namespace and the CLI's one-thread BLAS.
+
+Each check that depends on what a process loads at import, or on how many
+threads it starts, runs a fresh interpreter with ``PYTHONPATH`` set to
+``src``; the test process itself has numpy loaded long before.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import iontomo
+from iontomo import errors, oscillator, states, tomography, verify
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+needs_proc = pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+
+
+def _env(**blas):
+    """This environment without the three BLAS variables, plus ``blas``."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env.update(blas)
+    return env
+
+
+def _python(code, **blas):
+    return subprocess.run([sys.executable, "-c", code], env=_env(**blas), capture_output=True,
+                          text=True, check=True, timeout=120).stdout.strip()
+
+
+def _cli(args, **blas):
+    subprocess.run([sys.executable, "-m", "iontomo.cli", *args], env=_env(**blas), capture_output=True,
+                   check=True, timeout=120)
+
+
+def test_import_loads_no_numpy():
+    assert _python("import sys, iontomo; print('numpy' in sys.modules)") == "False"
+
+
+@needs_proc
+def test_cli_import_runs_blas_on_one_thread():
+    assert _python("import os, iontomo.cli; print(len(os.listdir('/proc/self/task')))") == "1"
+
+
+@needs_proc
+@pytest.mark.skipif(CORES < 2, reason="needs two usable cores")
+def test_explicit_thread_count_wins():
+    code = "import os, iontomo.cli; print(len(os.listdir('/proc/self/task')), os.environ['OMP_NUM_THREADS'])"
+    assert _python(code, OPENBLAS_NUM_THREADS="2") == "2 1"
+
+
+def test_every_exported_name_resolves_to_its_submodule():
+    public_errors = {name for name, v in vars(errors).items()
+                     if isinstance(v, type) and v.__module__ == errors.__name__}
+    submodules = (oscillator, states, tomography, verify)
+    assert len(iontomo.__all__) == len(set(iontomo.__all__)) == 42
+    assert set(iontomo.__all__) == public_errors.union(*(m.__all__ for m in submodules))
+    for name in iontomo.__all__:
+        obj = getattr(iontomo, name)
+        assert obj.__module__.startswith("iontomo.")
+        assert getattr(sys.modules[obj.__module__], name) is obj
+    assert set(iontomo.__all__) <= set(dir(iontomo))
+    assert iontomo.tomography is tomography
+    with pytest.raises(AttributeError, match="no_such_name"):
+        iontomo.no_such_name
+
+
+def test_cli_output_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """A threaded A @ F @ B in the Fourier inversion sums in another order."""
+    tomo = tmp_path / "tomogram.json"
+    tomo.write_text(json.dumps({"kappa": 0.4, "omega_drive": 2.0, "time": 0.7, "format": "bin",
+                                "state": {"kind": "cat", "alpha": [1.2, 0.5], "parity": "even"},
+                                "sinogram": {"n_phi": 90, "n_x": 161}}))
+    outputs = []
+    for blas in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+        run = tmp_path / f"run{len(outputs)}"
+        run.mkdir()
+        (run / "reconstruct.json").write_text(
+            json.dumps({"input": str(run / "sino.bin"), "method": "fourier", "format": "bin"}))
+        _cli(["tomogram", "--config", str(tomo), "--out", str(run / "sino.bin")], **blas)
+        _cli(["reconstruct", "--config", str(run / "reconstruct.json"), "--out", str(run / "wigner.bin")],
+             **blas)
+        outputs.append([(run / name).read_bytes() for name in ("sino.bin", "wigner.bin")])
+    assert outputs[0] == outputs[1]

@@ -204,6 +204,9 @@ def test_odd_cat_needs_nonzero_alpha():
         CatSpec(alpha=0.0j, parity="odd")
     with pytest.raises(NormalizationDivergenceError):
         CatSpec(alpha=1e-200 + 0.0j, parity="odd")  # |alpha|^2 underflows to 0
+    with pytest.raises(NormalizationDivergenceError):
+        CatSpec(alpha=1e-155 + 0.0j, parity="odd")  # N^2 ~ 1 / (4 |alpha|^2) overflows
+    assert math.isfinite(CatSpec(alpha=4e-155 + 0.0j, parity="odd").norm_squared)
 
 
 def test_cat_spec_norm():
@@ -251,6 +254,10 @@ def test_first_number_state_node_at_origin():
         ("number", {"m": 200}, 26.0, 20001, 1e-6),
         ("cat", {"cat": CatSpec(2.0 + 0.0j, "even")}, 12.0, 8001, 1e-9),
         ("cat", {"cat": CatSpec(1.5j, "odd")}, 12.0, 8001, 1e-9),
+        # cosh / sinh(sqrt(2) alpha x) overflow at real |alpha| >= 20, where the envelope underflows
+        ("cat", {"cat": CatSpec(20.0 + 0.0j, "even")}, 60.0, 24001, 1e-9),
+        ("cat", {"cat": CatSpec(27.0j, "odd")}, 60.0, 24001, 1e-9),
+        ("cat", {"cat": CatSpec(27.0 + 0.0j, "odd")}, 60.0, 24001, 1e-9),
     ],
 )
 def test_wavefunction_normalized(kind, kwargs, half, n, tol):
@@ -258,6 +265,24 @@ def test_wavefunction_normalized(kind, kwargs, half, n, tol):
     psi = eval_wavefunction(kind, 1.0, 1.0j, x, **kwargs)
     assert np.all(np.isfinite(psi))
     assert np.trapezoid(np.abs(psi) ** 2, x) == pytest.approx(1.0, abs=tol)
+
+
+@pytest.mark.parametrize("alpha", [1e-6, 0.3, 1.5 + 0.5j, 3.0j, 5.0, 3.8 + 3.2j])
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_cat_wavefunction_matches_hyperbolic_form(alpha, parity, point04_t2):
+    """Up to |alpha| = 5, where it cannot overflow, the textbook form
+    2 N psi_0 exp(-|alpha|^2/2 - eps* alpha^2 / (2 eps)) cosh / sinh(sqrt(2) alpha x / eps)
+    is the reference, to rounding."""
+    spec = CatSpec(complex(alpha), parity)
+    x = np.linspace(-12.0, 12.0, 2001)
+    hyp = np.cosh if parity == "even" else np.sinh
+    for eps, deps in ((1.0, 1.0j), point04_t2):
+        psi0 = math.pi ** -0.25 / np.sqrt(eps) * np.exp(0.5j * deps / eps * x ** 2)
+        ref = (2.0 * math.sqrt(spec.norm_squared) * psi0
+               * np.exp(-abs(alpha) ** 2 / 2.0 - np.conj(eps) * alpha ** 2 / (2.0 * eps))
+               * hyp(ROOT2 * alpha * x / eps))
+        psi = eval_wavefunction("cat", eps, deps, x, cat=spec)
+        np.testing.assert_allclose(psi, ref, rtol=0, atol=1e-14 * np.max(np.abs(ref)))
 
 
 def test_wavefunction_normalized_at_evolved_time(point04_t2):
