@@ -1,6 +1,11 @@
 import pytest
+from hypothesis import settings
 
 from iontomo import OscillatorParams, epsilon_at, solve_epsilon
+
+# the same examples on every run, and no example database written to disk
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")
