@@ -7,84 +7,41 @@ the tomogram evolution equation numerically, and reconstructs Wigner
 functions from tomographic data by Fourier inversion and filtered
 backprojection.
 
-The names below are imported from their submodules on first access (PEP 562),
-so ``import iontomo`` loads no numpy: the CLI sets its thread environment
-before numpy starts.
+The public names are the ``__all__`` lists of the submodules named below,
+each imported on first access (PEP 562), so ``import iontomo`` loads no
+numpy: the CLI sets its thread environment before numpy starts.
 """
 
 import importlib
+import importlib.util
 
 __version__ = "0.1.0"
 
-_EXPORTS = {
-    "errors": (
-        "ConfigError",
-        "DegenerateFrameError",
-        "InsufficientAnglesError",
-        "InvalidTrajectoryError",
-        "NormalizationDivergenceError",
-        "ReconstructionQualityError",
-        "SolverError",
-        "SupportTruncationWarning",
-    ),
-    "oscillator": (
-        "EpsilonTrajectory",
-        "OscillatorParams",
-        "SymplecticMap",
-        "epsilon_at",
-        "omega_squared",
-        "solve_epsilon",
-        "symplectic_map",
-    ),
-    "states": (
-        "CatSpec",
-        "GaussianState",
-        "WignerGrid",
-        "eval_wavefunction",
-        "evolve_wigner",
-        "gaussian_from_epsilon",
-        "schroedinger_relation_check",
-        "wigner_cat",
-        "wigner_gaussian",
-    ),
-    "tomography": (
-        "GaussianTomogram",
-        "OpticalSinogram",
-        "TomogramQuery",
-        "cat_evaluator",
-        "evolve_tomogram",
-        "invert_to_wigner",
-        "optical_slice",
-        "project_wigner",
-        "radon_reconstruct",
-        "sinogram_evaluator",
-        "tomogram_cat",
-        "tomogram_gaussian",
-    ),
-    "verify": (
-        "ProbeGrid",
-        "ResidualReport",
-        "frozen_frame_evolution",
-        "moment_odes_check",
-        "pde_residual",
-        "replacement_evolution",
-    ),
-}
-_SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names}
+#: The submodules whose ``__all__`` lists make up the package's public names, in order.
+_PUBLIC_MODULES = ("errors", "oscillator", "states", "tomography", "verify")
 
-__all__ = list(_SUBMODULE)
+
+def _public_modules():
+    return (importlib.import_module(f".{name}", __name__) for name in _PUBLIC_MODULES)
 
 
 def __getattr__(name):
-    if name in _SUBMODULE:
-        value = getattr(importlib.import_module(f".{_SUBMODULE[name]}", __name__), name)
-    elif name in _EXPORTS:
+    if name == "__all__":
+        value = [n for module in _public_modules() for n in module.__all__]
+    elif name.startswith("_"):
+        # a miss that imports nothing: ``from . import _svg`` then loads that submodule alone
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    elif importlib.util.find_spec(f"{__name__}.{name}") is not None:
+        # a submodule such as ``cli``, imported before any other so it can set up numpy
         value = importlib.import_module(f".{name}", __name__)
     else:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        owner = next((m for m in _public_modules() if name in m.__all__), None)
+        if owner is None:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        value = getattr(owner, name)
     globals()[name] = value
     return value
 
 
 def __dir__():
-    return sorted(set(globals()) | set(__all__))
+    return sorted(set(globals()) | set(__getattr__("__all__")))

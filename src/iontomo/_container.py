@@ -82,10 +82,31 @@ def load_container(path: str):
     return header["kind"], axes, values
 
 
-def is_container(path: str) -> bool:
+#: CSV columns of each grid kind; the first two also name its container axes.
+_GRID_COLUMNS = {"sinogram": ("phi", "x", "w"), "wigner": ("q", "p", "w")}
+
+
+def save_grid(path: str, fmt: str, kind: str, ax0: np.ndarray, ax1: np.ndarray, values: np.ndarray) -> None:
+    """Write a grid of ``kind`` as CSV triples (``fmt="csv"``) or as the container (``"bin"``)."""
+    columns = _GRID_COLUMNS[kind]
+    if fmt == "csv":
+        save_csv_triples(path, columns, ax0, ax1, values)
+    elif fmt == "bin":
+        save_container(path, kind, list(columns[:2]), [ax0, ax1], values)
+    else:
+        raise ValueError(f"unknown format {fmt!r}")
+
+
+def load_grid(path: str, kind: str):
+    """Inverse of :func:`save_grid`, either format; ValueError on a malformed file or another kind."""
     with open(path, "rb") as fh:
-        first = fh.read(1)
-    return first == b"{"
+        csv = fh.read(1) != b"{"
+    if csv:
+        return load_csv_triples(path, _GRID_COLUMNS[kind])
+    got, (ax0, ax1), values = load_container(path)
+    if got != kind:
+        raise ValueError(f"{path}: container holds {got!r}, not {kind!r}")
+    return ax0, ax1, values
 
 
 def save_csv_rows(path: str, colnames, columns) -> None:

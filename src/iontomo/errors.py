@@ -1,5 +1,8 @@
 """Exception and warning types shared across the toolkit."""
 
+__all__ = ["SolverError", "InvalidTrajectoryError", "DegenerateFrameError", "NormalizationDivergenceError",
+           "ReconstructionQualityError", "InsufficientAnglesError", "ConfigError", "SupportTruncationWarning"]
+
 
 class SolverError(RuntimeError):
     """Mode-function integration failed to meet the requested tolerance."""

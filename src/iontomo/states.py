@@ -333,6 +333,13 @@ def _uniform_spacing(axis: np.ndarray, name: str) -> float:
     return float(h)
 
 
+def _uniform_trapezoid(n: int, step: float) -> np.ndarray:
+    """Trapezoid quadrature weights on ``n`` samples a uniform ``step`` apart."""
+    w = np.full(n, step)
+    w[[0, -1]] *= 0.5
+    return w
+
+
 @dataclass(frozen=True)
 class WignerGrid:
     """One-mode Wigner function sampled on a uniform rectangular (q, p) grid.
@@ -382,11 +389,8 @@ class WignerGrid:
 
     def integral(self) -> float:
         """Trapezoid estimate of (integral W dq dp) / 2 pi; 1 when support is captured."""
-        wq = np.full(self.q_axis.size, self.dq)
-        wq[[0, -1]] *= 0.5
-        wp = np.full(self.p_axis.size, self.dp)
-        wp[[0, -1]] *= 0.5
-        return float(wq @ self.values @ wp) / (2.0 * math.pi)
+        wq = _uniform_trapezoid(self.q_axis.size, self.dq)
+        return float(wq @ self.values @ _uniform_trapezoid(self.p_axis.size, self.dp)) / (2.0 * math.pi)
 
     def interpolate(self, q, p):
         """Catmull-Rom bicubic interpolation; 0 outside the grid.
@@ -414,22 +418,11 @@ class WignerGrid:
 
     def save(self, path: str, fmt: str = "csv") -> None:
         """Write as CSV rows ``q,p,w`` or as the JSON+binary container."""
-        if fmt == "csv":
-            _container.save_csv_triples(path, ("q", "p", "w"), self.q_axis, self.p_axis, self.values)
-        elif fmt == "bin":
-            _container.save_container(path, "wigner", ["q", "p"], [self.q_axis, self.p_axis], self.values)
-        else:
-            raise ValueError(f"unknown format {fmt!r}")
+        _container.save_grid(path, fmt, "wigner", self.q_axis, self.p_axis, self.values)
 
     @staticmethod
     def load(path: str) -> "WignerGrid":
-        if _container.is_container(path):
-            kind, axes, values = _container.load_container(path)
-            if kind != "wigner":
-                raise ValueError(f"{path}: container holds {kind!r}, not a Wigner grid")
-            q_axis, p_axis = axes
-        else:
-            q_axis, p_axis, values = _container.load_csv_triples(path, ("q", "p", "w"))
+        q_axis, p_axis, values = _container.load_grid(path, "wigner")
         return WignerGrid(q_axis=q_axis, p_axis=p_axis, values=values)
 
 

@@ -27,7 +27,8 @@ from .errors import (
     SupportTruncationWarning,
 )
 from .oscillator import symplectic_map
-from .states import CatSpec, GaussianState, WignerGrid, _quadrature_variance, _stencil, _uniform_spacing
+from .states import (CatSpec, GaussianState, WignerGrid, _quadrature_variance, _stencil, _uniform_spacing,
+                     _uniform_trapezoid)
 
 __all__ = [
     "TomogramQuery",
@@ -163,22 +164,24 @@ def optical_slice(evaluator: Callable, phi, X):
 WignerSource = Union[WignerGrid, Callable]
 
 
-def project_wigner(
-    source: WignerSource,
-    q: TomogramQuery,
-    *,
-    n_coarse: int = 321,
-    n_fine: int = 2049,
-    halfwidth_sigmas: float = 10.0,
-    u_max: float = 40.0,
-) -> float:
+#: Points of :func:`project_wigner`'s support scan and of its trapezoid pass.
+_LINE_SCAN_POINTS = 321
+_LINE_POINTS = 2049
+#: Half-length of the line :func:`project_wigner` scans for a callable's support.
+_LINE_REACH = 40.0
+#: Points per angle of :func:`invert_to_wigner`'s support scan of a callable.
+_SUPPORT_SCAN_POINTS = 129
+
+
+def project_wigner(source: WignerSource, q: TomogramQuery, *, halfwidth_sigmas: float = 10.0) -> float:
     """Tomogram value by direct line integration of a Wigner function.
 
     Integrates W along the line mu q + nu p = Y and divides by
-    2 pi sqrt(mu^2 + nu^2).  A coarse scan of |W| along the line locates the
-    support; the fine trapezoid pass covers its center +- ``halfwidth_sigmas``
-    standard widths with ``n_fine`` points.  Serves as the independent oracle
-    for every analytic tomogram, so it never reuses their moment formulas.
+    2 pi sqrt(mu^2 + nu^2).  A coarse scan of |W| along the line (over +-40
+    for a callable) locates the support; the fine trapezoid pass covers its
+    center +- ``halfwidth_sigmas`` standard widths with 2049 points.  Serves
+    as the independent oracle for every analytic tomogram, so it never reuses
+    their moment formulas.
 
     ``source`` is a WignerGrid (bicubic interpolation, 0 outside) or a
     callable W(q, p).
@@ -212,20 +215,17 @@ def project_wigner(
             return 0.0
     else:
         f = source
-        scan_lo, scan_hi = -u_max, u_max
+        scan_lo, scan_hi = -_LINE_REACH, _LINE_REACH
 
-    u = np.linspace(scan_lo, scan_hi, n_coarse)
-    vals = np.abs(np.asarray(f(base_q + u * tan_q, base_p + u * tan_p), dtype=float))
-    mass = vals.sum()
-    if mass > 0.0:
-        center = float((u * vals).sum() / mass)
-        width = math.sqrt(max(float(((u - center) ** 2 * vals).sum() / mass), 1e-6))
+    u = np.linspace(scan_lo, scan_hi, _LINE_SCAN_POINTS)
+    vals = np.asarray(f(base_q + u * tan_q, base_p + u * tan_p), dtype=float)
+    lo, hi = scan_lo, scan_hi
+    if np.abs(vals).sum() > 0.0:
+        center, width = _support(u, vals)
         lo = max(center - halfwidth_sigmas * width, scan_lo)
         hi = min(center + halfwidth_sigmas * width, scan_hi)
-    else:
-        lo, hi = scan_lo, scan_hi
 
-    uf = np.linspace(lo, hi, n_fine)
+    uf = np.linspace(lo, hi, _LINE_POINTS)
     wf = np.asarray(f(base_q + uf * tan_q, base_p + uf * tan_p), dtype=float)
     peak = np.max(np.abs(wf))
     # peak <= 1e-12 means the line never meets the support; endpoint noise on
@@ -236,10 +236,8 @@ def project_wigner(
             SupportTruncationWarning,
             stacklevel=2,
         )
-    du = (hi - lo) / (n_fine - 1)
-    w = np.full(n_fine, du)
-    w[[0, -1]] *= 0.5
-    return float(wf @ w) / (2.0 * math.pi * r)
+    du = (hi - lo) / (_LINE_POINTS - 1)
+    return float(wf @ _uniform_trapezoid(_LINE_POINTS, du)) / (2.0 * math.pi * r)
 
 
 def invert_to_wigner(
@@ -251,7 +249,6 @@ def invert_to_wigner(
     n_nodes: int = 193,
     n_y: int = 513,
     y_halfwidth_sigmas: float = 12.0,
-    n_coarse: int = 129,
     norm_tol: float = 1e-2,
 ) -> WignerGrid:
     """Wigner function from a tomogram by the reduced Fourier inversion.
@@ -269,10 +266,10 @@ def invert_to_wigner(
     callable's optical slices determine it, so it is first sampled into a
     sinogram on ceil(pi (n_nodes - 1) / sqrt 2) angles, which makes the angle
     step at the outermost node radius sqrt(2) k_max the node step.
-    ``n_coarse`` points over +-``y_halfwidth_sigmas`` scan |w| at each angle
-    for its centre c and width s, and ``n_y`` samples cover
+    129 points over +-``y_halfwidth_sigmas`` scan |w| at each angle for its
+    centre c and width s, and ``n_y`` samples cover
     X = +-max(|c| + ``y_halfwidth_sigmas`` s), symmetric about 0 for the
-    angle fold.  These three keywords do nothing for a sinogram.
+    angle fold.  These two keywords do nothing for a sinogram.
 
     By homogeneity the coefficient on the ray (mu, nu) = r (cos phi, sin phi)
     is the 1-D transform of one marginal, F = integral w_opt(X, phi)
@@ -294,9 +291,9 @@ def invert_to_wigner(
     Raises
     ------
     ValueError
-        When a sinogram has fewer than 2 angles, angles that do not tile
-        [0, pi) uniformly or an X axis not symmetric about 0, or when a
-        callable's X window loses so much mass that its sinogram is rejected.
+        When a sinogram has fewer than 2 angles or an X axis not symmetric
+        about 0, or when a callable's X window loses so much mass that its
+        sinogram is rejected.
     ReconstructionQualityError
         When the reconstructed grid misses 2 pi normalization by more than
         ``norm_tol`` (cutoff k_max or the output window too small).
@@ -311,7 +308,7 @@ def invert_to_wigner(
 
     if not isinstance(evaluator, OpticalSinogram):
         n_phi = math.ceil(math.pi * (n_nodes - 1) / math.sqrt(2.0))
-        evaluator = _sampled_sinogram(evaluator, n_phi, n_y, y_halfwidth_sigmas, n_coarse)
+        evaluator = _sampled_sinogram(evaluator, n_phi, n_y, y_halfwidth_sigmas)
     spectrum = _ray_spectrum(evaluator, float(np.hypot(nodes[-1], nodes[-1])))
     F = np.empty((n_nodes, n_nodes), dtype=complex)
     for i, m in enumerate(nodes[:half]):
@@ -324,8 +321,7 @@ def invert_to_wigner(
     del spectrum
 
     # separable phase factors turn the double (mu, nu) sum into two matmuls
-    w_nodes = np.full(n_nodes, nodes[1] - nodes[0])
-    w_nodes[[0, -1]] *= 0.5
+    w_nodes = _uniform_trapezoid(n_nodes, nodes[1] - nodes[0])
     A = np.exp(-1j * np.outer(q_axis, nodes)) * w_nodes
     B = np.exp(-1j * np.outer(nodes, p_axis)) * w_nodes[:, np.newaxis]
     values = np.real(A @ F @ B) / (2.0 * math.pi)
@@ -340,14 +336,11 @@ def invert_to_wigner(
     return grid
 
 
-def _sampled_sinogram(evaluator: Callable, n_phi: int, n_x: int, halfwidth_sigmas: float, n_coarse: int) -> OpticalSinogram:
+def _sampled_sinogram(evaluator: Callable, n_phi: int, n_x: int, halfwidth_sigmas: float) -> OpticalSinogram:
     """The callable's sinogram on the X window of :func:`invert_to_wigner`."""
     phi = np.arange(n_phi) * (math.pi / n_phi)
-    scan = np.linspace(-halfwidth_sigmas, halfwidth_sigmas, n_coarse)[:, np.newaxis]
-    density = np.abs(np.asarray(optical_slice(evaluator, phi, scan), dtype=float))
-    mass = np.maximum(density.sum(axis=0), np.finfo(float).tiny)
-    centre = (scan * density).sum(axis=0) / mass
-    width = np.sqrt(np.maximum(((scan - centre) ** 2 * density).sum(axis=0) / mass, 1e-6))
+    scan = np.linspace(-halfwidth_sigmas, halfwidth_sigmas, _SUPPORT_SCAN_POINTS)[:, np.newaxis]
+    centre, width = _support(scan, optical_slice(evaluator, phi, scan))
     half = float(np.max(np.abs(centre) + halfwidth_sigmas * width))
     return OpticalSinogram.from_evaluator(evaluator, phi, np.linspace(-half, half, n_x))
 
@@ -449,8 +442,9 @@ def _lagrange_weights(t: np.ndarray, offsets: np.ndarray, denominators: np.ndarr
 class OpticalSinogram:
     """Rotated-quadrature marginals w(X, phi) on a uniform (phi, X) grid.
 
-    ``values[i, j] = w(x_axis[j], phi_axis[i])`` with phi_axis uniform inside
-    [0, pi).  Every column is a probability density in X; construction checks
+    ``values[i, j] = w(x_axis[j], phi_axis[i])``.  The n angles tile [0, pi):
+    they increase in steps of pi / n from a start in [0, pi / n), the step
+    that filtered backprojection and the angle fold take.  Every column is a probability density in X; construction checks
     each one integrates to 1 within 5e-2 (looser checks belong to callers).
     """
 
@@ -469,10 +463,9 @@ class OpticalSinogram:
             raise ValueError("phi_axis must be a 1-D grid")
         if phi[0] < 0.0 or phi[-1] >= math.pi:
             raise ValueError("phi_axis must lie inside [0, pi)")
-        if phi.size > 1:
-            steps = np.diff(phi)
-            if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
-                raise ValueError("phi_axis must be uniform")
+        # the angle step of filtered backprojection and of the angle fold
+        if phi.size > 1 and not math.isclose(_uniform_spacing(phi, "phi_axis"), math.pi / phi.size, rel_tol=1e-9):
+            raise ValueError(f"phi_axis must tile [0, pi): its {phi.size} angles need the step pi / {phi.size}")
         _uniform_spacing(x, "x_axis")
         if v.shape != (phi.size, x.size):
             raise ValueError(f"values shape {v.shape} does not match axes ({phi.size}, {x.size})")
@@ -499,22 +492,11 @@ class OpticalSinogram:
 
     def save(self, path: str, fmt: str = "csv") -> None:
         """Write as CSV rows ``phi,x,w`` or as the JSON+binary container."""
-        if fmt == "csv":
-            _container.save_csv_triples(path, ("phi", "x", "w"), self.phi_axis, self.x_axis, self.values)
-        elif fmt == "bin":
-            _container.save_container(path, "sinogram", ["phi", "x"], [self.phi_axis, self.x_axis], self.values)
-        else:
-            raise ValueError(f"unknown format {fmt!r}")
+        _container.save_grid(path, fmt, "sinogram", self.phi_axis, self.x_axis, self.values)
 
     @staticmethod
     def load(path: str) -> "OpticalSinogram":
-        if _container.is_container(path):
-            kind, axes, values = _container.load_container(path)
-            if kind != "sinogram":
-                raise ValueError(f"{path}: container holds {kind!r}, not a sinogram")
-            phi_axis, x_axis = axes
-        else:
-            phi_axis, x_axis, values = _container.load_csv_triples(path, ("phi", "x", "w"))
+        phi_axis, x_axis, values = _container.load_grid(path, "sinogram")
         return OpticalSinogram(phi_axis=phi_axis, x_axis=x_axis, values=values)
 
 
@@ -542,9 +524,7 @@ def radon_reconstruct(sinogram: OpticalSinogram, q_axis, p_axis, *, apodization:
     x = sinogram.x_axis
     n = x.size
     dx = float(x[1] - x[0])
-    nfft = 1
-    while nfft < 2 * n:
-        nfft *= 2
+    nfft = 1 << (2 * n - 1).bit_length()
     # the projections and the ramp are real, so the half spectrum of rfft suffices
     omega = 2.0 * math.pi * np.fft.rfftfreq(nfft, d=dx)
     filt = np.abs(omega)
@@ -576,8 +556,8 @@ def sinogram_evaluator(sinogram: OpticalSinogram) -> Callable:
     Raises
     ------
     ValueError
-        When the sinogram has fewer than 2 angles, its angles do not tile
-        [0, pi) uniformly, or its X axis is not symmetric about 0.
+        When the sinogram has fewer than 2 angles or its X axis is not
+        symmetric about 0.
     """
     grid = _wrapped_grid(sinogram)
 
@@ -614,8 +594,6 @@ def _wrapped_grid(sinogram: OpticalSinogram) -> WignerGrid:
     if nphi < 2:
         raise ValueError(f"sinogram has {nphi} angle(s); interpolation in phi needs at least 2")
     dphi = math.pi / nphi
-    if not math.isclose(float(phi[1] - phi[0]), dphi, rel_tol=1e-9):
-        raise ValueError("sinogram angles must tile [0, pi) uniformly for interpolation")
     x = sinogram.x_axis
     if abs(x[0] + x[-1]) > 1e-9 * (x[-1] - x[0]):
         raise ValueError(f"sinogram X axis [{x[0]:.6g}, {x[-1]:.6g}] is not symmetric about 0, "
@@ -629,6 +607,14 @@ def _wrapped_grid(sinogram: OpticalSinogram) -> WignerGrid:
     ext[-1] = sinogram.values[1, ::-1]
     ext_phi = np.concatenate(([phi[0] - 2 * dphi, phi[0] - dphi], phi, [phi[-1] + dphi, phi[-1] + 2 * dphi]))
     return WignerGrid(q_axis=ext_phi, p_axis=sinogram.x_axis, values=ext)
+
+
+def _support(u: np.ndarray, f) -> tuple:
+    """|f|-weighted mean and standard deviation (at least 1e-3) of the scan points ``u`` along axis 0."""
+    density = np.abs(np.asarray(f, dtype=float))
+    mass = np.maximum(density.sum(axis=0), np.finfo(float).tiny)
+    centre = (u * density).sum(axis=0) / mass
+    return centre, np.sqrt(np.maximum(((u - centre) ** 2 * density).sum(axis=0) / mass, 1e-6))
 
 
 def _trapezoid_weights(x: np.ndarray) -> np.ndarray:

@@ -418,6 +418,22 @@ def test_reconstruct_rejects_a_sinogram_csv_off_its_grid(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "sino.csv", "sino.json"]
 
 
+def test_reconstruct_fbp_rejects_angles_that_do_not_tile_the_half_turn(tmp_path, capsys):
+    # 32 cat marginals over [0, pi / 2): FBP read them with the step pi / 32 and
+    # exited 0 with normalization 0.985 (rel-L2 0.89); the file is invalid input
+    phi = np.linspace(0.0, math.pi / 2, 32, endpoint=False)
+    x = np.linspace(-8.0, 8.0, 257)
+    sino = tmp_path / "quarter.csv"
+    marginals = tomography.optical_slice(tomography.cat_evaluator(states.CatSpec(2.0, "even")), phi[:, np.newaxis], x)
+    _container.save_csv_triples(str(sino), ("phi", "x", "w"), phi, x, marginals)
+    cfg = cfg_file(tmp_path, {"input": str(sino), "method": "fbp"})
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert main(["reconstruct", "--config", cfg, "--out", str(tmp_path / "w.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("iontomo: input file invalid: ") and "phi_axis must tile [0, pi)" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
 def test_reconstruct_rejects_few_angles_and_bad_apodization(tmp_path):
     scfg = cfg_file(
         tmp_path,

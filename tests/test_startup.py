@@ -44,9 +44,17 @@ def test_import_loads_no_numpy():
     assert _python("import sys, iontomo; print('numpy' in sys.modules)") == "False"
 
 
+def test_private_name_lookup_imports_no_other_submodule():
+    # the miss sends ``from iontomo import _svg`` to the import system, which loads _svg alone
+    code = ("import sys, iontomo; print(hasattr(iontomo, '_svg'), 'numpy' in sys.modules); "
+            "from iontomo import _svg; print(sorted(m for m in sys.modules if m.startswith('iontomo')))")
+    assert _python(code).splitlines() == ["False False", "['iontomo', 'iontomo._container', 'iontomo._svg']"]
+
+
 @needs_proc
 def test_cli_import_runs_blas_on_one_thread():
-    assert _python("import os, iontomo.cli; print(len(os.listdir('/proc/self/task')))") == "1"
+    for statement in ("import iontomo.cli", "from iontomo import cli"):
+        assert _python(f"import os; {statement}; print(len(os.listdir('/proc/self/task')))") == "1"
 
 
 @needs_proc
@@ -59,9 +67,10 @@ def test_explicit_thread_count_wins():
 def test_every_exported_name_resolves_to_its_submodule():
     public_errors = {name for name, v in vars(errors).items()
                      if isinstance(v, type) and v.__module__ == errors.__name__}
-    submodules = (oscillator, states, tomography, verify)
+    assert set(errors.__all__) == public_errors
+    submodules = (errors, oscillator, states, tomography, verify)
     assert len(iontomo.__all__) == len(set(iontomo.__all__)) == 42
-    assert set(iontomo.__all__) == public_errors.union(*(m.__all__ for m in submodules))
+    assert iontomo.__all__ == [name for m in submodules for name in m.__all__]
     for name in iontomo.__all__:
         obj = getattr(iontomo, name)
         assert obj.__module__.startswith("iontomo.")
