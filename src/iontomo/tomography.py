@@ -100,36 +100,29 @@ class GaussianTomogram:
         return tomogram_gaussian(self.state, TomogramQuery(X=Y, mu=mu, nu=nu))
 
 
-def _cat_pieces(spec: CatSpec, q: TomogramQuery):
-    """The four tomogram terms (w1, w2, w3, w4); w4 = conj(w3) analytically."""
-    mu, nu = _frame_arrays(q)
-    r2 = mu ** 2 + nu ** 2
-    Y = q.Y
-    alpha = complex(spec.alpha)
-    a2 = abs(alpha) ** 2
-    # displacement in the measured quadrature; coherent peaks sit at +-(s + s*)
-    s = alpha * (mu - 1j * nu) / math.sqrt(2.0)
-    s_re = 2.0 * s.real
-    s_im = s - np.conj(s)
-    w1 = np.exp(-((Y - s_re) ** 2) / r2)
-    w2 = np.exp(-((Y + s_re) ** 2) / r2)
-    w3 = np.exp(-2.0 * a2 - ((Y - s_im) ** 2) / r2)
-    w4 = np.exp(-2.0 * a2 - ((Y + s_im) ** 2) / r2)
-    return w1, w2, w3, w4, r2
-
-
 def tomogram_cat(spec: CatSpec, q: TomogramQuery):
     """Even/odd cat marginal.
 
-    N^2 (pi (mu^2 + nu^2))^{-1/2} [w1 + w2 +/- (w3 + w4)] with displaced
-    Gaussians w1, w2 and the conjugate interference pair w3, w4 built from
-    s = alpha (mu - i nu) / sqrt(2).  Nonnegative up to rounding; integrates
-    to 1 over X for any frame.
+    N^2 (pi r2)^{-1/2} [w1 + w2 +/- (w3 + w4)] with r2 = mu^2 + nu^2, the
+    displaced Gaussians w1, w2 = exp(-(Y -/+ a)^2 / r2) and the conjugate
+    interference pair w3, w4 = exp(-2 |alpha|^2 - (Y -/+ i b)^2 / r2), where
+    a + i b = 2 s and s = alpha (mu - i nu) / sqrt(2).  The bracket is summed
+    as (E (1 +/- e^-u))^2 -/+ F with u = 2 |a Y| / r2,
+    E = exp(-(|Y| - |a|)^2 / (2 r2)) and F = 4 exp(-(Y^2 + a^2) / r2) sin^2(b Y / r2):
+    no term cancels another, so the odd cat keeps its digits as alpha -> 0,
+    where N^2 ~ 1 / (4 |alpha|^2).  Nonnegative up to rounding; integrates to
+    1 over X for any frame.
     """
-    w1, w2, w3, w4, r2 = _cat_pieces(spec, q)
-    sign = 1.0 if spec.parity == "even" else -1.0
-    total = w1 + w2 + sign * (w3 + w4)
-    return spec.norm_squared / np.sqrt(math.pi * r2) * np.real(total)
+    mu, nu = _frame_arrays(q)
+    r2 = mu ** 2 + nu ** 2
+    Y = q.Y
+    s = complex(spec.alpha) * (mu - 1j * nu) / math.sqrt(2.0)
+    a, b = 2.0 * s.real, 2.0 * s.imag
+    u = np.abs(2.0 * a * Y / r2)
+    E = np.exp(-((np.abs(Y) - np.abs(a)) ** 2) / (2.0 * r2))
+    F = 4.0 * np.exp(-(Y ** 2 + a ** 2) / r2) * np.sin(b * Y / r2) ** 2
+    total = (E * -np.expm1(-u)) ** 2 + F if spec.parity == "odd" else (E * (1.0 + np.exp(-u))) ** 2 - F
+    return spec.norm_squared / np.sqrt(math.pi * r2) * total
 
 
 def cat_evaluator(spec: CatSpec) -> Callable:

@@ -549,6 +549,15 @@ def test_verify_non_finite_residual_exits_1(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
+def test_verify_passes_a_vanishing_odd_cat(tmp_path):
+    # the four-term marginal cancelled to noise at alpha = 1e-100 and failed
+    # pde_cat_max and pde_cat_order (exit 1); measured now: 1.5e-6, order 2.00
+    cfg = cfg_file(tmp_path, verify_cfg(cat={"alpha": 1e-100, "parity": "odd"}, t_end=1.0))
+    out = tmp_path / "r.json"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["pde_cat"]["max_abs_residual"] < 1e-5
+
+
 # ------------------------------------------------------------ nested sections
 
 

@@ -39,9 +39,29 @@ from iontomo import (
     wigner_gaussian,
 )
 from iontomo import tomography
-from iontomo.tomography import _cat_pieces
+from iontomo.tomography import _frame_arrays
 
 VACUUM = GaussianState()
+
+
+def _cat_pieces(spec: CatSpec, q: TomogramQuery):
+    """The four-term cat marginal (w1, w2, w3, w4, r2) in which the odd cat cancels as alpha -> 0.
+
+    The marginal is N^2 (pi r2)^{-1/2} Re[w1 + w2 +/- (w3 + w4)]; w4 = conj(w3) analytically.
+    """
+    mu, nu = _frame_arrays(q)
+    r2 = mu ** 2 + nu ** 2
+    Y = q.Y
+    alpha = complex(spec.alpha)
+    a2 = abs(alpha) ** 2
+    s = alpha * (mu - 1j * nu) / math.sqrt(2.0)
+    s_re = 2.0 * s.real
+    s_im = s - np.conj(s)
+    w1 = np.exp(-((Y - s_re) ** 2) / r2)
+    w2 = np.exp(-((Y + s_re) ** 2) / r2)
+    w3 = np.exp(-2.0 * a2 - ((Y - s_im) ** 2) / r2)
+    w4 = np.exp(-2.0 * a2 - ((Y + s_im) ** 2) / r2)
+    return w1, w2, w3, w4, r2
 
 CAT_SPECS = [
     CatSpec(1.0 + 0.0j, "even"),
@@ -100,6 +120,35 @@ def test_cat_interference_terms_conjugate():
     for spec in CAT_SPECS:
         _, _, w3, w4, _ = _cat_pieces(spec, q)
         assert np.max(np.abs(np.imag(w3 + w4))) <= 1e-12
+
+
+@pytest.mark.parametrize("alpha", [0.3, 1.0, 1.5 + 0.5j, 2.0, -1.2 + 0.7j])
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_cat_marginal_matches_the_four_term_sum(alpha, parity):
+    spec = CatSpec(alpha, parity)
+    rng = np.random.default_rng(8)
+    mu, nu = random_frames(rng, 12)
+    q = TomogramQuery(X=np.linspace(-6.0, 6.0, 97)[:, np.newaxis], mu=mu, nu=nu, delta=0.3)
+    w1, w2, w3, w4, r2 = _cat_pieces(spec, q)
+    sign = 1.0 if parity == "even" else -1.0
+    want = spec.norm_squared / np.sqrt(math.pi * r2) * np.real(w1 + w2 + sign * (w3 + w4))
+    got = tomogram_cat(spec, q)
+    # measured: at most 1.6e-15 of the maximum
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(want)
+
+
+@pytest.mark.parametrize("alpha", [1e-8, 1e-8j, 1e-100, 3e-154 * (1 + 1j)])
+def test_small_odd_cat_marginal_is_the_one_phonon_marginal(alpha):
+    # the four-term sum cancels here: it was off by 0.61 of the peak at 1e-8 and
+    # by 4e183 at 1e-100; measured now: at most 4.1e-16
+    rng = np.random.default_rng(9)
+    mu, nu = random_frames(rng, 12)
+    q = TomogramQuery(X=np.linspace(-6.0, 6.0, 97)[:, np.newaxis], mu=mu, nu=nu)
+    r2 = mu ** 2 + nu ** 2
+    Y = q.Y
+    one = 2.0 * Y ** 2 * np.exp(-(Y ** 2) / r2) / (r2 * np.sqrt(math.pi * r2))
+    got = tomogram_cat(CatSpec(alpha, "odd"), q)
+    assert np.max(np.abs(got - one)) <= 1e-14 * np.max(one)
 
 
 @pytest.mark.parametrize("spec", CAT_SPECS, ids=lambda s: f"{s.parity}-{s.alpha}")
