@@ -509,6 +509,37 @@ def test_verify_negative_control_detected(tmp_path):
     assert report["passed"] is True
 
 
+@pytest.mark.parametrize("extra", [
+    {"kappa": 0.6},
+    {"kappa": 1.2},
+    {"kappa": 0.8, "cat": {"alpha": [math.cos(0.8), math.sin(0.8)]}},
+], ids=["kappa-0.6", "kappa-1.2", "kappa-0.8-phase-0.8"])
+def test_verify_gates_the_extrapolated_residual(tmp_path, extra):
+    # the raw max of the cat residual is the central differences' own h^2
+    # error, over the gate at order 2.00 (1.7e-4 at kappa 0.6, 5.2e-4 at
+    # 1.2); extrapolated it is at most 1.7e-9 on all three
+    cfg = cfg_file(tmp_path, verify_cfg(**extra))
+    out = tmp_path / "report.json"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["pde_cat"]["max_abs_residual"] > report["thresholds"]["pde_max"]
+    assert report["pde_cat"]["max_abs_extrapolated"] < 1e-7
+
+
+def test_verify_gate_fails_a_near_miss_evolution(tmp_path, monkeypatch):
+    # frames transported along a drive with kappa 1% low: the extrapolated
+    # residual keeps the defect, 1.6e-3 (gaussian) and 2.9e-3 (cat)
+    near = cli.OscillatorParams(kappa=0.4 * 0.99, omega_drive=2.0)
+    monkeypatch.setattr(cli, "replacement_evolution",
+                        lambda initial, params: verify.replacement_evolution(initial, near))
+    cfg = cfg_file(tmp_path, verify_cfg())
+    out = tmp_path / "report.json"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert not report["checks"]["pde_gaussian_max"] and not report["checks"]["pde_cat_max"]
+    assert report["pde_cat"]["max_abs_extrapolated"] > 1e-3
+
+
 def test_verify_custom_probe(tmp_path):
     probe = {
         "x_values": [0.0, 1.0],
