@@ -75,7 +75,7 @@ class ResidualReport:
 
     max_abs_residual: float
     rms_residual: float
-    max_abs_extrapolated: float | None = None
+    max_abs_extrapolated: float
     h_t: float | None = None
     h_mu: float | None = None
     h_nu: float | None = None
