@@ -437,8 +437,9 @@ class OpticalSinogram:
 
     ``values[i, j] = w(x_axis[j], phi_axis[i])``.  The n angles tile [0, pi):
     they increase in steps of pi / n from a start in [0, pi / n), the step
-    that filtered backprojection and the angle fold take.  Every column is a probability density in X; construction checks
-    each one integrates to 1 within 5e-2 (looser checks belong to callers).
+    that filtered backprojection and the angle fold take.  Every column is a
+    probability density in X; construction checks each one integrates to 1
+    within 5e-2 (looser checks belong to callers).
     """
 
     phi_axis: np.ndarray

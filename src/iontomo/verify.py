@@ -133,8 +133,11 @@ def _residual_samples(evolution: Callable, params: OscillatorParams, probe: Prob
 
 
 def _report(res_h: np.ndarray, res_half: np.ndarray, **fields) -> ResidualReport:
-    """Max and rms of the signed step-h residuals, and their Richardson extrapolation with
-    the half steps; order is log2 of the rms ratio to half steps."""
+    """Summary of the signed residuals at step h and at half steps.
+
+    Max and rms of the step-h residuals, the max of their Richardson
+    extrapolation, and the order log2 of the rms ratio to half steps.
+    """
     rms = float(np.sqrt(np.mean(res_h ** 2)))
     rms_half = float(np.sqrt(np.mean(res_half ** 2)))
     order = math.log2(rms / rms_half) if rms_half > 0.0 else None

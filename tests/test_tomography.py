@@ -63,6 +63,7 @@ def _cat_pieces(spec: CatSpec, q: TomogramQuery):
     w4 = np.exp(-2.0 * a2 - ((Y + s_im) ** 2) / r2)
     return w1, w2, w3, w4, r2
 
+
 CAT_SPECS = [
     CatSpec(1.0 + 0.0j, "even"),
     CatSpec(1.0 + 0.0j, "odd"),
