@@ -17,6 +17,7 @@ guarantee.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -43,17 +44,16 @@ from .errors import (  # noqa: E402
     ReconstructionQualityError,
     SolverError,
 )
-from .oscillator import OscillatorParams, epsilon_at, solve_epsilon, symplectic_map  # noqa: E402
+from .oscillator import OscillatorParams, epsilon_at, solve_epsilon  # noqa: E402
 from .states import CatSpec, WignerGrid, evolve_wigner, gaussian_from_epsilon, wigner_cat, wigner_gaussian  # noqa: E402
 from .tomography import (  # noqa: E402
-    GaussianTomogram,
     OpticalSinogram,
-    TomogramQuery,
-    cat_evaluator,
     evolve_tomogram,
     invert_to_wigner,
     radon_reconstruct,
     sinogram_evaluator,  # noqa: F401  (unused here; kept in this namespace for perfbench/traced_cli.py)
+    tomogram_cat,
+    tomogram_gaussian,
 )
 from .verify import (  # noqa: E402
     ProbeGrid,
@@ -153,27 +153,26 @@ def _state(cfg: dict, context: str, params: OscillatorParams | None, t: float):
         if "parity" in cfg:
             raise ConfigError(f"{context}: parity applies to cat states only")
         state = gaussian_from_epsilon(1.0, 1.0j, _complex_amplitude(cfg.get("alpha", 0.0), context))
-        tomogram, wigner = GaussianTomogram(state), (lambda q, p: wigner_gaussian(state, q, p))
+        tomogram, wigner = tomogram_gaussian, wigner_gaussian
     elif kind == "cat":
         parity = cfg.get("parity", "even")
         if parity not in ("even", "odd"):
             raise ConfigError(f"{context}: parity must be 'even' or 'odd', got {parity!r}")
         alpha = _complex_amplitude(cfg.get("alpha", 1.0), context)
         try:
-            spec = CatSpec(alpha=alpha, parity=parity)
+            state = CatSpec(alpha=alpha, parity=parity)
         except NormalizationDivergenceError as exc:
             raise ConfigError(f"{context}: {exc}") from exc
-        tomogram, wigner = cat_evaluator(spec), (lambda q, p: wigner_cat(spec, q, p))
+        tomogram, wigner = tomogram_cat, wigner_cat
     elif kind == "number":
         raise ConfigError(f"{context}: number states have no analytic tomogram; use gaussian or cat")
     else:
         raise ConfigError(f"{context}: state.kind must be 'gaussian' or 'cat', got {kind!r}")
+    tomogram, wigner = functools.partial(tomogram, state), functools.partial(wigner, state)
     if t == 0.0:
         return tomogram, wigner
     eps, deps = epsilon_at(params, t)
-    smap = symplectic_map(eps, deps)
-    return (lambda Y, mu, nu: evolve_tomogram(tomogram, eps, deps, TomogramQuery(X=Y, mu=mu, nu=nu)),
-            lambda q, p: evolve_wigner(wigner, smap, q, p))
+    return functools.partial(evolve_tomogram, tomogram, eps, deps), functools.partial(evolve_wigner, wigner, eps, deps)
 
 
 def _resolve_out(cfg: dict, args) -> str:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _container
 from .errors import NormalizationDivergenceError
-from .oscillator import SymplecticMap, _check_wronskian, _wronskian, symplectic_map
+from .oscillator import _check_wronskian, _wronskian, symplectic_map
 
 __all__ = [
     "GaussianState",
@@ -312,14 +312,14 @@ def wigner_cat(spec: CatSpec, q, p):
     return spec.norm_squared * np.real(total).reshape(shape)
 
 
-def evolve_wigner(initial: Callable, smap: SymplecticMap, q, p):
-    """Time-evolved Wigner value: the initial function at the mapped point.
+def evolve_wigner(initial: Callable, eps: complex, deps: complex, q, p):
+    """Wigner value at time t of the mode function: the initial function at the mapped point.
 
-    ``initial`` is any evaluator ``W0(q, p)``; the map sends the query point
-    back along the classical flow (no shift term: the trap Hamiltonian has no
-    linear force).
+    ``initial`` is any evaluator ``W0(q, p)``; the map of ``(eps, deps)``
+    sends the query point back along the classical flow (no shift term: the
+    trap Hamiltonian has no linear force).
     """
-    p0, q0 = smap.apply(np.asarray(p, dtype=float), np.asarray(q, dtype=float))
+    p0, q0 = symplectic_map(eps, deps).apply(np.asarray(p, dtype=float), np.asarray(q, dtype=float))
     return initial(q0, p0)
 
 

@@ -31,12 +31,9 @@ from .states import (CatSpec, GaussianState, WignerGrid, _quadrature_variance, _
                      _uniform_trapezoid)
 
 __all__ = [
-    "TomogramQuery",
-    "GaussianTomogram",
     "OpticalSinogram",
     "tomogram_gaussian",
     "tomogram_cat",
-    "cat_evaluator",
     "evolve_tomogram",
     "optical_slice",
     "project_wigner",
@@ -46,62 +43,34 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TomogramQuery:
-    """Frame parameters and quadrature value(s) for a tomogram evaluation.
-
-    Fields broadcast against each other, so X may be an array while the frame
-    stays scalar.  ``delta`` shifts the quadrature origin: Y = X - delta.
-    """
-
-    X: object
-    mu: object
-    nu: object
-    delta: object = 0.0
-
-    @property
-    def Y(self):
-        return np.asarray(self.X, dtype=float) - np.asarray(self.delta, dtype=float)
-
-
-def _frame_arrays(q: TomogramQuery):
-    mu = np.asarray(q.mu, dtype=float)
-    nu = np.asarray(q.nu, dtype=float)
+def _frame_arrays(mu, nu):
+    mu = np.asarray(mu, dtype=float)
+    nu = np.asarray(nu, dtype=float)
     if np.any((mu == 0.0) & (nu == 0.0)):
         raise DegenerateFrameError("tomogram frame (mu, nu) = (0, 0) has no density")
     return mu, nu
 
 
-def tomogram_gaussian(state: GaussianState, q: TomogramQuery):
-    """Gaussian marginal (2 pi sigma_X)^{-1/2} exp(-(X - Xbar)^2 / (2 sigma_X)).
+def tomogram_gaussian(state: GaussianState, Y, mu, nu):
+    """Gaussian marginal (2 pi sigma_X)^{-1/2} exp(-(Y - Ybar)^2 / (2 sigma_X)).
 
     sigma_X = mu^2 sigma_qq + nu^2 sigma_pp + 2 mu nu sigma_pq and
-    Xbar = mu <q> + nu <p> + delta.  A state from
+    Ybar = mu <q> + nu <p>, where Y = X - delta for the quadrature
+    X = mu q + nu p + delta.  A state from
     :func:`~iontomo.states.gaussian_from_epsilon` uses the equal
     sigma_X = |mu eps + nu deps|^2 / 2, which keeps its squeezed direction
     in resonance, where the sigma terms cancel to rounding.
     """
-    mu, nu = _frame_arrays(q)
+    mu, nu = _frame_arrays(mu, nu)
     sig = _quadrature_variance(state, mu, nu)
     if np.any(sig <= 0.0):
         raise DegenerateFrameError("sigma_X <= 0; dispersion matrix not positive on this frame")
-    # work with Y = X - delta so shift covariance is exact, not one rounding off
     ybar = mu * state.mean_q + nu * state.mean_p
-    return np.exp(-((q.Y - ybar) ** 2) / (2.0 * sig)) / np.sqrt(2.0 * math.pi * sig)
+    return np.exp(-((np.asarray(Y, dtype=float) - ybar) ** 2) / (2.0 * sig)) / np.sqrt(2.0 * math.pi * sig)
 
 
-@dataclass(frozen=True)
-class GaussianTomogram:
-    """Callable tomogram of a Gaussian state, signature (Y, mu, nu)."""
-
-    state: GaussianState
-
-    def __call__(self, Y, mu, nu):
-        return tomogram_gaussian(self.state, TomogramQuery(X=Y, mu=mu, nu=nu))
-
-
-def tomogram_cat(spec: CatSpec, q: TomogramQuery):
-    """Even/odd cat marginal.
+def tomogram_cat(spec: CatSpec, Y, mu, nu):
+    """Even/odd cat marginal at Y = X - delta.
 
     N^2 (pi r2)^{-1/2} [w1 + w2 +/- (w3 + w4)] with r2 = mu^2 + nu^2, the
     displaced Gaussians w1, w2 = exp(-(Y -/+ a)^2 / r2) and the conjugate
@@ -113,9 +82,9 @@ def tomogram_cat(spec: CatSpec, q: TomogramQuery):
     where N^2 ~ 1 / (4 |alpha|^2).  Nonnegative up to rounding; integrates to
     1 over X for any frame.
     """
-    mu, nu = _frame_arrays(q)
+    mu, nu = _frame_arrays(mu, nu)
     r2 = mu ** 2 + nu ** 2
-    Y = q.Y
+    Y = np.asarray(Y, dtype=float)
     s = complex(spec.alpha) * (mu - 1j * nu) / math.sqrt(2.0)
     a, b = 2.0 * s.real, 2.0 * s.imag
     u = np.abs(2.0 * a * Y / r2)
@@ -125,27 +94,18 @@ def tomogram_cat(spec: CatSpec, q: TomogramQuery):
     return spec.norm_squared / np.sqrt(math.pi * r2) * total
 
 
-def cat_evaluator(spec: CatSpec) -> Callable:
-    """Tomogram evaluator (Y, mu, nu) for a cat state."""
-    def evaluator(Y, mu, nu):
-        return tomogram_cat(spec, TomogramQuery(X=Y, mu=mu, nu=nu))
-    return evaluator
-
-
-def evolve_tomogram(initial: Callable, eps: complex, deps: complex, q: TomogramQuery):
-    """Tomogram at time t of the mode function: w0(X - delta, mu(t), nu(t)).
+def evolve_tomogram(initial: Callable, eps: complex, deps: complex, Y, mu, nu):
+    """Tomogram at time t of the mode function: w0(Y, mu(t), nu(t)) with Y = X - delta.
 
     ``initial`` is the t=0 evaluator with signature (Y, mu, nu).  The frame
     parameters are transported with mu(t) = Re(deps) nu + Re(eps) mu,
     nu(t) = Im(deps) nu + Im(eps) mu; the map is invertible, so an evolved
     frame can only degenerate if the inputs were already invalid.
     """
-    smap = symplectic_map(eps, deps)
-    mu, nu = _frame_arrays(q)
-    mu_t, nu_t = smap.frame(mu, nu)
+    mu_t, nu_t = symplectic_map(eps, deps).frame(*_frame_arrays(mu, nu))
     if np.any((mu_t == 0.0) & (nu_t == 0.0)):
         raise DegenerateFrameError("evolved frame collapsed to (0, 0); trajectory point invalid")
-    return initial(q.Y, mu_t, nu_t)
+    return initial(Y, mu_t, nu_t)
 
 
 def optical_slice(evaluator: Callable, phi, X):
@@ -166,8 +126,8 @@ _LINE_REACH = 40.0
 _SUPPORT_SCAN_POINTS = 129
 
 
-def project_wigner(source: WignerSource, q: TomogramQuery, *, halfwidth_sigmas: float = 10.0) -> float:
-    """Tomogram value by direct line integration of a Wigner function.
+def project_wigner(source: WignerSource, Y, mu, nu, *, halfwidth_sigmas: float = 10.0) -> float:
+    """Tomogram value at Y = X - delta by direct line integration of a Wigner function.
 
     Integrates W along the line mu q + nu p = Y and divides by
     2 pi sqrt(mu^2 + nu^2).  A coarse scan of |W| along the line (over +-40
@@ -179,11 +139,9 @@ def project_wigner(source: WignerSource, q: TomogramQuery, *, halfwidth_sigmas: 
     ``source`` is a WignerGrid (bicubic interpolation, 0 outside) or a
     callable W(q, p).
     """
-    mu = float(np.asarray(q.mu))
-    nu = float(np.asarray(q.nu))
+    mu, nu, Y = float(mu), float(nu), float(Y)
     if mu == 0.0 and nu == 0.0:
         raise DegenerateFrameError("projection frame (mu, nu) = (0, 0)")
-    Y = float(np.asarray(q.Y))
     r = math.hypot(mu, nu)
 
     base_q = mu * Y / r ** 2

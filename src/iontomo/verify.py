@@ -22,7 +22,7 @@ import numpy as np
 
 from .oscillator import OscillatorParams, EpsilonTrajectory, epsilon_at, omega_squared
 from .states import gaussian_from_epsilon
-from .tomography import TomogramQuery, evolve_tomogram
+from .tomography import evolve_tomogram
 
 __all__ = [
     "ProbeGrid",
@@ -95,7 +95,7 @@ def replacement_evolution(initial: Callable, params: OscillatorParams) -> Callab
     """
     def evolution(X, mu, nu, delta, t):
         eps, deps = epsilon_at(params, float(t))
-        return evolve_tomogram(initial, eps, deps, TomogramQuery(X=X, mu=mu, nu=nu, delta=delta))
+        return evolve_tomogram(initial, eps, deps, X - delta, mu, nu)
     return evolution
 
 

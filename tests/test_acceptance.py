@@ -11,6 +11,7 @@ Tolerances here are contractual; do not loosen them to make a test pass.
 
 import math
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,11 +19,8 @@ import pytest
 from iontomo import (
     CatSpec,
     GaussianState,
-    GaussianTomogram,
     OpticalSinogram,
     OscillatorParams,
-    TomogramQuery,
-    cat_evaluator,
     epsilon_at,
     evolve_tomogram,
     frozen_frame_evolution,
@@ -113,7 +111,7 @@ def test_criterion_4_tomogram_normalization():
             center = mu[k] * state.mean_q + nu[k] * state.mean_p + delta[k]
             half = 12.0 * math.sqrt(sig)
             X = np.linspace(center - half, center + half, 4001)
-            w = tomogram_gaussian(state, TomogramQuery(X=X, mu=mu[k], nu=nu[k], delta=delta[k]))
+            w = tomogram_gaussian(state, X - delta[k], mu[k], nu[k])
             worst_gauss = max(worst_gauss, abs(float(np.trapezoid(w, X)) - 1.0))
 
     worst_cat = 0.0
@@ -122,7 +120,7 @@ def test_criterion_4_tomogram_normalization():
             r = math.hypot(mu[k], nu[k])
             half = r * (2.0 * math.sqrt(2.0) * abs(spec.alpha) + 9.0)
             X = np.linspace(delta[k] - half, delta[k] + half, 8001)
-            w = tomogram_cat(spec, TomogramQuery(X=X, mu=mu[k], nu=nu[k], delta=delta[k]))
+            w = tomogram_cat(spec, X - delta[k], mu[k], nu[k])
             worst_cat = max(worst_cat, abs(float(np.trapezoid(w, X)) - 1.0))
 
     ok = worst_gauss <= 1e-6 and worst_cat <= 1e-5
@@ -133,13 +131,8 @@ def test_criterion_4_tomogram_normalization():
 
 def test_criterion_5_tomogram_vs_wigner_projection():
     rng = np.random.default_rng(7)
-    pairs = [(lambda q, s=VACUUM: tomogram_gaussian(s, q),
-              lambda Q, P, s=VACUUM: wigner_gaussian(s, Q, P)),
-             (lambda q, s=COHERENT: tomogram_gaussian(s, q),
-              lambda Q, P, s=COHERENT: wigner_gaussian(s, Q, P))]
-    pairs += [(lambda q, s=spec: tomogram_cat(s, q),
-               lambda Q, P, s=spec: wigner_cat(s, Q, P))
-              for spec in CAT_SPECS]
+    pairs = [(partial(tomogram_gaussian, s), partial(wigner_gaussian, s)) for s in (VACUUM, COHERENT)]
+    pairs += [(partial(tomogram_cat, spec), partial(wigner_cat, spec)) for spec in CAT_SPECS]
 
     worst = 0.0
     for analytic, wig in pairs:
@@ -147,39 +140,39 @@ def test_criterion_5_tomogram_vs_wigner_projection():
         delta = rng.uniform(-1.0, 1.0, 100)
         X = delta + rng.uniform(-6.0, 6.0, 100)
         for k in range(100):
-            q = TomogramQuery(X=X[k], mu=mu[k], nu=nu[k], delta=delta[k])
+            q = (X[k] - delta[k], mu[k], nu[k])
             # 12 widths: far-offset lines through a cat need the extra tail room
-            oracle = project_wigner(wig, q, halfwidth_sigmas=12.0)
-            worst = max(worst, abs(float(analytic(q)) - oracle))
+            oracle = project_wigner(wig, *q, halfwidth_sigmas=12.0)
+            worst = max(worst, abs(float(analytic(*q)) - oracle))
     _gate(5, "tomogram vs wigner projection", worst <= 1e-5,
           f"max |analytic - projected| = {worst:.3e} over 100 queries x 8 states")
 
 
 def test_criterion_6_replacement_rule_transport():
-    initial = GaussianTomogram(COHERENT)
+    initial = partial(tomogram_gaussian, COHERENT)
     X = np.array([-2.0, -1.0, 0.0, 1.0, 2.0]).reshape(5, 1, 1, 1)
     mu = np.array([0.3, 0.6, 0.9, 1.2, 1.5]).reshape(1, 5, 1, 1)
     nu = np.array([-1.2, -0.6, 0.0, 0.6, 1.2]).reshape(1, 1, 5, 1)
     delta = np.array([-1.0, -0.5, 0.0, 0.5, 1.0]).reshape(1, 1, 1, 5)
-    q = TomogramQuery(X=X, mu=mu, nu=nu, delta=delta)
+    q = (X - delta, mu, nu)
 
     worst = 0.0
     for t in (1.0, 3.0, 7.0):
         eps, deps = epsilon_at(PARAMS04, t)
-        evolved = evolve_tomogram(initial, eps, deps, q)
-        direct = tomogram_gaussian(gaussian_from_epsilon(eps, deps, 1.0 + 0.0j), q)
+        evolved = evolve_tomogram(initial, eps, deps, *q)
+        direct = tomogram_gaussian(gaussian_from_epsilon(eps, deps, 1.0 + 0.0j), *q)
         worst = max(worst, float(np.max(np.abs(evolved - direct))))
     _gate(6, "replacement-rule transport", worst <= 1e-8,
           f"sup |evolved - direct| = {worst:.3e} on 5^4 grid, t in {{1, 3, 7}}")
 
 
 def test_criterion_7_evolution_equation_residual():
-    gauss = pde_residual(replacement_evolution(GaussianTomogram(COHERENT), PARAMS04), PARAMS04)
+    gauss = pde_residual(replacement_evolution(partial(tomogram_gaussian, COHERENT), PARAMS04), PARAMS04)
     cat = pde_residual(
-        replacement_evolution(cat_evaluator(CatSpec(1.0 + 0.0j, "even")), PARAMS04), PARAMS04
+        replacement_evolution(partial(tomogram_cat, CatSpec(1.0 + 0.0j, "even")), PARAMS04), PARAMS04
     )
     # the control state must actually move, so freeze the coherent evaluator
-    frozen = pde_residual(frozen_frame_evolution(GaussianTomogram(COHERENT)), PARAMS04)
+    frozen = pde_residual(frozen_frame_evolution(partial(tomogram_gaussian, COHERENT)), PARAMS04)
 
     ok = (gauss.max_abs_residual < 1e-4 and 1.7 <= gauss.convergence_order <= 2.3
           and cat.max_abs_residual < 1e-4 and 1.7 <= cat.convergence_order <= 2.3
@@ -219,7 +212,7 @@ def _grid_moments(grid):
 
 def test_criterion_9a_fourier_inversion():
     axis = np.linspace(-6.0, 6.0, 121)
-    grid = invert_to_wigner(GaussianTomogram(VACUUM), axis, axis)
+    grid = invert_to_wigner(partial(tomogram_gaussian, VACUUM), axis, axis)
     w00 = float(grid.values[60, 60])
     _, mq, mp, sqq, spp, spq = _grid_moments(grid)
 
@@ -236,7 +229,7 @@ def test_criterion_9b_filtered_backprojection():
     spec = CatSpec(2.0 + 0.0j, "even")
     phi = np.arange(180) * math.pi / 180.0
     x_axis = np.linspace(-8.0, 8.0, 257)
-    sino = OpticalSinogram.from_evaluator(cat_evaluator(spec), phi, x_axis)
+    sino = OpticalSinogram.from_evaluator(partial(tomogram_cat, spec), phi, x_axis)
 
     axis = np.linspace(-6.0, 6.0, 121)
     grid = radon_reconstruct(sino, axis, axis)
@@ -252,9 +245,9 @@ def test_criterion_9b_filtered_backprojection():
 
 def test_criterion_10_homogeneity_and_shift_covariance():
     evaluators = [
-        GaussianTomogram(COHERENT),
-        cat_evaluator(CatSpec(2.0 + 0.0j, "even")),
-        cat_evaluator(CatSpec(2.0j, "odd")),
+        partial(tomogram_gaussian, COHERENT),
+        partial(tomogram_cat, CatSpec(2.0 + 0.0j, "even")),
+        partial(tomogram_cat, CatSpec(2.0j, "odd")),
     ]
     Y = np.linspace(-3.0, 3.0, 13)
     worst = 0.0
@@ -264,18 +257,14 @@ def test_criterion_10_homogeneity_and_shift_covariance():
                 diff = np.abs(ev(lam * Y, lam * mu, lam * nu) * abs(lam) - ev(Y, mu, nu))
                 worst = max(worst, float(np.max(diff)))
 
+    # delta enters only the (X, mu, nu, delta, t) evolutions, as Y = X - delta
     shift_exact = True
-    eps, deps = 1.0, 1.0j
-    for delta in (-1.7, 0.9):
-        shifted = TomogramQuery(X=Y, mu=0.8, nu=0.7, delta=delta)
-        base = TomogramQuery(X=Y - delta, mu=0.8, nu=0.7)
-        for family in (
-            lambda q: tomogram_gaussian(COHERENT, q),
-            lambda q: tomogram_cat(CatSpec(2.0 + 0.0j, "even"), q),
-            lambda q: tomogram_cat(CatSpec(2.0j, "odd"), q),
-            lambda q: evolve_tomogram(GaussianTomogram(COHERENT), eps, deps, q),
-        ):
-            shift_exact = shift_exact and bool(np.array_equal(family(shifted), family(base)))
+    for ev in evaluators:
+        for evolution in (replacement_evolution(ev, PARAMS04), frozen_frame_evolution(ev)):
+            for delta in (-1.7, 0.9):
+                for t in (0.0, 3.0):
+                    shifted = evolution(Y, 0.8, 0.7, delta, t)
+                    shift_exact = shift_exact and bool(np.array_equal(shifted, evolution(Y - delta, 0.8, 0.7, 0.0, t)))
 
     ok = worst <= 1e-10 and shift_exact
     _gate(10, "homogeneity and shift covariance", ok,

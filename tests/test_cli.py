@@ -3,6 +3,7 @@
 import ast
 import contextlib
 import copy
+import functools
 import io
 import json
 import math
@@ -18,7 +19,6 @@ from hypothesis import strategies as st
 
 from iontomo import (
     OpticalSinogram,
-    TomogramQuery,
     WignerGrid,
     gaussian_from_epsilon,
     tomogram_gaussian,
@@ -220,9 +220,7 @@ def test_tomogram_samples_mode(tmp_path):
     assert data.dtype.names == ("X", "mu", "nu", "delta", "w")
     state = gaussian_from_epsilon(1.0, 1.0j, 0.5 + 0.5j)
     for row in np.atleast_1d(data):
-        want = tomogram_gaussian(
-            state, TomogramQuery(X=row["X"], mu=row["mu"], nu=row["nu"], delta=row["delta"])
-        )
+        want = tomogram_gaussian(state, row["X"] - row["delta"], row["mu"], row["nu"])
         assert row["w"] == pytest.approx(float(want), abs=1e-12)
 
 
@@ -424,7 +422,8 @@ def test_reconstruct_fbp_rejects_angles_that_do_not_tile_the_half_turn(tmp_path,
     phi = np.linspace(0.0, math.pi / 2, 32, endpoint=False)
     x = np.linspace(-8.0, 8.0, 257)
     sino = tmp_path / "quarter.csv"
-    marginals = tomography.optical_slice(tomography.cat_evaluator(states.CatSpec(2.0, "even")), phi[:, np.newaxis], x)
+    cat = functools.partial(tomography.tomogram_cat, states.CatSpec(2.0, "even"))
+    marginals = tomography.optical_slice(cat, phi[:, np.newaxis], x)
     _container.save_csv_triples(str(sino), ("phi", "x", "w"), phi, x, marginals)
     cfg = cfg_file(tmp_path, {"input": str(sino), "method": "fbp"})
     before = sorted(p.name for p in tmp_path.iterdir())

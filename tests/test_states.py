@@ -9,6 +9,7 @@ Wigner expressions it is used to check.
 import dataclasses
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from iontomo import (
     NormalizationDivergenceError,
     OscillatorParams,
     SolverError,
-    TomogramQuery,
     WignerGrid,
     epsilon_at,
     eval_wavefunction,
@@ -29,7 +29,6 @@ from iontomo import (
     gaussian_from_epsilon,
     schroedinger_relation_check,
     solve_epsilon,
-    symplectic_map,
     tomogram_cat,
     wigner_cat,
     wigner_gaussian,
@@ -162,8 +161,7 @@ def test_resonant_wigner_keeps_its_long_axis():
     state = gaussian_from_epsilon(eps, deps)
     vals, vecs = np.linalg.eigh([[state.sigma_qq, state.sigma_pq], [state.sigma_pq, state.sigma_pp]])
     c = np.array([0.5, 1.0, 2.0])[:, np.newaxis] * math.sqrt(vals[1]) * vecs[:, 1]
-    want = evolve_wigner(lambda q0, p0: wigner_gaussian(GaussianState(), q0, p0),
-                         symplectic_map(eps, deps), c[:, 0], c[:, 1])
+    want = evolve_wigner(partial(wigner_gaussian, GaussianState()), eps, deps, c[:, 0], c[:, 1])
     np.testing.assert_allclose(wigner_gaussian(state, c[:, 0], c[:, 1]), want, rtol=1e-8)
     # the stored (eps, deps) must describe the sigmas beside it
     with pytest.raises(ValueError, match="do not match the mode function"):
@@ -216,7 +214,7 @@ def test_cat_spec_norm():
     for parity in ("even", "odd"):
         spec = CatSpec(alpha=27.0 + 0.0j, parity=parity)
         assert spec.norm_squared == 0.5
-        w = tomogram_cat(spec, TomogramQuery(X=X, mu=0.6, nu=0.8))
+        w = tomogram_cat(spec, X, 0.6, 0.8)
         assert np.trapezoid(w, X) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -440,11 +438,10 @@ def test_one_mode_cat_equals_n_mode_path(spec):
 
 
 def test_evolve_wigner_identity():
-    smap = symplectic_map(1.0 + 0.0j, 1.0j)
     vac = GaussianState()
     q = np.linspace(-2, 2, 9)
     np.testing.assert_allclose(
-        evolve_wigner(lambda qq, pp: wigner_gaussian(vac, qq, pp), smap, q, q[::-1]),
+        evolve_wigner(partial(wigner_gaussian, vac), 1.0 + 0.0j, 1.0j, q, q[::-1]),
         wigner_gaussian(vac, q, q[::-1]),
         atol=0.0,
     )
@@ -452,11 +449,10 @@ def test_evolve_wigner_identity():
 
 def test_evolve_wigner_vacuum_rotation_invariant():
     eps, deps = epsilon_at(OscillatorParams(0.0, 1.0), 0.77)
-    smap = symplectic_map(eps, deps)
     vac = GaussianState()
     q = np.linspace(-3, 3, 13)
     np.testing.assert_allclose(
-        evolve_wigner(lambda qq, pp: wigner_gaussian(vac, qq, pp), smap, q, 0.3 * q),
+        evolve_wigner(partial(wigner_gaussian, vac), eps, deps, q, 0.3 * q),
         wigner_gaussian(vac, q, 0.3 * q),
         atol=1e-12,
     )
@@ -466,12 +462,10 @@ def test_evolve_wigner_cat_quarter_turn():
     # solved map at t=pi/2 (kappa=0) against the exact rotated arguments
     spec = CatSpec(2.0 + 0.0j, "even")
     eps, deps = epsilon_at(OscillatorParams(0.0, 1.0), math.pi / 2)
-    smap = symplectic_map(eps, deps)
-    w0 = lambda qq, pp: wigner_cat(spec, qq, pp)
     rng = np.random.default_rng(11)
     for q, p in rng.uniform(-3, 3, size=(25, 2)):
         rotated = wigner_cat(spec, -p, q)  # q0 = -p, p0 = q at a quarter turn
-        assert evolve_wigner(w0, smap, q, p) == pytest.approx(rotated, abs=1e-8)
+        assert evolve_wigner(partial(wigner_cat, spec), eps, deps, q, p) == pytest.approx(rotated, abs=1e-8)
 
 
 # ---------------------------------------------------------------- WignerGrid
@@ -630,10 +624,7 @@ def test_from_evaluator_blocks_are_bit_identical(monkeypatch, block_points):
     # cat is the reference the CLI samples
     monkeypatch.setattr(states, "_EVAL_BLOCK_POINTS", block_points)
     spec = CatSpec(1.5 + 0.5j, "odd")
-    smap = symplectic_map(*epsilon_at(OscillatorParams(0.4, 2.0), 3.0))
-
-    def evaluator(q, p):
-        return evolve_wigner(lambda q0, p0: wigner_cat(spec, q0, p0), smap, q, p)
+    evaluator = partial(evolve_wigner, partial(wigner_cat, spec), *epsilon_at(OscillatorParams(0.4, 2.0), 3.0))
 
     q_axis, p_axis = np.linspace(-6.0, 6.0, 101), np.linspace(-5.0, 5.0, 67)
     grid = WignerGrid.from_evaluator(evaluator, q_axis, p_axis)

@@ -6,6 +6,7 @@ shares no moment algebra with them.
 """
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -16,15 +17,12 @@ from iontomo import (
     CatSpec,
     DegenerateFrameError,
     GaussianState,
-    GaussianTomogram,
     InsufficientAnglesError,
     OpticalSinogram,
     OscillatorParams,
     ReconstructionQualityError,
     SupportTruncationWarning,
-    TomogramQuery,
     WignerGrid,
-    cat_evaluator,
     epsilon_at,
     evolve_tomogram,
     gaussian_from_epsilon,
@@ -38,20 +36,20 @@ from iontomo import (
     wigner_cat,
     wigner_gaussian,
 )
-from iontomo import tomography
+from iontomo import cli, tomography
 from iontomo.tomography import _frame_arrays
+from iontomo.verify import replacement_evolution
 
 VACUUM = GaussianState()
 
 
-def _cat_pieces(spec: CatSpec, q: TomogramQuery):
+def _cat_pieces(spec: CatSpec, Y, mu, nu):
     """The four-term cat marginal (w1, w2, w3, w4, r2) in which the odd cat cancels as alpha -> 0.
 
     The marginal is N^2 (pi r2)^{-1/2} Re[w1 + w2 +/- (w3 + w4)]; w4 = conj(w3) analytically.
     """
-    mu, nu = _frame_arrays(q)
+    mu, nu = _frame_arrays(mu, nu)
     r2 = mu ** 2 + nu ** 2
-    Y = q.Y
     alpha = complex(spec.alpha)
     a2 = abs(alpha) ** 2
     s = alpha * (mu - 1j * nu) / math.sqrt(2.0)
@@ -84,42 +82,40 @@ def random_frames(rng, n, r_lo=0.5, r_hi=2.0):
 
 
 def test_vacuum_position_marginal():
-    w = tomogram_gaussian(VACUUM, TomogramQuery(X=0.0, mu=1.0, nu=0.0))
+    w = tomogram_gaussian(VACUUM, 0.0, 1.0, 0.0)
     assert float(w) == pytest.approx(math.pi ** -0.5, abs=1e-15)
 
 
 @pytest.mark.parametrize("phi", [0.0, 0.4, math.pi / 2, 2.1])
 def test_vacuum_marginal_rotation_invariant(phi):
     X = np.linspace(-4.0, 4.0, 41)
-    w = tomogram_gaussian(VACUUM, TomogramQuery(X=X, mu=math.cos(phi), nu=math.sin(phi)))
+    w = tomogram_gaussian(VACUUM, X, math.cos(phi), math.sin(phi))
     np.testing.assert_allclose(w, np.exp(-X ** 2) / math.sqrt(math.pi), atol=1e-12)
 
 
 def test_gaussian_tomogram_callable_matches_function():
+    # the CLI's evaluator of a Gaussian state is the function itself
     state = gaussian_from_epsilon(1.0, 1.0j, 0.7 - 0.2j)
+    evaluator, _ = cli._state({"kind": "gaussian", "alpha": [0.7, -0.2]}, "test", None, 0.0)
     X = np.linspace(-3, 3, 7)
-    np.testing.assert_array_equal(
-        GaussianTomogram(state)(X, 0.8, -0.6),
-        tomogram_gaussian(state, TomogramQuery(X=X, mu=0.8, nu=-0.6)),
-    )
+    np.testing.assert_array_equal(evaluator(X, 0.8, -0.6), tomogram_gaussian(state, X, 0.8, -0.6))
 
 
 def test_degenerate_frame_rejected():
-    q = TomogramQuery(X=0.0, mu=0.0, nu=0.0)
+    q = (0.0, 0.0, 0.0)
     with pytest.raises(DegenerateFrameError):
-        tomogram_gaussian(VACUUM, q)
+        tomogram_gaussian(VACUUM, *q)
     with pytest.raises(DegenerateFrameError):
-        tomogram_cat(CAT_SPECS[0], q)
+        tomogram_cat(CAT_SPECS[0], *q)
     with pytest.raises(DegenerateFrameError):
-        project_wigner(lambda qq, pp: wigner_gaussian(VACUUM, qq, pp), q)
+        project_wigner(lambda qq, pp: wigner_gaussian(VACUUM, qq, pp), *q)
     with pytest.raises(DegenerateFrameError):
-        evolve_tomogram(GaussianTomogram(VACUUM), 1.0, 1.0j, q)
+        evolve_tomogram(partial(tomogram_gaussian, VACUUM), 1.0, 1.0j, *q)
 
 
 def test_cat_interference_terms_conjugate():
-    q = TomogramQuery(X=np.linspace(-4, 4, 33), mu=0.7, nu=-1.1, delta=0.3)
     for spec in CAT_SPECS:
-        _, _, w3, w4, _ = _cat_pieces(spec, q)
+        _, _, w3, w4, _ = _cat_pieces(spec, np.linspace(-4, 4, 33) - 0.3, 0.7, -1.1)
         assert np.max(np.abs(np.imag(w3 + w4))) <= 1e-12
 
 
@@ -129,11 +125,11 @@ def test_cat_marginal_matches_the_four_term_sum(alpha, parity):
     spec = CatSpec(alpha, parity)
     rng = np.random.default_rng(8)
     mu, nu = random_frames(rng, 12)
-    q = TomogramQuery(X=np.linspace(-6.0, 6.0, 97)[:, np.newaxis], mu=mu, nu=nu, delta=0.3)
-    w1, w2, w3, w4, r2 = _cat_pieces(spec, q)
+    Y = np.linspace(-6.0, 6.0, 97)[:, np.newaxis] - 0.3
+    w1, w2, w3, w4, r2 = _cat_pieces(spec, Y, mu, nu)
     sign = 1.0 if parity == "even" else -1.0
     want = spec.norm_squared / np.sqrt(math.pi * r2) * np.real(w1 + w2 + sign * (w3 + w4))
-    got = tomogram_cat(spec, q)
+    got = tomogram_cat(spec, Y, mu, nu)
     # measured: at most 1.6e-15 of the maximum
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(want)
 
@@ -144,11 +140,10 @@ def test_small_odd_cat_marginal_is_the_one_phonon_marginal(alpha):
     # by 4e183 at 1e-100; measured now: at most 4.1e-16
     rng = np.random.default_rng(9)
     mu, nu = random_frames(rng, 12)
-    q = TomogramQuery(X=np.linspace(-6.0, 6.0, 97)[:, np.newaxis], mu=mu, nu=nu)
+    Y = np.linspace(-6.0, 6.0, 97)[:, np.newaxis]
     r2 = mu ** 2 + nu ** 2
-    Y = q.Y
     one = 2.0 * Y ** 2 * np.exp(-(Y ** 2) / r2) / (r2 * np.sqrt(math.pi * r2))
-    got = tomogram_cat(CatSpec(alpha, "odd"), q)
+    got = tomogram_cat(CatSpec(alpha, "odd"), Y, mu, nu)
     assert np.max(np.abs(got - one)) <= 1e-14 * np.max(one)
 
 
@@ -160,8 +155,8 @@ def test_cat_marginal_matches_wigner_projection(spec):
     delta = rng.uniform(-1.0, 1.0, 20)
     wig = lambda qq, pp: wigner_cat(spec, qq, pp)
     for k in range(20):
-        q = TomogramQuery(X=X[k], mu=mu[k], nu=nu[k], delta=delta[k])
-        assert tomogram_cat(spec, q) == pytest.approx(project_wigner(wig, q), abs=1e-5)
+        q = (X[k] - delta[k], mu[k], nu[k])
+        assert tomogram_cat(spec, *q) == pytest.approx(project_wigner(wig, *q), abs=1e-5)
 
 
 def test_gaussian_marginal_matches_wigner_projection():
@@ -171,18 +166,18 @@ def test_gaussian_marginal_matches_wigner_projection():
     X = rng.uniform(-4.0, 4.0, 20)
     wig = lambda qq, pp: wigner_gaussian(state, qq, pp)
     for k in range(20):
-        q = TomogramQuery(X=X[k], mu=mu[k], nu=nu[k])
-        assert tomogram_gaussian(state, q) == pytest.approx(project_wigner(wig, q), abs=1e-9)
+        q = (X[k], mu[k], nu[k])
+        assert tomogram_gaussian(state, *q) == pytest.approx(project_wigner(wig, *q), abs=1e-9)
 
 
 # --------------------------------------------------- homogeneity and shifts
 
 
 EVALUATORS = {
-    "vacuum": GaussianTomogram(VACUUM),
-    "coherent": GaussianTomogram(gaussian_from_epsilon(1.0, 1.0j, 1.0 + 0.0j)),
-    "cat-even": cat_evaluator(CatSpec(1.5 + 0.0j, "even")),
-    "cat-odd": cat_evaluator(CatSpec(1.0j, "odd")),
+    "vacuum": partial(tomogram_gaussian, VACUUM),
+    "coherent": partial(tomogram_gaussian, gaussian_from_epsilon(1.0, 1.0j, 1.0 + 0.0j)),
+    "cat-even": partial(tomogram_cat, CatSpec(1.5 + 0.0j, "even")),
+    "cat-odd": partial(tomogram_cat, CatSpec(1.0j, "odd")),
 }
 
 
@@ -214,19 +209,17 @@ def test_homogeneity_property(lam, theta, r, Y):
 
 
 def test_shift_covariance_exact():
+    # delta enters only through Y = X - delta, also after transport
     X = np.linspace(-3.0, 3.0, 13)
+    params = OscillatorParams(0.4, 2.0)
+    initials = (partial(tomogram_gaussian, VACUUM), partial(tomogram_cat, CatSpec(2.0 + 0.0j, "even")),
+                partial(tomogram_gaussian, gaussian_from_epsilon(1.0, 1.0j, 1.0 + 0.5j)))
     for delta in (-1.7, 0.9):
-        shifted = TomogramQuery(X=X, mu=0.8, nu=0.7, delta=delta)
-        base = TomogramQuery(X=X - delta, mu=0.8, nu=0.7)
-        np.testing.assert_array_equal(
-            tomogram_gaussian(VACUUM, shifted), tomogram_gaussian(VACUUM, base)
-        )
-        spec = CatSpec(2.0 + 0.0j, "even")
-        np.testing.assert_array_equal(tomogram_cat(spec, shifted), tomogram_cat(spec, base))
-        coh = gaussian_from_epsilon(1.0, 1.0j, 1.0 + 0.5j)
-        np.testing.assert_array_equal(
-            tomogram_gaussian(coh, shifted), tomogram_gaussian(coh, base)
-        )
+        for initial in initials:
+            evolution = replacement_evolution(initial, params)
+            for t in (0.0, 1.3):
+                np.testing.assert_array_equal(evolution(X, 0.8, 0.7, delta, t),
+                                              evolution(X - delta, 0.8, 0.7, 0.0, t))
 
 
 def test_resonant_gaussian_marginal_keeps_its_squeezed_direction():
@@ -234,10 +227,10 @@ def test_resonant_gaussian_marginal_keeps_its_squeezed_direction():
     # difference of sigma terms ~5e6; the evolved vacuum gives the exact value
     eps, deps = epsilon_at(OscillatorParams(1.0, 1.2247), 80.0)
     r = math.hypot(deps.imag, eps.imag)
-    q = TomogramQuery(X=np.array([0.0, 3e-4]), mu=deps.imag / r, nu=-eps.imag / r)
-    want = evolve_tomogram(GaussianTomogram(VACUUM), eps, deps, q)
+    q = (np.array([0.0, 3e-4]), deps.imag / r, -eps.imag / r)
+    want = evolve_tomogram(partial(tomogram_gaussian, VACUUM), eps, deps, *q)
     assert want[0] == pytest.approx(1168.488, abs=1e-3)
-    np.testing.assert_allclose(tomogram_gaussian(gaussian_from_epsilon(eps, deps), q), want, rtol=1e-9)
+    np.testing.assert_allclose(tomogram_gaussian(gaussian_from_epsilon(eps, deps), *q), want, rtol=1e-9)
 
 
 # -------------------------------------------------------------- normalization
@@ -254,7 +247,7 @@ def test_gaussian_marginal_normalized_on_random_frames(point04_t2):
                + 2.0 * mu[k] * nu[k] * state.sigma_pq)
         center = mu[k] * state.mean_q + nu[k] * state.mean_p + delta[k]
         X = np.linspace(center - 12.0 * math.sqrt(sig), center + 12.0 * math.sqrt(sig), 4001)
-        w = tomogram_gaussian(state, TomogramQuery(X=X, mu=mu[k], nu=nu[k], delta=delta[k]))
+        w = tomogram_gaussian(state, X - delta[k], mu[k], nu[k])
         assert np.trapezoid(w, X) == pytest.approx(1.0, abs=1e-6)
 
 
@@ -267,7 +260,7 @@ def test_cat_marginal_normalized_on_random_frames(spec):
     for k in range(20):
         r = math.hypot(mu[k], nu[k])
         X = np.linspace(delta[k] - r * reach, delta[k] + r * reach, 8001)
-        w = tomogram_cat(spec, TomogramQuery(X=X, mu=mu[k], nu=nu[k], delta=delta[k]))
+        w = tomogram_cat(spec, X - delta[k], mu[k], nu[k])
         assert np.min(w) >= -1e-12
         assert np.trapezoid(w, X) == pytest.approx(1.0, abs=1e-5)
 
@@ -276,31 +269,29 @@ def test_cat_marginal_normalized_on_random_frames(spec):
 
 
 def test_evolve_identity_at_t0():
-    ev = cat_evaluator(CatSpec(1.0 + 0.0j, "even"))
+    ev = partial(tomogram_cat, CatSpec(1.0 + 0.0j, "even"))
     X = np.linspace(-3, 3, 11)
-    q = TomogramQuery(X=X, mu=0.9, nu=-0.4, delta=0.2)
-    np.testing.assert_array_equal(evolve_tomogram(ev, 1.0, 1.0j, q), ev(q.Y, 0.9, -0.4))
+    np.testing.assert_array_equal(evolve_tomogram(ev, 1.0, 1.0j, X - 0.2, 0.9, -0.4), ev(X - 0.2, 0.9, -0.4))
 
 
 def test_evolved_vacuum_is_stationary_in_static_trap():
     eps, deps = epsilon_at(OscillatorParams(0.0, 1.0), 1.3)
-    ev = GaussianTomogram(VACUUM)
+    ev = partial(tomogram_gaussian, VACUUM)
     X = np.linspace(-4, 4, 17)
     for mu, nu in ((1.0, 0.0), (0.3, 1.1)):
-        q = TomogramQuery(X=X, mu=mu, nu=nu)
-        np.testing.assert_allclose(evolve_tomogram(ev, eps, deps, q), ev(X, mu, nu), atol=1e-12)
+        np.testing.assert_allclose(evolve_tomogram(ev, eps, deps, X, mu, nu), ev(X, mu, nu), atol=1e-12)
 
 
 def test_evolved_tomogram_matches_time_t_state(point04_t2):
     eps, deps = point04_t2
     alpha = 1.0 + 0.0j
-    initial = GaussianTomogram(gaussian_from_epsilon(1.0, 1.0j, alpha))
+    initial = partial(tomogram_gaussian, gaussian_from_epsilon(1.0, 1.0j, alpha))
     direct = gaussian_from_epsilon(eps, deps, alpha)
     X = np.linspace(-5.0, 5.0, 21)
     for mu, nu, delta in ((1.0, 0.0, 0.0), (0.4, -1.1, 0.7), (-0.9, 0.3, -1.0)):
-        q = TomogramQuery(X=X, mu=mu, nu=nu, delta=delta)
         np.testing.assert_allclose(
-            evolve_tomogram(initial, eps, deps, q), tomogram_gaussian(direct, q), atol=1e-8
+            evolve_tomogram(initial, eps, deps, X - delta, mu, nu), tomogram_gaussian(direct, X - delta, mu, nu),
+            atol=1e-8,
         )
 
 
@@ -314,12 +305,12 @@ def _local_maxima(x_axis, w, floor):
 
 def test_optical_slice_vacuum_and_fringes():
     X = np.linspace(-6.0, 6.0, 401)
-    w = optical_slice(GaussianTomogram(VACUUM), 1.1, X)
+    w = optical_slice(partial(tomogram_gaussian, VACUUM), 1.1, X)
     np.testing.assert_allclose(w, np.exp(-X ** 2) / math.sqrt(math.pi), atol=1e-12)
 
     # even cat: two coherent humps along the displacement axis, interference
     # fringes on the orthogonal quadrature
-    ev = cat_evaluator(CatSpec(2.0 + 0.0j, "even"))
+    ev = partial(tomogram_cat, CatSpec(2.0 + 0.0j, "even"))
     assert len(_local_maxima(X, optical_slice(ev, 0.0, X), 1e-3)) == 2
     assert len(_local_maxima(X, optical_slice(ev, math.pi / 2, X), 1e-3)) == 5
 
@@ -330,12 +321,11 @@ def test_optical_slice_vacuum_and_fringes():
 def test_project_wigner_from_grid():
     axis = np.linspace(-8.0, 8.0, 321)
     grid = WignerGrid.from_evaluator(lambda q, p: wigner_gaussian(VACUUM, q, p), axis, axis)
-    on_axis = project_wigner(grid, TomogramQuery(X=0.0, mu=1.0, nu=0.0))
+    on_axis = project_wigner(grid, 0.0, 1.0, 0.0)
     assert on_axis == pytest.approx(math.pi ** -0.5, abs=1e-6)
     for X, mu, nu in ((0.7, 0.8, -0.6), (-1.2, 0.5, 1.3), (0.0, 1.1, 1.1)):
-        q = TomogramQuery(X=X, mu=mu, nu=nu)
-        assert project_wigner(grid, q) == pytest.approx(
-            float(tomogram_gaussian(VACUUM, q)), abs=1e-6
+        assert project_wigner(grid, X, mu, nu) == pytest.approx(
+            float(tomogram_gaussian(VACUUM, X, mu, nu)), abs=1e-6
         )
 
 
@@ -343,14 +333,14 @@ def test_project_wigner_warns_on_truncated_grid():
     axis = np.linspace(-2.0, 2.0, 41)
     grid = WignerGrid.from_evaluator(lambda q, p: wigner_gaussian(VACUUM, q, p), axis, axis)
     with pytest.warns(SupportTruncationWarning):
-        project_wigner(grid, TomogramQuery(X=0.0, mu=1.0, nu=0.0))
+        project_wigner(grid, 0.0, 1.0, 0.0)
 
 
 def test_project_wigner_line_missing_grid_is_zero():
     axis = np.linspace(-2.0, 2.0, 41)
     grid = WignerGrid.from_evaluator(lambda q, p: wigner_gaussian(VACUUM, q, p), axis, axis)
-    assert project_wigner(grid, TomogramQuery(X=5.0, mu=1.0, nu=0.0)) == 0.0
-    assert project_wigner(grid, TomogramQuery(X=10.0, mu=1.0, nu=1.0)) == 0.0
+    assert project_wigner(grid, 5.0, 1.0, 0.0) == 0.0
+    assert project_wigner(grid, 10.0, 1.0, 1.0) == 0.0
 
 
 # --------------------------------------------------------------- inversion
@@ -384,7 +374,7 @@ FAST_INVERT = {"k_max": 8.0, "n_nodes": 97, "n_y": 257}
 
 def test_invert_vacuum():
     axis = np.linspace(-6.0, 6.0, 81)
-    grid = invert_to_wigner(GaussianTomogram(VACUUM), axis, axis, **FAST_INVERT)
+    grid = invert_to_wigner(partial(tomogram_gaussian, VACUUM), axis, axis, **FAST_INVERT)
     i0 = np.searchsorted(axis, 0.0)
     assert grid.values[i0, i0] == pytest.approx(2.0, abs=2e-2)
     m = grid_moments(grid)
@@ -398,7 +388,7 @@ def test_invert_vacuum():
 def test_invert_coherent_recovers_moments():
     state = gaussian_from_epsilon(1.0, 1.0j, 1.0 + 0.0j)
     axis = np.linspace(-6.0, 6.0, 81)
-    grid = invert_to_wigner(GaussianTomogram(state), axis, axis, **FAST_INVERT)
+    grid = invert_to_wigner(partial(tomogram_gaussian, state), axis, axis, **FAST_INVERT)
     m = grid_moments(grid)
     assert m["mean_q"] == pytest.approx(math.sqrt(2.0), abs=1e-3)
     assert abs(m["mean_p"]) <= 1e-3
@@ -409,7 +399,7 @@ def test_invert_coherent_recovers_moments():
 def test_invert_cat_against_analytic_wigner():
     spec = CatSpec(2.0 + 0.0j, "even")
     axis = np.linspace(-6.0, 6.0, 121)
-    grid = invert_to_wigner(cat_evaluator(spec), axis, axis)
+    grid = invert_to_wigner(partial(tomogram_cat, spec), axis, axis)
     Q, P = np.meshgrid(axis, axis, indexing="ij")
     exact = wigner_cat(spec, Q, P)
     rel_l2 = np.linalg.norm(grid.values - exact) / np.linalg.norm(exact)
@@ -436,7 +426,7 @@ def invert_full_plane_reference(sinogram, q_axis, p_axis, *, k_max, n_nodes):
 def _asymmetric_cat_sinogram():
     phi = np.linspace(0.0, math.pi, 120, endpoint=False)
     x = np.linspace(-8.0, 8.0, 161)
-    return OpticalSinogram.from_evaluator(cat_evaluator(CatSpec(1.2 + 0.7j, "odd")), phi, x)
+    return OpticalSinogram.from_evaluator(partial(tomogram_cat, CatSpec(1.2 + 0.7j, "odd")), phi, x)
 
 
 @pytest.mark.parametrize("k_max, n_nodes, n_y", [(8.0, 97, 257), (6.0, 48, 129), (5.0, 31, 129)],
@@ -449,7 +439,7 @@ def test_half_plane_inversion_matches_full_plane(monkeypatch, source, k_max, n_n
     if source == "gaussian":
         # displaced, squeezed and correlated: no symmetry in q, p or the frame;
         # a callable, so the inversion samples its sinogram first
-        source = GaussianTomogram(GaussianState(mean_p=-0.7, mean_q=1.1, sigma_pp=0.3,
+        source = partial(tomogram_gaussian, GaussianState(mean_p=-0.7, mean_q=1.1, sigma_pp=0.3,
                                                 sigma_qq=1.1, sigma_pq=0.35))
     else:
         source = _asymmetric_cat_sinogram()
@@ -484,7 +474,7 @@ def test_callable_inversion_samples_one_sinogram(monkeypatch):
 
     def counted(Y, mu, nu):
         points.append(np.broadcast(Y, mu, nu).size)
-        return GaussianTomogram(state)(Y, mu, nu)
+        return tomogram_gaussian(state, Y, mu, nu)
 
     def recorded(sinogram, k_reach):
         sinograms.append(sinogram)
@@ -514,10 +504,10 @@ def test_sinogram_inversion_beats_its_evaluator(name):
     # must be at least as close to the analytic Wigner function as the
     # interpolating evaluator, which the inversion resamples on 214 angles
     if name == "gaussian":
-        evaluator, exact_w = GaussianTomogram(SKEW_GAUSSIAN), lambda q, p: wigner_gaussian(SKEW_GAUSSIAN, q, p)
+        evaluator, exact_w = partial(tomogram_gaussian, SKEW_GAUSSIAN), partial(wigner_gaussian, SKEW_GAUSSIAN)
     else:
         spec = CatSpec(1.2 + 0.7j, "odd")
-        evaluator, exact_w = cat_evaluator(spec), lambda q, p: wigner_cat(spec, q, p)
+        evaluator, exact_w = partial(tomogram_cat, spec), partial(wigner_cat, spec)
     phi = np.linspace(0.0, math.pi, 120, endpoint=False)
     sino = OpticalSinogram.from_evaluator(evaluator, phi, np.linspace(-8.0, 8.0, 161))
     axis = np.linspace(-5.0, 5.0, 41)
@@ -538,12 +528,12 @@ def test_sinogram_inversion_requires_full_angle_coverage():
     # the sinogram itself refuses angles over [0, pi / 2), so no inversion gets one
     phi = np.linspace(0.0, math.pi / 2, 10, endpoint=False)
     with pytest.raises(ValueError, match=r"^phi_axis must tile \[0, pi\)"):
-        OpticalSinogram.from_evaluator(GaussianTomogram(VACUUM), phi, np.linspace(-6.0, 6.0, 65))
+        OpticalSinogram.from_evaluator(partial(tomogram_gaussian, VACUUM), phi, np.linspace(-6.0, 6.0, 65))
 
 
 def test_one_angle_sinogram_rejected_by_both_entry_points():
     # a valid sinogram, but the 4-point angle stencil needs two rows to wrap
-    sino = OpticalSinogram.from_evaluator(GaussianTomogram(VACUUM), [0.0], np.linspace(-6.0, 6.0, 65))
+    sino = OpticalSinogram.from_evaluator(partial(tomogram_gaussian, VACUUM), [0.0], np.linspace(-6.0, 6.0, 65))
     axis = np.linspace(-4.0, 4.0, 33)
     with pytest.raises(ValueError, match="1 angle"):
         sinogram_evaluator(sino)
@@ -554,7 +544,7 @@ def test_one_angle_sinogram_rejected_by_both_entry_points():
 def test_off_centre_x_axis_rejected_by_both_entry_points():
     # reversing X is the fold X -> -X only on an axis symmetric about 0; on
     # [-8, 9] the wrap rows were misplaced (rel-L2 6.9e-2 instead of 6.4e-6)
-    sino = OpticalSinogram.from_evaluator(cat_evaluator(CatSpec(2.0 + 0.0j, "even")),
+    sino = OpticalSinogram.from_evaluator(partial(tomogram_cat, CatSpec(2.0 + 0.0j, "even")),
                                           np.linspace(0.0, math.pi, 180, endpoint=False),
                                           np.linspace(-8.0, 9.0, 273))
     axis = np.linspace(-4.0, 4.0, 33)
@@ -580,7 +570,7 @@ def test_sinogram_inversion_computes_half_plane(monkeypatch, n_nodes):
 
     stencil = tomography._stencil
     monkeypatch.setattr(tomography, "_stencil", recorded)
-    sino = OpticalSinogram.from_evaluator(cat_evaluator(CatSpec(1.2 + 0.7j, "odd")),
+    sino = OpticalSinogram.from_evaluator(partial(tomogram_cat, CatSpec(1.2 + 0.7j, "odd")),
                                           np.linspace(0.0, math.pi, 120, endpoint=False),
                                           np.linspace(-8.0, 8.0, 161))
     axis = np.linspace(-5.0, 5.0, 41)
@@ -640,7 +630,7 @@ def test_ray_spectrum_matches_per_node_transform(x_half, n_x, n_phi, k_max, seed
 def test_invert_rejects_truncated_cutoff():
     axis = np.linspace(-4.0, 4.0, 33)
     with pytest.raises(ReconstructionQualityError, match="integrates to"):
-        invert_to_wigner(GaussianTomogram(VACUUM), axis, axis, k_max=0.3, n_nodes=9)
+        invert_to_wigner(partial(tomogram_gaussian, VACUUM), axis, axis, k_max=0.3, n_nodes=9)
 
 
 # ------------------------------------------------------------------ sinograms
@@ -649,7 +639,7 @@ def test_invert_rejects_truncated_cutoff():
 def vacuum_sinogram(n_phi=180, n_x=257, half=8.0):
     phi = np.linspace(0.0, math.pi, n_phi, endpoint=False)
     x = np.linspace(-half, half, n_x)
-    return OpticalSinogram.from_evaluator(GaussianTomogram(VACUUM), phi, x)
+    return OpticalSinogram.from_evaluator(partial(tomogram_gaussian, VACUUM), phi, x)
 
 
 def test_sinogram_validation():
@@ -690,7 +680,7 @@ def test_sinogram_rejects_non_uniform_x():
     (np.linspace(0.0, math.pi, 32, endpoint=False)[::-1], "uniformly increasing"),
 ], ids=["quarter-turn", "decreasing"])
 def test_fbp_input_angles_must_tile_the_half_turn_in_order(phi, message):
-    evaluator = cat_evaluator(CatSpec(2.0 + 0.0j, "even"))
+    evaluator = partial(tomogram_cat, CatSpec(2.0 + 0.0j, "even"))
     with pytest.raises(ValueError, match=message):
         OpticalSinogram.from_evaluator(evaluator, phi, np.linspace(-8.0, 8.0, 257))
 
@@ -705,7 +695,7 @@ def test_vacuum_sinogram_columns():
 @pytest.mark.parametrize("fmt", ["csv", "bin"])
 def test_sinogram_round_trip(tmp_path, fmt):
     sino = OpticalSinogram.from_evaluator(
-        cat_evaluator(CatSpec(1.0 + 0.0j, "even")),
+        partial(tomogram_cat, CatSpec(1.0 + 0.0j, "even")),
         np.linspace(0.0, math.pi, 24, endpoint=False),
         np.linspace(-6.0, 6.0, 65),
     )
@@ -735,7 +725,7 @@ def test_each_grid_load_rejects_the_other_kind(tmp_path, fmt):
 def test_sinogram_csv_with_a_reversed_angle_is_rejected(tmp_path):
     # the third angle of a displaced state lists X in reverse; its values
     # would land on the wrong X
-    sino = OpticalSinogram.from_evaluator(GaussianTomogram(gaussian_from_epsilon(1.0, 1.0j, 1.0)),
+    sino = OpticalSinogram.from_evaluator(partial(tomogram_gaussian, gaussian_from_epsilon(1.0, 1.0j, 1.0)),
                                           np.arange(4) * math.pi / 4, np.linspace(-8.0, 8.0, 65))
     path = tmp_path / "sino.csv"
     sino.save(str(path), fmt="csv")
@@ -752,7 +742,7 @@ def test_sinogram_csv_with_a_reversed_angle_is_rejected(tmp_path):
 def test_radon_needs_enough_angles():
     phi = np.linspace(0.0, math.pi, 12, endpoint=False)
     x = np.linspace(-6.0, 6.0, 65)
-    sino = OpticalSinogram.from_evaluator(GaussianTomogram(VACUUM), phi, x)
+    sino = OpticalSinogram.from_evaluator(partial(tomogram_gaussian, VACUUM), phi, x)
     with pytest.raises(InsufficientAnglesError):
         radon_reconstruct(sino, x, x)
 
@@ -774,7 +764,7 @@ def test_radon_vacuum_peak():
 def test_radon_cat_accuracy(apodization):
     spec = CatSpec(2.0 + 0.0j, "even")
     sino = OpticalSinogram.from_evaluator(
-        cat_evaluator(spec),
+        partial(tomogram_cat, spec),
         np.linspace(0.0, math.pi, 180, endpoint=False),
         np.linspace(-8.0, 8.0, 257),
     )
@@ -797,13 +787,13 @@ def test_radon_consistent_under_rotation():
     axis = np.linspace(-6.0, 6.0, 121)
     Q, P = np.meshgrid(axis, axis, indexing="ij")
 
-    ev = cat_evaluator(spec)
+    ev = partial(tomogram_cat, spec)
     base = radon_reconstruct(OpticalSinogram.from_evaluator(ev, phi, x), axis, axis)
     err_base = np.linalg.norm(base.values - wigner_cat(spec, Q, P))
 
     rotated = np.empty((phi.size, x.size))
     for i, angle in enumerate(phi):
-        rotated[i] = evolve_tomogram(ev, eps, deps, TomogramQuery(X=x, mu=np.cos(angle), nu=np.sin(angle)))
+        rotated[i] = evolve_tomogram(ev, eps, deps, x, np.cos(angle), np.sin(angle))
     rec = radon_reconstruct(OpticalSinogram(phi_axis=phi, x_axis=x, values=rotated), axis, axis)
     c, s = math.cos(t), math.sin(t)
     exact_rot = wigner_cat(spec, c * Q - s * P, c * P + s * Q)
@@ -818,7 +808,7 @@ def test_radon_consistent_under_rotation():
 def test_sinogram_evaluator_matches_nodes():
     spec = CatSpec(1.0 + 0.0j, "even")
     sino = OpticalSinogram.from_evaluator(
-        cat_evaluator(spec),
+        partial(tomogram_cat, spec),
         np.linspace(0.0, math.pi, 36, endpoint=False),
         np.linspace(-8.0, 8.0, 161),
     )
@@ -845,7 +835,7 @@ def test_sinogram_evaluator_requires_full_angle_coverage():
     phi = np.linspace(0.0, math.pi / 2, 10, endpoint=False)
     x = np.linspace(-6.0, 6.0, 65)
     with pytest.raises(ValueError, match="tile"):
-        OpticalSinogram.from_evaluator(GaussianTomogram(VACUUM), phi, x)
+        OpticalSinogram.from_evaluator(partial(tomogram_gaussian, VACUUM), phi, x)
 
 
 def test_sinogram_evaluator_round_trips_through_projection():
@@ -856,8 +846,6 @@ def test_sinogram_evaluator_round_trips_through_projection():
     rng = np.random.default_rng(23)
     mu, nu = random_frames(rng, 30)
     Y = rng.uniform(-2.0, 2.0, 30)
-    exact = tomogram_gaussian(VACUUM, TomogramQuery(X=Y / np.hypot(mu, nu),
-                                                    mu=mu / np.hypot(mu, nu),
-                                                    nu=nu / np.hypot(mu, nu)))
+    exact = tomogram_gaussian(VACUUM, Y / np.hypot(mu, nu), mu / np.hypot(mu, nu), nu / np.hypot(mu, nu))
     got = ev(Y, mu, nu) * np.hypot(mu, nu)
     np.testing.assert_allclose(got, exact, atol=1e-5)

@@ -2,6 +2,7 @@
 
 import json
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -9,10 +10,8 @@ import pytest
 from iontomo import (
     CatSpec,
     GaussianState,
-    GaussianTomogram,
     OscillatorParams,
     ProbeGrid,
-    cat_evaluator,
     epsilon_at,
     frozen_frame_evolution,
     gaussian_from_epsilon,
@@ -21,6 +20,8 @@ from iontomo import (
     replacement_evolution,
     eval_wavefunction,
     solve_epsilon,
+    tomogram_cat,
+    tomogram_gaussian,
 )
 
 STATIC = OscillatorParams(0.0, 1.0)
@@ -31,21 +32,21 @@ ROOT2 = math.sqrt(2.0)
 
 
 def test_pde_residual_vacuum_static_trap():
-    evolution = replacement_evolution(GaussianTomogram(GaussianState()), STATIC)
+    evolution = replacement_evolution(partial(tomogram_gaussian, GaussianState()), STATIC)
     report = pde_residual(evolution, STATIC)
     assert report.max_abs_residual < 1e-5
     assert 1.7 <= report.convergence_order <= 2.3
 
 
 def test_pde_residual_driven_gaussian(params04):
-    initial = GaussianTomogram(gaussian_from_epsilon(1.0, 1.0j, 1.0 + 0.0j))
+    initial = partial(tomogram_gaussian, gaussian_from_epsilon(1.0, 1.0j, 1.0 + 0.0j))
     report = pde_residual(replacement_evolution(initial, params04), params04)
     assert report.max_abs_residual < 1e-4
     assert 1.7 <= report.convergence_order <= 2.3
 
 
 def test_pde_residual_driven_cat(params04):
-    initial = cat_evaluator(CatSpec(1.0 + 0.0j, "even"))
+    initial = partial(tomogram_cat, CatSpec(1.0 + 0.0j, "even"))
     report = pde_residual(replacement_evolution(initial, params04), params04)
     assert report.max_abs_residual < 1e-4
     assert 1.7 <= report.convergence_order <= 2.3
@@ -53,7 +54,7 @@ def test_pde_residual_driven_cat(params04):
 
 def test_frozen_frame_fails_loudly():
     # the control state must actually move (the vacuum is stationary here)
-    initial = GaussianTomogram(gaussian_from_epsilon(1.0, 1.0j, 1.0 + 0.0j))
+    initial = partial(tomogram_gaussian, gaussian_from_epsilon(1.0, 1.0j, 1.0 + 0.0j))
     honest = pde_residual(replacement_evolution(initial, STATIC), STATIC)
     frozen = pde_residual(frozen_frame_evolution(initial), STATIC)
     assert frozen.max_abs_residual >= 1e-1
@@ -61,7 +62,7 @@ def test_frozen_frame_fails_loudly():
 
 
 def test_frozen_frame_shifts_and_ignores_time():
-    initial = GaussianTomogram(GaussianState())
+    initial = partial(tomogram_gaussian, GaussianState())
     frozen = frozen_frame_evolution(initial)
     X = np.linspace(-2, 2, 9)
     early = frozen(X, 0.8, -0.4, 0.5, 0.1)
@@ -95,7 +96,7 @@ def test_custom_probe_grid_is_honored():
         h_mu=2e-3,
         h_nu=1e-3,
     )
-    evolution = replacement_evolution(GaussianTomogram(GaussianState()), STATIC)
+    evolution = replacement_evolution(partial(tomogram_gaussian, GaussianState()), STATIC)
     report = pde_residual(evolution, STATIC, probe)
     assert report.grid_spec == probe.spec()
     assert (report.h_t, report.h_mu, report.h_nu) == (2e-3, 2e-3, 1e-3)
