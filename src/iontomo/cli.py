@@ -41,7 +41,6 @@ from .errors import (  # noqa: E402
     DegenerateFrameError,
     InsufficientAnglesError,
     NormalizationDivergenceError,
-    ReconstructionQualityError,
     SolverError,
 )
 from .oscillator import OscillatorParams, epsilon_at, solve_epsilon  # noqa: E402
@@ -338,13 +337,11 @@ def cmd_reconstruct(cfg: dict, args) -> int:
         if method == "fbp":
             grid = radon_reconstruct(sino, q_axis, p_axis, apodization=apod)
         else:
-            grid = invert_to_wigner(sino, q_axis, p_axis, norm_tol=norm_tol, **fourier_kw)
+            grid = invert_to_wigner(sino, q_axis, p_axis, **fourier_kw)
     except InsufficientAnglesError as exc:
         return _fail(2, str(exc))
     except ValueError as exc:  # the Fourier path's angle wrap cannot read this sinogram
         return _fail(2, f"input file invalid: {exc}")
-    except ReconstructionQualityError as exc:
-        return _fail(1, str(exc))
 
     grid.save(out, fmt=fmt)
     report = {
@@ -517,8 +514,7 @@ def main(argv=None) -> int:
         return _DISPATCH[args.command](cfg, args)
     except ConfigError as exc:
         return _fail(2, str(exc))
-    except (SolverError, DegenerateFrameError, NormalizationDivergenceError,
-            ReconstructionQualityError) as exc:
+    except (SolverError, DegenerateFrameError, NormalizationDivergenceError) as exc:
         return _fail(1, str(exc))
 
 

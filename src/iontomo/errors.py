@@ -1,7 +1,7 @@
 """Exception and warning types shared across the toolkit."""
 
 __all__ = ["SolverError", "InvalidTrajectoryError", "DegenerateFrameError", "NormalizationDivergenceError",
-           "ReconstructionQualityError", "InsufficientAnglesError", "ConfigError", "SupportTruncationWarning"]
+           "InsufficientAnglesError", "ConfigError", "SupportTruncationWarning"]
 
 
 class SolverError(RuntimeError):
@@ -18,10 +18,6 @@ class DegenerateFrameError(ValueError):
 
 class NormalizationDivergenceError(ValueError):
     """State normalization constant diverges (odd cat with alpha = 0)."""
-
-
-class ReconstructionQualityError(RuntimeError):
-    """Reconstructed Wigner grid failed its normalization quality gate."""
 
 
 class InsufficientAnglesError(ValueError):

@@ -23,7 +23,6 @@ from . import _container
 from .errors import (
     DegenerateFrameError,
     InsufficientAnglesError,
-    ReconstructionQualityError,
     SupportTruncationWarning,
 )
 from .oscillator import symplectic_map
@@ -200,7 +199,6 @@ def invert_to_wigner(
     n_nodes: int = 193,
     n_y: int = 513,
     y_halfwidth_sigmas: float = 12.0,
-    norm_tol: float = 1e-2,
 ) -> WignerGrid:
     """Wigner function from a tomogram by the reduced Fourier inversion.
 
@@ -239,15 +237,16 @@ def invert_to_wigner(
     w(Y, -mu, -nu) = w(-Y, mu, nu), the fold every sinogram is read with.
     The nodes are made exactly antisymmetric for this mirror.
 
+    The grid is returned whatever its normalization, as from
+    :func:`radon_reconstruct`; ``grid.integral()`` far from 1 means k_max or
+    the output window is too small, and the caller gates it.
+
     Raises
     ------
     ValueError
         When a sinogram has fewer than 2 angles or an X axis not symmetric
         about 0, or when a callable's X window loses so much mass that its
         sinogram is rejected.
-    ReconstructionQualityError
-        When the reconstructed grid misses 2 pi normalization by more than
-        ``norm_tol`` (cutoff k_max or the output window too small).
     """
     q_axis = np.asarray(q_axis, dtype=float)
     p_axis = np.asarray(p_axis, dtype=float)
@@ -275,16 +274,7 @@ def invert_to_wigner(
     w_nodes = _uniform_trapezoid(n_nodes, nodes[1] - nodes[0])
     A = np.exp(-1j * np.outer(q_axis, nodes)) * w_nodes
     B = np.exp(-1j * np.outer(nodes, p_axis)) * w_nodes[:, np.newaxis]
-    values = np.real(A @ F @ B) / (2.0 * math.pi)
-
-    grid = WignerGrid(q_axis=q_axis, p_axis=p_axis, values=values)
-    norm = grid.integral()
-    if abs(norm - 1.0) > norm_tol:
-        raise ReconstructionQualityError(
-            f"reconstructed grid integrates to {norm:.6f} (tolerance {norm_tol}); "
-            f"increase k_max={k_max}, the node counts, or the output window"
-        )
-    return grid
+    return WignerGrid(q_axis=q_axis, p_axis=p_axis, values=np.real(A @ F @ B) / (2.0 * math.pi))
 
 
 def _sampled_sinogram(evaluator: Callable, n_phi: int, n_x: int, halfwidth_sigmas: float) -> OpticalSinogram:

@@ -338,6 +338,25 @@ def test_reconstruct_quality_gate_failure_still_writes_outputs(tmp_path, cat_sin
     assert report["rel_l2_error"] > 1e-4
 
 
+def test_reconstruct_fourier_normalization_miss_still_writes_outputs(tmp_path, capsys):
+    # the grid over [-2, 2] cuts off most of the cat's mass; like fbp, the
+    # Fourier path writes the grid and the report before its gate exits 1
+    scfg = cfg_file(tmp_path, tomogram_cfg({"kind": "cat", "alpha": 2.0, "parity": "even"},
+                                           sinogram={"n_phi": 90, "n_x": 161}), name="sino.json")
+    sino = tmp_path / "cat.bin"
+    assert main(["tomogram", "--config", scfg, "--out", str(sino), "--format", "bin"]) == 0
+    cfg = cfg_file(tmp_path, {"input": str(sino), "method": "fourier",
+                              "grid": {"q_min": -2, "q_max": 2, "n_q": 41, "p_min": -2, "p_max": 2, "n_p": 41}})
+    out = tmp_path / "w.bin"
+    assert main(["reconstruct", "--config", cfg, "--out", str(out), "--format", "bin"]) == 1
+    assert "normalization 0.1" in capsys.readouterr().err
+    grid = WignerGrid.load(str(out))
+    report = json.loads((tmp_path / "w.report.json").read_text())
+    # measured 0.118
+    assert report["normalization"] == grid.integral() < 0.2
+    assert report["norm_tol"] == 0.05
+
+
 def test_reconstruct_fourier_vacuum(tmp_path):
     scfg = cfg_file(tmp_path, tomogram_cfg({"kind": "gaussian"}), name="sino.json")
     sino_path = tmp_path / "vac.csv"

@@ -69,8 +69,8 @@ def test_every_exported_name_resolves_to_its_submodule():
                      if isinstance(v, type) and v.__module__ == errors.__name__}
     assert set(errors.__all__) == public_errors
     submodules = (errors, oscillator, states, tomography, verify)
-    assert len(iontomo.__all__) == len(set(iontomo.__all__)) == 39
-    for removed in ("TomogramQuery", "GaussianTomogram", "cat_evaluator"):
+    assert len(iontomo.__all__) == len(set(iontomo.__all__)) == 38
+    for removed in ("TomogramQuery", "GaussianTomogram", "cat_evaluator", "ReconstructionQualityError"):
         assert not hasattr(iontomo, removed)
     assert iontomo.__all__ == [name for m in submodules for name in m.__all__]
     for name in iontomo.__all__:

@@ -20,7 +20,6 @@ from iontomo import (
     InsufficientAnglesError,
     OpticalSinogram,
     OscillatorParams,
-    ReconstructionQualityError,
     SupportTruncationWarning,
     WignerGrid,
     epsilon_at,
@@ -627,10 +626,11 @@ def test_ray_spectrum_matches_per_node_transform(x_half, n_x, n_phi, k_max, seed
     assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
 
 
-def test_invert_rejects_truncated_cutoff():
+def test_invert_truncated_cutoff_misses_normalization():
+    # the grid is returned, as from filtered backprojection; its integral shows the miss
     axis = np.linspace(-4.0, 4.0, 33)
-    with pytest.raises(ReconstructionQualityError, match="integrates to"):
-        invert_to_wigner(partial(tomogram_gaussian, VACUUM), axis, axis, k_max=0.3, n_nodes=9)
+    grid = invert_to_wigner(partial(tomogram_gaussian, VACUUM), axis, axis, k_max=0.3, n_nodes=9)
+    assert abs(grid.integral() - 1.0) > 1e-2
 
 
 # ------------------------------------------------------------------ sinograms
