@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .oscillator import OscillatorParams, EpsilonTrajectory, epsilon_at, omega_squared
+from .oscillator import OscillatorParams, epsilon_at, omega_squared
 from .states import gaussian_from_epsilon
 from .tomography import evolve_tomogram
 
@@ -191,17 +191,17 @@ def _moment_residuals(params: OscillatorParams, alpha: complex, t_values, h: flo
     return np.array(rows)
 
 
-def moment_odes_check(traj: EpsilonTrajectory, alpha: complex = 0j, *, h: float = 1e-4) -> ResidualReport:
-    """Ehrenfest and variance ODE residuals along a solved trajectory.
+def moment_odes_check(params: OscillatorParams, t_end: float, alpha: complex = 0j, *,
+                      h: float = 1e-4) -> ResidualReport:
+    """Ehrenfest and variance ODE residuals over the span [0, t_end].
 
-    Probe times are interior fractions of the trajectory span; moments at the
-    stencil points come from :func:`epsilon_at`, exact at t from the
-    one-period table and never interpolated, so the residual is pure stencil
-    truncation plus solver noise.
+    Probe times are interior fractions of the span; moments at the stencil
+    points come from :func:`epsilon_at`, exact at t from the one-period table
+    and never interpolated, so the residual is pure stencil truncation plus
+    solver noise.  No trajectory over the span is solved.
     """
-    t_end = float(traj.times[-1])
-    t_values = [max(h, f * t_end) for f in _MOMENT_FRACTIONS]
-    res_h = _moment_residuals(traj.params, complex(alpha), t_values, h)
-    res_half = _moment_residuals(traj.params, complex(alpha), t_values, h / 2.0)
+    t_values = [max(h, f * float(t_end)) for f in _MOMENT_FRACTIONS]
+    res_h = _moment_residuals(params, complex(alpha), t_values, h)
+    res_half = _moment_residuals(params, complex(alpha), t_values, h / 2.0)
     return _report(res_h, res_half, h_t=h,
                    grid_spec={"t_values": list(t_values), "alpha": [complex(alpha).real, complex(alpha).imag]})

@@ -19,7 +19,6 @@ from iontomo import (
     pde_residual,
     replacement_evolution,
     eval_wavefunction,
-    solve_epsilon,
     tomogram_cat,
     tomogram_gaussian,
 )
@@ -110,13 +109,12 @@ def test_custom_probe_grid_is_honored():
 
 
 def test_moment_odes_static_trap():
-    traj = solve_epsilon(STATIC, t_end=10.0)
-    report = moment_odes_check(traj, 0j, h=1e-4)
+    report = moment_odes_check(STATIC, 10.0, 0j, h=1e-4)
     assert report.max_abs_residual < 1e-6
 
 
-def test_moment_odes_driven(traj04):
-    report = moment_odes_check(traj04, 1.0 + 0.0j, h=1e-4)
+def test_moment_odes_driven(params04):
+    report = moment_odes_check(params04, 10.0, 1.0 + 0.0j, h=1e-4)
     assert report.max_abs_residual < 1e-6
     assert 1.7 <= report.convergence_order <= 2.3
     assert report.grid_spec["alpha"] == [1.0, 0.0]
