@@ -102,7 +102,7 @@ def replacement_evolution(initial: Callable, params: OscillatorParams) -> Callab
 def frozen_frame_evolution(initial: Callable) -> Callable:
     """Negative control: ignores t entirely, so the transport terms go unbalanced."""
     def evolution(X, mu, nu, delta, t):
-        return initial(np.asarray(X, dtype=float) - np.asarray(delta, dtype=float), mu, nu)
+        return initial(X - delta, mu, nu)
     return evolution
 
 
