@@ -74,12 +74,13 @@ def tomogram_cat(spec: CatSpec, Y, mu, nu):
     N^2 (pi r2)^{-1/2} [w1 + w2 +/- (w3 + w4)] with r2 = mu^2 + nu^2, the
     displaced Gaussians w1, w2 = exp(-(Y -/+ a)^2 / r2) and the conjugate
     interference pair w3, w4 = exp(-2 |alpha|^2 - (Y -/+ i b)^2 / r2), where
-    a + i b = 2 s and s = alpha (mu - i nu) / sqrt(2).  The bracket is summed
-    as (E (1 +/- e^-u))^2 -/+ F with u = 2 |a Y| / r2,
-    E = exp(-(|Y| - |a|)^2 / (2 r2)) and F = 4 exp(-(Y^2 + a^2) / r2) sin^2(b Y / r2):
+    a + i b = 2 s and s = alpha (mu - i nu) / sqrt(2).  N^2 times the bracket
+    is summed as (E (1 +/- e^-u))^2 -/+ F with u = 2 |a Y| / r2, n = N,
+    E = n exp(-(|Y| - |a|)^2 / (2 r2)) and F = exp(-(Y^2 + a^2) / r2) (2 n sin(b Y / r2))^2:
     no term cancels another, so the odd cat keeps its digits as alpha -> 0,
-    where N^2 ~ 1 / (4 |alpha|^2).  Nonnegative up to rounding; integrates to
-    1 over X for any frame.
+    where N^2 ~ 1 / (4 |alpha|^2), and n meets the small factors 1 - e^-u and
+    sin(b Y / r2) before any square, so nothing overflows down to the CatSpec
+    floor.  Nonnegative up to rounding; integrates to 1 over X for any frame.
     """
     mu, nu = _frame_arrays(mu, nu)
     r2 = mu ** 2 + nu ** 2
@@ -87,10 +88,11 @@ def tomogram_cat(spec: CatSpec, Y, mu, nu):
     s = complex(spec.alpha) * (mu - 1j * nu) / math.sqrt(2.0)
     a, b = 2.0 * s.real, 2.0 * s.imag
     u = np.abs(2.0 * a * Y / r2)
-    E = np.exp(-((np.abs(Y) - np.abs(a)) ** 2) / (2.0 * r2))
-    F = 4.0 * np.exp(-(Y ** 2 + a ** 2) / r2) * np.sin(b * Y / r2) ** 2
+    n = math.sqrt(spec.norm_squared)
+    E = n * np.exp(-((np.abs(Y) - np.abs(a)) ** 2) / (2.0 * r2))
+    F = np.exp(-(Y ** 2 + a ** 2) / r2) * (2.0 * n * np.sin(b * Y / r2)) ** 2
     total = (E * -np.expm1(-u)) ** 2 + F if spec.parity == "odd" else (E * (1.0 + np.exp(-u))) ** 2 - F
-    return spec.norm_squared / np.sqrt(math.pi * r2) * total
+    return total / np.sqrt(math.pi * r2)
 
 
 def evolve_tomogram(initial: Callable, eps: complex, deps: complex, Y, mu, nu):
