@@ -8,20 +8,26 @@ row-major order.  Uniform axes are stored as (first, last, n) and rebuilt with
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
+import re
 import tempfile
+import warnings
 
 import numpy as np
 
 _FORMAT = "iontomo-grid"
 _VERSION = 1
 
-#: Rows formatted per chunk by the CSV writers.  A ``%.17g`` value takes at most
-#: 25 bytes with its separator, so a block of the six-column epsilon table is at
-#: most 154 kB of text; with its bytes copy and Python floats, :func:`save_csv_rows`
-#: peaks at about 0.45 MB however long the table.
+#: Rows formatted per chunk by the CSV writers, and lines parsed per block by
+#: :func:`load_csv_triples`.  A ``%.17g`` value takes at most 25 bytes with its
+#: separator, so a block of the six-column epsilon table is at most 154 kB of
+#: text; with its bytes copy and Python floats, :func:`save_csv_rows` peaks at
+#: about 0.45 MB however long the table.
 _CSV_BLOCK_ROWS = 1024
+#: Characters per read when :func:`load_csv_triples` counts the lines of a file.
+_CSV_READ_CHARS = 1 << 16
 
 
 def _atomic_write(path: str, data) -> None:
@@ -158,33 +164,141 @@ def save_csv_triples(path: str, colnames: tuple[str, str, str], ax0: np.ndarray,
 
 
 def load_csv_triples(path: str, colnames: tuple[str, str, str]):
-    """Inverse of :func:`save_csv_triples`; returns (ax0, ax1, values)."""
+    """Inverse of :func:`save_csv_triples`; returns (ax0, ax1, values).
+
+    Reads the rows after the header as one ``np.loadtxt`` call would, with its
+    errors and their row numbers, but parses ``_CSV_BLOCK_ROWS`` lines at a
+    time into a values array sized by a line count beforehand: the scratch on
+    top of the returned arrays is one block of text and rows, however long
+    the file.  Each block's runs are checked against the first run's axis as
+    they arrive, and the grid errors are raised once the whole file parsed.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
-    if header != ",".join(colnames):
-        raise ValueError(f"{path}: expected header {','.join(colnames)!r}, got {header!r}")
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if data.shape[1] != 3:
-        raise ValueError(f"{path}: expected 3 columns, got {data.shape[1]}")
-    col0 = data[:, 0]
-    # length of the first ax0 run gives the inner (ax1) dimension
-    starts_run = col0 != col0[0]
-    n1 = int(np.argmax(starts_run)) if starts_run.any() else data.shape[0]
-    if n1 == 0:
-        raise ValueError(f"{path}: row 1 after the header: {colnames[0]} is not a number")
-    if data.shape[0] % n1 != 0:
-        raise ValueError(f"{path}: ragged grid ({data.shape[0]} rows, inner run {n1})")
-    n0 = data.shape[0] // n1
-    grid = data.reshape(n0, n1, 3)
-    # each run holds one ax0 value and repeats the first run's ax1 axis
-    bad = (grid[:, :, 0] != grid[:, :1, 0]) | (grid[:, :, 1] != grid[:1, :, 1])
-    if bad.any():
-        i, j = divmod(int(np.argmax(bad)), n1)
-        got, want = grid[i, j, :2].tolist(), [grid[i, 0, 0].item(), grid[0, j, 1].item()]
-        raise ValueError(f"{path}: row {i * n1 + j + 1} after the header: ({colnames[0]}, {colnames[1]}) = "
-                         f"{tuple(got)}, expected {tuple(want)}: each run of {n1} rows must hold one "
-                         f"{colnames[0]} and repeat the first run's {colnames[1]}")
-    ax0 = grid[:, 0, 0].copy()
-    ax1 = grid[0, :, 1].copy()
-    values = grid[:, :, 2].copy()
-    return ax0, ax1, values
+        if header != ",".join(colnames):
+            raise ValueError(f"{path}: expected header {','.join(colnames)!r}, got {header!r}")
+        body = fh.tell()
+        # the text layer counts "\r" and "\r\n" endings as loadtxt reads them
+        capacity, last = 0, "\n"
+        while chunk := fh.read(_CSV_READ_CHARS):
+            capacity += chunk.count("\n")
+            last = chunk[-1]
+        capacity += last != "\n"
+        fh.seek(body)
+        grid = _TripleGrid(capacity)
+        with warnings.catch_warnings():
+            # a block of only blank or comment lines parses to no rows; an
+            # empty table is reported as a column count below
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            while lines := list(itertools.islice(fh, _CSV_BLOCK_ROWS)):
+                grid.add(_parse_rows(lines, grid.width, grid.rows))
+    return grid.finish(path, colnames)
+
+
+def _parse_rows(lines: list, width, offset: int) -> np.ndarray:
+    """``np.loadtxt`` of CSV ``lines`` that follow ``offset`` rows of ``width`` columns.
+
+    A row of ``width`` zeros goes first and is dropped, so a row of another
+    width fails as it does in a one-shot load; a row number in an error is
+    moved from the block to the file.
+    """
+    lead = width is not None
+    if lead:
+        lines.insert(0, ",".join(["0"] * width) + "\n")
+    try:
+        block = np.loadtxt(lines, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        shift = offset - lead
+        # the last "at row" is numpy's own; a quoted field comes before it
+        message, found = re.subn(r"(.*)at row (\d+)", lambda m: f"{m[1]}at row {int(m[2]) + shift}", str(exc),
+                                 count=1, flags=re.DOTALL)
+        if not found or shift == 0:
+            raise
+        raise ValueError(message) from exc
+    return block[1:] if lead else block
+
+
+class _TripleGrid:
+    """The (ax0, ax1, w) rows of a row-major grid, taken one block at a time.
+
+    The length of the first ax0 run gives the inner (ax1) dimension; every
+    later run must hold one ax0 value and repeat the first run's ax1 axis.
+    The first row that breaks this is kept for :meth:`finish`, which raises
+    the errors in the order of a check on the whole table.
+    """
+
+    def __init__(self, capacity: int):
+        self.values = np.empty(capacity)
+        self.rows = 0
+        self.width = None
+        self.first0 = None
+        self.n1 = None      # inner run length, once the first run has ended
+        self.head = []      # ax1 pieces of the first run while it lasts
+        self.ax0 = self.ax1 = None
+        self.bad = None     # (row index, got, expected) of the first broken row
+
+    def add(self, block: np.ndarray) -> None:
+        m = block.shape[0]
+        if m == 0:
+            return
+        if self.width is None:
+            self.width = block.shape[1]
+        if self.width != 3:
+            self.rows += m
+            return
+        c0, c1 = block[:, 0], block[:, 1]
+        start, self.rows = self.rows, self.rows + m
+        self.values[start:self.rows] = block[:, 2]
+        if self.n1 is None:
+            if start == 0:
+                self.first0 = c0[0]
+            ends = np.flatnonzero(c0 != self.first0)
+            if ends.size == 0:
+                self.head.append(c1.copy())
+                return
+            self._end_first_run(start + int(ends[0]), c1[:ends[0]])
+        if self.n1 == 0:
+            return
+        g = np.arange(max(start, self.n1), self.rows)
+        i, j = np.divmod(g, self.n1)
+        local = g - start
+        runs = j == 0
+        self.ax0[i[runs]] = c0[local[runs]]
+        bad = (c0[local] != self.ax0[i]) | (c1[local] != self.ax1[j])
+        if self.bad is None and bad.any():
+            b = int(np.argmax(bad))
+            self.bad = (int(g[b]), (c0[local[b]].item(), c1[local[b]].item()),
+                        (self.ax0[i[b]].item(), self.ax1[j[b]].item()))
+
+    def _end_first_run(self, n1: int, tail: np.ndarray) -> None:
+        self.n1 = n1
+        self.ax1 = np.concatenate(self.head + [tail])
+        self.head = None
+        if n1 == 0:  # a NaN first ax0 value starts no run
+            return
+        self.ax0 = np.empty(-(-self.values.size // n1))
+        self.ax0[0] = self.first0
+        # a NaN in the first run's ax1 differs from itself
+        nan = np.flatnonzero(np.isnan(self.ax1))
+        if nan.size:
+            j = int(nan[0])
+            self.bad = (j, (self.first0.item(), self.ax1[j].item()), (self.first0.item(), self.ax1[j].item()))
+
+    def finish(self, path: str, colnames: tuple[str, str, str]):
+        if self.width != 3:  # an empty table parses as one column
+            raise ValueError(f"{path}: expected 3 columns, got {self.width or 1}")
+        if self.n1 is None:
+            self._end_first_run(self.rows, np.empty(0))
+        n1 = self.n1
+        if n1 == 0:
+            raise ValueError(f"{path}: row 1 after the header: {colnames[0]} is not a number")
+        if self.rows % n1 != 0:
+            raise ValueError(f"{path}: ragged grid ({self.rows} rows, inner run {n1})")
+        if self.bad is not None:
+            row, got, want = self.bad
+            raise ValueError(f"{path}: row {row + 1} after the header: ({colnames[0]}, {colnames[1]}) = "
+                             f"{got}, expected {want}: each run of {n1} rows must hold one "
+                             f"{colnames[0]} and repeat the first run's {colnames[1]}")
+        n0 = self.rows // n1
+        values = self.values if self.rows == self.values.size else self.values[:self.rows].copy()
+        return self.ax0[:n0].copy(), self.ax1, values.reshape(n0, n1)

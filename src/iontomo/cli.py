@@ -64,6 +64,12 @@ from .verify import (  # noqa: E402
 
 _COMMON_KEYS = {"out", "format", "seed"}
 
+#: Bytes one array of a request may take (256 MiB).  Before any compute the
+#: CLI sizes a sinogram at 8 B per point (n_phi * n_x), a Wigner grid at 8 B
+#: per point (n_q * n_p) and the Fourier table at 16 B per node (n_nodes^2);
+#: a request over the cap is a config error (exit 2) and writes nothing.
+_MAX_ARRAY_BYTES = 1 << 28
+
 
 def _fail(code: int, message: str) -> int:
     print(f"iontomo: {message}", file=sys.stderr)
@@ -114,6 +120,11 @@ def _integer(cfg: dict, key: str, *, default=None, minimum=None, context: str = 
     if minimum is not None and v < minimum:
         raise ConfigError(f"{context}: {key} must be >= {minimum}, got {v}")
     return v
+
+
+def _check_size(context: str, product: str, nbytes: int) -> None:
+    if nbytes > _MAX_ARRAY_BYTES:
+        raise ConfigError(f"{context}: {product} needs {nbytes} bytes, over the cap of {_MAX_ARRAY_BYTES}")
 
 
 def _complex_amplitude(value, context: str) -> complex:
@@ -232,7 +243,6 @@ def cmd_tomogram(cfg: dict, args) -> int:
     if "state" not in cfg:
         raise ConfigError("tomogram: missing required key 'state'")
     state_cfg = _section(cfg, "state", {"kind", "alpha", "parity"}, "tomogram")
-    evaluator, _ = _state(state_cfg, "tomogram", params, t)
     mode = cfg.get("mode", "sinogram")
     out = _resolve_out(cfg, args)
     _validate_seed(cfg, args)
@@ -246,6 +256,8 @@ def cmd_tomogram(cfg: dict, args) -> int:
         n_x = _integer(sino_cfg, "n_x", default=257, minimum=2, context="sinogram")
         if x_max <= x_min:
             raise ConfigError("sinogram: x_max must exceed x_min")
+        _check_size("sinogram", f"n_phi * n_x = {n_phi} * {n_x}", 8 * n_phi * n_x)
+        evaluator, _ = _state(state_cfg, "tomogram", params, t)
         phi_axis = np.arange(n_phi) * math.pi / n_phi
         x_axis = np.linspace(x_min, x_max, n_x)
         try:
@@ -269,6 +281,7 @@ def cmd_tomogram(cfg: dict, args) -> int:
         rows = np.asarray(queries, dtype=float)
         if np.any((rows[:, 1] == 0.0) & (rows[:, 2] == 0.0)):
             raise ConfigError("tomogram: query frame (mu, nu) = (0, 0) is degenerate")
+        evaluator, _ = _state(state_cfg, "tomogram", params, t)
         w = np.array([
             float(evaluator(x - d, m, n)) for x, m, n, d in rows
         ])
@@ -292,14 +305,15 @@ def cmd_reconstruct(cfg: dict, args) -> int:
     if method not in ("fbp", "fourier"):
         raise ConfigError(f"reconstruct: method must be 'fbp' or 'fourier', got {method!r}")
     grid_cfg = _section(cfg, "grid", {"q_min", "q_max", "n_q", "p_min", "p_max", "n_p"}, "reconstruct")
-    q_axis = np.linspace(_number(grid_cfg, "q_min", default=-6.0, context="grid"),
-                         _number(grid_cfg, "q_max", default=6.0, context="grid"),
-                         _integer(grid_cfg, "n_q", default=121, minimum=2, context="grid"))
-    p_axis = np.linspace(_number(grid_cfg, "p_min", default=-6.0, context="grid"),
-                         _number(grid_cfg, "p_max", default=6.0, context="grid"),
-                         _integer(grid_cfg, "n_p", default=121, minimum=2, context="grid"))
-    if q_axis[-1] <= q_axis[0] or p_axis[-1] <= p_axis[0]:
+    q_min = _number(grid_cfg, "q_min", default=-6.0, context="grid")
+    q_max = _number(grid_cfg, "q_max", default=6.0, context="grid")
+    n_q = _integer(grid_cfg, "n_q", default=121, minimum=2, context="grid")
+    p_min = _number(grid_cfg, "p_min", default=-6.0, context="grid")
+    p_max = _number(grid_cfg, "p_max", default=6.0, context="grid")
+    n_p = _integer(grid_cfg, "n_p", default=121, minimum=2, context="grid")
+    if q_max <= q_min or p_max <= p_min:
         raise ConfigError("grid: q_max and p_max must exceed q_min and p_min")
+    _check_size("grid", f"n_q * n_p = {n_q} * {n_p}", 8 * n_q * n_p)
     apod = cfg.get("apodization", "hann")
     if apod is None:
         apod = "none"
@@ -313,6 +327,8 @@ def cmd_reconstruct(cfg: dict, args) -> int:
         "y_halfwidth_sigmas": _number(fourier_cfg, "y_halfwidth_sigmas", default=12.0,
                                       strict_min=0.0, context="fourier"),
     }
+    n_nodes = fourier_kw["n_nodes"]
+    _check_size("fourier", f"n_nodes^2 = {n_nodes}^2", 16 * n_nodes * n_nodes)
     norm_tol = _number(cfg, "norm_tol", default=0.05, strict_min=0.0, context="reconstruct")
     l2_tol = _number(cfg, "l2_tol", default=0.05, strict_min=0.0, context="reconstruct")
     reference = None
@@ -325,6 +341,7 @@ def cmd_reconstruct(cfg: dict, args) -> int:
     out = _resolve_out(cfg, args)
     fmt = _resolve_format(cfg, args)
     _validate_seed(cfg, args)
+    q_axis, p_axis = np.linspace(q_min, q_max, n_q), np.linspace(p_min, p_max, n_p)
 
     try:
         sino = OpticalSinogram.load(path)

@@ -340,6 +340,15 @@ def _uniform_trapezoid(n: int, step: float) -> np.ndarray:
     return w
 
 
+def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
+    """Trapezoid quadrature weights on the increasing samples ``x``."""
+    dx = np.diff(x)
+    w = np.zeros(x.size)
+    w[:-1] += 0.5 * dx
+    w[1:] += 0.5 * dx
+    return w
+
+
 @dataclass(frozen=True)
 class WignerGrid:
     """One-mode Wigner function sampled on a uniform rectangular (q, p) grid.

@@ -26,8 +26,8 @@ from .errors import (
     SupportTruncationWarning,
 )
 from .oscillator import symplectic_map
-from .states import (CatSpec, GaussianState, WignerGrid, _quadrature_variance, _stencil, _uniform_spacing,
-                     _uniform_trapezoid)
+from .states import (CatSpec, GaussianState, WignerGrid, _quadrature_variance, _stencil, _trapezoid_weights,
+                     _uniform_spacing, _uniform_trapezoid)
 
 __all__ = [
     "OpticalSinogram",
@@ -345,13 +345,13 @@ def _row_spectra(grid: WignerGrid, k_reach: float) -> tuple[np.ndarray, float, i
     at k = (c - _K_STENCIL // 2) dk; rows 0 and -1 are zero padding, as in
     :meth:`WignerGrid.interpolate`.  On the X axis symmetric about 0 that
     :func:`_wrapped_grid` requires, the rows have the smallest bandwidth in k,
-    half the X range.  Each row is one
-    zero-padded rfft of length n >= ``_K_OVERSAMPLE`` n_x, taken in blocks of
+    half the X range.  Each row is one zero-padded rfft of length
+    n >= ``_K_OVERSAMPLE`` n_x, weighted and taken in blocks of
     ``_FFT_BLOCK_ROWS`` rows; only the columns of 0 <= k <= ``k_reach``, at
     most one period of n columns, and a stencil guard on each side are kept.
     """
     x = grid.p_axis
-    weights = grid.values * _trapezoid_weights(x)
+    trapezoid = _trapezoid_weights(x)
     n_fft = 1 << (_K_OVERSAMPLE * x.size - 1).bit_length()
     dk = 2.0 * math.pi / (n_fft * grid.dp)
     half = _K_STENCIL // 2
@@ -361,9 +361,9 @@ def _row_spectra(grid: WignerGrid, k_reach: float) -> tuple[np.ndarray, float, i
     upper = wrapped > n_fft // 2
     column = np.where(upper, n_fft - wrapped, wrapped)
     phase = np.exp(1j * (cols * dk) * x[0])
-    table = np.zeros((weights.shape[0] + 2, cols.size), dtype=complex)
-    for start in range(0, weights.shape[0], _FFT_BLOCK_ROWS):
-        spec = np.fft.rfft(weights[start:start + _FFT_BLOCK_ROWS], n=n_fft)[:, column]
+    table = np.zeros((len(grid.values) + 2, cols.size), dtype=complex)
+    for start in range(0, len(grid.values), _FFT_BLOCK_ROWS):
+        spec = np.fft.rfft(grid.values[start:start + _FFT_BLOCK_ROWS] * trapezoid, n=n_fft)[:, column]
         table[1 + start:1 + start + spec.shape[0]] = np.where(upper, spec, np.conj(spec)) * phase
     return table, dk, n_fft
 
@@ -477,12 +477,22 @@ def radon_reconstruct(sinogram: OpticalSinogram, q_axis, p_axis, *, apodization:
 
     q_axis = np.asarray(q_axis, dtype=float)
     p_axis = np.asarray(p_axis, dtype=float)
-    Q, P = np.meshgrid(q_axis, p_axis, indexing="ij")
-    out = np.zeros_like(Q)
-    for i, phi in enumerate(sinogram.phi_axis):
-        filtered = np.fft.irfft(filt * np.fft.rfft(sinogram.values[i], n=nfft), n=nfft)[:n]
-        t = Q * math.cos(phi) + P * math.sin(phi)
-        out += np.interp(t, x, filtered, left=0.0, right=0.0)
+    out = np.zeros((q_axis.size, p_axis.size))
+    lo, hi = x[0], x[-1]
+    step = (hi - lo) / (n - 1)  # the step of np.linspace, nearer every x[k] than dx
+    for phi, row in zip(sinogram.phi_axis, sinogram.values):
+        level = np.fft.irfft(filt * np.fft.rfft(row, n=nfft), n=nfft)[:n]
+        slope = np.append(np.diff(level), 0.0)
+        t = (q_axis * math.cos(phi))[:, np.newaxis] + p_axis * math.sin(phi)
+        # sample j of the row sits at u = j; on [j, j + 1) the line from it
+        # takes slope[j], and t outside [x[0], x[-1]] reads 0, as in np.interp
+        u = (t - lo) / step
+        k = u.astype(np.intp)
+        u -= k
+        u *= slope.take(k, mode="clip")
+        u += level.take(k, mode="clip")
+        u *= (t >= lo) & (t <= hi)
+        out += u
 
     dphi = math.pi / sinogram.phi_axis.size
     return WignerGrid(q_axis=q_axis, p_axis=p_axis, values=out * dphi)
@@ -543,14 +553,10 @@ def _wrapped_grid(sinogram: OpticalSinogram) -> WignerGrid:
         raise ValueError(f"sinogram X axis [{x[0]:.6g}, {x[-1]:.6g}] is not symmetric about 0, "
                          "as the fold w(X, phi + pi) = w(-X, phi) needs")
 
-    ext = np.empty((nphi + 4, sinogram.x_axis.size))
-    ext[2:-2] = sinogram.values
-    ext[0] = sinogram.values[-2, ::-1]
-    ext[1] = sinogram.values[-1, ::-1]
-    ext[-2] = sinogram.values[0, ::-1]
-    ext[-1] = sinogram.values[1, ::-1]
-    ext_phi = np.concatenate(([phi[0] - 2 * dphi, phi[0] - dphi], phi, [phi[-1] + dphi, phi[-1] + 2 * dphi]))
-    return WignerGrid(q_axis=ext_phi, p_axis=sinogram.x_axis, values=ext)
+    v = sinogram.values
+    ext = np.concatenate((v[-2:, ::-1], v, v[:2, ::-1]))
+    ext_phi = np.concatenate((phi[0] - dphi * np.array([2.0, 1.0]), phi, phi[-1] + dphi * np.array([1.0, 2.0])))
+    return WignerGrid(q_axis=ext_phi, p_axis=x, values=ext)
 
 
 def _support(u: np.ndarray, f) -> tuple:
@@ -559,12 +565,3 @@ def _support(u: np.ndarray, f) -> tuple:
     mass = np.maximum(density.sum(axis=0), np.finfo(float).tiny)
     centre = (u * density).sum(axis=0) / mass
     return centre, np.sqrt(np.maximum(((u - centre) ** 2 * density).sum(axis=0) / mass, 1e-6))
-
-
-def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
-    """Trapezoid quadrature weights on the increasing samples ``x``."""
-    dx = np.diff(x)
-    w = np.zeros(x.size)
-    w[:-1] += 0.5 * dx
-    w[1:] += 0.5 * dx
-    return w

@@ -764,12 +764,27 @@ INTEGER_KEYS = [
 ]
 
 
-@pytest.mark.parametrize("big", [10 ** 400, 2 ** 63], ids=["10**400", "2**63"])
-@pytest.mark.parametrize("command, base, path", INTEGER_KEYS,
-                         ids=[".".join(path) for _, _, path in INTEGER_KEYS])
+#: The smallest value of each size key whose array exceeds the CLI's cap when
+#: the other factor keeps its default (n_x 257, n_phi 180, n_q and n_p 121).
+OVER_CAP = {
+    ("sinogram", "n_phi"): cli._MAX_ARRAY_BYTES // (8 * 257) + 1,
+    ("sinogram", "n_x"): cli._MAX_ARRAY_BYTES // (8 * 180) + 1,
+    ("grid", "n_q"): cli._MAX_ARRAY_BYTES // (8 * 121) + 1,
+    ("grid", "n_p"): cli._MAX_ARRAY_BYTES // (8 * 121) + 1,
+    ("fourier", "n_nodes"): math.isqrt(cli._MAX_ARRAY_BYTES // 16) + 1,
+}
+
+
+@pytest.mark.parametrize("command, base, path, big", [
+    pytest.param(command, base, path, big, id=f"{'.'.join(path)}-{name}")
+    for command, base, path in INTEGER_KEYS
+    for name, big in (("10**400", 10 ** 400), ("2**63", 2 ** 63), ("over-cap", OVER_CAP.get(path)))
+    if big is not None
+])
 def test_unrepresentable_integers_are_config_errors(tmp_path, vacuum_sinogram_file,
                                                     command, base, path, big):
-    # only sizes past sys.maxsize: a representable huge size would allocate
+    # sizes past sys.maxsize, and sizes just over the array cap, which is
+    # checked before anything of that size is allocated
     payload = copy.deepcopy(base)
     if command == "reconstruct":
         payload["input"] = vacuum_sinogram_file

@@ -8,6 +8,7 @@ Wigner expressions it is used to check.
 
 import dataclasses
 import math
+import re
 import tracemalloc
 from functools import partial
 
@@ -670,6 +671,24 @@ def test_csv_rows_scratch_is_bounded(tmp_path):
     assert peak <= 2 ** 20
 
 
+def test_csv_triples_load_scratch_is_bounded(tmp_path):
+    # a one-shot np.loadtxt of these 65,664 rows held about 34 B per row
+    rng = np.random.default_rng(11)
+    phi, x = np.linspace(0.0, math.pi, 128, endpoint=False), np.linspace(-8.0, 8.0, 513)
+    values = rng.standard_normal((phi.size, x.size))
+    path = str(tmp_path / "sino.csv")
+    _container.save_csv_triples(path, ("phi", "x", "w"), phi, x, values)
+    tracemalloc.start()
+    try:
+        back = _container.load_csv_triples(path, ("phi", "x", "w"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    for got, want in zip(back, (phi, x, values)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert peak <= values.nbytes + 2 ** 20
+
+
 @pytest.mark.parametrize("columns", [(np.zeros(5), np.zeros(4)), (np.zeros(4), np.zeros((4, 1)))],
                          ids=["unequal", "2-D"])
 def test_csv_rows_rejects_uneven_columns_before_writing(tmp_path, columns):
@@ -679,23 +698,35 @@ def test_csv_rows_rejects_uneven_columns_before_writing(tmp_path, columns):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("flaw, row", [("reversed", 11), ("outer", 9), ("nan", 1)])
-def test_csv_triples_rejects_a_broken_grid(tmp_path, flaw, row):
-    # 4 runs of 5: the third run lists its inner axis in reverse, the second
-    # run holds a stray outer value, or the first outer value is NaN (which
-    # starts no run); the first inner run sets the grid
+@pytest.mark.parametrize("flaw, row", [("reversed", 11), ("outer", 9), ("nan", 1), ("number", 17)])
+def test_csv_triples_rejects_a_broken_grid(tmp_path, monkeypatch, flaw, row):
+    # 4 runs of 5, parsed 3 lines at a time: the third run lists its inner
+    # axis in reverse, the second run holds a stray outer value, the first
+    # outer value is NaN (which starts no run), or a malformed number sits in
+    # the sixth block; the first inner run, which spans two blocks, sets the grid
+    monkeypatch.setattr(_container, "_CSV_BLOCK_ROWS", 3)
     ax0, ax1 = np.arange(4.0), np.linspace(-2.0, 2.0, 5)
     col0, col1 = np.repeat(ax0, 5), np.tile(ax1, 4)
     if flaw == "reversed":
         col1[10:15] = ax1[::-1]
     elif flaw == "outer":
         col0[8] = 7.0
-    else:
+    elif flaw == "nan":
         col0[0] = np.nan
-    path = str(tmp_path / "grid.csv")
-    _container.save_csv_rows(path, ("q", "p", "w"), (col0, col1, np.arange(20.0)))
-    with pytest.raises(ValueError, match=f"row {row} after the header"):
-        _container.load_csv_triples(path, ("q", "p", "w"))
+    path = tmp_path / "grid.csv"
+    _container.save_csv_rows(str(path), ("q", "p", "w"), (col0, col1, np.arange(20.0)))
+    message = f"row {row} after the header"
+    if flaw == "number":
+        lines = path.read_text().splitlines(keepends=True)
+        lines[row] = "3,x,16\n"
+        path.write_text("".join(lines))
+        # the message a one-shot load gives, which counts its rows in the file
+        with pytest.raises(ValueError) as one_shot:
+            np.loadtxt(path, delimiter=",", skiprows=1)
+        assert f"at row {row - 1}," in str(one_shot.value)  # numpy counts from 0
+        message = re.escape(str(one_shot.value))
+    with pytest.raises(ValueError, match=message):
+        _container.load_csv_triples(str(path), ("q", "p", "w"))
 
 
 def test_wigner_grid_save_rejects_unknown_format(tmp_path):

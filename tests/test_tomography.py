@@ -802,6 +802,42 @@ def test_radon_consistent_under_rotation():
     assert err_rot <= 2.0 * err_base
 
 
+def radon_reference(sinogram, q_axis, p_axis, apodization="hann"):
+    """Filtered backprojection with a meshgrid and one ``np.interp`` per angle."""
+    x = sinogram.x_axis
+    n = x.size
+    dx = float(x[1] - x[0])
+    nfft = 1 << (2 * n - 1).bit_length()
+    omega = 2.0 * math.pi * np.fft.rfftfreq(nfft, d=dx)
+    filt = np.abs(omega)
+    if apodization == "hann":
+        filt *= 0.5 * (1.0 + np.cos(math.pi * omega / (math.pi / dx)))
+    Q, P = np.meshgrid(q_axis, p_axis, indexing="ij")
+    out = np.zeros_like(Q)
+    for i, phi in enumerate(sinogram.phi_axis):
+        filtered = np.fft.irfft(filt * np.fft.rfft(sinogram.values[i], n=nfft), n=nfft)[:n]
+        out += np.interp(Q * math.cos(phi) + P * math.sin(phi), x, filtered, left=0.0, right=0.0)
+    return out * (math.pi / sinogram.phi_axis.size)
+
+
+@pytest.mark.parametrize("x_axis, q_axis, p_axis, apodization", [
+    # the output grid is the X axis: at phi = 0 its ends fall on x[0] and x[-1]
+    (np.linspace(-6.0, 6.0, 97), np.linspace(-6.0, 6.0, 97), np.linspace(-6.0, 6.0, 97), "hann"),
+    # the corners reach past both X ends at most angles
+    (np.linspace(-8.0, 8.0, 257), np.linspace(-6.0, 6.0, 61), np.linspace(-6.0, 6.0, 61), "hann"),
+    # an X axis off centre, a window that misses it, no apodization
+    (np.linspace(-5.0, 7.0, 131), np.linspace(-9.0, 3.0, 40), np.linspace(-2.0, 11.0, 53), "none"),
+], ids=["grid-is-x", "corners-outside", "off-centre"])
+def test_radon_matches_interp_loop(x_axis, q_axis, p_axis, apodization):
+    # the index arithmetic rounds differently from np.interp, and nothing else
+    spec = CatSpec(1.5 + 0.5j, "odd")
+    sino = OpticalSinogram.from_evaluator(partial(tomogram_cat, spec),
+                                          np.linspace(0.0, math.pi, 64, endpoint=False), x_axis)
+    got = radon_reconstruct(sino, q_axis, p_axis, apodization=apodization).values
+    want = radon_reference(sino, q_axis, p_axis, apodization)
+    assert np.max(np.abs(got - want)) <= 1e-13
+
+
 # ------------------------------------------------------------------ evaluator
 
 
