@@ -130,14 +130,24 @@ def save_csv_rows(path: str, colnames, columns) -> None:
     columns = [np.asarray(c, dtype=float) for c in columns]
     if any(c.ndim != 1 or c.size != columns[0].size for c in columns):
         raise ValueError(f"columns must be 1-D and of equal length, got shapes {[c.shape for c in columns]}")
-    n_rows = columns[0].size if columns else 0
-    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    _save_csv_blocks(path, colnames, [columns])
+
+
+def _save_csv_blocks(path: str, colnames, blocks) -> None:
+    """:func:`save_csv_rows` of the tables ``blocks`` yields one after another.
+
+    Each block is a sequence of equal-length 1-D float columns, formatted as
+    it arrives, so only one block need exist at a time.  An exception from
+    ``blocks`` removes the temp file: nothing is written.
+    """
+    row = ",".join(["%.17g"] * len(colnames)) + "\n"
 
     def chunks():
         yield (",".join(colnames) + "\n").encode()
-        for start in range(0, n_rows, _CSV_BLOCK_ROWS):
-            block = np.column_stack([c[start:start + _CSV_BLOCK_ROWS] for c in columns])
-            yield ((row * block.shape[0]) % tuple(block.ravel().tolist())).encode()
+        for columns in blocks:
+            for start in range(0, columns[0].size, _CSV_BLOCK_ROWS):
+                block = np.column_stack([c[start:start + _CSV_BLOCK_ROWS] for c in columns])
+                yield ((row * block.shape[0]) % tuple(block.ravel().tolist())).encode()
 
     _atomic_write(path, chunks())
 

@@ -35,7 +35,7 @@ if "numpy" not in sys.modules:
 import numpy as np  # noqa: E402  (after the thread setting)
 
 from . import _svg  # noqa: E402
-from ._container import _atomic_write, save_csv_rows  # noqa: E402
+from ._container import _atomic_write, _save_csv_blocks, save_csv_rows  # noqa: E402
 from .errors import (  # noqa: E402
     ConfigError,
     DegenerateFrameError,
@@ -43,7 +43,12 @@ from .errors import (  # noqa: E402
     NormalizationDivergenceError,
     SolverError,
 )
-from .oscillator import OscillatorParams, epsilon_at, solve_epsilon  # noqa: E402
+from .oscillator import (  # noqa: E402
+    OscillatorParams,
+    _passes,
+    epsilon_at,
+    solve_epsilon,  # noqa: F401  (unused here; kept in this namespace for perfbench/traced_cli.py)
+)
 from .states import CatSpec, WignerGrid, evolve_wigner, gaussian_from_epsilon, wigner_cat, wigner_gaussian  # noqa: E402
 from .tomography import (  # noqa: E402
     OpticalSinogram,
@@ -212,6 +217,32 @@ def _plot_path(out: str) -> str:
     return os.path.splitext(out)[0] + ".svg"
 
 
+#: Samples per series that ``epsilon --plot`` draws at most, evenly strided.
+_PLOT_SAMPLES = 4096
+
+
+class _GateMiss(Exception):
+    """Raised into an ``epsilon`` write once its pass misses the gate, so the temp file is removed."""
+
+
+def _trajectory_columns(run, plot):
+    """The CSV columns of each block of the pass ``run``; raises _GateMiss once its drift misses the gate.
+
+    Unless ``plot`` is None, (t, eps) of evenly strided samples, at most
+    ``_PLOT_SAMPLES`` of the pass, are appended to it.
+    """
+    stride = -(-(run.n_steps + 1) // _PLOT_SAMPLES)
+    start = 0
+    for t, eps, deps, w in run:
+        if not run.met:
+            raise _GateMiss
+        if plot is not None:
+            keep = slice(-start % stride, None, stride)
+            plot.append((t[keep].copy(), eps[keep].copy()))
+        start += t.size
+        yield t, eps.real, eps.imag, deps.real, deps.imag, w
+
+
 def cmd_epsilon(cfg: dict, args) -> int:
     _check_keys(cfg, {"kappa", "omega_drive", "t_end", "n_steps", "tol"}, "epsilon")
     params = _oscillator_params(cfg, "epsilon")
@@ -222,15 +253,19 @@ def cmd_epsilon(cfg: dict, args) -> int:
     _resolve_format(cfg, args, allowed=("csv",))
     _validate_seed(cfg, args)
 
-    # solve_epsilon returns only trajectories whose Wronskian drift meets 10 * tol
-    traj = solve_epsilon(params, t_end=t_end, n_steps=n_steps, tol=tol)
-    save_csv_rows(out, ("t", "re_eps", "im_eps", "re_deps", "im_deps", "wronskian"),
-                  (traj.times, traj.eps.real, traj.eps.imag, traj.deps.real, traj.deps.imag,
-                   traj.wronskian()))
+    # each pass of solve_epsilon's policy streams into a temp file, which
+    # becomes the output only when the pass's Wronskian drift meets 10 * tol
+    for run in _passes(params, t_end, n_steps, tol):
+        plot = [] if args.plot else None
+        try:
+            _save_csv_blocks(out, ("t", "re_eps", "im_eps", "re_deps", "im_deps", "wronskian"),
+                             _trajectory_columns(run, plot))
+        except _GateMiss:
+            pass
 
     if args.plot:
-        _svg.svg_polyline(_plot_path(out), traj.times,
-                          [("Re eps", traj.eps.real), ("Im eps", traj.eps.imag)],
+        times, eps = (np.concatenate(c) for c in zip(*plot))
+        _svg.svg_polyline(_plot_path(out), times, [("Re eps", eps.real), ("Im eps", eps.imag)],
                           title=f"mode function (kappa={params.kappa}, Omega={params.omega_drive})",
                           xlabel="t", ylabel="eps(t)")
     return 0

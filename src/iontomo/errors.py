@@ -1,7 +1,7 @@
-"""Exception and warning types shared across the toolkit."""
+"""Exception types shared across the toolkit."""
 
 __all__ = ["SolverError", "InvalidTrajectoryError", "DegenerateFrameError", "NormalizationDivergenceError",
-           "InsufficientAnglesError", "ConfigError", "SupportTruncationWarning"]
+           "InsufficientAnglesError", "ConfigError"]
 
 
 class SolverError(RuntimeError):
@@ -26,7 +26,3 @@ class InsufficientAnglesError(ValueError):
 
 class ConfigError(ValueError):
     """Run configuration is malformed or violates a module precondition."""
-
-
-class SupportTruncationWarning(UserWarning):
-    """Evaluation grid leaves non-negligible mass at its boundary."""

@@ -47,9 +47,11 @@ _MIN_STEP = 1e-12
 #: Wronskian; bounds their scratch at about 0.5 MB.
 _BLOCK = 4096
 
-#: Most RK4 steps :func:`solve_epsilon` integrates in one pass.  The pass holds
-#: 40 bytes per step, the trajectory (times, eps, deps), about 0.67 GB at the
-#: cap; step matrices and Wronskian drift only ever hold one block.
+#: Most RK4 steps one pass of :func:`solve_epsilon` integrates.  A pass only
+#: ever holds one block of steps and samples; the trajectory
+#: :func:`solve_epsilon` returns takes 40 bytes per step, about 0.67 GB at the
+#: cap, while the ``epsilon`` CLI step writes each block as it comes and peaks
+#: under 1 MiB of Python allocations however many steps it takes.
 _MAX_STEPS = 2 ** 24
 
 #: Samples the Floquet tables of :func:`epsilon_at` may hold together (40
@@ -129,11 +131,6 @@ def _wronskian(eps, deps):
     return np.imag(np.conj(eps) * deps)
 
 
-def _drift(eps, deps) -> float:
-    """``max |Im(eps* deps) - 1|``, one block of samples at a time; NaN if any sample is."""
-    return np.max([np.max(np.abs(_wronskian(eps[b], deps[b]) - 1.0)) for b in _blocks(eps.size)])
-
-
 def _step_matrices(params: OscillatorParams, t0, h: float) -> np.ndarray:
     """RK4 step matrices ``d`` with ``y(t0 + h) = (I + d) y(t0)``, shape ``t0.shape + (2, 2)``."""
     t0 = np.asarray(t0, dtype=float)
@@ -150,25 +147,114 @@ def _step_matrices(params: OscillatorParams, t0, h: float) -> np.ndarray:
 def _rk4(params: OscillatorParams, t_end: float, n_steps: int):
     """Classic fixed-step RK4 over (eps, eps'), as a running product of step matrices.
 
-    Each step is ``y_{i+1} = (I + d_i) y_i`` for a real 2x2 ``d_i``.  Within blocks
-    of ``_BLOCK`` steps the product is formed in log2(_BLOCK) doubling passes as
+    Yields ``(t, eps, deps)`` of the start point, then of the samples each run
+    of at most ``_BLOCK`` steps reaches; the times are those of
+    ``np.linspace(0, t_end, n_steps + 1)``, bit for bit.  Each step is
+    ``y_{i+1} = (I + d_i) y_i`` for a real 2x2 ``d_i``.  Within a block the
+    product is formed in log2(_BLOCK) doubling passes as
     ``d_late + d_early + d_late @ d_early``, so the identity is never rounded
     into a step; each block then carries its start point forward.  Only one
-    block of step matrices exists at a time.
+    block exists at a time.  An unstable grid may overflow; its samples are
+    then inf or NaN, without a warning.
     """
-    t = np.linspace(0.0, t_end, n_steps + 1)
     h = t_end / n_steps
-    y = np.empty((n_steps + 1, 2), dtype=complex)
-    y[0] = 1.0, 1.0j
+    y = np.array([1.0, 1.0j])
+    yield np.zeros(1), y[:1], y[1:]
     for s in range(0, n_steps, _BLOCK):
-        block = _step_matrices(params, t[s:min(s + _BLOCK, n_steps)], h)
-        k = 1
-        while k < len(block):
-            late, early = block[k:], block[:-k]
-            block[k:] = late + early + late @ early
-            k *= 2
-        y[s + 1:s + 1 + len(block)] = y[s] + block @ y[s]
-    return t, y[:, 0], y[:, 1]
+        e = min(s + _BLOCK, n_steps)
+        t = np.arange(s, e + 1) * h
+        if e == n_steps:
+            t[-1] = t_end
+        with np.errstate(over="ignore", invalid="ignore"):
+            block = _step_matrices(params, t[:-1], h)
+            k = 1
+            while k < len(block):
+                late, early = block[k:], block[:-k]
+                block[k:] = late + early + late @ early
+                k *= 2
+            ys = y + block @ y
+        y = ys[-1]
+        yield t[1:], ys[:, 0], ys[:, 1]
+
+
+class _Pass:
+    """One RK4 pass of ``n_steps`` steps, read once.
+
+    Iterating yields ``(t, eps, deps, w)`` blocks as :func:`_rk4` makes them,
+    with the Wronskian ``w``; ``drift`` is ``max |w - 1|`` so far, NaN once
+    any sample is, and ``met`` whether it meets the gate.
+    """
+
+    def __init__(self, params: OscillatorParams, t_end: float, n_steps: int, gate: float):
+        self.n_steps = n_steps
+        self.gate = gate
+        self.drift = 0.0
+        self._blocks = self._integrate(params, t_end)
+
+    def __iter__(self):
+        return self._blocks
+
+    @property
+    def met(self) -> bool:
+        return self.drift <= self.gate
+
+    def _integrate(self, params, t_end):
+        for t, eps, deps in _rk4(params, t_end, self.n_steps):
+            with np.errstate(over="ignore", invalid="ignore"):
+                w = _wronskian(eps, deps)
+                self.drift = np.maximum(self.drift, np.max(np.abs(w - 1.0)))
+            yield t, eps, deps, w
+
+
+def _passes(params: OscillatorParams, t_end: float, n_steps: int | None, tol: float):
+    """The passes of :func:`solve_epsilon`'s retry policy, one :class:`_Pass` at a time.
+
+    The caller reads each pass; what it leaves unread is integrated here, so
+    the policy always sees the drift of the whole pass.  The iteration ends
+    after the first pass that meets the gate, and raises as
+    :func:`solve_epsilon` documents when the policy gives up.
+    """
+    if not (t_end > 0.0):
+        raise ValueError(f"t_end must be > 0, got {t_end}")
+    if not (tol > 0.0):
+        raise ValueError(f"tol must be > 0, got {tol}")
+    if n_steps is None:
+        # checked as a float: 2000 * t_end is inf for t_end above about 9e304
+        if _STEPS_PER_UNIT_TIME * t_end > _MAX_STEPS:
+            raise SolverError(f"t_end={t_end} needs more than the cap of {_MAX_STEPS} steps; "
+                              "tolerance unreachable")
+        n_steps = max(1000, math.ceil(_STEPS_PER_UNIT_TIME * t_end))
+    if n_steps < 2:
+        raise ValueError(f"n_steps must be >= 2, got {n_steps}")
+    if n_steps > _MAX_STEPS:
+        raise SolverError(f"n_steps={n_steps} exceeds the cap of {_MAX_STEPS} steps; tolerance unreachable")
+
+    gate = 10.0 * tol
+    omega_max = math.hypot(1.0, params.kappa)
+    resolved_step = 1.0 / (_STEPS_PER_UNIT_TIME * omega_max)
+    prev_drift = math.inf
+    while True:
+        run = _Pass(params, t_end, n_steps, gate)
+        yield run
+        for _ in run:
+            pass
+        if run.met:
+            return
+        drift = run.drift
+        h = t_end / n_steps
+        # on a stable grid the drift falls no faster than h^5; NaN (overflow)
+        # there counts as needing too many steps
+        needed = n_steps * (drift / gate) ** 0.2
+        if h <= resolved_step and drift > prev_drift / 2:
+            why = f"doubling to n_steps={n_steps} on a resolved grid did not halve it from {prev_drift:.3e}"
+        elif h / 2 < _MIN_STEP:
+            why = f"n_steps={n_steps} is at the step-size floor"
+        elif 2 * n_steps > _MAX_STEPS or (h * omega_max <= _RK4_STABLE and not needed <= _MAX_STEPS):
+            why = f"n_steps={n_steps} cannot reach it within the cap of {_MAX_STEPS} steps"
+        else:
+            prev_drift, n_steps = drift, 2 * n_steps
+            continue
+        raise SolverError(f"Wronskian drift {drift:.3e} exceeds gate {gate:.3e}: {why}; tolerance unreachable")
 
 
 def solve_epsilon(
@@ -211,46 +297,15 @@ def solve_epsilon(
         steps (a user ``n_steps`` above it, or a ``t_end`` whose default
         step count is above it, fails before any integration).
     """
-    if not (t_end > 0.0):
-        raise ValueError(f"t_end must be > 0, got {t_end}")
-    if not (tol > 0.0):
-        raise ValueError(f"tol must be > 0, got {tol}")
-    if n_steps is None:
-        # checked as a float: 2000 * t_end is inf for t_end above about 9e304
-        if _STEPS_PER_UNIT_TIME * t_end > _MAX_STEPS:
-            raise SolverError(f"t_end={t_end} needs more than the cap of {_MAX_STEPS} steps; "
-                              "tolerance unreachable")
-        n_steps = max(1000, math.ceil(_STEPS_PER_UNIT_TIME * t_end))
-    if n_steps < 2:
-        raise ValueError(f"n_steps must be >= 2, got {n_steps}")
-    if n_steps > _MAX_STEPS:
-        raise SolverError(f"n_steps={n_steps} exceeds the cap of {_MAX_STEPS} steps; tolerance unreachable")
-
-    gate = 10.0 * tol
-    omega_max = math.hypot(1.0, params.kappa)
-    resolved_step = 1.0 / (_STEPS_PER_UNIT_TIME * omega_max)
-    prev_drift = math.inf
-    while True:
-        # an unstable grid may overflow; its drift is then inf or NaN and it is refined
-        with np.errstate(over="ignore", invalid="ignore"):
-            t, eps, deps = _rk4(params, t_end, n_steps)
-            drift = _drift(eps, deps)
-        if drift <= gate:
-            return EpsilonTrajectory(params=params, times=t, eps=eps, deps=deps)
-        h = t_end / n_steps
-        # on a stable grid the drift falls no faster than h^5; NaN (overflow)
-        # there counts as needing too many steps
-        needed = n_steps * (drift / gate) ** 0.2
-        if h <= resolved_step and drift > prev_drift / 2:
-            why = f"doubling to n_steps={n_steps} on a resolved grid did not halve it from {prev_drift:.3e}"
-        elif h / 2 < _MIN_STEP:
-            why = f"n_steps={n_steps} is at the step-size floor"
-        elif 2 * n_steps > _MAX_STEPS or (h * omega_max <= _RK4_STABLE and not needed <= _MAX_STEPS):
-            why = f"n_steps={n_steps} cannot reach it within the cap of {_MAX_STEPS} steps"
-        else:
-            prev_drift, n_steps = drift, 2 * n_steps
-            continue
-        raise SolverError(f"Wronskian drift {drift:.3e} exceeds gate {gate:.3e}: {why}; tolerance unreachable")
+    for run in _passes(params, t_end, n_steps, tol):
+        times = np.empty(run.n_steps + 1)
+        eps = np.empty(run.n_steps + 1, dtype=complex)
+        deps = np.empty_like(eps)
+        i = 0
+        for t, e, d, _ in run:
+            times[i:i + t.size], eps[i:i + t.size], deps[i:i + t.size] = t, e, d
+            i += t.size
+    return EpsilonTrajectory(params=params, times=times, eps=eps, deps=deps)
 
 
 #: Floquet tables by (params, tol, n_steps), least recently used first.

@@ -13,18 +13,13 @@ classical mode function, w(X, mu, nu, t) = w0(X - delta, mu(t), nu(t)).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
 
 from . import _container
-from .errors import (
-    DegenerateFrameError,
-    InsufficientAnglesError,
-    SupportTruncationWarning,
-)
+from .errors import DegenerateFrameError, InsufficientAnglesError
 from .oscillator import symplectic_map
 from .states import (CatSpec, GaussianState, WignerGrid, _quadrature_variance, _stencil, _trapezoid_weights,
                      _uniform_spacing, _uniform_trapezoid)
@@ -35,7 +30,6 @@ __all__ = [
     "tomogram_cat",
     "evolve_tomogram",
     "optical_slice",
-    "project_wigner",
     "invert_to_wigner",
     "radon_reconstruct",
     "sinogram_evaluator",
@@ -115,81 +109,8 @@ def optical_slice(evaluator: Callable, phi, X):
     return evaluator(np.asarray(X, dtype=float), np.cos(phi), np.sin(phi))
 
 
-WignerSource = Union[WignerGrid, Callable]
-
-
-#: Points of :func:`project_wigner`'s support scan and of its trapezoid pass.
-_LINE_SCAN_POINTS = 321
-_LINE_POINTS = 2049
-#: Half-length of the line :func:`project_wigner` scans for a callable's support.
-_LINE_REACH = 40.0
 #: Points per angle of :func:`invert_to_wigner`'s support scan of a callable.
 _SUPPORT_SCAN_POINTS = 129
-
-
-def project_wigner(source: WignerSource, Y, mu, nu, *, halfwidth_sigmas: float = 10.0) -> float:
-    """Tomogram value at Y = X - delta by direct line integration of a Wigner function.
-
-    Integrates W along the line mu q + nu p = Y and divides by
-    2 pi sqrt(mu^2 + nu^2).  A coarse scan of |W| along the line (over +-40
-    for a callable) locates the support; the fine trapezoid pass covers its
-    center +- ``halfwidth_sigmas`` standard widths with 2049 points.  Serves
-    as the independent oracle for every analytic tomogram, so it never reuses
-    their moment formulas.
-
-    ``source`` is a WignerGrid (bicubic interpolation, 0 outside) or a
-    callable W(q, p).
-    """
-    mu, nu, Y = float(mu), float(nu), float(Y)
-    if mu == 0.0 and nu == 0.0:
-        raise DegenerateFrameError("projection frame (mu, nu) = (0, 0)")
-    r = math.hypot(mu, nu)
-
-    base_q = mu * Y / r ** 2
-    base_p = nu * Y / r ** 2
-    tan_q = -nu / r
-    tan_p = mu / r
-
-    if isinstance(source, WignerGrid):
-        f = source.interpolate
-        # exact line-box intersection; outside the box the interpolant is 0,
-        # and ending the window on the box edge lets the truncation check see
-        # any mass the grid cuts off
-        scan_lo, scan_hi = -math.inf, math.inf
-        for base, tan, axis in ((base_q, tan_q, source.q_axis), (base_p, tan_p, source.p_axis)):
-            if tan != 0.0:
-                a, b = (axis[0] - base) / tan, (axis[-1] - base) / tan
-                scan_lo = max(scan_lo, min(a, b))
-                scan_hi = min(scan_hi, max(a, b))
-            elif not (axis[0] <= base <= axis[-1]):
-                return 0.0
-        if scan_hi <= scan_lo:
-            return 0.0
-    else:
-        f = source
-        scan_lo, scan_hi = -_LINE_REACH, _LINE_REACH
-
-    u = np.linspace(scan_lo, scan_hi, _LINE_SCAN_POINTS)
-    vals = np.asarray(f(base_q + u * tan_q, base_p + u * tan_p), dtype=float)
-    lo, hi = scan_lo, scan_hi
-    if np.abs(vals).sum() > 0.0:
-        center, width = _support(u, vals)
-        lo = max(center - halfwidth_sigmas * width, scan_lo)
-        hi = min(center + halfwidth_sigmas * width, scan_hi)
-
-    uf = np.linspace(lo, hi, _LINE_POINTS)
-    wf = np.asarray(f(base_q + uf * tan_q, base_p + uf * tan_p), dtype=float)
-    peak = np.max(np.abs(wf))
-    # peak <= 1e-12 means the line never meets the support; endpoint noise on
-    # such lines is not truncation
-    if peak > 1e-12 and max(abs(wf[0]), abs(wf[-1])) > 1e-6 * peak:
-        warnings.warn(
-            "integration window truncates the Wigner support on this line",
-            SupportTruncationWarning,
-            stacklevel=2,
-        )
-    du = (hi - lo) / (_LINE_POINTS - 1)
-    return float(wf @ _uniform_trapezoid(_LINE_POINTS, du)) / (2.0 * math.pi * r)
 
 
 def invert_to_wigner(
@@ -478,24 +399,31 @@ def radon_reconstruct(sinogram: OpticalSinogram, q_axis, p_axis, *, apodization:
     q_axis = np.asarray(q_axis, dtype=float)
     p_axis = np.asarray(p_axis, dtype=float)
     out = np.zeros((q_axis.size, p_axis.size))
+    # per-angle scratch, allocated once and filled in place
+    u, gathered = np.empty_like(out), np.empty_like(out)
+    k = np.empty(out.shape, dtype=np.intp)
+    inside, below = np.empty(out.shape, dtype=bool), np.empty(out.shape, dtype=bool)
     lo, hi = x[0], x[-1]
     step = (hi - lo) / (n - 1)  # the step of np.linspace, nearer every x[k] than dx
     for phi, row in zip(sinogram.phi_axis, sinogram.values):
         level = np.fft.irfft(filt * np.fft.rfft(row, n=nfft), n=nfft)[:n]
         slope = np.append(np.diff(level), 0.0)
-        t = (q_axis * math.cos(phi))[:, np.newaxis] + p_axis * math.sin(phi)
-        # sample j of the row sits at u = j; on [j, j + 1) the line from it
-        # takes slope[j], and t outside [x[0], x[-1]] reads 0, as in np.interp
-        u = (t - lo) / step
-        k = u.astype(np.intp)
+        np.add((q_axis * math.cos(phi))[:, np.newaxis], p_axis * math.sin(phi), out=u)
+        # u holds t; t outside [x[0], x[-1]] reads 0, as in np.interp
+        np.greater_equal(u, lo, out=inside)
+        inside &= np.less_equal(u, hi, out=below)
+        # sample j of the row sits at u = j; on [j, j + 1) the line from it takes slope[j]
+        u -= lo
+        u /= step
+        np.copyto(k, u, casting="unsafe")
         u -= k
-        u *= slope.take(k, mode="clip")
-        u += level.take(k, mode="clip")
-        u *= (t >= lo) & (t <= hi)
+        u *= slope.take(k, mode="clip", out=gathered)
+        u += level.take(k, mode="clip", out=gathered)
+        u *= inside
         out += u
 
-    dphi = math.pi / sinogram.phi_axis.size
-    return WignerGrid(q_axis=q_axis, p_axis=p_axis, values=out * dphi)
+    out *= math.pi / sinogram.phi_axis.size
+    return WignerGrid(q_axis=q_axis, p_axis=p_axis, values=out)
 
 
 def sinogram_evaluator(sinogram: OpticalSinogram) -> Callable:

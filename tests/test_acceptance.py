@@ -28,7 +28,6 @@ from iontomo import (
     invert_to_wigner,
     moment_odes_check,
     pde_residual,
-    project_wigner,
     radon_reconstruct,
     replacement_evolution,
     solve_epsilon,
@@ -37,6 +36,7 @@ from iontomo import (
     wigner_cat,
     wigner_gaussian,
 )
+from oracles import project_wigner
 
 VACUUM = GaussianState()
 COHERENT = gaussian_from_epsilon(1.0, 1.0j, 1.0 + 0.0j)

@@ -10,6 +10,7 @@ import math
 import os
 import pathlib
 import tempfile
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -19,12 +20,16 @@ from hypothesis import strategies as st
 
 from iontomo import (
     OpticalSinogram,
+    OscillatorParams,
+    SolverError,
     WignerGrid,
     gaussian_from_epsilon,
+    solve_epsilon,
     tomogram_gaussian,
 )
-from iontomo import _container, cli, states, tomography, verify
+from iontomo import _container, _svg, cli, oscillator, states, tomography, verify
 from iontomo.cli import main
+from iontomo.oscillator import _BLOCK
 from test_oscillator import DEPS_AT_10, EPS_AT_10
 
 
@@ -78,7 +83,17 @@ def test_epsilon_unreachable_tolerance_fails_numerically(tmp_path, payload):
     cfg = cfg_file(tmp_path, payload)
     out = tmp_path / "eps.csv"
     assert main(["epsilon", "--config", cfg, "--out", str(out)]) == 1
-    assert not out.exists()
+    assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
+
+def test_epsilon_gate_miss_reports_the_whole_pass(tmp_path, capsys):
+    # the write stops at the first block over the gate, the integration does not
+    payload = {"kappa": 1.0, "omega_drive": 1.2247, "t_end": 100.0}
+    with pytest.raises(SolverError) as want:
+        solve_epsilon(OscillatorParams(1.0, 1.2247), 100.0)
+    capsys.readouterr()
+    assert main(["epsilon", "--config", cfg_file(tmp_path, payload), "--out", str(tmp_path / "eps.csv")]) == 1
+    assert capsys.readouterr().err == f"iontomo: {want.value}\n"
 
 
 def test_epsilon_step_count_cap_exits_1(tmp_path):
@@ -89,13 +104,88 @@ def test_epsilon_step_count_cap_exits_1(tmp_path):
     assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
 
 
+def save_trajectory(path, traj):
+    """The epsilon CSV of a whole trajectory: the oracle of the CLI's streamed write."""
+    _container.save_csv_rows(str(path), ("t", "re_eps", "im_eps", "re_deps", "im_deps", "wronskian"),
+                             (traj.times, traj.eps.real, traj.eps.imag, traj.deps.real, traj.deps.imag,
+                              traj.wronskian()))
+
+
+@pytest.mark.parametrize("block", [3, _BLOCK])
+@pytest.mark.parametrize("n", [2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7])
+def test_epsilon_stream_matches_the_whole_trajectory(tmp_path, monkeypatch, block, n):
+    monkeypatch.setattr(oscillator, "_BLOCK", block)
+    payload = {"kappa": 0.4, "omega_drive": 2.0, "t_end": n / 1000.0, "n_steps": n}
+    out = tmp_path / "eps.csv"
+    assert main(["epsilon", "--config", cfg_file(tmp_path, payload), "--out", str(out)]) == 0
+    save_trajectory(tmp_path / "want.csv", solve_epsilon(OscillatorParams(0.4, 2.0), n / 1000.0, n))
+    assert out.read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_epsilon_stream_keeps_only_the_pass_that_meets_the_gate(tmp_path, monkeypatch):
+    # from 8 steps the policy doubles eight times; each miss leaves no file behind
+    monkeypatch.setattr(oscillator, "_BLOCK", 300)
+    payload = {"kappa": 3.0, "omega_drive": 5.0, "t_end": 10.0, "n_steps": 8}
+    out = tmp_path / "eps.csv"
+    assert main(["epsilon", "--config", cfg_file(tmp_path, payload), "--out", str(out)]) == 0
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "cfg.json", out]
+    save_trajectory(tmp_path / "want.csv", solve_epsilon(OscillatorParams(3.0, 5.0), 10.0, 8))
+    assert out.read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_epsilon_nan_in_a_middle_block_fails_the_gate(tmp_path, monkeypatch):
+    # exact samples but one NaN, in the third of four blocks
+    def rk4(params, t_end, n_steps):
+        for s in range(0, n_steps + 1, 4):
+            t = np.arange(s, min(s + 4, n_steps + 1)) * (t_end / n_steps)
+            eps, deps = np.exp(1j * t), 1j * np.exp(1j * t)
+            if s == 8:
+                deps[1] = np.nan
+            yield t, eps, deps
+
+    monkeypatch.setattr(oscillator, "_rk4", rk4)
+    cfg = cfg_file(tmp_path, {"kappa": 0.0, "omega_drive": 1.0, "t_end": 1.0, "n_steps": 15})
+    assert main(["epsilon", "--config", cfg, "--out", str(tmp_path / "eps.csv")]) == 1
+    assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
+
+def test_epsilon_scratch_is_bounded(tmp_path):
+    # the whole trajectory and its Wronskian column took 48 bytes per step, 12.6 MB here
+    n = 2 ** 18
+    cfg = cfg_file(tmp_path, {"kappa": 0.4, "omega_drive": 2.0, "t_end": n / 2000, "n_steps": n})
+    tracemalloc.start()
+    try:
+        assert main(["epsilon", "--config", cfg, "--out", str(tmp_path / "eps.csv")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 ** 21
+
+
 def test_epsilon_plot(tmp_path):
+    # up to _PLOT_SAMPLES samples the plot draws every one, as from the whole trajectory
     cfg = cfg_file(tmp_path, {"kappa": 0.0, "omega_drive": 1.0, "t_end": 1.0})
     out = tmp_path / "eps.csv"
     assert main(["epsilon", "--config", cfg, "--out", str(out), "--plot"]) == 0
     svg = tmp_path / "eps.svg"
-    assert svg.exists()
     assert ET.parse(svg).getroot().tag.endswith("svg")
+    traj = solve_epsilon(OscillatorParams(0.0, 1.0), 1.0)
+    want = tmp_path / "want.svg"
+    _svg.svg_polyline(str(want), traj.times, [("Re eps", traj.eps.real), ("Im eps", traj.eps.imag)],
+                      title="mode function (kappa=0.0, Omega=1.0)", xlabel="t", ylabel="eps(t)")
+    assert svg.read_bytes() == want.read_bytes()
+
+
+def test_epsilon_plot_of_a_long_run_is_strided(tmp_path, monkeypatch):
+    monkeypatch.setattr(oscillator, "_BLOCK", 1000)
+    n = 3 * cli._PLOT_SAMPLES
+    cfg = cfg_file(tmp_path, {"kappa": 0.4, "omega_drive": 2.0, "t_end": n / 2000, "n_steps": n})
+    assert main(["epsilon", "--config", cfg, "--out", str(tmp_path / "eps.csv"), "--plot"]) == 0
+    traj = solve_epsilon(OscillatorParams(0.4, 2.0), n / 2000, n)
+    want = tmp_path / "want.svg"
+    _svg.svg_polyline(str(want), traj.times[::4], [("Re eps", traj.eps.real[::4]), ("Im eps", traj.eps.imag[::4])],
+                      title="mode function (kappa=0.4, Omega=2.0)", xlabel="t", ylabel="eps(t)")
+    assert (tmp_path / "eps.svg").read_bytes() == want.read_bytes()
 
 
 # --------------------------------------------------------------- config errors

@@ -386,23 +386,38 @@ def test_blocked_trajectory_is_bit_identical_to_full_arrays(monkeypatch, block, 
     monkeypatch.setattr(oscillator, "_BLOCK", block)
     t_end = n / 500.0
     t, eps, deps = rk4_reference(params, t_end, n, block)
-    for got, want in zip(oscillator._rk4(params, t_end, n), (t, eps, deps)):
-        assert got.tobytes() == want.tobytes()
+    blocks = list(oscillator._rk4(params, t_end, n))
+    assert [b[0].size for b in blocks] == [1] + [min(block, n - s) for s in range(0, n, block)]
+    for got, want in zip(zip(*blocks), (t, eps, deps)):
+        assert np.concatenate(got).tobytes() == want.tobytes()
     traj = solve_epsilon(params, t_end=t_end, n_steps=n, tol=1.0)
     assert traj.eps.tobytes() == eps.tobytes() and traj.deps.tobytes() == deps.tobytes()
     w = np.imag(np.conj(eps) * deps)
     assert traj.wronskian().tobytes() == w.tobytes()
-    assert oscillator._drift(eps, deps) == np.max(np.abs(w - 1.0))
+    run = oscillator._Pass(params, t_end, n, gate=1.0)
+    assert np.concatenate([b[3] for b in run]).tobytes() == w.tobytes()
+    assert run.drift == np.max(np.abs(w - 1.0))
+
+
+def nan_at(bad):
+    """An ``_rk4`` stand-in whose 10 samples, in blocks of 3 after the start point, are exact but one NaN."""
+    def rk4(params, t_end, n_steps):
+        eps = np.ones(10, dtype=complex)
+        deps = np.full(10, 1.0j)
+        deps[bad] = complex(np.nan, np.nan)
+        for b in (slice(0, 1), slice(1, 4), slice(4, 7), slice(7, 10)):
+            yield np.arange(10.0)[b], eps[b], deps[b]
+    return rk4
 
 
 @pytest.mark.parametrize("bad", [1, 7])
 def test_blocked_drift_is_nan_when_any_sample_is(monkeypatch, bad):
     # an overflowed grid must keep failing the gate, whichever block holds the NaN
-    monkeypatch.setattr(oscillator, "_BLOCK", 3)
-    eps = np.ones(10, dtype=complex)
-    deps = np.full(10, 1.0j)
-    deps[bad] = complex(np.nan, np.nan)
-    assert np.isnan(oscillator._drift(eps, deps))
+    monkeypatch.setattr(oscillator, "_rk4", nan_at(bad))
+    run = oscillator._Pass(PARAMS04, 1.0, 9, gate=1.0)
+    for _ in run:
+        pass
+    assert np.isnan(run.drift) and not run.met
 
 
 def test_solve_epsilon_scratch_is_bounded():
