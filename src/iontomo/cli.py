@@ -49,7 +49,8 @@ from .oscillator import (  # noqa: E402
     epsilon_at,
     solve_epsilon,  # noqa: F401  (unused here; kept in this namespace for perfbench/traced_cli.py)
 )
-from .states import CatSpec, WignerGrid, evolve_wigner, gaussian_from_epsilon, wigner_cat, wigner_gaussian  # noqa: E402
+from .states import (CatSpec, WignerGrid, _uniform_spacing, evolve_wigner, gaussian_from_epsilon,  # noqa: E402
+                     wigner_cat, wigner_gaussian)
 from .tomography import (  # noqa: E402
     OpticalSinogram,
     evolve_tomogram,
@@ -130,6 +131,17 @@ def _integer(cfg: dict, key: str, *, default=None, minimum=None, context: str = 
 def _check_size(context: str, product: str, nbytes: int) -> None:
     if nbytes > _MAX_ARRAY_BYTES:
         raise ConfigError(f"{context}: {product} needs {nbytes} bytes, over the cap of {_MAX_ARRAY_BYTES}")
+
+
+def _uniform_axis(lo: float, hi: float, n: int, keys: str, context: str) -> np.ndarray:
+    """``np.linspace(lo, hi, n)``; a ConfigError names ``keys`` unless its step is uniform, positive and finite."""
+    try:
+        with np.errstate(all="ignore"):
+            axis = np.linspace(lo, hi, n)
+            _uniform_spacing(axis, keys)
+    except ValueError:
+        raise ConfigError(f"{context}: {keys} give no uniformly increasing axis") from None
+    return axis
 
 
 def _complex_amplitude(value, context: str) -> complex:
@@ -289,12 +301,10 @@ def cmd_tomogram(cfg: dict, args) -> int:
         x_min = _number(sino_cfg, "x_min", default=-8.0, context="sinogram")
         x_max = _number(sino_cfg, "x_max", default=8.0, context="sinogram")
         n_x = _integer(sino_cfg, "n_x", default=257, minimum=2, context="sinogram")
-        if x_max <= x_min:
-            raise ConfigError("sinogram: x_max must exceed x_min")
         _check_size("sinogram", f"n_phi * n_x = {n_phi} * {n_x}", 8 * n_phi * n_x)
+        x_axis = _uniform_axis(x_min, x_max, n_x, "x_min, x_max, n_x", "sinogram")
         evaluator, _ = _state(state_cfg, "tomogram", params, t)
         phi_axis = np.arange(n_phi) * math.pi / n_phi
-        x_axis = np.linspace(x_min, x_max, n_x)
         try:
             sino = OpticalSinogram.from_evaluator(evaluator, phi_axis, x_axis)
         except ValueError as exc:
@@ -346,23 +356,21 @@ def cmd_reconstruct(cfg: dict, args) -> int:
     p_min = _number(grid_cfg, "p_min", default=-6.0, context="grid")
     p_max = _number(grid_cfg, "p_max", default=6.0, context="grid")
     n_p = _integer(grid_cfg, "n_p", default=121, minimum=2, context="grid")
-    if q_max <= q_min or p_max <= p_min:
-        raise ConfigError("grid: q_max and p_max must exceed q_min and p_min")
     _check_size("grid", f"n_q * n_p = {n_q} * {n_p}", 8 * n_q * n_p)
+    q_axis = _uniform_axis(q_min, q_max, n_q, "q_min, q_max, n_q", "grid")
+    p_axis = _uniform_axis(p_min, p_max, n_p, "p_min, p_max, n_p", "grid")
     apod = cfg.get("apodization", "hann")
     if apod is None:
         apod = "none"
     if apod not in ("hann", "none"):
         raise ConfigError(f"reconstruct: apodization must be 'hann' or 'none', got {apod!r}")
     fourier_cfg = _section(cfg, "fourier", {"k_max", "n_nodes", "n_y", "y_halfwidth_sigmas"}, "reconstruct")
-    fourier_kw = {
-        "k_max": _number(fourier_cfg, "k_max", default=12.0, strict_min=0.0, context="fourier"),
-        "n_nodes": _integer(fourier_cfg, "n_nodes", default=193, minimum=3, context="fourier"),
-        "n_y": _integer(fourier_cfg, "n_y", default=513, minimum=3, context="fourier"),
-        "y_halfwidth_sigmas": _number(fourier_cfg, "y_halfwidth_sigmas", default=12.0,
-                                      strict_min=0.0, context="fourier"),
-    }
-    n_nodes = fourier_kw["n_nodes"]
+    k_max = _number(fourier_cfg, "k_max", default=12.0, strict_min=0.0, context="fourier")
+    n_nodes = _integer(fourier_cfg, "n_nodes", default=193, minimum=3, context="fourier")
+    # n_y and y_halfwidth_sigmas tuned a sampling step that a sinogram input
+    # does not take; they are still checked so that existing configs run unchanged
+    _integer(fourier_cfg, "n_y", minimum=3, context="fourier")
+    _number(fourier_cfg, "y_halfwidth_sigmas", strict_min=0.0, context="fourier")
     _check_size("fourier", f"n_nodes^2 = {n_nodes}^2", 16 * n_nodes * n_nodes)
     norm_tol = _number(cfg, "norm_tol", default=0.05, strict_min=0.0, context="reconstruct")
     l2_tol = _number(cfg, "l2_tol", default=0.05, strict_min=0.0, context="reconstruct")
@@ -376,7 +384,6 @@ def cmd_reconstruct(cfg: dict, args) -> int:
     out = _resolve_out(cfg, args)
     fmt = _resolve_format(cfg, args)
     _validate_seed(cfg, args)
-    q_axis, p_axis = np.linspace(q_min, q_max, n_q), np.linspace(p_min, p_max, n_p)
 
     try:
         sino = OpticalSinogram.load(path)
@@ -389,7 +396,7 @@ def cmd_reconstruct(cfg: dict, args) -> int:
         if method == "fbp":
             grid = radon_reconstruct(sino, q_axis, p_axis, apodization=apod)
         else:
-            grid = invert_to_wigner(sino, q_axis, p_axis, **fourier_kw)
+            grid = invert_to_wigner(sino, q_axis, p_axis, k_max=k_max, n_nodes=n_nodes)
     except InsufficientAnglesError as exc:
         return _fail(2, str(exc))
     except ValueError as exc:  # the Fourier path's angle wrap cannot read this sinogram
@@ -438,6 +445,9 @@ def _probe_from_config(cfg: dict) -> ProbeGrid:
     probe = ProbeGrid(**kwargs)
     if any(abs(m) <= max(probe.h_mu, probe.h_nu) for m in probe.mu_values):
         raise ConfigError("verify.probe: mu_values must stay clear of 0 by more than the stencil step")
+    # the time stencil reaches t - h_t, and the mode function starts at t = 0
+    if min(probe.t_values) - probe.h_t < 0.0:
+        raise ConfigError(f"verify.probe: t_values must be >= h_t = {probe.h_t}, got {min(probe.t_values)}")
     return probe
 
 
@@ -457,6 +467,10 @@ def cmd_verify(cfg: dict, args) -> int:
     moment_h = _number(cfg, "moment_h", default=1e-4, strict_min=0.0, context="verify")
     t_end = _number(cfg, "t_end", default=10.0, strict_min=0.0, context="verify")
     out = _resolve_out(cfg, args)
+    if args.format is not None or "format" in cfg:
+        raise ConfigError("verify: writes a JSON report; --format and 'format' do not apply")
+    if args.plot:
+        raise ConfigError("verify: --plot does not apply; verify draws no plot")
     _validate_seed(cfg, args)
 
     thresholds = {

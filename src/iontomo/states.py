@@ -1,4 +1,4 @@
-"""Gaussian and even/odd cat states of the trapped ion: wavefunctions and Wigner functions.
+"""Gaussian and even/odd cat states of the trapped ion: moments and Wigner functions.
 
 All moments derive from the mode function: ``sigma_qq = |eps|^2 / 2``,
 ``sigma_pp = |eps'|^2 / 2``, ``sigma_pq = Re(eps* eps') / 2``, and for a
@@ -25,16 +25,10 @@ __all__ = [
     "CatSpec",
     "WignerGrid",
     "gaussian_from_epsilon",
-    "schroedinger_relation_check",
-    "eval_wavefunction",
     "wigner_gaussian",
     "wigner_cat",
     "evolve_wigner",
 ]
-
-#: Largest supported number-state index; the normalized-Hermite recurrence is
-#: overflow-safe up to (at least) this order.
-MAX_NUMBER_INDEX = 200
 
 #: Points per block of :meth:`WignerGrid.from_evaluator`.
 _EVAL_BLOCK_POINTS = 4096
@@ -169,97 +163,6 @@ def _quadrature_variance(state: GaussianState, mu, nu):
     return mu ** 2 * state.sigma_qq + nu ** 2 * state.sigma_pp + 2.0 * mu * nu * state.sigma_pq
 
 
-def schroedinger_relation_check(state: GaussianState) -> tuple[float, float]:
-    """Correlation coefficient and minimization residual of the uncertainty relation.
-
-    Returns ``(r, residual)`` with ``r = sigma_pq / sqrt(sigma_qq sigma_pp)``
-    and ``residual = |sigma_qq sigma_pp - (1/4)/(1 - r^2)|``.  The residual
-    vanishes exactly for states that minimize the relation, which includes
-    every output of :func:`gaussian_from_epsilon`.
-    """
-    r = state.sigma_pq / math.sqrt(state.sigma_qq * state.sigma_pp)
-    residual = abs(state.sigma_qq * state.sigma_pp - 0.25 / (1.0 - r ** 2))
-    return r, residual
-
-
-def _hermite_orthonormal(m: int, xi: np.ndarray) -> np.ndarray:
-    """h_m(xi) = H_m(xi) / (2^{m/2} sqrt(m!)), via the stable three-term recurrence."""
-    h_prev = np.zeros_like(xi)
-    h = np.ones_like(xi)
-    for k in range(1, m + 1):
-        h, h_prev = xi * math.sqrt(2.0 / k) * h - math.sqrt((k - 1) / k) * h_prev, h
-    return h
-
-
-def eval_wavefunction(
-    kind: str,
-    eps: complex,
-    deps: complex,
-    x,
-    *,
-    alpha: complex = 0j,
-    m: int = 0,
-    cat: CatSpec | None = None,
-) -> np.ndarray:
-    """Position wavefunction Psi(x) at one instant of the mode function.
-
-    Parameters
-    ----------
-    kind : {'ground', 'coherent', 'number', 'cat'}
-        Family selector.  'coherent' uses ``alpha``, 'number' uses ``m``,
-        'cat' uses ``cat``.
-    eps, deps : complex
-        Mode function value and derivative (Wronskian-valid).
-    x : array_like
-        Evaluation points.
-
-    Returns
-    -------
-    ndarray of complex
-        Psi(x); unit L2 norm for every kind.
-    """
-    eps, deps = _check_wronskian(eps, deps)
-    x = np.asarray(x, dtype=float)
-
-    # common squeezed-vacuum envelope pi^{-1/4} eps^{-1/2} exp(i deps x^2 / (2 eps))
-    scale = math.pi ** -0.25 / np.sqrt(eps)
-    envelope = 0.5j * deps / eps * x ** 2
-    psi0 = scale * np.exp(envelope)
-
-    def displaced(alpha: complex, shift) -> np.ndarray:
-        # the coherent state |alpha> for shift = sqrt(2) alpha x / eps, as one
-        # exp of the summed exponent: apart, the envelope underflows where
-        # exp(shift) overflows
-        return scale * np.exp(envelope - abs(alpha) ** 2 / 2.0 - alpha ** 2 * np.conj(eps) / (2.0 * eps)
-                              + shift)
-
-    if kind == "ground":
-        return psi0
-    if kind == "coherent":
-        alpha = complex(alpha)
-        return displaced(alpha, math.sqrt(2.0) * alpha * x / eps)
-    if kind == "number":
-        if not (0 <= m <= MAX_NUMBER_INDEX):
-            raise ValueError(f"number index must be in [0, {MAX_NUMBER_INDEX}], got {m}")
-        phase = (np.conj(eps) / eps) ** (m / 2.0)
-        return phase * _hermite_orthonormal(m, x / abs(eps)) * psi0
-    if kind == "cat":
-        if cat is None:
-            raise ValueError("kind='cat' requires a CatSpec")
-        alpha = complex(cat.alpha)
-        # N (displaced(alpha, shift) +/- displaced(alpha, -shift)), factored as
-        # N displaced(alpha, t) (1 + exp(-2t)) (even) or -s N displaced(alpha, t)
-        # expm1(-2t) (odd) with t = s shift and the sign s that makes Re t >= 0,
-        # so no factor overflows; expm1 keeps the odd difference's digits at
-        # small |alpha|
-        shift = math.sqrt(2.0) * alpha * x / eps
-        s = np.where(shift.real >= 0.0, 1.0, -1.0)
-        t = s * shift
-        pair = 1.0 + np.exp(-2.0 * t) if cat.parity == "even" else -s * np.expm1(-2.0 * t)
-        return math.sqrt(cat.norm_squared) * displaced(alpha, t) * pair
-    raise ValueError(f"unknown wavefunction kind {kind!r}")
-
-
 def wigner_gaussian(state: GaussianState, q, p):
     """Gaussian Wigner function (2 pi convention).
 
@@ -328,7 +231,7 @@ def _uniform_spacing(axis: np.ndarray, name: str) -> float:
         raise ValueError(f"{name} must be 1-D with at least 2 points")
     steps = np.diff(axis)
     h = steps[0]
-    if h <= 0 or not np.allclose(steps, h, rtol=1e-9, atol=0.0):
+    if not 0.0 < h < math.inf or not np.allclose(steps, h, rtol=1e-9, atol=0.0):
         raise ValueError(f"{name} must be uniformly increasing")
     return float(h)
 

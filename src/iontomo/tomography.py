@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
@@ -109,21 +109,9 @@ def optical_slice(evaluator: Callable, phi, X):
     return evaluator(np.asarray(X, dtype=float), np.cos(phi), np.sin(phi))
 
 
-#: Points per angle of :func:`invert_to_wigner`'s support scan of a callable.
-_SUPPORT_SCAN_POINTS = 129
-
-
-def invert_to_wigner(
-    evaluator: Union[Callable, OpticalSinogram],
-    q_axis,
-    p_axis,
-    *,
-    k_max: float = 12.0,
-    n_nodes: int = 193,
-    n_y: int = 513,
-    y_halfwidth_sigmas: float = 12.0,
-) -> WignerGrid:
-    """Wigner function from a tomogram by the reduced Fourier inversion.
+def invert_to_wigner(sinogram: OpticalSinogram, q_axis, p_axis, *, k_max: float = 12.0,
+                     n_nodes: int = 193) -> WignerGrid:
+    """Wigner function from an optical sinogram by the reduced Fourier inversion.
 
     W(q, p) = (1/2 pi) integral P(Y, mu, nu) exp(i (Y - mu q - nu p)) dY dmu dnu,
     discretized with trapezoid rules on uniform mu, nu in [-k_max, k_max]
@@ -131,17 +119,9 @@ def invert_to_wigner(
     superpositions of coherent pieces separated by 2 alpha carry interference
     lobes centered at radius 2 sqrt(2) |alpha|, so the default reaches
     |alpha| = 3.  The node mu = nu = 0 is never evaluated; its Fourier
-    coefficient is exactly 1 for a normalized tomogram.
-
-    ``evaluator`` is an :class:`OpticalSinogram` or a callable
-    ``evaluator(Y, mu, nu)`` that broadcasts over arrays.  By homogeneity a
-    callable's optical slices determine it, so it is first sampled into a
-    sinogram on ceil(pi (n_nodes - 1) / sqrt 2) angles, which makes the angle
-    step at the outermost node radius sqrt(2) k_max the node step.
-    129 points over +-``y_halfwidth_sigmas`` scan |w| at each angle for its
-    centre c and width s, and ``n_y`` samples cover
-    X = +-max(|c| + ``y_halfwidth_sigmas`` s), symmetric about 0 for the
-    angle fold.  These two keywords do nothing for a sinogram.
+    coefficient is exactly 1 for a normalized tomogram.  A tomogram evaluator
+    is sampled first with :meth:`OpticalSinogram.from_evaluator`; its optical
+    slices determine it.
 
     By homogeneity the coefficient on the ray (mu, nu) = r (cos phi, sin phi)
     is the 1-D transform of one marginal, F = integral w_opt(X, phi)
@@ -167,9 +147,8 @@ def invert_to_wigner(
     Raises
     ------
     ValueError
-        When a sinogram has fewer than 2 angles or an X axis not symmetric
-        about 0, or when a callable's X window loses so much mass that its
-        sinogram is rejected.
+        When the sinogram has fewer than 2 angles or an X axis not symmetric
+        about 0.
     """
     q_axis = np.asarray(q_axis, dtype=float)
     p_axis = np.asarray(p_axis, dtype=float)
@@ -179,10 +158,7 @@ def invert_to_wigner(
     nodes = 0.5 * (nodes - nodes[::-1])
     half = (n_nodes + 1) // 2
 
-    if not isinstance(evaluator, OpticalSinogram):
-        n_phi = math.ceil(math.pi * (n_nodes - 1) / math.sqrt(2.0))
-        evaluator = _sampled_sinogram(evaluator, n_phi, n_y, y_halfwidth_sigmas)
-    spectrum = _ray_spectrum(evaluator, float(np.hypot(nodes[-1], nodes[-1])))
+    spectrum = _ray_spectrum(sinogram, float(np.hypot(nodes[-1], nodes[-1])))
     F = np.empty((n_nodes, n_nodes), dtype=complex)
     for i, m in enumerate(nodes[:half]):
         degenerate = (m == 0.0) & (nodes == 0.0)
@@ -198,15 +174,6 @@ def invert_to_wigner(
     A = np.exp(-1j * np.outer(q_axis, nodes)) * w_nodes
     B = np.exp(-1j * np.outer(nodes, p_axis)) * w_nodes[:, np.newaxis]
     return WignerGrid(q_axis=q_axis, p_axis=p_axis, values=np.real(A @ F @ B) / (2.0 * math.pi))
-
-
-def _sampled_sinogram(evaluator: Callable, n_phi: int, n_x: int, halfwidth_sigmas: float) -> OpticalSinogram:
-    """The callable's sinogram on the X window of :func:`invert_to_wigner`."""
-    phi = np.arange(n_phi) * (math.pi / n_phi)
-    scan = np.linspace(-halfwidth_sigmas, halfwidth_sigmas, _SUPPORT_SCAN_POINTS)[:, np.newaxis]
-    centre, width = _support(scan, optical_slice(evaluator, phi, scan))
-    half = float(np.max(np.abs(centre) + halfwidth_sigmas * width))
-    return OpticalSinogram.from_evaluator(evaluator, phi, np.linspace(-half, half, n_x))
 
 
 #: FFT length of a sinogram row, as a multiple of its sample count (rounded up
@@ -485,11 +452,3 @@ def _wrapped_grid(sinogram: OpticalSinogram) -> WignerGrid:
     ext = np.concatenate((v[-2:, ::-1], v, v[:2, ::-1]))
     ext_phi = np.concatenate((phi[0] - dphi * np.array([2.0, 1.0]), phi, phi[-1] + dphi * np.array([1.0, 2.0])))
     return WignerGrid(q_axis=ext_phi, p_axis=x, values=ext)
-
-
-def _support(u: np.ndarray, f) -> tuple:
-    """|f|-weighted mean and standard deviation (at least 1e-3) of the scan points ``u`` along axis 0."""
-    density = np.abs(np.asarray(f, dtype=float))
-    mass = np.maximum(density.sum(axis=0), np.finfo(float).tiny)
-    centre = (u * density).sum(axis=0) / mass
-    return centre, np.sqrt(np.maximum(((u - centre) ** 2 * density).sum(axis=0) / mass, 1e-6))

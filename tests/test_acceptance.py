@@ -210,8 +210,10 @@ def _grid_moments(grid):
 
 
 def test_criterion_9a_fourier_inversion():
+    phi = np.arange(180) * math.pi / 180.0
+    sino = OpticalSinogram.from_evaluator(partial(tomogram_gaussian, VACUUM), phi, np.linspace(-8.0, 8.0, 257))
     axis = np.linspace(-6.0, 6.0, 121)
-    grid = invert_to_wigner(partial(tomogram_gaussian, VACUUM), axis, axis)
+    grid = invert_to_wigner(sino, axis, axis)
     w00 = float(grid.values[60, 60])
     _, mq, mp, sqq, spp, spq = _grid_moments(grid)
 

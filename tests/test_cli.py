@@ -672,11 +672,29 @@ def test_verify_custom_probe(tmp_path):
         {"suite": "bogus"},
         {"cat": {"alpha": 1.0, "parity": "even", "phase": 0.3}},  # unknown cat key
         {"probe": {"h_t": math.nan}},
+        # the time stencil would reach t - h_t < 0, where the mode function has no value
+        {"probe": {"t_values": [0.5], "h_t": 1.0}},
+        {"probe": {"t_values": [-1.0]}},
     ],
 )
 def test_verify_config_errors(tmp_path, extra):
     cfg = cfg_file(tmp_path, verify_cfg(**extra))
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+@pytest.mark.parametrize("flags, extra", [
+    (["--plot"], {}),
+    (["--format", "csv"], {}),
+    (["--format", "bin"], {}),
+    ([], {"format": "csv"}),
+], ids=["plot", "format-csv", "format-bin", "config-format"])
+def test_verify_rejects_plot_and_format(tmp_path, capsys, flags, extra):
+    # the report is always JSON and verify draws nothing: both were ignored with exit 0
+    cfg = cfg_file(tmp_path, verify_cfg(t_end=1.0, **extra))
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "r.json"), *flags]) == 2
+    assert "verify:" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
@@ -728,6 +746,9 @@ def test_verify_passes_a_vanishing_odd_cat(tmp_path):
         ("tomogram", tomogram_cfg({"kind": "cat", "alpha": 1e-200, "parity": "odd"})),  # |alpha|^2 = 0
         ("verify", verify_cfg(cat={"alpha": 1e-200, "parity": "odd"})),
         ("verify", verify_cfg(cat={"alpha": 1e-155, "parity": "odd"})),  # N^2 overflows
+        # x_max - x_min and q_max - q_min overflow a float
+        ("tomogram", tomogram_cfg({"kind": "gaussian"}, sinogram={"x_min": -1e308, "x_max": 1e308})),
+        ("reconstruct", {"method": "fourier", "grid": {"q_min": -1e308, "q_max": 1e308}}),
     ],
 )
 def test_nested_config_errors_write_nothing(tmp_path, cat_sinogram_file, command, payload):
@@ -736,6 +757,29 @@ def test_nested_config_errors_write_nothing(tmp_path, cat_sinogram_file, command
     cfg = cfg_file(tmp_path, payload)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out.csv")]) == 2
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command, payload, keys", [
+    ("tomogram", tomogram_cfg({"kind": "gaussian"}, sinogram={"x_min": -1e308, "x_max": 1e308}),
+     "sinogram: x_min, x_max, n_x"),
+    ("reconstruct", {"method": "fbp", "grid": {"p_min": -1e308, "p_max": 1e308}}, "grid: p_min, p_max, n_p"),
+], ids=["sinogram-x", "grid-p"])
+def test_overflowing_axis_span_is_named_before_any_compute(tmp_path, vacuum_sinogram_file, monkeypatch, capsys,
+                                                         command, payload, keys):
+    # the span overflowed to NaN steps: tomogram computed the sinogram and
+    # failed its validation (exit 1); reconstruct ran the whole FBP and then
+    # blamed its input file (exit 2), both with numpy RuntimeWarnings
+    def no_compute(*args, **kwargs):
+        raise AssertionError("computed before the axis check")
+
+    monkeypatch.setattr(cli, "_state", no_compute)
+    monkeypatch.setattr(cli.OpticalSinogram, "load", no_compute)
+    if command == "reconstruct":
+        payload = {"input": vacuum_sinogram_file, **payload}
+    cfg = cfg_file(tmp_path, payload)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out.csv")]) == 2
+    assert capsys.readouterr().err == f"iontomo: {keys} give no uniformly increasing axis\n"
 
 
 # ----------------------------------------------------------- non-finite numbers

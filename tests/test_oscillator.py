@@ -13,7 +13,6 @@ from iontomo import (
     OscillatorParams,
     SolverError,
     epsilon_at,
-    eval_wavefunction,
     gaussian_from_epsilon,
     omega_squared,
     solve_epsilon,
@@ -21,6 +20,7 @@ from iontomo import (
 )
 from iontomo import oscillator
 from iontomo.oscillator import _BLOCK, _MAX_STEPS
+from oracles import eval_wavefunction
 
 PARAMS04 = OscillatorParams(kappa=0.4, omega_drive=2.0)
 

@@ -25,10 +25,8 @@ from iontomo import (
     SolverError,
     WignerGrid,
     epsilon_at,
-    eval_wavefunction,
     evolve_wigner,
     gaussian_from_epsilon,
-    schroedinger_relation_check,
     solve_epsilon,
     tomogram_cat,
     wigner_cat,
@@ -36,6 +34,7 @@ from iontomo import (
 )
 from iontomo import _container, states
 from iontomo.states import _catmull_rom_weights, _wab
+from oracles import eval_wavefunction, schroedinger_relation_check
 
 ROOT2 = math.sqrt(2.0)
 

@@ -368,12 +368,19 @@ def grid_moments(grid):
     }
 
 
-FAST_INVERT = {"k_max": 8.0, "n_nodes": 97, "n_y": 257}
+FAST_INVERT = {"k_max": 8.0, "n_nodes": 97}
+SKEW_GAUSSIAN = GaussianState(mean_p=-0.7, mean_q=1.1, sigma_pp=0.3, sigma_qq=1.1, sigma_pq=0.35)
+
+
+def sampled_sinogram(evaluator, n_phi=180, n_x=257, half=8.0):
+    """The sinogram of ``evaluator`` on n_phi angles tiling [0, pi) and n_x samples of X in [-half, half]."""
+    phi = np.linspace(0.0, math.pi, n_phi, endpoint=False)
+    return OpticalSinogram.from_evaluator(evaluator, phi, np.linspace(-half, half, n_x))
 
 
 def test_invert_vacuum():
     axis = np.linspace(-6.0, 6.0, 81)
-    grid = invert_to_wigner(partial(tomogram_gaussian, VACUUM), axis, axis, **FAST_INVERT)
+    grid = invert_to_wigner(vacuum_sinogram(), axis, axis, **FAST_INVERT)
     i0 = np.searchsorted(axis, 0.0)
     assert grid.values[i0, i0] == pytest.approx(2.0, abs=2e-2)
     m = grid_moments(grid)
@@ -387,7 +394,8 @@ def test_invert_vacuum():
 def test_invert_coherent_recovers_moments():
     state = gaussian_from_epsilon(1.0, 1.0j, 1.0 + 0.0j)
     axis = np.linspace(-6.0, 6.0, 81)
-    grid = invert_to_wigner(partial(tomogram_gaussian, state), axis, axis, **FAST_INVERT)
+    grid = invert_to_wigner(sampled_sinogram(partial(tomogram_gaussian, state), half=10.0), axis, axis,
+                            **FAST_INVERT)
     m = grid_moments(grid)
     assert m["mean_q"] == pytest.approx(math.sqrt(2.0), abs=1e-3)
     assert abs(m["mean_p"]) <= 1e-3
@@ -398,11 +406,11 @@ def test_invert_coherent_recovers_moments():
 def test_invert_cat_against_analytic_wigner():
     spec = CatSpec(2.0 + 0.0j, "even")
     axis = np.linspace(-6.0, 6.0, 121)
-    grid = invert_to_wigner(partial(tomogram_cat, spec), axis, axis)
+    grid = invert_to_wigner(sampled_sinogram(partial(tomogram_cat, spec)), axis, axis)
     Q, P = np.meshgrid(axis, axis, indexing="ij")
     exact = wigner_cat(spec, Q, P)
     rel_l2 = np.linalg.norm(grid.values - exact) / np.linalg.norm(exact)
-    # measured 6.23e-6, through the sampled 427-angle sinogram
+    # measured 6.43e-6 on 180 angles and 257 X samples over [-8, 8]
     assert rel_l2 <= 1e-5
 
 
@@ -423,23 +431,18 @@ def invert_full_plane_reference(sinogram, q_axis, p_axis, *, k_max, n_nodes):
 
 
 def _asymmetric_cat_sinogram():
-    phi = np.linspace(0.0, math.pi, 120, endpoint=False)
-    x = np.linspace(-8.0, 8.0, 161)
-    return OpticalSinogram.from_evaluator(partial(tomogram_cat, CatSpec(1.2 + 0.7j, "odd")), phi, x)
+    return sampled_sinogram(partial(tomogram_cat, CatSpec(1.2 + 0.7j, "odd")), 120, 161)
 
 
-@pytest.mark.parametrize("k_max, n_nodes, n_y", [(8.0, 97, 257), (6.0, 48, 129), (5.0, 31, 129)],
-                         ids=["odd-97", "even-48", "odd-31"])
+@pytest.mark.parametrize("k_max, n_nodes", [(8.0, 97), (6.0, 48), (5.0, 31)], ids=["odd-97", "even-48", "odd-31"])
 @pytest.mark.parametrize("source", ["gaussian", "cat-sinogram"])
-def test_half_plane_inversion_matches_full_plane(monkeypatch, source, k_max, n_nodes, n_y):
+def test_half_plane_inversion_matches_full_plane(monkeypatch, source, k_max, n_nodes):
     # none of these linspace node sets is exactly antisymmetric
     nodes = np.linspace(-k_max, k_max, n_nodes)
     assert not np.array_equal(nodes, -nodes[::-1])
     if source == "gaussian":
-        # displaced, squeezed and correlated: no symmetry in q, p or the frame;
-        # a callable, so the inversion samples its sinogram first
-        source = partial(tomogram_gaussian, GaussianState(mean_p=-0.7, mean_q=1.1, sigma_pp=0.3,
-                                                sigma_qq=1.1, sigma_pq=0.35))
+        # displaced, squeezed and correlated: no symmetry in q, p or the frame
+        source = sampled_sinogram(partial(tomogram_gaussian, SKEW_GAUSSIAN), 120, 161)
     else:
         source = _asymmetric_cat_sinogram()
     sinograms, rows = [], set()
@@ -457,68 +460,35 @@ def test_half_plane_inversion_matches_full_plane(monkeypatch, source, k_max, n_n
 
     monkeypatch.setattr(tomography, "_ray_spectrum", recorded)
     axis = np.linspace(-5.0, 5.0, 41)
-    grid = invert_to_wigner(source, axis, axis, k_max=k_max, n_nodes=n_nodes, n_y=n_y)
+    grid = invert_to_wigner(source, axis, axis, k_max=k_max, n_nodes=n_nodes)
     monkeypatch.undo()
     want = invert_full_plane_reference(sinograms[0], axis, axis, k_max=k_max, n_nodes=n_nodes)
     assert len(rows) <= (n_nodes + 1) // 2
     assert np.max(np.abs(grid.values - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-def test_callable_inversion_samples_one_sinogram(monkeypatch):
-    # default keywords: 427 angles, each one support scan (n_coarse = 129) and
-    # one sinogram row (n_y = 513); the windowed Y quadrature took 12.0M points
-    state = gaussian_from_epsilon(1.0, 1.0j, 1.0 + 0.0j)
-    points, sinograms = [], []
-    ray_spectrum = tomography._ray_spectrum
-
-    def counted(Y, mu, nu):
-        points.append(np.broadcast(Y, mu, nu).size)
-        return tomogram_gaussian(state, Y, mu, nu)
-
-    def recorded(sinogram, k_reach):
-        sinograms.append(sinogram)
-        return ray_spectrum(sinogram, k_reach)
-
-    monkeypatch.setattr(tomography, "_ray_spectrum", recorded)
-    axis = np.linspace(-6.0, 6.0, 49)
-    grid = invert_to_wigner(counted, axis, axis)
-    monkeypatch.undo()
-    (sino,) = sinograms
-    assert sino.phi_axis.size == math.ceil(math.pi * 192 / math.sqrt(2.0)) == 427
-    assert sum(points) <= 427 * (129 + 513)
-    # the window holds the marginal at every angle (the mean sqrt(2) at phi = 0
-    # plus 12 widths sqrt(1/2)), on an X axis that the angle fold maps onto itself
-    assert sino.x_axis.size == 513 and sino.x_axis[0] == -sino.x_axis[-1]
-    assert sino.x_axis[-1] >= math.sqrt(2.0) + 12.0 * math.sqrt(0.5) - 1e-2
-    np.testing.assert_allclose(sino.column_norms(), 1.0, atol=1e-12)
-    assert np.array_equal(grid.values, invert_to_wigner(sino, axis, axis).values)
-
-
-SKEW_GAUSSIAN = GaussianState(mean_p=-0.7, mean_q=1.1, sigma_pp=0.3, sigma_qq=1.1, sigma_pq=0.35)
-
-
 @pytest.mark.parametrize("name", ["gaussian", "cat"])
 def test_sinogram_inversion_beats_its_evaluator(name):
     # same sinogram both ways: the per-ray transform on the native X samples
     # must be at least as close to the analytic Wigner function as the
-    # interpolating evaluator, which the inversion resamples on 214 angles
+    # interpolating evaluator, resampled on 214 angles and 257 X samples
     if name == "gaussian":
         evaluator, exact_w = partial(tomogram_gaussian, SKEW_GAUSSIAN), partial(wigner_gaussian, SKEW_GAUSSIAN)
     else:
         spec = CatSpec(1.2 + 0.7j, "odd")
         evaluator, exact_w = partial(tomogram_cat, spec), partial(wigner_cat, spec)
-    phi = np.linspace(0.0, math.pi, 120, endpoint=False)
-    sino = OpticalSinogram.from_evaluator(evaluator, phi, np.linspace(-8.0, 8.0, 161))
+    sino = sampled_sinogram(evaluator, 120, 161)
+    resampled = sampled_sinogram(sinogram_evaluator(sino), 214, 257)
     axis = np.linspace(-5.0, 5.0, 41)
     exact = exact_w(*np.meshgrid(axis, axis, indexing="ij"))
 
     def rel_l2(grid):
         return np.linalg.norm(grid.values - exact) / np.linalg.norm(exact)
 
-    # measured: 7.7e-6 (gaussian) and 2.4e-6 (cat) direct, 2.5e-4 and 5.6e-4 via the evaluator
-    kw = {"k_max": 12.0, "n_nodes": 97, "n_y": 257}
+    # measured: 7.7e-6 (gaussian) and 2.4e-6 (cat) direct, 1.2e-4 and 4.5e-4 via the evaluator
+    kw = {"k_max": 12.0, "n_nodes": 97}
     direct = rel_l2(invert_to_wigner(sino, axis, axis, **kw))
-    via_evaluator = rel_l2(invert_to_wigner(sinogram_evaluator(sino), axis, axis, **kw))
+    via_evaluator = rel_l2(invert_to_wigner(resampled, axis, axis, **kw))
     assert direct <= via_evaluator
     assert direct < 5e-5
 
@@ -569,9 +539,7 @@ def test_sinogram_inversion_computes_half_plane(monkeypatch, n_nodes):
 
     stencil = tomography._stencil
     monkeypatch.setattr(tomography, "_stencil", recorded)
-    sino = OpticalSinogram.from_evaluator(partial(tomogram_cat, CatSpec(1.2 + 0.7j, "odd")),
-                                          np.linspace(0.0, math.pi, 120, endpoint=False),
-                                          np.linspace(-8.0, 8.0, 161))
+    sino = _asymmetric_cat_sinogram()
     axis = np.linspace(-5.0, 5.0, 41)
     invert_to_wigner(sino, axis, axis, k_max=6.0, n_nodes=n_nodes)
     assert rows == [(n_nodes,)] * ((n_nodes + 1) // 2)
@@ -629,7 +597,7 @@ def test_ray_spectrum_matches_per_node_transform(x_half, n_x, n_phi, k_max, seed
 def test_invert_truncated_cutoff_misses_normalization():
     # the grid is returned, as from filtered backprojection; its integral shows the miss
     axis = np.linspace(-4.0, 4.0, 33)
-    grid = invert_to_wigner(partial(tomogram_gaussian, VACUUM), axis, axis, k_max=0.3, n_nodes=9)
+    grid = invert_to_wigner(vacuum_sinogram(), axis, axis, k_max=0.3, n_nodes=9)
     assert abs(grid.integral() - 1.0) > 1e-2
 
 
@@ -637,9 +605,7 @@ def test_invert_truncated_cutoff_misses_normalization():
 
 
 def vacuum_sinogram(n_phi=180, n_x=257, half=8.0):
-    phi = np.linspace(0.0, math.pi, n_phi, endpoint=False)
-    x = np.linspace(-half, half, n_x)
-    return OpticalSinogram.from_evaluator(partial(tomogram_gaussian, VACUUM), phi, x)
+    return sampled_sinogram(partial(tomogram_gaussian, VACUUM), n_phi, n_x, half)
 
 
 def test_sinogram_validation():

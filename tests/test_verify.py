@@ -18,10 +18,10 @@ from iontomo import (
     moment_odes_check,
     pde_residual,
     replacement_evolution,
-    eval_wavefunction,
     tomogram_cat,
     tomogram_gaussian,
 )
+from oracles import wavefunction_moment_oracle
 
 STATIC = OscillatorParams(0.0, 1.0)
 ROOT2 = math.sqrt(2.0)
@@ -131,50 +131,6 @@ def test_harmonic_coherent_means():
 
 
 # --------------------------------------------------------------------- oracle
-
-
-def wavefunction_moment_oracle(kind, eps, deps, alpha=0j):
-    """Gaussian moments recomputed by quadrature over the wavefunction.
-
-    Position moments integrate |Psi|^2 directly; momentum moments use the
-    analytic derivative of the closed-form exponent,
-    Psi' = (i deps x / eps + sqrt(2) alpha / eps) Psi, never a finite
-    difference.  Only the Gaussian family is supported.
-    """
-    if kind not in ("ground", "coherent"):
-        raise ValueError(f"moment oracle supports 'ground' and 'coherent', got {kind!r}")
-    eps = complex(eps)
-    deps = complex(deps)
-    alpha = complex(alpha) if kind == "coherent" else 0j
-
-    sigma_q = abs(eps) / ROOT2
-    center = ROOT2 * (alpha * np.conj(eps)).real
-    x = np.linspace(center - 12.0 * sigma_q, center + 12.0 * sigma_q, 4001)
-    dx = x[1] - x[0]
-    w = np.full(x.size, dx)
-    w[[0, -1]] *= 0.5
-
-    psi = eval_wavefunction(kind, eps, deps, x, alpha=alpha)
-    dpsi = (1j * deps * x / eps + ROOT2 * alpha / eps) * psi
-    prob = np.abs(psi) ** 2
-    if max(prob[0], prob[-1]) > 1e-14 * prob.max():
-        raise RuntimeError("quadrature window does not capture the wavefunction support")
-
-    norm = float(prob @ w)
-    mean_q = float((x * prob) @ w) / norm
-    sigma_qq = float(((x - mean_q) ** 2 * prob) @ w) / norm
-    mean_p = float(np.real(np.conj(psi) * (-1j) * dpsi @ w)) / norm
-    p2 = float(np.abs(dpsi) ** 2 @ w) / norm
-    corr = np.conj(psi) * x * dpsi
-    # <(qp + pq)/2> = Re(-i (integral psi* x psi' dx + 1/2))
-    sym = float(np.real(-1j * (complex(corr @ w) + 0.5 * norm))) / norm
-    return GaussianState(
-        mean_p=mean_p,
-        mean_q=mean_q,
-        sigma_pp=p2 - mean_p ** 2,
-        sigma_qq=sigma_qq,
-        sigma_pq=sym - mean_q * mean_p,
-    )
 
 
 def test_oracle_ground_state():
