@@ -1,5 +1,11 @@
 """Shared file formats: ``%.17g`` CSV tables and a JSON-header binary grid container.
 
+CSV text is byte for byte what Python's ``"%.17g" % v`` gives, joined by
+``,`` and ``\\n``; :mod:`iontomo._csvtext` makes it from whole blocks with
+numpy and hands only +-inf, nan and values within 1e-9 of a rounding tie
+at the 17th digit (exact ties such as 1000000000000000.25 among them) to
+``%`` itself.
+
 Container layout: one UTF-8 JSON line (terminated by ``\\n``) describing axes,
 shape and dtype, followed by the flat values as little-endian float64 in
 row-major order.  Uniform axes are stored as (first, last, n) and rebuilt with
@@ -10,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 import re
 import tempfile
@@ -20,12 +27,13 @@ import numpy as np
 _FORMAT = "iontomo-grid"
 _VERSION = 1
 
-#: Rows formatted per chunk by the CSV writers, and lines parsed per block by
-#: :func:`load_csv_triples`.  A ``%.17g`` value takes at most 25 bytes with its
-#: separator, so a block of the six-column epsilon table is at most 154 kB of
-#: text; with its bytes copy and Python floats, :func:`save_csv_rows` peaks at
-#: about 0.45 MB however long the table.
+#: Lines parsed per block by :func:`load_csv_triples`.
 _CSV_BLOCK_ROWS = 1024
+#: Values the CSV writers format per call of the ``_csvtext`` kernel, in whole
+#: rows (at least one).  A call needs about 270 bytes of scratch per value,
+#: about 0.55 MB however long the table, and has a fixed cost of some 70
+#: numpy operations, so much smaller calls are slower.
+_CSV_TEXT_VALUES = 2048
 #: Characters per read when :func:`load_csv_triples` counts the lines of a file.
 _CSV_READ_CHARS = 1 << 16
 
@@ -64,7 +72,12 @@ def save_container(path: str, kind: str, axis_names: list[str], axes: list[np.nd
 
 
 def load_container(path: str):
-    """Returns (kind, axes list, values). Raises ValueError on malformed input."""
+    """Returns (kind, axes list, values).
+
+    Raises ValueError on malformed input: a header that is not the format's
+    JSON line, or a field missing, of the wrong type or inconsistent with
+    another (shape, axes, kind, dtype, order), or a payload of the wrong size.
+    """
     with open(path, "rb") as fh:
         line = fh.readline()
         payload = fh.read()
@@ -76,16 +89,32 @@ def load_container(path: str):
         raise ValueError(f"{path}: missing container format marker")
     if header.get("version") != _VERSION:
         raise ValueError(f"{path}: unsupported container version {header.get('version')!r}")
-    shape = tuple(header["shape"])
-    n = int(np.prod(shape))
+    shape, names, axes = header.get("shape"), header.get("axis_names"), header.get("axes")
+    if not (isinstance(shape, list) and all(_is_count(n) for n in shape)):
+        raise ValueError(f"{path}: container shape must be a list of counts, got {shape!r}")
+    if not (isinstance(names, list) and len(names) == len(shape) and isinstance(axes, dict)):
+        raise ValueError(f"{path}: container needs one named axis per dimension of shape {shape}")
+    for name, n in zip(names, shape):
+        spec = axes.get(name) if isinstance(name, str) else None
+        if not (isinstance(spec, dict) and _is_count(spec.get("n")) and spec["n"] == n
+                and all(_is_finite(spec.get(end)) for end in ("first", "last"))):
+            raise ValueError(f"{path}: axis {name!r} needs a finite first and last and n = {n}, got {spec!r}")
+    if not isinstance(header.get("kind"), str) or (header.get("dtype"), header.get("order")) != ("<f8", "C"):
+        raise ValueError(f"{path}: container must hold a kind and little-endian float64 values in C order")
+    n = math.prod(shape)
     if len(payload) != 8 * n:
         raise ValueError(f"{path}: payload holds {len(payload)} bytes, expected {8 * n}")
     values = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
-    axes = []
-    for name in header["axis_names"]:
-        spec = header["axes"][name]
-        axes.append(np.linspace(spec["first"], spec["last"], spec["n"]))
+    axes = [np.linspace(axes[name]["first"], axes[name]["last"], n) for name, n in zip(names, shape)]
     return header["kind"], axes, values
+
+
+def _is_count(n) -> bool:
+    return isinstance(n, int) and not isinstance(n, bool) and n >= 0
+
+
+def _is_finite(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
 
 
 #: CSV columns of each grid kind; the first two also name its container axes.
@@ -140,14 +169,14 @@ def _save_csv_blocks(path: str, colnames, blocks) -> None:
     it arrives, so only one block need exist at a time.  An exception from
     ``blocks`` removes the temp file: nothing is written.
     """
-    row = ",".join(["%.17g"] * len(colnames)) + "\n"
+    from . import _csvtext
 
     def chunks():
         yield (",".join(colnames) + "\n").encode()
+        step = max(1, _CSV_TEXT_VALUES // len(colnames))
         for columns in blocks:
-            for start in range(0, columns[0].size, _CSV_BLOCK_ROWS):
-                block = np.column_stack([c[start:start + _CSV_BLOCK_ROWS] for c in columns])
-                yield ((row * block.shape[0]) % tuple(block.ravel().tolist())).encode()
+            for start in range(0, columns[0].size, step):
+                yield _csvtext.rows(np.column_stack([c[start:start + step] for c in columns]))
 
     _atomic_write(path, chunks())
 
@@ -156,19 +185,21 @@ def save_csv_triples(path: str, colnames: tuple[str, str, str], ax0: np.ndarray,
     """Row-major (ax0-major) CSV with one (a0, a1, value) triple per line.
 
     The same bytes as :func:`save_csv_rows` on the repeated and tiled axes,
-    but each axis value is formatted once: a line template carries the axis
-    text and only the values go through ``%``.
+    but each axis is formatted once, and the lines of several ax0 values
+    are assembled per kernel call.
     """
+    from . import _csvtext
+
     values = np.asarray(values, dtype=float).reshape(len(ax0), len(ax1))
-    tails = [",%.17g,%%.17g\n" % a1 for a1 in np.asarray(ax1, dtype=float).tolist()]
+    text0, keep0 = _csvtext.column(np.asarray(ax0, dtype=float))
+    inner = _csvtext.column(np.asarray(ax1, dtype=float))
+    step = max(1, _CSV_TEXT_VALUES // max(1, len(ax1)))
 
     def chunks():
         yield (",".join(colnames) + "\n").encode()
-        for a0, row in zip(np.asarray(ax0, dtype=float).tolist(), values):
-            head = "%.17g" % a0
-            for start in range(0, len(tails), _CSV_BLOCK_ROWS):
-                template = head + head.join(tails[start:start + _CSV_BLOCK_ROWS])
-                yield (template % tuple(row[start:start + _CSV_BLOCK_ROWS].tolist())).encode()
+        for start in range(0, len(ax0), step):
+            rows = slice(start, start + step)
+            yield _csvtext.triples((text0[rows], keep0[rows]), inner, values[rows])
 
     _atomic_write(path, chunks())
 

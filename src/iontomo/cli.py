@@ -402,6 +402,7 @@ def cmd_reconstruct(cfg: dict, args) -> int:
     except ValueError as exc:  # the Fourier path's angle wrap cannot read this sinogram
         return _fail(2, f"input file invalid: {exc}")
 
+    del sino  # its memory goes back before the grid's text is formatted
     grid.save(out, fmt=fmt)
     report = {
         "method": method,

@@ -505,6 +505,40 @@ def test_reconstruct_missing_and_invalid_input(tmp_path):
     assert main(["reconstruct", "--config", cfg2, "--out", str(tmp_path / "w.csv")]) == 2
 
 
+def _drop(key):
+    return lambda header: header.pop(key)
+
+
+@pytest.mark.parametrize("corrupt", [
+    pytest.param(_drop("shape"), id="no-shape"),
+    pytest.param(_drop("axes"), id="no-axes"),
+    pytest.param(_drop("kind"), id="no-kind"),
+    pytest.param(lambda h: h["axes"]["x"].update(n="65"), id="n-string"),
+    pytest.param(lambda h: h.update(shape="ab"), id="shape-string"),
+    pytest.param(lambda h: h.update(dtype=">f8"), id="big-endian"),
+    pytest.param(lambda h: h.update(shape=[24, 65, 1]), id="shape-axis-count"),
+    pytest.param(lambda h: h["axes"]["x"].update(n=64), id="axis-n-shape"),
+])
+def test_reconstruct_rejects_a_malformed_container_header(tmp_path, capsys, corrupt):
+    # a header with a valid format marker and version but a missing, mistyped or
+    # inconsistent field ended in a traceback (exit 1); it is invalid input
+    phi = np.linspace(0.0, math.pi, 24, endpoint=False)
+    x = np.linspace(-6.0, 6.0, 65)
+    values = tomography.optical_slice(functools.partial(tomography.tomogram_cat, states.CatSpec(1.0, "even")),
+                                      phi[:, np.newaxis], x)
+    sino = tmp_path / "sino.bin"
+    _container.save_container(str(sino), "sinogram", ["phi", "x"], [phi, x], values)
+    line, payload = sino.read_bytes().split(b"\n", 1)
+    header = json.loads(line)
+    corrupt(header)
+    sino.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+    cfg = cfg_file(tmp_path, {"input": str(sino)})
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert main(["reconstruct", "--config", cfg, "--out", str(tmp_path / "w.bin")]) == 2
+    assert capsys.readouterr().err.startswith("iontomo: input file invalid: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
 def test_reconstruct_rejects_a_sinogram_csv_off_its_grid(tmp_path, capsys):
     # the third of 24 angles lists X in reverse; the displaced state's values
     # would land on the wrong X, so the file is invalid input: exit 2, nothing written

@@ -27,8 +27,9 @@ needs_proc = pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="ne
 #: is cached (PYTHONDONTWRITEBYTECODE=1), and CPython 3.11's parser doubles its
 #: token array, a Token per slot, at each power of two: one module past its
 #: step raised every CLI step's peak RSS by about 0.26 MB.  Crossing a step is
-#: a deliberate edit of this table.
-TOKEN_STEPS = {"cli.py": 8192}
+#: a deliberate edit of this table.  ``_csvtext.py`` is held a step lower,
+#: because every CSV writer compiles it while its table is in memory.
+TOKEN_STEPS = {"cli.py": 8192, "_csvtext.py": 2048}
 
 
 def _env(**blas):
@@ -71,6 +72,20 @@ def test_cli_import_runs_blas_on_one_thread():
 def test_explicit_thread_count_wins():
     code = "import os, iontomo.cli; print(len(os.listdir('/proc/self/task')), os.environ['OMP_NUM_THREADS'])"
     assert _python(code, OPENBLAS_NUM_THREADS="2") == "2 1"
+
+
+def test_csv_text_kernel_loads_only_to_write_csv(tmp_path):
+    # verify and the bin steps never compile the kernel module
+    (tmp_path / "verify.json").write_text(json.dumps({"kappa": 0.4, "omega_drive": 2.0, "t_end": 1.0}))
+    tomo = {"kappa": 0.4, "omega_drive": 2.0, "state": {"kind": "gaussian"}, "sinogram": {"n_phi": 16, "n_x": 33}}
+    (tmp_path / "tomo.json").write_text(json.dumps(tomo))
+    steps = [["verify", "--config", "verify.json", "--out", "v.json"],
+             ["tomogram", "--config", "tomo.json", "--out", "s.bin", "--format", "bin"],
+             ["tomogram", "--config", "tomo.json", "--out", "s.csv"]]
+    code = (f"import os, sys; os.chdir({str(tmp_path)!r}); import iontomo.cli as cli; "
+            "loaded = lambda: print('iontomo._csvtext' in sys.modules); loaded(); "
+            + "".join(f"assert cli.main({args!r}) == 0; loaded(); " for args in steps))
+    assert _python(code).splitlines() == ["False", "False", "False", "True"]
 
 
 def test_modules_stay_under_their_compile_step():
