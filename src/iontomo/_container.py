@@ -1,10 +1,7 @@
 """Shared file formats: ``%.17g`` CSV tables and a JSON-header binary grid container.
 
-CSV text is byte for byte what Python's ``"%.17g" % v`` gives, joined by
-``,`` and ``\\n``; :mod:`iontomo._csvtext` makes it from whole blocks with
-numpy and hands only +-inf, nan and values within 1e-9 of a rounding tie
-at the 17th digit (exact ties such as 1000000000000000.25 among them) to
-``%`` itself.
+CSV text is Python's ``"%.17g" % v`` byte for byte, made by :mod:`iontomo._csvtext`; ``%`` itself
+formats only +-inf, nan and values within 1e-9 of a rounding tie (such as 1000000000000000.25).
 
 Container layout: one UTF-8 JSON line (terminated by ``\\n``) describing axes,
 shape and dtype, followed by the flat values as little-endian float64 in
@@ -29,10 +26,7 @@ _VERSION = 1
 
 #: Lines parsed per block by :func:`load_csv_triples`.
 _CSV_BLOCK_ROWS = 1024
-#: Values the CSV writers format per call of the ``_csvtext`` kernel, in whole
-#: rows (at least one).  A call needs about 270 bytes of scratch per value,
-#: about 0.55 MB however long the table, and has a fixed cost of some 70
-#: numpy operations, so much smaller calls are slower.
+#: Values per ``_csvtext`` call (whole rows, one at least): 0.55 MB of scratch; fewer pay its fixed cost more.
 _CSV_TEXT_VALUES = 2048
 #: Characters per read when :func:`load_csv_triples` counts the lines of a file.
 _CSV_READ_CHARS = 1 << 16
@@ -72,12 +66,7 @@ def save_container(path: str, kind: str, axis_names: list[str], axes: list[np.nd
 
 
 def load_container(path: str):
-    """Returns (kind, axes list, values).
-
-    Raises ValueError on malformed input: a header that is not the format's
-    JSON line, or a field missing, of the wrong type or inconsistent with
-    another (shape, axes, kind, dtype, order), or a payload of the wrong size.
-    """
+    """Returns (kind, axes list, values). Raises ValueError on malformed input, the header's fields included."""
     with open(path, "rb") as fh:
         line = fh.readline()
         payload = fh.read()
@@ -89,32 +78,20 @@ def load_container(path: str):
         raise ValueError(f"{path}: missing container format marker")
     if header.get("version") != _VERSION:
         raise ValueError(f"{path}: unsupported container version {header.get('version')!r}")
-    shape, names, axes = header.get("shape"), header.get("axis_names"), header.get("axes")
-    if not (isinstance(shape, list) and all(_is_count(n) for n in shape)):
-        raise ValueError(f"{path}: container shape must be a list of counts, got {shape!r}")
-    if not (isinstance(names, list) and len(names) == len(shape) and isinstance(axes, dict)):
-        raise ValueError(f"{path}: container needs one named axis per dimension of shape {shape}")
-    for name, n in zip(names, shape):
-        spec = axes.get(name) if isinstance(name, str) else None
-        if not (isinstance(spec, dict) and _is_count(spec.get("n")) and spec["n"] == n
-                and all(_is_finite(spec.get(end)) for end in ("first", "last"))):
-            raise ValueError(f"{path}: axis {name!r} needs a finite first and last and n = {n}, got {spec!r}")
-    if not isinstance(header.get("kind"), str) or (header.get("dtype"), header.get("order")) != ("<f8", "C"):
-        raise ValueError(f"{path}: container must hold a kind and little-endian float64 values in C order")
+    kind, shape, names, axes = (header.get(key) for key in ("kind", "shape", "axis_names", "axes"))
+    try:  # a missing field, or one of another type, raises
+        valid = (isinstance(kind, str) and (header.get("dtype"), header.get("order")) == ("<f8", "C")
+                 and all(type(n) is int and n >= 0 for n in shape) and [axes[a]["n"] for a in names] == shape
+                 and all(math.isfinite(axes[a][end]) for a in names for end in ("first", "last")))
+    except (KeyError, TypeError):
+        valid = False
+    if not valid:
+        raise ValueError(f"{path}: malformed container header (kind, shape, axes, dtype '<f8', order 'C')")
     n = math.prod(shape)
     if len(payload) != 8 * n:
         raise ValueError(f"{path}: payload holds {len(payload)} bytes, expected {8 * n}")
     values = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
-    axes = [np.linspace(axes[name]["first"], axes[name]["last"], n) for name, n in zip(names, shape)]
-    return header["kind"], axes, values
-
-
-def _is_count(n) -> bool:
-    return isinstance(n, int) and not isinstance(n, bool) and n >= 0
-
-
-def _is_finite(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    return kind, [np.linspace(axes[name]["first"], axes[name]["last"], n) for name, n in zip(names, shape)], values
 
 
 #: CSV columns of each grid kind; the first two also name its container axes.
@@ -176,7 +153,7 @@ def _save_csv_blocks(path: str, colnames, blocks) -> None:
         step = max(1, _CSV_TEXT_VALUES // len(colnames))
         for columns in blocks:
             for start in range(0, columns[0].size, step):
-                yield _csvtext.rows(np.column_stack([c[start:start + step] for c in columns]))
+                yield _csvtext.lines(np.column_stack([c[start:start + step] for c in columns]))
 
     _atomic_write(path, chunks())
 
@@ -191,15 +168,15 @@ def save_csv_triples(path: str, colnames: tuple[str, str, str], ax0: np.ndarray,
     from . import _csvtext
 
     values = np.asarray(values, dtype=float).reshape(len(ax0), len(ax1))
-    text0, keep0 = _csvtext.column(np.asarray(ax0, dtype=float))
-    inner = _csvtext.column(np.asarray(ax1, dtype=float))
+    text0, keep0 = _csvtext.packed(np.asarray(ax0, dtype=float))
+    inner = _csvtext.packed(np.asarray(ax1, dtype=float))
     step = max(1, _CSV_TEXT_VALUES // max(1, len(ax1)))
 
     def chunks():
         yield (",".join(colnames) + "\n").encode()
         for start in range(0, len(ax0), step):
             rows = slice(start, start + step)
-            yield _csvtext.triples((text0[rows], keep0[rows]), inner, values[rows])
+            yield _csvtext.lines(values[rows, :, None], (text0[rows, None], keep0[rows, None]), inner)
 
     _atomic_write(path, chunks())
 

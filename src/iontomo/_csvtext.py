@@ -1,18 +1,11 @@
-"""``%.17g`` text of float64 blocks, byte for byte, from whole-array numpy operations.
+"""``%.17g`` text of float64 arrays, byte for byte, from whole-array numpy operations.
 
-A finite nonzero ``x`` has k = floor(log10|x|) and the 17 significant digits
-D = round(|x| 10^s), s = 16 - k, rounded half to even.  ``V = ldexp(|x|, s) 5^s``
-is taken with 5^s as a double-double (hi, lo) and Dekker's error-free product
-of ``ldexp(|x|, s) hi``, so V is known to about 1e-14 absolute (it lies in
-[1e16, 1e17)).  A value whose fraction of V lies within ``_TIE_MARGIN`` of 1/2,
-exact ties among them, and +-inf and nan are formatted by ``"%.17g" % v``
-itself: that is the correctness backstop, not a second writer.
-
-Each value becomes one fixed-width row of ``WIDTH`` bytes with a keep mask;
-the last byte is its separator.  One boolean compaction of the rows gives
-the text.  Layout of a row::
-
-    0 sign | 1-5 "0.000" | 6-22 digits | 23 "." | 24-40 digits | 41-47 "e+-0ddd" | 48 separator
+The 17 digits of finite nonzero x round V = ldexp(|x|, s) 5^s, s = 16 - floor(log10|x|),
+known within about 1e-14 from 5^s as a double-double (hi, lo) and Dekker's error-free
+product of ldexp(|x|, s) hi.  Values whose V lies within 1e-9 of a tie, +-inf and nan
+go through ``"%.17g" % v`` itself.  Each value is a row (sign | "0.000" | digits | "." |
+digits | "e+-0ddd" | separator) whose keep mask is looked up by sign, layout and last
+nonzero digit; one boolean compaction of the rows gives the text.
 """
 
 from __future__ import annotations
@@ -22,189 +15,107 @@ import functools
 import numpy as np
 
 WIDTH = 49
-_D1, _D2, _E = 6, 24, 41  # first digit copy, second digit copy (after the point), "e"
-_TIE_MARGIN = 1e-9
-#: s = 16 - k for k from -325 (below the least subnormal) to 309 (above the largest double).
-_S_MIN, _S_MAX = -293, 341
-_K_MIN = -330
+_D1, _D2, _E = 6, 24, 41  # the digits, the digits after the point, "e"
+_K_MIN = -330  # the tables cover k in [-330, 330]; a double has k in [-324, 308]
 _SPLIT = 134217729.0  # 2^27 + 1
 
 
 @functools.cache
 def _tables():
-    """5^s as (hi, lo, hi's Dekker halves) per s; 4-digit chunk texts and their trailing zeros;
-    per k, its exponent's digits and 17 times its layout class plus 16; keep patterns."""
-    pairs = []
-    for s in range(_S_MIN, _S_MAX + 1):
-        num, den = 5 ** max(s, 0), 5 ** max(-s, 0)
-        hi = num / den  # int division rounds correctly
-        a, b = hi.as_integer_ratio()
-        pairs.append((hi, (num * b - a * den) / (den * b)))
-    hi, lo = np.array(pairs).T
-    t = hi * _SPLIT
-    bh = t - (t - hi)
-    n = np.arange(10000, dtype=np.int16)
-    chunks = (n[:, None] // np.int16([1000, 100, 10, 1]) % 10 + 48).astype(np.uint8).view(np.uint32)[:, 0]
-    zeros = sum((n % p == 0).astype(np.int8) for p in (10, 100, 1000, 10000))
+    """Per k: 5^(16 - k) as hi, lo, hi's Dekker halves, exponent digits, 17 layout + 16; chunks; masks."""
+    fives = [(5 ** max(s, 0), 5 ** max(-s, 0)) for s in range(16 - _K_MIN, 15 + _K_MIN, -1)]
+    hi = np.array([num / den for num, den in fives])  # int division rounds correctly
+    lo = np.array([(n * b - a * d) / (d * b) for (n, d), (a, b) in zip(fives, map(float.as_integer_ratio, hi))])
+    bh = hi * _SPLIT - (hi * _SPLIT - hi)
+    d = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T  # the digits of 0..9999
+    chunks = np.ascontiguousarray(d + 48).view(np.uint32)[:, 0]
+    zeros = (d[:, ::-1] == 0).cumprod(axis=1, dtype=np.int8).sum(axis=1, dtype=np.int8)
     k = np.arange(_K_MIN, 1 - _K_MIN)
-    exps = chunks[abs(k)]
-    classes = 17 * np.where((k >= -4) & (k <= 16), k + 4, 21 + 2 * (k < 0) + (abs(k) >= 100)) + 16
-    # keep pattern of (sign, class, last significant digit); the class is k + 4 for
-    # the fixed layout (-4 <= k <= 16), then "e+dd", "e+ddd", "e-dd" and "e-ddd"
-    patterns = np.zeros((2, 25, 17, WIDTH), dtype=bool)
-    patterns[1, ..., 0] = True
-    j = np.arange(17)
-    for cls in range(25):
-        k = cls - 4 if cls < 21 else 0
-        point = 17 if k < 0 else k + 1  # digits before the point
-        patterns[:, cls, :, 1:2 - min(k, 0)] = k < 0  # "0." and -k - 1 zeros
-        for sig in range(17):
-            p = patterns[:, cls, sig]
-            p[:, _D1:_D1 + 17] = (j < point) & ((j <= sig) | (k >= 0))
-            p[:, _D2 - 1] = sig >= point
-            p[:, _D2:_D2 + 17] = (j >= point) & (j <= sig)
-            p[:, _E:_E + 7] = cls > 20, cls in (21, 22), cls > 22, False, cls in (22, 24), cls > 20, cls > 20
-    patterns[..., WIDTH - 1] = True
+    # layout: k + 4 in fixed notation (-4 <= k <= 16), then e+dd, e+ddd, e-dd, e-ddd
+    layout = 17 * np.where((k >= -4) & (k <= 16), k + 4, 21 + 2 * (k < 0) + (abs(k) >= 100)) + 16
+    c = np.arange(25)[:, None]
+    kc = np.where(c < 21, c - 4, 0)[..., None]
+    point = np.where(kc < 0, 17, kc + 1)  # digits before the point
+    sig, j = np.arange(17)[:, None], np.arange(17)  # last nonzero digit, digit
+    keep = np.zeros((2, 25, 17, WIDTH), dtype=bool)
+    keep[1, ..., 0] = keep[..., -1] = True
+    keep[..., 1:6] = (kc < 0) & (j[:5] < 1 - kc)  # "0." and -k - 1 zeros
+    keep[..., _D1:_D2 - 1] = (j < point) & ((j <= sig) | (kc >= 0))
+    keep[..., _D2 - 1] = (sig >= point)[..., 0]
+    keep[..., _D2:_E] = (j >= point) & (j <= sig)
+    e = c > 20
+    keep[..., _E:-1] = np.stack([e, e & (c < 23), c > 22, c < 0, e & (c % 2 == 0), e, e], axis=-1)
     template = np.frombuffer(b"-0.000" + b"0" * 17 + b"." + b"0" * 17 + b"e+-0000,", dtype=np.uint8)
-    return (hi, lo, bh, hi - bh), chunks, zeros, exps, classes, patterns.reshape(-1, WIDTH), template
+    return (hi, lo, bh, hi - bh), chunks[abs(k)], layout, chunks, zeros, keep.reshape(-1, WIDTH), template
 
 
-def _digits(ax: np.ndarray):
-    """(D, k, fallback) of finite positive ``ax``: 17 digits as int64 in [1e16, 1e17) and the exponent."""
-    hi_t, lo_t, bh_t, bl_t = _tables()[0]
+def fields(x: np.ndarray, text: np.ndarray, keep: np.ndarray) -> None:
+    """Fill the ``(n, WIDTH)`` ``text`` and ``keep`` rows of the 1-D float64 ``x``: ``text[keep]``
+    is each value's ``"%.17g"`` text and its separator, the row's last byte (``,``)."""
+    (hi_t, lo_t, bh_t, bl_t), exps, layout, chunks, zeros, patterns, template = _tables()
+    zero, finite = x == 0, np.isfinite(x)
+    ax = np.where(finite & ~zero, np.abs(x), 1.0)  # k = 0 in place of 0 and non-finite x
     k = np.floor(np.log10(ax)).astype(np.int64)
-    D = np.empty(ax.shape, dtype=np.int64)
-    fallback = np.empty(ax.shape, dtype=bool)
+    D, fallback = np.empty(x.size, dtype=np.int64), np.empty(x.size, dtype=bool)
     todo = slice(None)
-    for _ in range(3):
-        kk = k[todo]
-        i = (16 - _S_MIN) - kk
+    for _ in range(3):  # near a power of ten, log10 can put k one off: V then misses [1e16, 1e17)
+        kk, i = k[todo], k[todo] - _K_MIN
         a = np.ldexp(ax[todo], 16 - kk)
         p = a * hi_t[i]
-        t = a * _SPLIT
-        ah = t - (t - a)
-        al = a - ah
-        bh, bl = bh_t[i], bl_t[i]
-        t = ah * bh
-        t -= p
-        t += al * bh
-        t += ah * bl
-        e = al * bl
-        e += t                     # p + e = a hi exactly
-        a *= lo_t[i]
+        ah = a * _SPLIT - (a * _SPLIT - a)
+        al, bh, bl = a - ah, bh_t[i], bl_t[i]
+        e = al * bl + (((ah * bh - p) + al * bh) + ah * bl)  # p + e = a hi exactly
         fp = np.floor(p)
-        p -= fp
-        p += e
-        p += a                     # V - floor(p), within about 1e-14
-        fr = np.floor(p)
-        p -= fr
-        floor = fp.astype(np.int64)
-        floor += fr.astype(np.int64)
-        D[todo] = floor + (p > 0.5)
-        p -= 0.5
-        fallback[todo] = np.abs(p, out=p) < _TIE_MARGIN
-        low, high = floor < 10 ** 16, floor >= 10 ** 17
-        k[todo] = kk - low + high
-        miss = np.flatnonzero(low | high)
+        r = ((p - fp) + e) + a * lo_t[i]  # V - fp
+        fr = np.floor(r)
+        r -= fr
+        floor = fp.astype(np.int64) + fr.astype(np.int64)  # floor(V), summed exactly
+        D[todo], fallback[todo] = floor + (r > 0.5), abs(r - 0.5) < 1e-9
+        k[todo] = kk + (floor >= 10 ** 17) - (floor < 10 ** 16)
+        miss = np.flatnonzero((floor < 10 ** 16) | (floor >= 10 ** 17))
         if miss.size == 0:
             break
         todo = miss if isinstance(todo, slice) else todo[miss]
     else:
         fallback[todo] = True
-    top = D == 10 ** 17
-    D[top] = 10 ** 16
-    k += top
-    return D, k, fallback
-
-
-def fields(x: np.ndarray, text: np.ndarray, keep: np.ndarray) -> None:
-    """Fill ``(n, WIDTH)`` ``text`` (uint8) and ``keep`` (bool) with the rows of the 1-D float64 ``x``.
-
-    Each row's last byte is a ``,`` separator, always kept; the caller may
-    replace it.  ``text[keep]`` is the ``"%.17g"`` text of the values, each
-    followed by its separator.
-    """
-    _, chunks, zeros, exps, classes, patterns, template = _tables()
-    n = x.size
-    ax = np.abs(x)
-    finite = np.isfinite(ax)
-    zero = ax == 0
-    D, k, fallback = _digits(np.where(finite & ~zero, ax, 1.0))
-    del ax
     fallback |= ~finite
-    D[zero] = 0  # k is 0 already, from the 1.0 in its place
-
-    c = np.empty((5, n), dtype=np.int64)  # D as a leading digit and four 4-digit chunks
-    for i, p in enumerate((10 ** 16, 10 ** 12, 10 ** 8, 10 ** 4)):
+    top = D == 10 ** 17
+    D[top], D[zero] = 10 ** 16, 0
+    k += top - _K_MIN
+    c = np.empty((5, x.size), dtype=np.int64)  # D as a leading digit and four 4-digit chunks
+    for i, p in enumerate((10 ** 16, 10 ** 12, 10 ** 8, 10 ** 4, 1)):
         np.floor_divide(D, p, out=c[i])
         D -= c[i] * p
-    c[4] = D
-    del D
     text[:] = template
-    dig = np.empty((n, 5), dtype=np.uint32)
-    dig.T[:] = chunks[c]
-    dig = dig.view(np.uint8)[:, 3:]  # "000d" and the four chunks
-    text[:, _D1:_D1 + 17] = dig
-    text[:, _D2:_D2 + 17] = dig
-    del dig
-    k -= _K_MIN
-    text[:, _E + 3:_E + 7] = exps[k].view(np.uint8).reshape(n, 4)
+    text[:, _D1:_D2 - 1] = text[:, _D2:_E] = np.ascontiguousarray(chunks[c].T).view(np.uint8)[:, 3:]  # no "000"
+    text[:, _E + 3:-1] = exps[k].view(np.uint8).reshape(-1, 4)
     z1, z2, z3, z4 = zeros[c[1:]]
-    del c
-    tz = z4 + (z4 == 4) * (z3 + (z3 == 4) * (z2 + (z2 == 4) * z1))
-    code = classes[k]
-    code += np.signbit(x) * (25 * 17)
-    code -= tz
+    code = layout[k] + np.signbit(x) * (25 * 17) - (z4 + (z4 == 4) * (z3 + (z3 == 4) * (z2 + (z2 == 4) * z1)))
     np.take(patterns, code, axis=0, out=keep)
-
     for i in np.flatnonzero(fallback):
-        s = b"%.17g" % x[i]
-        text[i, :len(s)] = np.frombuffer(s, dtype=np.uint8)
-        keep[i, :WIDTH - 1] = np.arange(WIDTH - 1) < len(s)
+        s = np.frombuffer(b"%.17g" % x[i], dtype=np.uint8)
+        text[i, :s.size], keep[i, :-1] = s, np.arange(WIDTH - 1) < s.size
 
 
-def rows(block: np.ndarray) -> bytes:
-    """The 2-D float64 ``block`` as CSV lines: ``%.17g`` values, ``,`` between columns."""
-    m, cols = block.shape
-    text = np.empty((m, cols, WIDTH), dtype=np.uint8)
-    keep = np.empty((m, cols, WIDTH), dtype=bool)
-    fields(block.ravel(), text.reshape(-1, WIDTH), keep.reshape(-1, WIDTH))
-    text[:, -1, -1] = 10  # "\n"
-    return text[keep].tobytes()
-
-
-def column(axis: np.ndarray):
-    """(text, keep) of the 1-D float64 ``axis``, each kept text and its ``,`` moved to the left of its row.
-
-    The rows are as wide as the longest, so :func:`triples` copies no more
-    bytes per line than the axis text holds.
-    """
-    n = axis.size
-    text = np.empty((n, WIDTH), dtype=np.uint8)
-    keep = np.empty((n, WIDTH), dtype=bool)
-    fields(axis, text, keep)
+def packed(x: np.ndarray):
+    """:func:`fields` of the 1-D ``x`` moved left in rows as wide as the longest text: a :func:`lines` head."""
+    text, keep = np.empty((x.size, WIDTH), dtype=np.uint8), np.empty((x.size, WIDTH), dtype=bool)
+    fields(x, text, keep)
     width = keep.sum(axis=1)
-    packed_keep = np.arange(width.max(initial=1)) < width[:, None]
-    packed = np.zeros(packed_keep.shape, dtype=np.uint8)
-    packed[packed_keep] = text[keep]
-    return packed, packed_keep
+    out_keep = np.arange(width.max(initial=1)) < width[:, None]
+    out = np.zeros(out_keep.shape, dtype=np.uint8)
+    out[out_keep] = text[keep]
+    return out, out_keep
 
 
-def triples(outer, inner, values: np.ndarray) -> bytes:
-    """Lines ``a0,a1,v`` for each row of ``outer`` (then) each row of ``inner`` and its value.
-
-    ``outer`` and ``inner`` are :func:`column` pairs, and ``values`` has
-    shape (outer rows, inner rows).
-    """
-    (t0, k0), (t1, k1) = outer, inner
-    m, n1 = values.shape
-    w0, w1 = t0.shape[1], t1.shape[1]
-    text = np.empty((m, n1, w0 + w1 + WIDTH), dtype=np.uint8)
-    keep = np.empty(text.shape, dtype=bool)
-    text[:, :, :w0] = t0[:, None]
-    keep[:, :, :w0] = k0[:, None]
-    text[:, :, w0:w0 + w1] = t1
-    keep[:, :, w0:w0 + w1] = k1
-    fields(values.ravel(), text[:, :, w0 + w1:].reshape(-1, WIDTH), keep[:, :, w0 + w1:].reshape(-1, WIDTH))
-    text[:, :, -1] = 10  # "\n"
+def lines(x: np.ndarray, *heads) -> bytes:
+    """CSV lines of the float64 array ``x``, one per row of its last axis, each after the
+    (text, keep) ``heads`` (broadcast over the other axes) and ended by a newline."""
+    ends = np.cumsum([0] + [t.shape[-1] for t, _ in heads])
+    shape = (*x.shape[:-1], ends[-1] + x.shape[-1] * WIDTH)
+    text, keep = np.empty(shape, dtype=np.uint8), np.empty(shape, dtype=bool)
+    for (t, k), a, b in zip(heads, ends, ends[1:]):
+        text[..., a:b], keep[..., a:b] = t, k
+    fields(x.ravel(), text[..., ends[-1]:].reshape(-1, WIDTH), keep[..., ends[-1]:].reshape(-1, WIDTH))
+    text[..., -1] = 10
     return text[keep].tobytes()
