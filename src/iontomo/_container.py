@@ -26,7 +26,7 @@ _VERSION = 1
 
 #: Lines parsed per block by :func:`load_csv_triples`.
 _CSV_BLOCK_ROWS = 1024
-#: Values per ``_csvtext`` call (whole rows, one at least): 0.55 MB of scratch; fewer pay its fixed cost more.
+#: Values per ``_csvtext`` call (whole rows, at least one): about 0.65 MB of scratch; smaller calls cost more.
 _CSV_TEXT_VALUES = 2048
 #: Characters per read when :func:`load_csv_triples` counts the lines of a file.
 _CSV_READ_CHARS = 1 << 16

@@ -87,7 +87,7 @@ def fields(x: np.ndarray, text: np.ndarray, keep: np.ndarray) -> None:
         np.floor_divide(D, p, out=c[i])
         D -= c[i] * p
     text[:] = template
-    text[:, _D1:_D2 - 1] = text[:, _D2:_E] = np.ascontiguousarray(chunks[c].T).view(np.uint8)[:, 3:]  # no "000"
+    text[:, _D1:_D2 - 1] = text[:, _D2:_E] = np.ascontiguousarray(chunks[c].T).view(np.uint8)[:, 3:]  # "000d" -> "d"
     text[:, _E + 3:-1] = exps[k].view(np.uint8).reshape(-1, 4)
     z1, z2, z3, z4 = zeros[c[1:]]
     code = layout[k] + np.signbit(x) * (25 * 17) - (z4 + (z4 == 4) * (z3 + (z3 == 4) * (z2 + (z2 == 4) * z1)))

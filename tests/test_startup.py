@@ -28,7 +28,7 @@ needs_proc = pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="ne
 #: token array, a Token per slot, at each power of two: one module past its
 #: step raised every CLI step's peak RSS by about 0.26 MB.  Crossing a step is
 #: a deliberate edit of this table.  ``_csvtext.py`` is held a step lower,
-#: because every CSV writer compiles it while its table is in memory.
+#: because every CSV writer compiles it while the table it writes is in memory.
 TOKEN_STEPS = {"cli.py": 8192, "_csvtext.py": 2048}
 
 
