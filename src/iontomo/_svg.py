@@ -11,6 +11,8 @@ from ._container import _atomic_write
 _W, _H = 720, 480
 _ML, _MR, _MT, _MB = 70, 30, 40, 50
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
+#: Cells per axis of a heatmap; larger grids are decimated by striding.
+_MAX_CELLS = 160
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
@@ -95,17 +97,17 @@ def _sequential_color(v: float) -> str:
 
 def svg_heatmap(path: str, values: np.ndarray, x_axis: np.ndarray, y_axis: np.ndarray,
                 title: str = "", xlabel: str = "", ylabel: str = "",
-                diverging: bool = True, max_cells: int = 160) -> None:
+                diverging: bool = True) -> None:
     """Write a cell heatmap of values[i, j] over (x_axis[i], y_axis[j]).
 
-    Grids larger than ``max_cells`` per axis are decimated by striding; plots
+    Grids larger than ``_MAX_CELLS`` per axis are decimated by striding; plots
     are derived artifacts, never inputs.
     """
     values = np.asarray(values, dtype=float)
     x_axis = np.asarray(x_axis, dtype=float)
     y_axis = np.asarray(y_axis, dtype=float)
-    si = max(1, math.ceil(values.shape[0] / max_cells))
-    sj = max(1, math.ceil(values.shape[1] / max_cells))
+    si = max(1, math.ceil(values.shape[0] / _MAX_CELLS))
+    sj = max(1, math.ceil(values.shape[1] / _MAX_CELLS))
     values = values[::si, ::sj]
     x_axis = x_axis[::si]
     y_axis = y_axis[::sj]

@@ -1,8 +1,8 @@
 """Gaussian and even/odd cat states of the trapped ion: moments and Wigner functions.
 
-All moments derive from the mode function: ``sigma_qq = |eps|^2 / 2``,
-``sigma_pp = |eps'|^2 / 2``, ``sigma_pq = Re(eps* eps') / 2``, and for a
-coherent amplitude ``alpha`` the means are ``<q> = sqrt(2) Re(alpha eps*)``,
+A Gaussian state is a mode-function point and a coherent amplitude ``alpha``:
+``sigma_qq = |eps|^2 / 2``, ``sigma_pp = |eps'|^2 / 2``, ``sigma_pq =
+Re(eps* eps') / 2``, ``<q> = sqrt(2) Re(alpha eps*)`` and
 ``<p> = sqrt(2) Re(alpha eps'*)``.  Wigner functions follow the convention
 ``integral W dq dp = 2 pi`` per mode, so every tomographic marginal built from
 them is a unit-normalized probability density.
@@ -24,7 +24,6 @@ __all__ = [
     "GaussianState",
     "CatSpec",
     "WignerGrid",
-    "gaussian_from_epsilon",
     "wigner_gaussian",
     "wigner_cat",
     "evolve_wigner",
@@ -38,34 +37,47 @@ Parity = Literal["even", "odd"]
 
 @dataclass(frozen=True)
 class GaussianState:
-    """Quadrature means and dispersion matrix of a one-mode Gaussian state.
+    """The squeezed, correlated state the trap makes from ``|alpha>``; the vacuum by default.
 
     Attributes
     ----------
-    mean_p, mean_q : float
-        First moments ``<p>``, ``<q>``.
-    sigma_pp, sigma_qq, sigma_pq : float
-        Second central moments; the dispersion matrix must be positive
-        definite (``sigma_pp, sigma_qq > 0`` and ``d > 0``).
+    eps, deps : complex
+        Mode function value and derivative; off the Wronskian invariant
+        ``|Im(eps* deps) - 1| < 1e-6 * max(1, |eps| |deps|)``, or not
+        finite, they raise InvalidTrajectoryError.
+    alpha : complex
+        Coherent amplitude (0 for the squeezed ground state).
     """
 
-    mean_p: float = 0.0
-    mean_q: float = 0.0
-    sigma_pp: float = 0.5
-    sigma_qq: float = 0.5
-    sigma_pq: float = 0.0
-    # (eps, deps) of a mode-function state: in resonance the sigmas (~|eps|^2)
-    # cannot carry the squeezed variance (~1 / |eps|^2) or d, whose two terms
-    # agree to all digits; the map of (eps, deps) and W^2 / 4 can
-    _eps: tuple[complex, complex] | None = field(default=None, repr=False, compare=False)
+    eps: complex = 1.0 + 0.0j
+    deps: complex = 1.0j
+    alpha: complex = 0j
 
     def __post_init__(self) -> None:
-        if not (self.sigma_pp > 0.0 and self.sigma_qq > 0.0):
-            raise ValueError("sigma_pp and sigma_qq must be positive")
-        if self._eps is not None and _eps_moments(*self._eps) != (self.sigma_pp, self.sigma_qq, self.sigma_pq):
-            raise ValueError("sigma_pp, sigma_qq, sigma_pq do not match the mode function (eps, deps)")
-        if not (self.d > 0.0):
-            raise ValueError(f"dispersion determinant d = {self.d} must be positive")
+        eps, deps = _check_wronskian(self.eps, self.deps)
+        object.__setattr__(self, "eps", eps)
+        object.__setattr__(self, "deps", deps)
+        object.__setattr__(self, "alpha", complex(self.alpha))
+
+    @property
+    def mean_q(self) -> float:
+        return math.sqrt(2.0) * (self.alpha * np.conj(self.eps)).real
+
+    @property
+    def mean_p(self) -> float:
+        return math.sqrt(2.0) * (self.alpha * np.conj(self.deps)).real
+
+    @property
+    def sigma_qq(self) -> float:
+        return abs(self.eps) ** 2 / 2.0
+
+    @property
+    def sigma_pp(self) -> float:
+        return abs(self.deps) ** 2 / 2.0
+
+    @property
+    def sigma_pq(self) -> float:
+        return float((np.conj(self.eps) * self.deps).real) / 2.0
 
     @property
     def T(self) -> float:
@@ -74,14 +86,11 @@ class GaussianState:
 
     @property
     def d(self) -> float:
-        """Determinant invariant sigma_pp sigma_qq - sigma_pq^2; 1/4 for pure states.
+        """Determinant invariant sigma_pp sigma_qq - sigma_pq^2; 1/4 up to the solver's drift.
 
-        For a state from :func:`gaussian_from_epsilon` it is the equal,
-        cancellation-free W^2 / 4 of the Wronskian ``W = Im(eps* deps)``.
+        Taken as the equal W^2 / 4 of ``W = Im(eps* deps)``: the two sigma terms cancel at large ``|eps|``.
         """
-        if self._eps is not None:
-            return float(_wronskian(*self._eps)) ** 2 / 4.0
-        return self.sigma_pp * self.sigma_qq - self.sigma_pq ** 2
+        return float(_wronskian(self.eps, self.deps)) ** 2 / 4.0
 
 
 @dataclass(frozen=True)
@@ -112,55 +121,13 @@ class CatSpec:
         return -0.5 / math.expm1(-2.0 * a2)
 
 
-def gaussian_from_epsilon(eps: complex, deps: complex, alpha: complex = 0j) -> GaussianState:
-    """Gaussian state carried by the mode function at one instant.
-
-    Parameters
-    ----------
-    eps, deps : complex
-        Mode function value and derivative; must satisfy the Wronskian
-        invariant, ``|Im(eps* deps) - 1| < 1e-6 * max(1, |eps| |deps|)``.
-    alpha : complex
-        Coherent amplitude (0 for the squeezed ground state).
-
-    Returns
-    -------
-    GaussianState
-        Pure state with d = W^2 / 4 for the Wronskian ``W = Im(eps* deps)``,
-        so 1/4 up to the solver's drift.  ``d`` is taken from ``W`` rather
-        than from ``sigma_pp sigma_qq - sigma_pq^2``, whose two terms cancel
-        to rounding at large ``|eps|``.
-    """
-    eps, deps = _check_wronskian(eps, deps)
-    alpha = complex(alpha)
-    sq2 = math.sqrt(2.0)
-    sigma_pp, sigma_qq, sigma_pq = _eps_moments(eps, deps)
-    return GaussianState(
-        mean_p=sq2 * (alpha * np.conj(deps)).real,
-        mean_q=sq2 * (alpha * np.conj(eps)).real,
-        sigma_pp=sigma_pp,
-        sigma_qq=sigma_qq,
-        sigma_pq=sigma_pq,
-        _eps=(eps, deps),
-    )
-
-
-def _eps_moments(eps: complex, deps: complex) -> tuple[float, float, float]:
-    """(sigma_pp, sigma_qq, sigma_pq) of the mode-function point (eps, deps)."""
-    return abs(deps) ** 2 / 2.0, abs(eps) ** 2 / 2.0, float((np.conj(eps) * deps).real) / 2.0
-
-
 def _quadrature_variance(state: GaussianState, mu, nu):
     """sigma_X = mu^2 sigma_qq + nu^2 sigma_pp + 2 mu nu sigma_pq on the frame (mu, nu).
 
-    A state from :func:`gaussian_from_epsilon` uses the equal
-    |mu eps + nu deps|^2 / 2, the frame carried by its map, which keeps its
-    squeezed direction in resonance.
+    Evaluated as the equal |mu eps + nu deps|^2 / 2, which keeps the squeezed direction in resonance.
     """
-    if state._eps is not None:
-        mu_t, nu_t = symplectic_map(*state._eps).frame(mu, nu)
-        return (mu_t ** 2 + nu_t ** 2) / 2.0
-    return mu ** 2 * state.sigma_qq + nu ** 2 * state.sigma_pp + 2.0 * mu * nu * state.sigma_pq
+    mu_t, nu_t = symplectic_map(state.eps, state.deps).frame(mu, nu)
+    return (mu_t ** 2 + nu_t ** 2) / 2.0
 
 
 def wigner_gaussian(state: GaussianState, q, p):
@@ -168,19 +135,14 @@ def wigner_gaussian(state: GaussianState, q, p):
 
     W = d^{-1/2} exp( -[sigma_qq (p-<p>)^2 + sigma_pp (q-<q>)^2
                         - 2 sigma_pq (p-<p>)(q-<q>)] / (2d) ), strictly positive.
-    For a state from :func:`gaussian_from_epsilon` the bracket is the equal
-    |(p-<p>) eps - (q-<q>) deps|^2 / 2, the squared initial point of its map,
-    which keeps the squeezed direction in resonance, where the sigma terms
-    cancel to rounding.
+    The bracket is evaluated as the equal |(p-<p>) eps - (q-<q>) deps|^2 / 2, the squared
+    initial point of the state's map, which keeps the squeezed direction in resonance.
     """
     dq = np.asarray(q, dtype=float) - state.mean_q
     dp = np.asarray(p, dtype=float) - state.mean_p
     d = state.d
-    if state._eps is not None:
-        p0, q0 = symplectic_map(*state._eps).apply(dp, dq)
-        quad = (p0 ** 2 + q0 ** 2) / 2.0
-    else:
-        quad = state.sigma_qq * dp ** 2 + state.sigma_pp * dq ** 2 - 2.0 * state.sigma_pq * dp * dq
+    p0, q0 = symplectic_map(state.eps, state.deps).apply(dp, dq)
+    quad = (p0 ** 2 + q0 ** 2) / 2.0
     return np.exp(-quad / (2.0 * d)) / math.sqrt(d)
 
 

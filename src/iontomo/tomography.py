@@ -49,10 +49,10 @@ def tomogram_gaussian(state: GaussianState, Y, mu, nu):
 
     sigma_X = mu^2 sigma_qq + nu^2 sigma_pp + 2 mu nu sigma_pq and
     Ybar = mu <q> + nu <p>, where Y = X - delta for the quadrature
-    X = mu q + nu p + delta.  A state from
-    :func:`~iontomo.states.gaussian_from_epsilon` uses the equal
-    sigma_X = |mu eps + nu deps|^2 / 2, which keeps its squeezed direction
-    in resonance, where the sigma terms cancel to rounding.
+    X = mu q + nu p + delta.  sigma_X is evaluated as the equal
+    |mu eps + nu deps|^2 / 2 of the state's mode-function point, which keeps
+    its squeezed direction in resonance, where the sigma terms cancel to
+    rounding.
     """
     mu, nu = _frame_arrays(mu, nu)
     sig = _quadrature_variance(state, mu, nu)

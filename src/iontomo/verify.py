@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .oscillator import OscillatorParams, epsilon_at, omega_squared
-from .states import gaussian_from_epsilon
+from .states import GaussianState
 from .tomography import evolve_tomogram
 
 __all__ = [
@@ -169,8 +169,7 @@ _MOMENT_FRACTIONS = (0.1, 0.25, 0.4, 0.55, 0.7, 0.85, 0.95)
 
 
 def _moments(params: OscillatorParams, t: float, alpha: complex) -> np.ndarray:
-    eps, deps = epsilon_at(params, t)
-    s = gaussian_from_epsilon(eps, deps, alpha)
+    s = GaussianState(*epsilon_at(params, t), alpha)
     return np.array([s.mean_q, s.mean_p, s.sigma_qq, s.sigma_pq, s.sigma_pp])
 
 

@@ -4,15 +4,15 @@
 line, so it checks every analytic tomogram without their moment formulas.
 :func:`eval_wavefunction` gives the position wavefunction of each state
 family, from which :func:`wavefunction_moment_oracle` recomputes Gaussian
-moments by quadrature and the state tests build Wigner functions by
-transform; :func:`schroedinger_relation_check` tests the moments against the
-uncertainty relation.  No CLI step runs any of them, so they live here and
-not in ``src/``.
+moments by quadrature, as a :class:`Moments` record, and the state tests
+build Wigner functions by transform; :func:`schroedinger_relation_check`
+tests the moments against the uncertainty relation.  No CLI step runs any
+of them, so they live here and not in ``src/``.
 """
 
 import math
 import warnings
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
@@ -21,6 +21,16 @@ from iontomo.oscillator import _check_wronskian
 from iontomo.states import _uniform_trapezoid
 
 ROOT2 = math.sqrt(2.0)
+
+
+class Moments(NamedTuple):
+    """Quadrature means and dispersion matrix as measured, with no invariant checked."""
+
+    mean_q: float
+    mean_p: float
+    sigma_qq: float
+    sigma_pp: float
+    sigma_pq: float
 
 
 class SupportTruncationWarning(UserWarning):
@@ -115,13 +125,13 @@ def project_wigner(source: WignerSource, Y, mu, nu, *, halfwidth_sigmas: float =
 MAX_NUMBER_INDEX = 200
 
 
-def schroedinger_relation_check(state: GaussianState) -> tuple[float, float]:
+def schroedinger_relation_check(state: Union[GaussianState, Moments]) -> tuple[float, float]:
     """Correlation coefficient and minimization residual of the uncertainty relation.
 
     Returns ``(r, residual)`` with ``r = sigma_pq / sqrt(sigma_qq sigma_pp)``
     and ``residual = |sigma_qq sigma_pp - (1/4)/(1 - r^2)|``.  The residual
     vanishes exactly for states that minimize the relation, which includes
-    every output of :func:`gaussian_from_epsilon`.
+    every :class:`~iontomo.GaussianState`.
     """
     r = state.sigma_pq / math.sqrt(state.sigma_qq * state.sigma_pp)
     residual = abs(state.sigma_qq * state.sigma_pp - 0.25 / (1.0 - r ** 2))
@@ -239,10 +249,10 @@ def wavefunction_moment_oracle(kind, eps, deps, alpha=0j):
     corr = np.conj(psi) * x * dpsi
     # <(qp + pq)/2> = Re(-i (integral psi* x psi' dx + 1/2))
     sym = float(np.real(-1j * (complex(corr @ w) + 0.5 * norm))) / norm
-    return GaussianState(
-        mean_p=mean_p,
+    return Moments(
         mean_q=mean_q,
-        sigma_pp=p2 - mean_p ** 2,
+        mean_p=mean_p,
         sigma_qq=sigma_qq,
+        sigma_pp=p2 - mean_p ** 2,
         sigma_pq=sym - mean_q * mean_p,
     )

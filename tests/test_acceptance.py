@@ -24,7 +24,6 @@ from iontomo import (
     epsilon_at,
     evolve_tomogram,
     frozen_frame_evolution,
-    gaussian_from_epsilon,
     invert_to_wigner,
     moment_odes_check,
     pde_residual,
@@ -39,7 +38,7 @@ from iontomo import (
 from oracles import project_wigner
 
 VACUUM = GaussianState()
-COHERENT = gaussian_from_epsilon(1.0, 1.0j, 1.0 + 0.0j)
+COHERENT = GaussianState(1.0, 1.0j, 1.0 + 0.0j)
 CAT_SPECS = [
     CatSpec(alpha, parity)
     for alpha in (1.0 + 0.0j, 2.0 + 0.0j, 2.0j)
@@ -92,7 +91,7 @@ def test_criterion_3_purity_invariant(trajectories):
     for tr in trajectories.values():
         idx = np.linspace(0, len(tr.times) - 1, 100).astype(int)
         for i in idx:
-            state = gaussian_from_epsilon(tr.eps[i], tr.deps[i], 1.0 + 0.0j)
+            state = GaussianState(tr.eps[i], tr.deps[i], 1.0 + 0.0j)
             worst = max(worst, abs(state.d - 0.25))
     _gate(3, "purity invariant", worst <= 1e-10,
           f"max |d - 1/4| = {worst:.3e} at 100 times along each trajectory")
@@ -160,7 +159,7 @@ def test_criterion_6_replacement_rule_transport():
     for t in (1.0, 3.0, 7.0):
         eps, deps = epsilon_at(PARAMS04, t)
         evolved = evolve_tomogram(initial, eps, deps, *q)
-        direct = tomogram_gaussian(gaussian_from_epsilon(eps, deps, 1.0 + 0.0j), *q)
+        direct = tomogram_gaussian(GaussianState(eps, deps, 1.0 + 0.0j), *q)
         worst = max(worst, float(np.max(np.abs(evolved - direct))))
     _gate(6, "replacement-rule transport", worst <= 1e-8,
           f"sup |evolved - direct| = {worst:.3e} on 5^4 grid, t in {{1, 3, 7}}")

@@ -9,11 +9,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from iontomo import (
+    GaussianState,
     InvalidTrajectoryError,
     OscillatorParams,
     SolverError,
     epsilon_at,
-    gaussian_from_epsilon,
     omega_squared,
     solve_epsilon,
     symplectic_map,
@@ -467,7 +467,7 @@ def test_invalid_trajectory_point_rejected():
     with pytest.raises(InvalidTrajectoryError):
         symplectic_map(1.0 + 0.0j, 2.0j)
     with pytest.raises(InvalidTrajectoryError):
-        gaussian_from_epsilon(1.0 + 0.0j, 2.0j)
+        GaussianState(1.0 + 0.0j, 2.0j)
     with pytest.raises(InvalidTrajectoryError):
         eval_wavefunction("ground", 1.0 + 0.0j, 2.0j, 0.0)
 

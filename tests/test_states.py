@@ -20,13 +20,13 @@ from hypothesis import strategies as st
 from iontomo import (
     CatSpec,
     GaussianState,
+    InvalidTrajectoryError,
     NormalizationDivergenceError,
     OscillatorParams,
     SolverError,
     WignerGrid,
     epsilon_at,
     evolve_wigner,
-    gaussian_from_epsilon,
     solve_epsilon,
     tomogram_cat,
     wigner_cat,
@@ -34,7 +34,7 @@ from iontomo import (
 )
 from iontomo import _container, states
 from iontomo.states import _catmull_rom_weights, _wab
-from oracles import eval_wavefunction, schroedinger_relation_check
+from oracles import Moments, eval_wavefunction, schroedinger_relation_check
 
 ROOT2 = math.sqrt(2.0)
 
@@ -52,23 +52,26 @@ def test_vacuum_defaults():
     s = GaussianState()
     assert s.T == 1.0
     assert s.d == 0.25
+    # the point and the amplitude are held as complex, however given
+    assert [type(v) for v in dataclasses.astuple(GaussianState(1, 1j, 1))] == [complex] * 3
 
 
 @pytest.mark.parametrize(
     "fields",
     [
-        {"sigma_qq": -1.0},
-        {"sigma_pp": 0.0},
-        {"sigma_pq": 0.6},  # d = 0.25 - 0.36 < 0
+        {"deps": 2.0j},  # Im(eps* deps) = 2: sigma_pp = 2, d = 1
+        {"eps": 0.0},  # Im(eps* deps) = 0: sigma_qq = 0, d = 0
+        {"eps": complex(math.nan, 0.0)},
     ],
 )
 def test_gaussian_state_validation(fields):
-    with pytest.raises(ValueError):
+    # a state is its mode-function point: one off the Wronskian invariant is refused
+    with pytest.raises(InvalidTrajectoryError, match="Wronskian"):
         GaussianState(**fields)
 
 
 def test_gaussian_from_epsilon_vacuum():
-    s = gaussian_from_epsilon(1.0 + 0.0j, 1.0j)
+    s = GaussianState(1.0 + 0.0j, 1.0j)
     assert (s.mean_p, s.mean_q) == (0.0, 0.0)
     assert (s.sigma_qq, s.sigma_pp, s.sigma_pq) == (0.5, 0.5, 0.0)
 
@@ -78,7 +81,7 @@ def test_gaussian_from_epsilon_vacuum():
     [(1.0 + 0.0j, ROOT2, 0.0), (1.0j, 0.0, ROOT2), (0.5 - 0.5j, ROOT2 / 2, -ROOT2 / 2)],
 )
 def test_gaussian_from_epsilon_coherent_means(alpha, mean_q, mean_p):
-    s = gaussian_from_epsilon(1.0 + 0.0j, 1.0j, alpha)
+    s = GaussianState(1.0 + 0.0j, 1.0j, alpha)
     assert s.mean_q == pytest.approx(mean_q, abs=1e-15)
     assert s.mean_p == pytest.approx(mean_p, abs=1e-15)
 
@@ -86,7 +89,7 @@ def test_gaussian_from_epsilon_coherent_means(alpha, mean_q, mean_p):
 def test_purity_along_trajectory(traj04):
     idx = np.linspace(0, traj04.times.size - 1, 100).astype(int)
     for i in idx:
-        s = gaussian_from_epsilon(traj04.eps[i], traj04.deps[i])
+        s = GaussianState(traj04.eps[i], traj04.deps[i])
         assert abs(s.d - 0.25) <= 1e-10
 
 
@@ -103,19 +106,19 @@ def test_gaussian_from_epsilon_on_resonant_points():
     assert len(points) > 300
     cancelled = 0
     for eps, deps in points:
-        s = gaussian_from_epsilon(eps, deps)
+        s = GaussianState(eps, deps)
         assert abs(s.d - 0.25) <= 1e-7
         cancelled += not s.sigma_pp * s.sigma_qq - s.sigma_pq ** 2 > 0.0
     assert cancelled > 0  # the naive determinant would have rejected these states
 
 
 def test_gaussian_state_rejects_a_determinant_off_its_sigmas():
-    # d of a mode-function state comes from its (eps, deps), so sigmas that
-    # the point does not describe cannot borrow its positive d
-    state = gaussian_from_epsilon(1.0, 1.0j)
-    with pytest.raises(ValueError, match="do not match the mode function"):
-        dataclasses.replace(state, sigma_pq=2.0)
-    assert dataclasses.replace(state, mean_q=1.0).d == 0.25
+    # d and the sigmas come from the one point (eps, deps), so a point whose
+    # d = W^2 / 4 is off 1/4 is refused, and a new amplitude keeps d
+    state = GaussianState(1.0, 1.0j)
+    with pytest.raises(InvalidTrajectoryError, match="Wronskian"):
+        dataclasses.replace(state, deps=1.0001 * state.deps)
+    assert dataclasses.replace(state, alpha=1.0 + 0.5j).d == 0.25
 
 
 def _expanded_sigma_x(eps, deps, mu, nu):
@@ -125,7 +128,7 @@ def _expanded_sigma_x(eps, deps, mu, nu):
 
 def _expanded_wigner(eps, deps, alpha, q, p):
     """Gaussian Wigner function of (eps, deps) with |dp eps - dq deps|^2 / 2 written out."""
-    state = gaussian_from_epsilon(eps, deps, alpha)
+    state = GaussianState(eps, deps, alpha)
     dq = np.asarray(q, dtype=float) - state.mean_q
     dp = np.asarray(p, dtype=float) - state.mean_p
     d = float((np.conj(eps) * deps).imag) ** 2 / 4.0
@@ -144,7 +147,7 @@ def test_resonant_forms_match_expanded_reference():
         points.append((eps, (rng.normal() + 1j) / eps.conjugate()))
     for eps, deps in points:
         alpha = complex(*rng.normal(size=2))
-        state = gaussian_from_epsilon(eps, deps, alpha)
+        state = GaussianState(eps, deps, alpha)
         # random frames plus the squeezed direction, where the sigma form fails
         mu = np.append(rng.normal(size=64), deps.imag)
         nu = np.append(rng.normal(size=64), -eps.imag)
@@ -158,14 +161,15 @@ def test_resonant_wigner_keeps_its_long_axis():
     # deep in resonance the sigmas (~5e6) cancel to rounding along the long
     # axis of W; the quadratic form in (eps, deps) must match the evolved vacuum
     eps, deps = epsilon_at(OscillatorParams(1.0, 1.2247), 80.0)
-    state = gaussian_from_epsilon(eps, deps)
+    state = GaussianState(eps, deps)
     vals, vecs = np.linalg.eigh([[state.sigma_qq, state.sigma_pq], [state.sigma_pq, state.sigma_pp]])
     c = np.array([0.5, 1.0, 2.0])[:, np.newaxis] * math.sqrt(vals[1]) * vecs[:, 1]
     want = evolve_wigner(partial(wigner_gaussian, GaussianState()), eps, deps, c[:, 0], c[:, 1])
     np.testing.assert_allclose(wigner_gaussian(state, c[:, 0], c[:, 1]), want, rtol=1e-8)
-    # the stored (eps, deps) must describe the sigmas beside it
-    with pytest.raises(ValueError, match="do not match the mode function"):
-        dataclasses.replace(state, mean_q=1.0, _eps=(eps, 1.0001 * deps))
+    # the Wronskian gate is relative to |eps| |deps| (3.5e6 here), so it
+    # passes deps scaled by 1.0001; turned by 1e-4 rad, deps gives W = 351
+    with pytest.raises(InvalidTrajectoryError, match="Wronskian"):
+        dataclasses.replace(state, alpha=1.0, deps=deps * complex(math.cos(1e-4), math.sin(1e-4)))
 
 
 def test_static_trap_variance_constant():
@@ -182,13 +186,13 @@ def test_driven_trap_squeezes(traj04):
 
 def test_schroedinger_relation():
     assert schroedinger_relation_check(GaussianState()) == (0.0, 0.0)
-    r, residual = schroedinger_relation_check(GaussianState(sigma_pp=1.0, sigma_qq=1.0))
+    r, residual = schroedinger_relation_check(Moments(0.0, 0.0, sigma_qq=1.0, sigma_pp=1.0, sigma_pq=0.0))
     assert (r, residual) == (0.0, 0.75)
 
 
 def test_schroedinger_relation_minimized_along_trajectory(traj04):
     for i in (1200, 7000, 15000):
-        s = gaussian_from_epsilon(traj04.eps[i], traj04.deps[i])
+        s = GaussianState(traj04.eps[i], traj04.deps[i])
         r, residual = schroedinger_relation_check(s)
         assert -1.0 < r < 1.0
         assert residual < 1e-10
@@ -339,14 +343,14 @@ def test_wigner_cat_grid_normalized():
 @pytest.mark.parametrize("point", [(0.0, 0.0), (0.5, 0.3), (1.5, -1.0), (-1.0, 0.7)])
 def test_wigner_gaussian_matches_transform(point, point04_t2):
     q, p = point
-    state0 = gaussian_from_epsilon(1.0, 1.0j, 0.7 + 0.3j)
+    state0 = GaussianState(1.0, 1.0j, 0.7 + 0.3j)
     ref0 = wigner_by_transform(
         lambda x: eval_wavefunction("coherent", 1.0, 1.0j, x, alpha=0.7 + 0.3j), q, p
     )
     assert wigner_gaussian(state0, q, p) == pytest.approx(ref0, abs=1e-8)
 
     eps, deps = point04_t2
-    state_t = gaussian_from_epsilon(eps, deps)
+    state_t = GaussianState(eps, deps)
     ref_t = wigner_by_transform(lambda x: eval_wavefunction("ground", eps, deps, x), q, p)
     assert wigner_gaussian(state_t, q, p) == pytest.approx(ref_t, abs=1e-8)
 
@@ -365,7 +369,7 @@ def test_position_density_is_momentum_integral(point04_t2):
     p = np.linspace(-12.0, 12.0, 4001)
 
     eps, deps = point04_t2
-    state = gaussian_from_epsilon(eps, deps)
+    state = GaussianState(eps, deps)
     for q0 in (0.0, 0.8):
         dens = np.trapezoid(wigner_gaussian(state, q0, p), p) / (2.0 * math.pi)
         psi = complex(eval_wavefunction("ground", eps, deps, q0))
@@ -588,15 +592,16 @@ def test_csv_golden_bytes(tmp_path):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("block_rows", sorted({3, 4096, _container._CSV_BLOCK_ROWS}))
-def test_csv_triples_match_row_writer(tmp_path, monkeypatch, block_rows):
+@pytest.mark.parametrize("per_call", [3, 1024, 4096])
+def test_csv_triples_match_row_writer(tmp_path, monkeypatch, per_call):
     # the triple writer formats each axis value once; its bytes must equal the
-    # generic row writer's on the repeated and tiled axes, across block breaks
-    monkeypatch.setattr(_container, "_CSV_BLOCK_ROWS", block_rows)
+    # generic row writer's on the repeated and tiled axes, across kernel calls:
+    # 300, 3 and 1 calls of the triple writer, 2100, 7 and 2 of the row writer
+    monkeypatch.setattr(_container, "_CSV_TEXT_VALUES", per_call)
     rng = np.random.default_rng(5)
-    ax0 = np.linspace(0.0, math.pi, 4, endpoint=False)
+    ax0 = np.linspace(0.0, math.pi, 300, endpoint=False)
     ax1 = np.linspace(-8.0, 8.0, 7)
-    values = rng.standard_normal((4, 7)) * 10.0 ** rng.integers(-300, 300, (4, 7))
+    values = rng.standard_normal((300, 7)) * 10.0 ** rng.integers(-300, 300, (300, 7))
     values[0, 0] = -0.0
     triples, rows = tmp_path / "triples.csv", tmp_path / "rows.csv"
     _container.save_csv_triples(str(triples), ("phi", "x", "w"), ax0, ax1, values)
@@ -644,11 +649,12 @@ def test_from_evaluator_scratch_is_bounded():
     assert peak <= grid.values.nbytes + 2 ** 20
 
 
-@pytest.mark.parametrize("block_rows", [3, _container._CSV_BLOCK_ROWS])
-def test_csv_rows_blocks_are_bit_identical(tmp_path, monkeypatch, block_rows):
-    monkeypatch.setattr(_container, "_CSV_BLOCK_ROWS", block_rows)
+@pytest.mark.parametrize("per_call", [3, 1024])
+def test_csv_rows_blocks_are_bit_identical(tmp_path, monkeypatch, per_call):
+    # rows of 4 values: 1 row per kernel call at 3 values, 256 rows at 1024
+    monkeypatch.setattr(_container, "_CSV_TEXT_VALUES", per_call)
     rng = np.random.default_rng(7)
-    n = 2 * block_rows + 2  # a short last block
+    n = 2 * max(1, per_call // 4) + 2  # two full calls and, at 1024, a short last one
     columns = [np.arange(n) * 0.1, rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n),
                rng.standard_normal(n).astype(np.float32), list(range(n))]
     columns[1][:4] = -0.0, 5e-324, np.inf, np.nan

@@ -24,7 +24,6 @@ from iontomo import (
     WignerGrid,
     epsilon_at,
     evolve_tomogram,
-    gaussian_from_epsilon,
     invert_to_wigner,
     optical_slice,
     radon_reconstruct,
@@ -94,7 +93,7 @@ def test_vacuum_marginal_rotation_invariant(phi):
 
 def test_gaussian_tomogram_callable_matches_function():
     # the CLI's evaluator of a Gaussian state is the function itself
-    state = gaussian_from_epsilon(1.0, 1.0j, 0.7 - 0.2j)
+    state = GaussianState(1.0, 1.0j, 0.7 - 0.2j)
     evaluator, _ = cli._state({"kind": "gaussian", "alpha": [0.7, -0.2]}, "test", None, 0.0)
     X = np.linspace(-3, 3, 7)
     np.testing.assert_array_equal(evaluator(X, 0.8, -0.6), tomogram_gaussian(state, X, 0.8, -0.6))
@@ -159,7 +158,7 @@ def test_cat_marginal_matches_wigner_projection(spec):
 
 
 def test_gaussian_marginal_matches_wigner_projection():
-    state = gaussian_from_epsilon(1.0, 1.0j, 1.0 + 0.0j)
+    state = GaussianState(1.0, 1.0j, 1.0 + 0.0j)
     rng = np.random.default_rng(5)
     mu, nu = random_frames(rng, 20)
     X = rng.uniform(-4.0, 4.0, 20)
@@ -174,7 +173,7 @@ def test_gaussian_marginal_matches_wigner_projection():
 
 EVALUATORS = {
     "vacuum": partial(tomogram_gaussian, VACUUM),
-    "coherent": partial(tomogram_gaussian, gaussian_from_epsilon(1.0, 1.0j, 1.0 + 0.0j)),
+    "coherent": partial(tomogram_gaussian, GaussianState(1.0, 1.0j, 1.0 + 0.0j)),
     "cat-even": partial(tomogram_cat, CatSpec(1.5 + 0.0j, "even")),
     "cat-odd": partial(tomogram_cat, CatSpec(1.0j, "odd")),
 }
@@ -212,7 +211,7 @@ def test_shift_covariance_exact():
     X = np.linspace(-3.0, 3.0, 13)
     params = OscillatorParams(0.4, 2.0)
     initials = (partial(tomogram_gaussian, VACUUM), partial(tomogram_cat, CatSpec(2.0 + 0.0j, "even")),
-                partial(tomogram_gaussian, gaussian_from_epsilon(1.0, 1.0j, 1.0 + 0.5j)))
+                partial(tomogram_gaussian, GaussianState(1.0, 1.0j, 1.0 + 0.5j)))
     for delta in (-1.7, 0.9):
         for initial in initials:
             evolution = replacement_evolution(initial, params)
@@ -229,7 +228,7 @@ def test_resonant_gaussian_marginal_keeps_its_squeezed_direction():
     q = (np.array([0.0, 3e-4]), deps.imag / r, -eps.imag / r)
     want = evolve_tomogram(partial(tomogram_gaussian, VACUUM), eps, deps, *q)
     assert want[0] == pytest.approx(1168.488, abs=1e-3)
-    np.testing.assert_allclose(tomogram_gaussian(gaussian_from_epsilon(eps, deps), *q), want, rtol=1e-9)
+    np.testing.assert_allclose(tomogram_gaussian(GaussianState(eps, deps), *q), want, rtol=1e-9)
 
 
 # -------------------------------------------------------------- normalization
@@ -237,7 +236,7 @@ def test_resonant_gaussian_marginal_keeps_its_squeezed_direction():
 
 def test_gaussian_marginal_normalized_on_random_frames(point04_t2):
     eps, deps = point04_t2
-    state = gaussian_from_epsilon(eps, deps, 1.0 + 0.0j)
+    state = GaussianState(eps, deps, 1.0 + 0.0j)
     rng = np.random.default_rng(9)
     mu, nu = random_frames(rng, 20)
     delta = rng.uniform(-2.0, 2.0, 20)
@@ -284,8 +283,8 @@ def test_evolved_vacuum_is_stationary_in_static_trap():
 def test_evolved_tomogram_matches_time_t_state(point04_t2):
     eps, deps = point04_t2
     alpha = 1.0 + 0.0j
-    initial = partial(tomogram_gaussian, gaussian_from_epsilon(1.0, 1.0j, alpha))
-    direct = gaussian_from_epsilon(eps, deps, alpha)
+    initial = partial(tomogram_gaussian, GaussianState(1.0, 1.0j, alpha))
+    direct = GaussianState(eps, deps, alpha)
     X = np.linspace(-5.0, 5.0, 21)
     for mu, nu, delta in ((1.0, 0.0, 0.0), (0.4, -1.1, 0.7), (-0.9, 0.3, -1.0)):
         np.testing.assert_allclose(
@@ -369,7 +368,8 @@ def grid_moments(grid):
 
 
 FAST_INVERT = {"k_max": 8.0, "n_nodes": 97}
-SKEW_GAUSSIAN = GaussianState(mean_p=-0.7, mean_q=1.1, sigma_pp=0.3, sigma_qq=1.1, sigma_pq=0.35)
+# <q> = 1.1, <p> = -0.7, sigma_qq = 1.1, sigma_pq = 0.35 and the pure sigma_pp = (1/4 + 0.35^2) / 1.1
+SKEW_GAUSSIAN = GaussianState(math.sqrt(2.2), complex(0.7, 1.0) / math.sqrt(2.2), 0.5244044240850758 - 1.101249290578659j)
 
 
 def sampled_sinogram(evaluator, n_phi=180, n_x=257, half=8.0):
@@ -392,7 +392,7 @@ def test_invert_vacuum():
 
 
 def test_invert_coherent_recovers_moments():
-    state = gaussian_from_epsilon(1.0, 1.0j, 1.0 + 0.0j)
+    state = GaussianState(1.0, 1.0j, 1.0 + 0.0j)
     axis = np.linspace(-6.0, 6.0, 81)
     grid = invert_to_wigner(sampled_sinogram(partial(tomogram_gaussian, state), half=10.0), axis, axis,
                             **FAST_INVERT)
@@ -485,7 +485,7 @@ def test_sinogram_inversion_beats_its_evaluator(name):
     def rel_l2(grid):
         return np.linalg.norm(grid.values - exact) / np.linalg.norm(exact)
 
-    # measured: 7.7e-6 (gaussian) and 2.4e-6 (cat) direct, 1.2e-4 and 4.5e-4 via the evaluator
+    # measured: 5.6e-6 (gaussian) and 2.4e-6 (cat) direct, 8.3e-5 and 4.5e-4 via the evaluator
     kw = {"k_max": 12.0, "n_nodes": 97}
     direct = rel_l2(invert_to_wigner(sino, axis, axis, **kw))
     via_evaluator = rel_l2(invert_to_wigner(resampled, axis, axis, **kw))
@@ -691,7 +691,7 @@ def test_each_grid_load_rejects_the_other_kind(tmp_path, fmt):
 def test_sinogram_csv_with_a_reversed_angle_is_rejected(tmp_path):
     # the third angle of a displaced state lists X in reverse; its values
     # would land on the wrong X
-    sino = OpticalSinogram.from_evaluator(partial(tomogram_gaussian, gaussian_from_epsilon(1.0, 1.0j, 1.0)),
+    sino = OpticalSinogram.from_evaluator(partial(tomogram_gaussian, GaussianState(1.0, 1.0j, 1.0)),
                                           np.arange(4) * math.pi / 4, np.linspace(-8.0, 8.0, 65))
     path = tmp_path / "sino.csv"
     sino.save(str(path), fmt="csv")

@@ -14,7 +14,6 @@ from iontomo import (
     ProbeGrid,
     epsilon_at,
     frozen_frame_evolution,
-    gaussian_from_epsilon,
     moment_odes_check,
     pde_residual,
     replacement_evolution,
@@ -38,7 +37,7 @@ def test_pde_residual_vacuum_static_trap():
 
 
 def test_pde_residual_driven_gaussian(params04):
-    initial = partial(tomogram_gaussian, gaussian_from_epsilon(1.0, 1.0j, 1.0 + 0.0j))
+    initial = partial(tomogram_gaussian, GaussianState(1.0, 1.0j, 1.0 + 0.0j))
     report = pde_residual(replacement_evolution(initial, params04), params04)
     assert report.max_abs_residual < 1e-4
     assert 1.7 <= report.convergence_order <= 2.3
@@ -53,7 +52,7 @@ def test_pde_residual_driven_cat(params04):
 
 def test_frozen_frame_fails_loudly():
     # the control state must actually move (the vacuum is stationary here)
-    initial = partial(tomogram_gaussian, gaussian_from_epsilon(1.0, 1.0j, 1.0 + 0.0j))
+    initial = partial(tomogram_gaussian, GaussianState(1.0, 1.0j, 1.0 + 0.0j))
     honest = pde_residual(replacement_evolution(initial, STATIC), STATIC)
     frozen = pde_residual(frozen_frame_evolution(initial), STATIC)
     assert frozen.max_abs_residual >= 1e-1
@@ -124,7 +123,7 @@ def test_harmonic_coherent_means():
     # static trap: <q>(t) = sqrt(2) cos t, <p>(t) = -sqrt(2) sin t for alpha = 1
     for t in (0.9, 2.2, 5.0):
         eps, deps = epsilon_at(STATIC, t)
-        s = gaussian_from_epsilon(eps, deps, 1.0 + 0.0j)
+        s = GaussianState(eps, deps, 1.0 + 0.0j)
         assert s.mean_q == pytest.approx(ROOT2 * math.cos(t), abs=1e-9)
         assert s.mean_p == pytest.approx(-ROOT2 * math.sin(t), abs=1e-9)
         assert s.sigma_qq == pytest.approx(0.5, abs=1e-9)
@@ -155,7 +154,7 @@ def test_oracle_coherent_state():
 def test_oracle_matches_mode_function_moments(kind, alpha, point04_t2):
     eps, deps = point04_t2
     got = wavefunction_moment_oracle(kind, eps, deps, alpha=alpha)
-    want = gaussian_from_epsilon(eps, deps, alpha)
+    want = GaussianState(eps, deps, alpha)
     for name in ("mean_q", "mean_p", "sigma_qq", "sigma_pp", "sigma_pq"):
         assert getattr(got, name) == pytest.approx(getattr(want, name), abs=1e-8), name
 
