@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _container
 from .errors import NormalizationDivergenceError
-from .oscillator import _check_wronskian, _wronskian, symplectic_map
+from .oscillator import _check_wronskian, _flow_back, _wronskian
 
 __all__ = [
     "GaussianState",
@@ -43,7 +43,7 @@ class GaussianState:
     ----------
     eps, deps : complex
         Mode function value and derivative; off the Wronskian invariant
-        ``|Im(eps* deps) - 1| < 1e-6 * max(1, |eps| |deps|)``, or not
+        ``|Im(eps* deps) - 1| < 1e-6 + 2**-46 (|eps|^2 + |deps|^2)``, or not
         finite, they raise InvalidTrajectoryError.
     alpha : complex
         Coherent amplitude (0 for the squeezed ground state).
@@ -121,27 +121,18 @@ class CatSpec:
         return -0.5 / math.expm1(-2.0 * a2)
 
 
-def _quadrature_variance(state: GaussianState, mu, nu):
-    """sigma_X = mu^2 sigma_qq + nu^2 sigma_pp + 2 mu nu sigma_pq on the frame (mu, nu).
-
-    Evaluated as the equal |mu eps + nu deps|^2 / 2, which keeps the squeezed direction in resonance.
-    """
-    mu_t, nu_t = symplectic_map(state.eps, state.deps).frame(mu, nu)
-    return (mu_t ** 2 + nu_t ** 2) / 2.0
-
-
 def wigner_gaussian(state: GaussianState, q, p):
     """Gaussian Wigner function (2 pi convention).
 
     W = d^{-1/2} exp( -[sigma_qq (p-<p>)^2 + sigma_pp (q-<q>)^2
                         - 2 sigma_pq (p-<p>)(q-<q>)] / (2d) ), strictly positive.
     The bracket is evaluated as the equal |(p-<p>) eps - (q-<q>) deps|^2 / 2, the squared
-    initial point of the state's map, which keeps the squeezed direction in resonance.
+    point (dq, dp) sent back along the flow, which keeps the squeezed direction in resonance.
     """
     dq = np.asarray(q, dtype=float) - state.mean_q
     dp = np.asarray(p, dtype=float) - state.mean_p
     d = state.d
-    p0, q0 = symplectic_map(state.eps, state.deps).apply(dp, dq)
+    q0, p0 = _flow_back(state.eps, state.deps, dq, dp)
     quad = (p0 ** 2 + q0 ** 2) / 2.0
     return np.exp(-quad / (2.0 * d)) / math.sqrt(d)
 
@@ -180,12 +171,13 @@ def wigner_cat(spec: CatSpec, q, p):
 def evolve_wigner(initial: Callable, eps: complex, deps: complex, q, p):
     """Wigner value at time t of the mode function: the initial function at the mapped point.
 
-    ``initial`` is any evaluator ``W0(q, p)``; the map of ``(eps, deps)``
-    sends the query point back along the classical flow (no shift term: the
-    trap Hamiltonian has no linear force).
+    ``initial`` is any evaluator ``W0(q, p)``; the query point goes back along
+    the classical flow to ``q0 = Im(q deps - p eps)``, ``p0 = Re(p eps - q deps)``
+    (no shift term: the trap Hamiltonian has no linear force).  A point off
+    the Wronskian invariant of :class:`GaussianState` raises InvalidTrajectoryError.
     """
-    p0, q0 = symplectic_map(eps, deps).apply(np.asarray(p, dtype=float), np.asarray(q, dtype=float))
-    return initial(q0, p0)
+    eps, deps = _check_wronskian(eps, deps)
+    return initial(*_flow_back(eps, deps, np.asarray(q, dtype=float), np.asarray(p, dtype=float)))
 
 
 def _uniform_spacing(axis: np.ndarray, name: str) -> float:

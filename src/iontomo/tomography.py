@@ -20,9 +20,9 @@ import numpy as np
 
 from . import _container
 from .errors import DegenerateFrameError, InsufficientAnglesError
-from .oscillator import symplectic_map
-from .states import (CatSpec, GaussianState, WignerGrid, _quadrature_variance, _stencil, _trapezoid_weights,
-                     _uniform_spacing, _uniform_trapezoid)
+from .oscillator import _carry_frame, _check_wronskian
+from .states import (CatSpec, GaussianState, WignerGrid, _stencil, _trapezoid_weights, _uniform_spacing,
+                     _uniform_trapezoid)
 
 __all__ = [
     "OpticalSinogram",
@@ -55,7 +55,8 @@ def tomogram_gaussian(state: GaussianState, Y, mu, nu):
     rounding.
     """
     mu, nu = _frame_arrays(mu, nu)
-    sig = _quadrature_variance(state, mu, nu)
+    mu_t, nu_t = _carry_frame(state.eps, state.deps, mu, nu)
+    sig = (mu_t ** 2 + nu_t ** 2) / 2.0
     if np.any(sig <= 0.0):
         raise DegenerateFrameError("sigma_X <= 0; dispersion matrix not positive on this frame")
     ybar = mu * state.mean_q + nu * state.mean_p
@@ -93,11 +94,13 @@ def evolve_tomogram(initial: Callable, eps: complex, deps: complex, Y, mu, nu):
     """Tomogram at time t of the mode function: w0(Y, mu(t), nu(t)) with Y = X - delta.
 
     ``initial`` is the t=0 evaluator with signature (Y, mu, nu).  The frame
-    parameters are transported with mu(t) = Re(deps) nu + Re(eps) mu,
-    nu(t) = Im(deps) nu + Im(eps) mu; the map is invertible, so an evolved
-    frame can only degenerate if the inputs were already invalid.
+    parameters are transported as mu(t) + i nu(t) = mu eps + nu deps; the
+    transport has determinant Im(eps* deps) = 1, so an evolved frame can only
+    degenerate if the inputs were already invalid.  A point off the Wronskian
+    invariant of :class:`GaussianState` raises InvalidTrajectoryError.
     """
-    mu_t, nu_t = symplectic_map(eps, deps).frame(*_frame_arrays(mu, nu))
+    eps, deps = _check_wronskian(eps, deps)
+    mu_t, nu_t = _carry_frame(eps, deps, *_frame_arrays(mu, nu))
     if np.any((mu_t == 0.0) & (nu_t == 0.0)):
         raise DegenerateFrameError("evolved frame collapsed to (0, 0); trajectory point invalid")
     return initial(Y, mu_t, nu_t)

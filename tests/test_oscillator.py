@@ -1,4 +1,4 @@
-"""Mode-function solver, Wronskian conservation, and the integral-of-motion map."""
+"""Mode-function solver, Wronskian conservation, and the classical flow of a mode-function point."""
 
 import math
 import tracemalloc
@@ -14,9 +14,10 @@ from iontomo import (
     OscillatorParams,
     SolverError,
     epsilon_at,
+    evolve_tomogram,
+    evolve_wigner,
     omega_squared,
     solve_epsilon,
-    symplectic_map,
 )
 from iontomo import oscillator
 from iontomo.oscillator import _BLOCK, _MAX_STEPS
@@ -148,8 +149,15 @@ def test_epsilon_at_unreachable_in_resonance():
 
 
 def test_epsilon_at_rejects_negative_time():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="t must be finite and >= 0"):
         epsilon_at(PARAMS04, -1e-9)
+
+
+@pytest.mark.parametrize("t", [math.inf, math.nan])
+def test_epsilon_at_rejects_non_finite_time(t):
+    # refused before the Floquet step, which cannot split a non-finite t into periods
+    with pytest.raises(ValueError, match="t must be finite and >= 0"):
+        epsilon_at(PARAMS04, t)
 
 
 def _monodromy(params):
@@ -439,33 +447,50 @@ def test_solve_epsilon_scratch_is_bounded():
     assert wronskian_peak <= w.nbytes + 2 ** 20
 
 
+def frame_of(eps, deps, mu, nu):
+    """The frame evolve_tomogram hands its initial evaluator."""
+    return evolve_tomogram(lambda y, mu_t, nu_t: (mu_t, nu_t), eps, deps, 0.0, mu, nu)
+
+
+def point_of(eps, deps, q, p):
+    """The point evolve_wigner hands its initial evaluator."""
+    return evolve_wigner(lambda q0, p0: (q0, p0), eps, deps, q, p)
+
+
 def test_identity_map_at_t0():
-    smap = symplectic_map(1.0 + 0.0j, 1.0j)
-    assert smap.apply(0.7, -1.3) == (0.7, -1.3)
-    assert smap.frame(0.4, 2.0) == (0.4, 2.0)
-    assert smap.det == pytest.approx(1.0, abs=1e-15)
+    assert point_of(1.0 + 0.0j, 1.0j, 0.7, -1.3) == (0.7, -1.3)
+    assert frame_of(1.0 + 0.0j, 1.0j, 0.4, 2.0) == (0.4, 2.0)
 
 
 def test_quarter_period_rotation():
-    # kappa=0 at t=pi/2: eps=i, deps=-1; the backward map is the quarter-turn
-    smap = symplectic_map(1.0j, -1.0 + 0.0j)
-    p0, q0 = smap.apply(0.0, 1.0)
-    assert (p0, q0) == pytest.approx((1.0, 0.0), abs=1e-15)
-    p0, q0 = smap.apply(1.0, 0.0)
-    assert (p0, q0) == pytest.approx((0.0, -1.0), abs=1e-15)
-    assert smap.det == pytest.approx(1.0, abs=1e-12)
+    # kappa=0 at t=pi/2: eps=i, deps=-1; the flow back is the quarter-turn
+    eps, deps = epsilon_at(OscillatorParams(0.0, 1.0), math.pi / 2)
+    assert (eps, deps) == pytest.approx((1.0j, -1.0), abs=1e-12)
+    assert point_of(1.0j, -1.0 + 0.0j, 1.0, 0.0) == (0.0, 1.0)
+    assert point_of(1.0j, -1.0 + 0.0j, 0.0, 1.0) == (-1.0, 0.0)
+    # and the frame forward: the q marginal at t = pi/2 is the initial p marginal
+    assert frame_of(1.0j, -1.0 + 0.0j, 1.0, 0.0) == (0.0, 1.0)
+    assert frame_of(1.0j, -1.0 + 0.0j, 0.0, 1.0) == (-1.0, 0.0)
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=0, max_value=20000))
-def test_map_determinant_one_along_trajectory(traj04, i):
-    smap = symplectic_map(traj04.eps[i], traj04.deps[i])
-    assert abs(smap.det - 1.0) <= 1e-10
+@given(i=st.integers(min_value=0, max_value=20000), mu=st.floats(-5.0, 5.0), nu=st.floats(-5.0, 5.0),
+       q=st.floats(-5.0, 5.0), p=st.floats(-5.0, 5.0))
+def test_flow_keeps_the_quadrature_along_trajectory(traj04, i, mu, nu, q, p):
+    # the marginal follows the classical flow: the quadrature mu_t q0 + nu_t p0
+    # of the carried frame at the point sent back is W (mu q + nu p)
+    assume(mu != 0.0 or nu != 0.0)
+    eps, deps = traj04.eps[i], traj04.deps[i]
+    mu_t, nu_t = frame_of(eps, deps, mu, nu)
+    q0, p0 = point_of(eps, deps, q, p)
+    w = (np.conj(eps) * deps).imag
+    scale = (abs(mu) + abs(nu)) * (abs(q) + abs(p)) * (abs(eps) + abs(deps)) ** 2
+    assert abs(mu_t * q0 + nu_t * p0 - w * (mu * q + nu * p)) <= 1e-15 * scale
 
 
 def test_invalid_trajectory_point_rejected():
     with pytest.raises(InvalidTrajectoryError):
-        symplectic_map(1.0 + 0.0j, 2.0j)
+        point_of(1.0 + 0.0j, 2.0j, 0.0, 0.0)
     with pytest.raises(InvalidTrajectoryError):
         GaussianState(1.0 + 0.0j, 2.0j)
     with pytest.raises(InvalidTrajectoryError):
@@ -473,13 +498,52 @@ def test_invalid_trajectory_point_rejected():
 
 
 def test_wronskian_gate_is_relative_to_the_amplitude():
-    # |eps| |deps| = 1e8 as in parametric resonance; W is off by 1e-5, a 1e-13
-    # relative rounding of the product, which an absolute 1e-6 gate rejects
-    eps, deps = 1e4 + 0.0j, complex(1e4, (1.0 + 1e-5) / 1e4)
-    smap = symplectic_map(eps, deps)
-    assert smap.det == pytest.approx(1.0 + 1e-5, rel=1e-9)
-    # off by 1e-5 relative to the product: a wrong point, not rounding
+    # |eps|^2 + |deps|^2 = 2e8 as in parametric resonance, where the solver's
+    # drift builds up to about 2**-51 of that sum; the gate there is
+    # 1e-6 + 2**-46 * 2e8 = 3.8e-6, so W off by 2e-6 passes, which an absolute
+    # 1e-6 gate rejects, and W off by 1e-5 is a wrong point, not rounding
+    eps = 1e4 + 0.0j
+    assert GaussianState(eps, complex(1e4, (1.0 + 2e-6) / 1e4)).d == pytest.approx((1.0 + 2e-6) ** 2 / 4, rel=1e-9)
     with pytest.raises(InvalidTrajectoryError):
-        symplectic_map(eps, complex(1e4, 1e3 / 1e4))
+        GaussianState(eps, complex(1e4, (1.0 + 1e-5) / 1e4))
     with pytest.raises(InvalidTrajectoryError):
-        symplectic_map(complex(math.nan, 0.0), 1.0j)
+        frame_of(complex(math.nan, 0.0), 1.0j, 1.0, 0.0)
+
+
+RESONANCE = OscillatorParams(1.0, 1.2247)
+
+
+@pytest.mark.parametrize("scale", [-1.0, 2.0, 1.0001])
+def test_resonant_points_off_the_invariant_are_rejected(scale):
+    # |eps|^2 + |deps|^2 = 1.06e7 at t 80, so the gate is 1.15e-6: W = -1,
+    # W = 2 and W off by 1e-4 are wrong points, not drift
+    eps, deps = epsilon_at(RESONANCE, 80.0)
+    with pytest.raises(InvalidTrajectoryError):
+        GaussianState(eps, scale * deps)
+    with pytest.raises(InvalidTrajectoryError):
+        frame_of(eps, scale * deps, 1.0, 0.0)
+    with pytest.raises(InvalidTrajectoryError):
+        point_of(eps, scale * deps, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("t_end, tol", [(80.0, oscillator.DEFAULT_TOL), (150.0, 1e-2)])
+def test_resonant_solver_points_pass_the_gate(t_end, tol):
+    # the samples nearest the gate by drift, by drift per |eps|^2 + |deps|^2 and
+    # by drift per |eps| |deps|, and every 500th.  On [0, 80] the drift peaks
+    # at about 2e-9; at tol 1e-2 on [0, 150] |eps|^2 + |deps|^2 reaches 1.8e13
+    # and the drift 2.4e-3, and |eps| |deps| dips to 1e-6 of that sum where eps
+    # passes near 0, so a gate on the product rejects 198 solver points there
+    traj = solve_epsilon(RESONANCE, t_end, tol=tol)
+    drift = np.abs(traj.wronskian() - 1.0)
+    size = np.abs(traj.eps) ** 2 + np.abs(traj.deps) ** 2
+    assert np.max(drift / (oscillator.WRONSKIAN_ATOL + oscillator._WRONSKIAN_REL * size)) < 0.1
+    product = np.abs(traj.eps) * np.abs(traj.deps)
+    picks = {int(np.argmax(drift)), int(np.argmax(drift / size)), int(np.argmax(drift / product)),
+             *range(0, traj.times.size, 500)}
+    points = [(traj.eps[i], traj.deps[i]) for i in sorted(picks)]
+    if tol == oscillator.DEFAULT_TOL:
+        points += [epsilon_at(RESONANCE, t) for t in np.linspace(0.0, t_end, 161)]
+    for eps, deps in points:
+        GaussianState(eps, deps)
+        frame_of(eps, deps, 1.0, 0.0)
+        point_of(eps, deps, 0.0, 0.0)

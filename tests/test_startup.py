@@ -101,15 +101,17 @@ def test_every_exported_name_resolves_to_its_submodule():
                      if isinstance(v, type) and v.__module__ == errors.__name__}
     assert set(errors.__all__) == public_errors
     submodules = (errors, oscillator, states, tomography, verify)
-    assert len(iontomo.__all__) == len(set(iontomo.__all__)) == 33
+    assert len(iontomo.__all__) == len(set(iontomo.__all__)) == 31
     for removed in ("TomogramQuery", "GaussianTomogram", "cat_evaluator", "ReconstructionQualityError",
                     "project_wigner", "SupportTruncationWarning", "eval_wavefunction",
-                    "schroedinger_relation_check", "gaussian_from_epsilon"):
+                    "schroedinger_relation_check", "gaussian_from_epsilon", "SymplecticMap", "symplectic_map"):
         assert not hasattr(iontomo, removed)
     # test-only oracles live in tests/oracles.py; the callable route of invert_to_wigner is gone
     # a Gaussian state is its mode-function point: the constructor of the second form is gone
+    # the point is the flow: the map object built from it and the variance helper are gone
     for removed in ("eval_wavefunction", "schroedinger_relation_check", "_hermite_orthonormal", "MAX_NUMBER_INDEX",
-                    "_support", "_sampled_sinogram", "_SUPPORT_SCAN_POINTS", "gaussian_from_epsilon", "_eps_moments"):
+                    "_support", "_sampled_sinogram", "_SUPPORT_SCAN_POINTS", "gaussian_from_epsilon", "_eps_moments",
+                    "SymplecticMap", "symplectic_map", "_quadrature_variance"):
         assert not any(hasattr(m, removed) for m in submodules)
     assert iontomo.__all__ == [name for m in submodules for name in m.__all__]
     for name in iontomo.__all__:

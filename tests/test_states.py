@@ -29,6 +29,7 @@ from iontomo import (
     evolve_wigner,
     solve_epsilon,
     tomogram_cat,
+    tomogram_gaussian,
     wigner_cat,
     wigner_gaussian,
 )
@@ -121,9 +122,12 @@ def test_gaussian_state_rejects_a_determinant_off_its_sigmas():
     assert dataclasses.replace(state, alpha=1.0 + 0.5j).d == 0.25
 
 
-def _expanded_sigma_x(eps, deps, mu, nu):
-    """|mu eps + nu deps|^2 / 2 written out in the real and imaginary parts."""
-    return ((mu * eps.real + nu * deps.real) ** 2 + (mu * eps.imag + nu * deps.imag) ** 2) / 2.0
+def _expanded_tomogram(state, Y, mu, nu):
+    """Gaussian marginal with sigma_X = |mu eps + nu deps|^2 / 2 written out in the real and imaginary parts."""
+    eps, deps = state.eps, state.deps
+    sig = ((mu * eps.real + nu * deps.real) ** 2 + (mu * eps.imag + nu * deps.imag) ** 2) / 2.0
+    ybar = mu * state.mean_q + nu * state.mean_p
+    return np.exp(-((Y - ybar) ** 2) / (2.0 * sig)) / np.sqrt(2.0 * math.pi * sig)
 
 
 def _expanded_wigner(eps, deps, alpha, q, p):
@@ -137,8 +141,8 @@ def _expanded_wigner(eps, deps, alpha, q, p):
 
 
 def test_resonant_forms_match_expanded_reference():
-    # the symplectic map's frame and initial point carry the same products as
-    # the quadratic forms written out in (eps, deps), so the bits agree
+    # the carried frame and the point sent back carry the same products as the
+    # quadratic forms written out in (eps, deps), so the bits agree
     resonance = OscillatorParams(1.0, 1.2247)
     points = [epsilon_at(resonance, t) for t in (0.7, 5.0, 20.0, 41.3, 60.0, 80.0)]
     rng = np.random.default_rng(7)
@@ -151,7 +155,9 @@ def test_resonant_forms_match_expanded_reference():
         # random frames plus the squeezed direction, where the sigma form fails
         mu = np.append(rng.normal(size=64), deps.imag)
         nu = np.append(rng.normal(size=64), -eps.imag)
-        assert np.array_equal(states._quadrature_variance(state, mu, nu), _expanded_sigma_x(eps, deps, mu, nu))
+        width = np.hypot(mu * eps.real + nu * deps.real, mu * eps.imag + nu * deps.imag)
+        Y = state.mean_q * mu + state.mean_p * nu + rng.normal(size=65) * width
+        assert np.array_equal(tomogram_gaussian(state, Y, mu, nu), _expanded_tomogram(state, Y, mu, nu))
         q = state.mean_q + rng.normal(size=(8, 8)) * abs(eps)
         p = state.mean_p + rng.normal(size=(8, 8)) * abs(deps)
         assert np.array_equal(wigner_gaussian(state, q, p), _expanded_wigner(eps, deps, alpha, q, p))
@@ -166,10 +172,10 @@ def test_resonant_wigner_keeps_its_long_axis():
     c = np.array([0.5, 1.0, 2.0])[:, np.newaxis] * math.sqrt(vals[1]) * vecs[:, 1]
     want = evolve_wigner(partial(wigner_gaussian, GaussianState()), eps, deps, c[:, 0], c[:, 1])
     np.testing.assert_allclose(wigner_gaussian(state, c[:, 0], c[:, 1]), want, rtol=1e-8)
-    # the Wronskian gate is relative to |eps| |deps| (3.5e6 here), so it
-    # passes deps scaled by 1.0001; turned by 1e-4 rad, deps gives W = 351
+    # the Wronskian gate's slack here is 1e-6 + 2**-46 (|eps|^2 + |deps|^2), about
+    # 1.15e-6, so deps scaled by 1.0001 (W off by 1e-4) is a wrong point
     with pytest.raises(InvalidTrajectoryError, match="Wronskian"):
-        dataclasses.replace(state, alpha=1.0, deps=deps * complex(math.cos(1e-4), math.sin(1e-4)))
+        dataclasses.replace(state, alpha=1.0, deps=1.0001 * deps)
 
 
 def test_static_trap_variance_constant():
