@@ -330,6 +330,9 @@ def cmd_tomogram(cfg: dict, args) -> int:
         w = np.array([
             float(evaluator(x - d, m, n)) for x, m, n, d in rows
         ])
+        if not np.all(np.isfinite(w)):
+            i = int(np.argmin(np.isfinite(w)))
+            return _fail(1, f"samples failed validation: query row {i} {rows[i].tolist()} gives w = {w[i]}")
         save_csv_rows(out, ("X", "mu", "nu", "delta", "w"), (*rows.T, w))
         if args.plot:
             order = np.argsort(rows[:, 0])
@@ -341,8 +344,7 @@ def cmd_tomogram(cfg: dict, args) -> int:
 
 
 def cmd_reconstruct(cfg: dict, args) -> int:
-    _check_keys(cfg, {"input", "method", "grid", "reference", "fourier", "apodization",
-                      "norm_tol", "l2_tol"}, "reconstruct")
+    _check_keys(cfg, {"input", "method", "grid", "reference", "fourier", "norm_tol", "l2_tol"}, "reconstruct")
     path = cfg.get("input")
     if not isinstance(path, str) or not path:
         raise ConfigError("reconstruct: missing required key 'input'")
@@ -359,11 +361,6 @@ def cmd_reconstruct(cfg: dict, args) -> int:
     _check_size("grid", f"n_q * n_p = {n_q} * {n_p}", 8 * n_q * n_p)
     q_axis = _uniform_axis(q_min, q_max, n_q, "q_min, q_max, n_q", "grid")
     p_axis = _uniform_axis(p_min, p_max, n_p, "p_min, p_max, n_p", "grid")
-    apod = cfg.get("apodization", "hann")
-    if apod is None:
-        apod = "none"
-    if apod not in ("hann", "none"):
-        raise ConfigError(f"reconstruct: apodization must be 'hann' or 'none', got {apod!r}")
     fourier_cfg = _section(cfg, "fourier", {"k_max", "n_nodes", "n_y", "y_halfwidth_sigmas"}, "reconstruct")
     k_max = _number(fourier_cfg, "k_max", default=12.0, strict_min=0.0, context="fourier")
     n_nodes = _integer(fourier_cfg, "n_nodes", default=193, minimum=3, context="fourier")
@@ -394,7 +391,7 @@ def cmd_reconstruct(cfg: dict, args) -> int:
 
     try:
         if method == "fbp":
-            grid = radon_reconstruct(sino, q_axis, p_axis, apodization=apod)
+            grid = radon_reconstruct(sino, q_axis, p_axis)
         else:
             grid = invert_to_wigner(sino, q_axis, p_axis, k_max=k_max, n_nodes=n_nodes)
     except InsufficientAnglesError as exc:

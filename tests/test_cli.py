@@ -346,6 +346,21 @@ def test_large_cat_samples_are_finite(tmp_path, parity):
     assert w[1] == 0.0
 
 
+@pytest.mark.parametrize("query", [
+    [1e308, 1.0, 1.0, -1e308],  # X - delta overflows
+    [0.5, 1e200, 1e200, 0.0],  # mu^2 + nu^2 overflows
+    [0.5, 1e-200, 0.0, 0.0],  # mu^2 + nu^2 underflows to 0
+], ids=["shift-overflow", "frame-overflow", "frame-underflow"])
+def test_tomogram_samples_reject_a_non_finite_density(tmp_path, capsys, query):
+    queries = [[0.5, 1.0, 0.0, 0.0], query]
+    cfg = cfg_file(tmp_path, tomogram_cfg({"kind": "cat", "alpha": [1.0, 0.5], "parity": "odd"},
+                                          mode="samples", queries=queries, kappa=0.4, omega_drive=2.0, time=1.0))
+    out = tmp_path / "samples.csv"
+    assert main(["tomogram", "--config", cfg, "--out", str(out)]) == 1
+    assert "query row 1 " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_serial_reruns_are_byte_identical(tmp_path):
     cfg = cfg_file(
         tmp_path,
@@ -576,7 +591,7 @@ def test_reconstruct_fbp_rejects_angles_that_do_not_tile_the_half_turn(tmp_path,
     assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
-def test_reconstruct_rejects_few_angles_and_bad_apodization(tmp_path):
+def test_reconstruct_rejects_few_angles_and_bad_apodization(tmp_path, capsys):
     scfg = cfg_file(
         tmp_path,
         tomogram_cfg({"kind": "gaussian"}, sinogram={"n_phi": 12, "x_min": -6, "x_max": 6, "n_x": 65}),
@@ -594,8 +609,11 @@ def test_reconstruct_rejects_few_angles_and_bad_apodization(tmp_path):
         name="sino2.json",
     )
     assert main(["tomogram", "--config", scfg2, "--out", str(dense)]) == 0
-    cfg2 = cfg_file(tmp_path, {"input": str(dense), "apodization": "hamming"}, name="apod.json")
+    # no config key selects the FBP filter
+    cfg2 = cfg_file(tmp_path, {"input": str(dense), "apodization": "hann"}, name="apod.json")
+    capsys.readouterr()
     assert main(["reconstruct", "--config", cfg2, "--out", str(tmp_path / "w.csv")]) == 2
+    assert "unknown reconstruct config keys: apodization" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
