@@ -12,12 +12,17 @@ unless the user sets ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or
 ``MKL_NUM_THREADS``, so outputs are byte-identical with and without
 ``--serial`` and on any core count; the flag is accepted to pin that
 guarantee.
+
+A process (the ``iontomo`` script, ``python -m iontomo.cli``) enters through
+:func:`run`, which ends it without an exit-time collection over its heap;
+:func:`main` is the in-process entry and leaves the caller's ``gc`` state alone.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import math
 import os
@@ -179,22 +184,22 @@ def _state(cfg: dict, context: str, params: OscillatorParams | None, t: float):
     if kind == "gaussian":
         if "parity" in cfg:
             raise ConfigError(f"{context}: parity applies to cat states only")
-        state = GaussianState(alpha=_complex_amplitude(cfg.get("alpha", 0.0), context))
+        make = functools.partial(GaussianState, alpha=_complex_amplitude(cfg.get("alpha", 0.0), context))
         tomogram, wigner = tomogram_gaussian, wigner_gaussian
     elif kind == "cat":
         parity = cfg.get("parity", "even")
         if parity not in ("even", "odd"):
             raise ConfigError(f"{context}: parity must be 'even' or 'odd', got {parity!r}")
-        alpha = _complex_amplitude(cfg.get("alpha", 1.0), context)
-        try:
-            state = CatSpec(alpha=alpha, parity=parity)
-        except NormalizationDivergenceError as exc:
-            raise ConfigError(f"{context}: {exc}") from exc
+        make = functools.partial(CatSpec, alpha=_complex_amplitude(cfg.get("alpha", 1.0), context), parity=parity)
         tomogram, wigner = tomogram_cat, wigner_cat
     elif kind == "number":
         raise ConfigError(f"{context}: number states have no analytic tomogram; use gaussian or cat")
     else:
         raise ConfigError(f"{context}: state.kind must be 'gaussian' or 'cat', got {kind!r}")
+    try:  # an alpha whose |alpha|^2 overflows, or an odd cat whose normalization diverges
+        state = make()
+    except ValueError as exc:
+        raise ConfigError(f"{context}: {exc}") from exc
     tomogram, wigner = functools.partial(tomogram, state), functools.partial(wigner, state)
     if t == 0.0:
         return tomogram, wigner
@@ -327,9 +332,8 @@ def cmd_tomogram(cfg: dict, args) -> int:
         if np.any((rows[:, 1] == 0.0) & (rows[:, 2] == 0.0)):
             raise ConfigError("tomogram: query frame (mu, nu) = (0, 0) is degenerate")
         evaluator, _ = _state(state_cfg, "tomogram", params, t)
-        w = np.array([
-            float(evaluator(x - d, m, n)) for x, m, n, d in rows
-        ])
+        with np.errstate(all="ignore"):  # the check below names a row that overflows
+            w = np.array([float(evaluator(x - d, m, n)) for x, m, n, d in rows])
         if not np.all(np.isfinite(w)):
             i = int(np.argmin(np.isfinite(w)))
             return _fail(1, f"samples failed validation: query row {i} {rows[i].tolist()} gives w = {w[i]}")
@@ -582,5 +586,19 @@ def main(argv=None) -> int:
         return _fail(1, str(exc))
 
 
+def run() -> int:
+    """The process entry (``iontomo``, ``python -m iontomo.cli``): ``main()``, then ``gc.freeze()``.
+
+    Freezing moves every tracked object into the permanent generation, so the
+    collection the interpreter runs at exit does not walk the objects numpy
+    and the package built at import.  Module teardown, atexit handlers and
+    stream flushes still run.  In-process callers call ``main()``, which
+    leaves their collector state alone.
+    """
+    status = main()
+    gc.freeze()
+    return status
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -35,6 +35,15 @@ _EVAL_BLOCK_POINTS = 4096
 Parity = Literal["even", "odd"]
 
 
+def _finite_alpha(alpha) -> complex:
+    """``alpha`` as a complex; a ValueError names it unless ``|alpha|^2`` is finite (no NaN, inf or overflow)."""
+    alpha = complex(alpha)
+    r = math.hypot(alpha.real, alpha.imag)
+    if not math.isfinite(r * r):
+        raise ValueError(f"alpha must have a finite |alpha|^2, got {alpha}")
+    return alpha
+
+
 @dataclass(frozen=True)
 class GaussianState:
     """The squeezed, correlated state the trap makes from ``|alpha>``; the vacuum by default.
@@ -57,7 +66,7 @@ class GaussianState:
         eps, deps = _check_wronskian(self.eps, self.deps)
         object.__setattr__(self, "eps", eps)
         object.__setattr__(self, "deps", deps)
-        object.__setattr__(self, "alpha", complex(self.alpha))
+        object.__setattr__(self, "alpha", _finite_alpha(self.alpha))
 
     @property
     def mean_q(self) -> float:
@@ -103,6 +112,7 @@ class CatSpec:
     def __post_init__(self) -> None:
         if self.parity not in ("even", "odd"):
             raise ValueError(f"parity must be 'even' or 'odd', got {self.parity!r}")
+        _finite_alpha(self.alpha)
         # the odd N^2 ~ 1 / (4 |alpha|^2) overflows for |alpha| below about
         # 3.7e-155, and |alpha|^2 underflows to 0 below about 1e-162
         if self.parity == "odd" and not (abs(self.alpha) ** 2 > 0.0 and math.isfinite(self.norm_squared)):

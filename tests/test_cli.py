@@ -351,13 +351,15 @@ def test_large_cat_samples_are_finite(tmp_path, parity):
     [0.5, 1e200, 1e200, 0.0],  # mu^2 + nu^2 overflows
     [0.5, 1e-200, 0.0, 0.0],  # mu^2 + nu^2 underflows to 0
 ], ids=["shift-overflow", "frame-overflow", "frame-underflow"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_tomogram_samples_reject_a_non_finite_density(tmp_path, capsys, query):
     queries = [[0.5, 1.0, 0.0, 0.0], query]
     cfg = cfg_file(tmp_path, tomogram_cfg({"kind": "cat", "alpha": [1.0, 0.5], "parity": "odd"},
                                           mode="samples", queries=queries, kappa=0.4, omega_drive=2.0, time=1.0))
     out = tmp_path / "samples.csv"
     assert main(["tomogram", "--config", cfg, "--out", str(out)]) == 1
-    assert "query row 1 " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("iontomo: ") and err.count("\n") == 1 and "query row 1 " in err
     assert not out.exists()
 
 
@@ -840,6 +842,33 @@ def test_overflowing_axis_span_is_named_before_any_compute(tmp_path, vacuum_sino
 
 
 # ----------------------------------------------------------- non-finite numbers
+
+
+@pytest.mark.parametrize("command, payload, context", [
+    ("tomogram", tomogram_cfg({"kind": "cat", "alpha": 1e200}, time=0.5), "tomogram"),
+    ("tomogram", tomogram_cfg({"kind": "gaussian", "alpha": [1e200, 0.0]}, mode="samples",
+                              queries=[[0.5, 1.0, 0.0, 0.0]]), "tomogram"),
+    ("verify", verify_cfg(cat={"alpha": 1e200}), "verify"),
+    ("verify", verify_cfg(alpha=[0.0, 1e200]), "verify"),
+    ("reconstruct", {"reference": {"kind": "cat", "alpha": [1e154, 1e154], "parity": "odd"}}, "reference"),
+], ids=["tomogram-cat", "tomogram-gaussian-samples", "verify-cat", "verify-gaussian", "reconstruct-reference"])
+def test_an_amplitude_whose_square_overflows_exits_2_before_any_compute(tmp_path, cat_sinogram_file, monkeypatch,
+                                                                      capsys, command, payload, context):
+    # |alpha|^2 overflowed in CatSpec.norm_squared: an OverflowError traceback (exit 1) once compute had begun
+    def no_compute(*args, **kwargs):
+        raise AssertionError("computed before the amplitude check")
+
+    for name in ("epsilon_at", "pde_residual", "moment_odes_check"):
+        monkeypatch.setattr(cli, name, no_compute)
+    monkeypatch.setattr(cli.OpticalSinogram, "load", no_compute)
+    monkeypatch.setattr(cli.OpticalSinogram, "from_evaluator", no_compute)
+    if command == "reconstruct":
+        payload = {"input": cat_sinogram_file, **payload}
+    cfg = cfg_file(tmp_path, payload)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"iontomo: {context}: alpha must have a finite |alpha|^2, got ") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 def _leaves(value, path=()):

@@ -1,10 +1,15 @@
-"""Process start-up: the lazy package namespace and the CLI's one-thread BLAS.
+"""Process start-up and exit: the lazy package namespace, the CLI's one-thread BLAS and its entry point.
 
-Each check that depends on what a process loads at import, or on how many
-threads it starts, runs a fresh interpreter with ``PYTHONPATH`` set to
-``src``; the test process itself has numpy loaded long before.
+Each check that depends on what a process loads at import, on how many
+threads it starts or on how it ends runs a fresh interpreter with
+``PYTHONPATH`` set to ``src``; the test process itself has numpy loaded long
+before, and never calls ``cli.run`` or ``runpy``.  A process enters through
+``cli.run``, which freezes the collector's objects after ``main()``; in-process
+``main()`` leaves the caller's collector state alone.
 """
 
+import gc
+import importlib
 import json
 import os
 import subprocess
@@ -15,7 +20,7 @@ from pathlib import Path
 import pytest
 
 import iontomo
-from iontomo import errors, oscillator, states, tomography, verify
+from iontomo import cli, errors, oscillator, states, tomography, verify
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -45,9 +50,9 @@ def _python(code, **blas):
                           text=True, check=True, timeout=120).stdout.strip()
 
 
-def _cli(args, **blas):
+def _cli(args, cwd=None, **blas):
     subprocess.run([sys.executable, "-m", "iontomo.cli", *args], env=_env(**blas), capture_output=True,
-                   check=True, timeout=120)
+                   check=True, timeout=120, cwd=cwd)
 
 
 def test_import_loads_no_numpy():
@@ -140,4 +145,78 @@ def test_cli_output_bytes_do_not_depend_on_blas_threads(tmp_path):
         _cli(["reconstruct", "--config", str(run / "reconstruct.json"), "--out", str(run / "wigner.bin")],
              **blas)
         outputs.append([(run / name).read_bytes() for name in ("sino.bin", "wigner.bin")])
+    assert outputs[0] == outputs[1]
+
+
+def test_a_cli_process_freezes_the_collector_at_exit(tmp_path):
+    # the module run as ``python -m iontomo.cli`` runs; the exit-time collection then has nothing to walk
+    (tmp_path / "eps.json").write_text(json.dumps({"kappa": 0.4, "omega_drive": 2.0, "t_end": 1.0}))
+    argv = ["iontomo", "epsilon", "--config", str(tmp_path / "eps.json"), "--out", str(tmp_path / "eps.csv")]
+    code = (f"import gc, runpy, sys; sys.argv = {argv!r}\n"
+            "try:\n    runpy.run_module('iontomo.cli', run_name='__main__')\n"
+            "except SystemExit as exc:\n    print(exc.code, gc.isenabled(), gc.get_freeze_count() > 0)")
+    assert _python(code) == "0 True True"
+    assert (tmp_path / "eps.csv").stat().st_size > 0
+
+
+def test_the_console_script_is_the_process_entry_point():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    with open(SRC.parent / "pyproject.toml", "rb") as fh:
+        module, _, attr = tomllib.load(fh)["project"]["scripts"]["iontomo"].partition(":")
+    assert getattr(importlib.import_module(module), attr) is cli.run
+
+
+def test_in_process_main_leaves_the_collector_state_alone(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("tomo.json").write_text(json.dumps({"kappa": 0.4, "omega_drive": 2.0, "format": "bin",
+                                             "state": {"kind": "gaussian"}, "sinogram": {"n_phi": 16, "n_x": 33}}))
+    # the normalization gate cannot be met: the grid is written, then exit 1
+    Path("recon.json").write_text(json.dumps({"input": "sino.bin", "norm_tol": 1e-300,
+                                              "grid": {"n_q": 11, "n_p": 11}}))
+    runs = [(["tomogram", "--config", "tomo.json", "--out", "sino.bin"], 0),
+            (["reconstruct", "--config", "recon.json", "--out", "w.csv"], 1),
+            (["verify", "--config", "missing.json", "--out", "v.json"], 2)]
+    was_enabled = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            for args, status in runs:
+                frozen = gc.get_freeze_count()
+                assert cli.main(args) == status
+                assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def test_a_process_writes_the_bytes_of_in_process_main(tmp_path, monkeypatch):
+    configs = {
+        "eps.json": {"kappa": 0.4, "omega_drive": 2.0, "t_end": 1.0},
+        "tomo.json": {"kappa": 0.4, "omega_drive": 2.0, "time": 0.7, "sinogram": {"n_phi": 16, "n_x": 33},
+                      "state": {"kind": "cat", "alpha": [1.2, 0.5], "parity": "even"}},
+        "recon.json": {"input": "sino.bin", "method": "fbp", "grid": {"n_q": 21, "n_p": 21}, "norm_tol": 0.5,
+                       "reference": {"kind": "cat", "alpha": [1.2, 0.5], "parity": "even", "time": 0.7,
+                                     "kappa": 0.4, "omega_drive": 2.0}, "l2_tol": 1.0},
+        "verify.json": {"kappa": 0.4, "omega_drive": 2.0, "t_end": 1.0, "suite": "negative-control"},
+    }
+    steps = [["epsilon", "--config", "eps.json", "--out", "eps.csv"],
+             ["tomogram", "--config", "tomo.json", "--out", "sino.csv", "--plot"],
+             ["tomogram", "--config", "tomo.json", "--out", "sino.bin", "--format", "bin"],
+             ["reconstruct", "--config", "recon.json", "--out", "wigner.csv"],
+             ["verify", "--config", "verify.json", "--out", "verify.json.out"]]
+    outputs = []
+    for side in ("process", "main"):
+        run = tmp_path / side
+        run.mkdir()
+        for name, payload in configs.items():
+            (run / name).write_text(json.dumps(payload))
+        for args in steps:
+            if side == "process":
+                _cli(args, cwd=run)
+            else:
+                monkeypatch.chdir(run)
+                assert cli.main(args) == 0
+        outputs.append({p.name: p.read_bytes() for p in sorted(run.iterdir())})
+    assert sorted(outputs[0]) == sorted(outputs[1]) == sorted(
+        list(configs) + ["eps.csv", "sino.csv", "sino.svg", "sino.bin", "wigner.csv", "wigner.report.json",
+                         "verify.json.out"])
     assert outputs[0] == outputs[1]

@@ -217,6 +217,19 @@ def test_odd_cat_needs_nonzero_alpha():
     assert math.isfinite(CatSpec(alpha=4e-155 + 0.0j, parity="odd").norm_squared)
 
 
+@pytest.mark.parametrize("alpha", [1e200, complex(1e154, 1e154), complex(1.7e308, 1.7e308), math.nan,
+                                   complex(0.0, math.inf), complex(math.inf, math.nan)],
+                         ids=["square-overflows", "hypot-square-overflows", "abs-overflows", "nan", "inf", "inf-nan"])
+def test_an_amplitude_without_a_finite_square_is_refused(alpha):
+    for make in (lambda: GaussianState(alpha=alpha), lambda: CatSpec(alpha, "even"), lambda: CatSpec(alpha, "odd")):
+        with pytest.raises(ValueError, match=r"alpha must have a finite \|alpha\|\^2") as exc:
+            make()
+        assert not isinstance(exc.value, NormalizationDivergenceError)
+    # the largest amplitudes whose square is finite still make a state
+    assert GaussianState(alpha=1e154).alpha == 1e154
+    assert CatSpec(1e154, "odd").norm_squared == 0.5
+
+
 def test_cat_spec_norm():
     assert CatSpec(alpha=0.0j, parity="even").norm_squared == pytest.approx(0.25)
     # cosh|alpha|^2 overflows a float from |alpha| = 26.7 on
