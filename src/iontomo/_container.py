@@ -26,7 +26,8 @@ _VERSION = 1
 
 #: Lines parsed per block by :func:`load_csv_triples`.
 _CSV_BLOCK_ROWS = 1024
-#: Values per ``_csvtext`` call (whole rows, at least one): about 0.65 MB of scratch; smaller calls cost more.
+#: Values per ``_csvtext`` call (whole rows, at least one; the row writer's equal calls take up to 1.5 times
+#: as many): about 0.65 MB of scratch; smaller calls cost more.
 _CSV_TEXT_VALUES = 2048
 #: Characters per read when :func:`load_csv_triples` counts the lines of a file.
 _CSV_READ_CHARS = 1 << 16
@@ -143,17 +144,24 @@ def _save_csv_blocks(path: str, colnames, blocks) -> None:
     """:func:`save_csv_rows` of the tables ``blocks`` yields one after another.
 
     Each block is a sequence of equal-length 1-D float columns, formatted as
-    it arrives, so only one block need exist at a time.  An exception from
+    it arrives, so only one block need exist at a time.  A block is cut into
+    kernel calls of equal size, their number the block's values over
+    ``_CSV_TEXT_VALUES`` rounded to the nearest (at least one): a 4096-row
+    block of 6 columns makes 12 calls of 341-342 rows, not 12 of 341 and a
+    short tail that pays a whole call's fixed cost.  An exception from
     ``blocks`` removes the temp file: nothing is written.
     """
     from . import _csvtext
 
     def chunks():
         yield (",".join(colnames) + "\n").encode()
-        step = max(1, _CSV_TEXT_VALUES // len(colnames))
+        per_call = max(1, _CSV_TEXT_VALUES // len(colnames))
         for columns in blocks:
-            for start in range(0, columns[0].size, step):
-                yield _csvtext.lines(np.column_stack([c[start:start + step] for c in columns]))
+            size = columns[0].size
+            calls = max(1, round(size / per_call)) if size else 0
+            for i in range(calls):
+                rows = slice(size * i // calls, size * (i + 1) // calls)
+                yield _csvtext.lines(np.column_stack([c[rows] for c in columns]))
 
     _atomic_write(path, chunks())
 

@@ -139,15 +139,42 @@ def _wronskian(eps, deps):
 
 
 def _step_matrices(params: OscillatorParams, t0, h: float) -> np.ndarray:
-    """RK4 step matrices ``d`` with ``y(t0 + h) = (I + d) y(t0)``, shape ``t0.shape + (2, 2)``."""
+    """RK4 step matrices ``d`` with ``y(t0 + h) = (I + d) y(t0)``, shape ``(2, 2) + t0.shape``.
+
+    Entry ``d[i, j]`` is the real array of the matrices' (i, j) component, so
+    a block of steps is four arrays and its products are elementwise.
+    """
     t0 = np.asarray(t0, dtype=float)
     w0, wm, w1 = (omega_squared(t0 + c, params) for c in (0.0, h / 2, h))
     # the four RK4 stages of y' = [[0, 1], [-omega^2, 0]] y, summed into one matrix
-    d = np.empty(t0.shape + (2, 2))
-    d[..., 0, 0] = -h * h / 6 * (w0 + 2 * wm - h * h / 4 * w0 * wm)
-    d[..., 0, 1] = h - h ** 3 / 6 * wm
-    d[..., 1, 0] = -h / 6 * (w0 + 4 * wm + w1 - h * h / 2 * wm * (w0 + w1))
-    d[..., 1, 1] = -h * h / 6 * (2 * wm + w1 - h * h / 4 * wm * w1)
+    d = np.empty((2, 2) + t0.shape)
+    d[0, 0] = -h * h / 6 * (w0 + 2 * wm - h * h / 4 * w0 * wm)
+    d[0, 1] = h - h ** 3 / 6 * wm
+    d[1, 0] = -h / 6 * (w0 + 4 * wm + w1 - h * h / 2 * wm * (w0 + w1))
+    d[1, 1] = -h * h / 6 * (2 * wm + w1 - h * h / 4 * wm * w1)
+    return d
+
+
+def _running_products(d: np.ndarray) -> np.ndarray:
+    """``D_i`` with ``I + D_i = (I + d_i) ... (I + d_0)`` for the step matrices ``d`` of
+    :func:`_step_matrices`, in the same layout; ``d`` is used as scratch.
+
+    log2(m) doubling passes each set ``D_i <- (L + E) + L E`` for ``L = D_i``
+    and ``E = D_{i-k}``, so the identity is never rounded into a step.  Every
+    entry of ``L E`` is ``l_i0 e_0j + l_i1 e_1j``, two IEEE products and a sum,
+    so the bits do not depend on numpy's matmul or BLAS kernels.
+    """
+    spare, scratch = np.empty_like(d), np.empty_like(d)
+    k = 1
+    while k < d.shape[-1]:
+        late, early = d[..., k:], d[..., :-k]
+        out, tmp = spare[..., k:], scratch[..., k:]
+        np.multiply(late[:, :1], early[np.newaxis, 0], out=out)
+        out += np.multiply(late[:, 1:], early[np.newaxis, 1], out=tmp)
+        out += np.add(late, early, out=tmp)
+        spare[..., :k] = d[..., :k]
+        d, spare = spare, d
+        k *= 2
     return d
 
 
@@ -157,12 +184,11 @@ def _rk4(params: OscillatorParams, t_end: float, n_steps: int):
     Yields ``(t, eps, deps)`` of the start point, then of the samples each run
     of at most ``_BLOCK`` steps reaches; the times are those of
     ``np.linspace(0, t_end, n_steps + 1)``, bit for bit.  Each step is
-    ``y_{i+1} = (I + d_i) y_i`` for a real 2x2 ``d_i``.  Within a block the
-    product is formed in log2(_BLOCK) doubling passes as
-    ``d_late + d_early + d_late @ d_early``, so the identity is never rounded
-    into a step; each block then carries its start point forward.  Only one
-    block exists at a time.  An unstable grid may overflow; its samples are
-    then inf or NaN, without a warning.
+    ``y_{i+1} = (I + d_i) y_i`` for a real 2x2 ``d_i``; each block's samples
+    come from its start point by :func:`_block_samples`.  No matrix product is
+    taken, so the trajectory is the same on every BLAS.  Only one block exists
+    at a time.  An unstable grid may overflow; its samples are then inf or
+    NaN, without a warning.
     """
     h = t_end / n_steps
     y = np.array([1.0, 1.0j])
@@ -172,16 +198,26 @@ def _rk4(params: OscillatorParams, t_end: float, n_steps: int):
         t = np.arange(s, e + 1) * h
         if e == n_steps:
             t[-1] = t_end
-        with np.errstate(over="ignore", invalid="ignore"):
-            block = _step_matrices(params, t[:-1], h)
-            k = 1
-            while k < len(block):
-                late, early = block[k:], block[:-k]
-                block[k:] = late + early + late @ early
-                k *= 2
-            ys = y + block @ y
-        y = ys[-1]
-        yield t[1:], ys[:, 0], ys[:, 1]
+        ys = _block_samples(params, t, h, y)
+        y = ys[:, -1].copy()
+        yield t[1:], ys[0], ys[1]
+
+
+def _block_samples(params: OscillatorParams, t, h: float, y) -> np.ndarray:
+    """Rows ``(eps, deps)`` at ``t[1:]`` from the point ``y = (eps, deps)`` at ``t[0]``.
+
+    Sample i is ``y + (D_i0 y_0 + D_i1 y_1)`` for the ``D_i`` of
+    :func:`_running_products`, taken on real and imaginary parts apart.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        D = _running_products(_step_matrices(params, t[:-1], h))
+        y = y.view(float).reshape(2, 1, 2)  # [eps or deps, -, re or im]
+        ys = np.empty((2, t.size - 1), dtype=complex)
+        parts = ys.view(float).reshape(2, -1, 2)
+        np.multiply(D[:, 0, :, np.newaxis], y[0], out=parts)
+        parts += D[:, 1, :, np.newaxis] * y[1]
+        parts += y
+    return ys
 
 
 class _Pass:

@@ -29,10 +29,15 @@ __all__ = [
     "evolve_wigner",
 ]
 
-#: Points per block of :meth:`WignerGrid.from_evaluator`.
+#: Points per block of :meth:`WignerGrid.from_evaluator` and :meth:`OpticalSinogram.from_evaluator`.
 _EVAL_BLOCK_POINTS = 4096
 
 Parity = Literal["even", "odd"]
+
+
+def _block_rows(row_points: int) -> int:
+    """Whole rows of ``row_points`` per evaluator call: about ``_EVAL_BLOCK_POINTS`` points, at least one row."""
+    return max(1, _EVAL_BLOCK_POINTS // max(1, row_points))
 
 
 def _finite_alpha(alpha) -> complex:
@@ -257,7 +262,7 @@ class WignerGrid:
         q_axis = np.asarray(q_axis, dtype=float)
         p_axis = np.asarray(p_axis, dtype=float)
         values = np.empty((q_axis.size, p_axis.size))
-        rows = max(1, _EVAL_BLOCK_POINTS // max(1, p_axis.size))
+        rows = _block_rows(p_axis.size)
         for s in range(0, q_axis.size, rows):
             Q, P = np.meshgrid(q_axis.flat[s:s + rows], p_axis, indexing="ij")
             values[s:s + rows] = evaluator(Q, P)

@@ -21,8 +21,8 @@ import numpy as np
 from . import _container
 from .errors import DegenerateFrameError, InsufficientAnglesError
 from .oscillator import _carry_frame, _check_wronskian
-from .states import (CatSpec, GaussianState, WignerGrid, _stencil, _trapezoid_weights, _uniform_spacing,
-                     _uniform_trapezoid)
+from .states import (CatSpec, GaussianState, WignerGrid, _block_rows, _stencil, _trapezoid_weights,
+                     _uniform_spacing, _uniform_trapezoid)
 
 __all__ = [
     "OpticalSinogram",
@@ -317,12 +317,19 @@ class OpticalSinogram:
 
     @classmethod
     def from_evaluator(cls, evaluator: Callable, phi_axis, x_axis) -> "OpticalSinogram":
-        """Sample optical slices of a (Y, mu, nu) evaluator on the grid."""
+        """Sample optical slices of a (Y, mu, nu) evaluator on the grid.
+
+        As :meth:`WignerGrid.from_evaluator`, the evaluator is called on blocks
+        of whole angle rows of about 4096 points, so its scratch stays bounded
+        however large the grid: ``Y`` is the X axis and ``mu``, ``nu`` a column
+        of the block's angles, which the evaluator must broadcast against it.
+        """
         phi_axis = np.asarray(phi_axis, dtype=float)
         x_axis = np.asarray(x_axis, dtype=float)
         values = np.empty((phi_axis.size, x_axis.size))
-        for i, phi in enumerate(phi_axis):
-            values[i, :] = optical_slice(evaluator, phi, x_axis)
+        rows = _block_rows(x_axis.size)
+        for s in range(0, phi_axis.size, rows):
+            values[s:s + rows] = optical_slice(evaluator, phi_axis[s:s + rows, np.newaxis], x_axis)
         return cls(phi_axis=phi_axis, x_axis=x_axis, values=values)
 
     def save(self, path: str, fmt: str = "csv") -> None:
@@ -374,25 +381,25 @@ def radon_reconstruct(sinogram: OpticalSinogram, q_axis, p_axis) -> WignerGrid:
     # per-angle scratch, allocated once and filled in place
     u, gathered = np.empty_like(out), np.empty_like(out)
     k = np.empty(out.shape, dtype=np.intp)
-    inside, below = np.empty(out.shape, dtype=bool), np.empty(out.shape, dtype=bool)
-    lo, hi = x[0], x[-1]
-    step = (hi - lo) / (n - 1)  # the step of np.linspace, nearer every x[k] than dx
+    inside = np.empty(out.shape, dtype=bool)
+    lo = x[0]
+    step = (x[-1] - lo) / (n - 1)  # the step of np.linspace, nearer every x[k] than dx
+    mid = (n - 1) / 2
     for phi, row in zip(sinogram.phi_axis, sinogram.values):
         level = np.fft.irfft(filt * np.fft.rfft(row, n=nfft), n=nfft)[:n]
         slope = np.append(np.diff(level), 0.0)
-        np.add((q_axis * math.cos(phi))[:, np.newaxis], p_axis * math.sin(phi), out=u)
-        # u holds t; t outside [x[0], x[-1]] reads 0, as in np.interp
-        np.greater_equal(u, lo, out=inside)
-        inside &= np.less_equal(u, hi, out=below)
-        # sample j of the row sits at u = j; on [j, j + 1) the line from it takes slope[j]
-        u -= lo
-        u /= step
-        np.copyto(k, u, casting="unsafe")
-        u -= k
+        # u is t = q cos(phi) + p sin(phi) in units of the step from x[0]: sample j sits at u = j
+        np.add(((q_axis * math.cos(phi) - lo) / step)[:, np.newaxis], p_axis * math.sin(phi) / step, out=u)
+        # t outside [x[0], x[-1]] reads 0, as in np.interp
+        np.less_equal(np.abs(np.subtract(u, mid, out=gathered), out=gathered), mid, out=inside)
+        # on [j, j + 1) the line from sample j takes slope[j]; trunc, not floor, so
+        # a u rounded into the mask from just below 0 reads sample 0, not sample 1
+        np.trunc(u, out=gathered)
+        u -= gathered
+        np.copyto(k, gathered, casting="unsafe")
         u *= slope.take(k, mode="clip", out=gathered)
         u += level.take(k, mode="clip", out=gathered)
-        u *= inside
-        out += u
+        np.add(out, u, out=out, where=inside)
 
     out *= math.pi / sinogram.phi_axis.size
     return WignerGrid(q_axis=q_axis, p_axis=p_axis, values=out)

@@ -871,6 +871,27 @@ def test_an_amplitude_whose_square_overflows_exits_2_before_any_compute(tmp_path
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
+@pytest.mark.parametrize("command, payload, message", [
+    ("tomogram", tomogram_cfg({"kind": "cat", "alpha": 1e154}, time=0.5, sinogram={"n_phi": 16, "n_x": 33}),
+     "sinogram failed validation: "),
+    ("tomogram", tomogram_cfg({"kind": "gaussian", "alpha": [0.0, 1e154]}, sinogram={"n_phi": 16, "n_x": 33}),
+     "sinogram failed validation: "),
+    ("verify", verify_cfg(cat={"alpha": 1e154}), "verification thresholds failed: "),
+    ("verify", verify_cfg(alpha=1e154), "verification thresholds failed: "),
+    ("verify", verify_cfg(alpha=1e154, suite="negative-control"), "verification thresholds failed: "),
+], ids=["tomogram-cat", "tomogram-gaussian", "verify-cat", "verify-gaussian", "verify-negative-control"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_displacement_outside_every_window_fails_with_one_line(tmp_path, capsys, command, payload, message):
+    # |alpha|^2 is finite, but the marginals overflow: numpy printed up to 10
+    # RuntimeWarning lines ahead of the gate's own line
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", cfg_file(tmp_path, payload), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"iontomo: {message}") and err.count("\n") == 1
+    # a sinogram that fails its checks is not written; a failed verify still writes its report
+    assert out.exists() == (command == "verify")
+
+
 def _leaves(value, path=()):
     """Paths to every number in a config, list entries included."""
     if isinstance(value, dict):

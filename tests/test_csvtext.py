@@ -121,3 +121,31 @@ def test_writers_match_percent_format_across_kernel_calls(tmp_path, monkeypatch,
         for i, a in enumerate(ax0.tolist()) for j, b in enumerate(ax1.tolist()))
     _container.save_csv_rows(str(path), ("a", "b", "c"), (values[:, 0], values[:, 1], values[:, 2]))
     assert path.read_bytes() == b"a,b,c\n" + b"".join(b"%.17g,%.17g,%.17g\n" % tuple(r) for r in values[:, :3].tolist())
+
+
+@pytest.mark.parametrize("rows, calls", [
+    ((4096, 4096, 1), [12, 12, 1]),  # the epsilon stream's blocks: 341-342 rows a call, no 4-row tail
+    ((0, 170, 171, 682), [0, 1, 1, 2]),  # an empty block makes none; half a call's rows or more make one
+])
+def test_row_writer_splits_each_block_into_equal_kernel_calls(tmp_path, monkeypatch, rows, calls):
+    # each kernel call pays a fixed cost of some 60 numpy operations; cutting
+    # 4096 rows into calls of 341 left a 4-row call at the end of every block
+    sizes = []
+
+    def counted(block, *heads):
+        sizes.append(len(block))
+        return lines(block, *heads)
+
+    lines = _csvtext.lines
+    monkeypatch.setattr(_csvtext, "lines", counted)
+    rng = np.random.default_rng(11)
+    blocks = [[rng.standard_normal(n) for _ in range(6)] for n in rows]
+    path = tmp_path / "rows.csv"
+    _container._save_csv_blocks(str(path), tuple("abcdef"), blocks)
+    starts = np.cumsum([0] + calls)
+    per_block = [sizes[a:b] for a, b in zip(starts[:-1], starts[1:])]
+    assert len(sizes) == sum(calls) and [sum(s) for s in per_block] == list(rows)
+    assert all(max(s) - min(s) <= 1 for s in per_block if s)
+    table = np.concatenate([np.column_stack(b) for b in blocks])
+    assert path.read_bytes() == b"a,b,c,d,e,f\n" + b"".join(b"%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n" % tuple(r)
+                                                             for r in table.tolist())

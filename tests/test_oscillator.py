@@ -369,20 +369,57 @@ def test_step_matrix_product_matches_loop_across_blocks(n, kappa, omega):
 
 
 def rk4_reference(params, t_end, n_steps, block):
-    """Full-array step-matrix product: every step matrix is built before the per-block doubling."""
+    """Full-array step-matrix product: every step matrix is built before the per-block doubling.
+
+    The doubling and the carry are written entry by entry in the solver's
+    order, ``(late + early) + (l_i0 e_0j + l_i1 e_1j)`` and
+    ``y + (D_i0 y_0 + D_i1 y_1)`` on real and imaginary parts apart.
+    """
     t = np.linspace(0.0, t_end, n_steps + 1)
     d = oscillator._step_matrices(params, t[:-1], t_end / n_steps)
     y = np.empty((n_steps + 1, 2), dtype=complex)
     y[0] = 1.0, 1.0j
     for s in range(0, n_steps, block):
-        b = d[s:s + block]
+        (a, b), (c, e) = d[..., s:s + block]
         k = 1
-        while k < len(b):
-            late, early = b[k:], b[:-k]
-            b[k:] = late + early + late @ early
+        while k < len(a):
+            (la, ea), (lb, eb), (lc, ec), (le, ee) = ((x[k:], x[:-k]) for x in (a, b, c, e))
+            a[k:], b[k:], c[k:], e[k:] = ((la + ea) + (la * ea + lb * ec), (lb + eb) + (la * eb + lb * ee),
+                                          (lc + ec) + (lc * ea + le * ec), (le + ee) + (lc * eb + le * ee))
             k *= 2
-        y[s + 1:s + 1 + len(b)] = y[s] + b @ y[s]
+        y0, y1 = y[s]
+        for part in ("real", "imag"):
+            u, v = getattr(y0, part), getattr(y1, part)
+            getattr(y[s + 1:s + 1 + len(a), 0], part)[:] = u + (a * u + b * v)
+            getattr(y[s + 1:s + 1 + len(a), 1], part)[:] = v + (c * u + e * v)
     return t, y[:, 0], y[:, 1]
+
+
+def matmul_products(d):
+    """The running products of stacked step matrices by ``@``: ``D <- L + E + L @ E`` per doubling pass."""
+    b = np.moveaxis(d, -1, 0).copy()
+    k = 1
+    while k < len(b):
+        late, early = b[k:], b[:-k]
+        b[k:] = late + early + late @ early
+        k *= 2
+    return np.moveaxis(b, 0, -1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, _BLOCK])
+@pytest.mark.parametrize("params", [PARAMS04, OscillatorParams(1.0, 1.2247)], ids=["stable", "resonance"])
+def test_running_products_match_the_matmul_form(params, n):
+    # the elementwise doubling differs from the stacked @ form only in how its
+    # sums round (the matmul kernel may fuse them): within 4 ulps per doubling
+    # pass of each product's scale; measured up to 19.4 ulps over the 12
+    # passes of a 4096-step block at resonance, and 0 at 7 steps
+    passes = (n - 1).bit_length()
+    for start in (0.0, 40.0):
+        d = oscillator._step_matrices(params, start + np.arange(n) * 0.01, 0.01)
+        want = matmul_products(d)
+        got = oscillator._running_products(d.copy())
+        scale = 1.0 + np.max(np.abs(want), axis=(0, 1))
+        assert np.all(np.abs(got - want) <= 4 * passes * np.finfo(float).eps * scale)
 
 
 @pytest.mark.parametrize("block", [3, _BLOCK])

@@ -670,10 +670,11 @@ def test_from_evaluator_scratch_is_bounded():
 
 @pytest.mark.parametrize("per_call", [3, 1024])
 def test_csv_rows_blocks_are_bit_identical(tmp_path, monkeypatch, per_call):
-    # rows of 4 values: 1 row per kernel call at 3 values, 256 rows at 1024
+    # rows of 4 values: 1 row per kernel call at 3 values, 4 calls in all;
+    # at 1024, two equal calls of 257 rows
     monkeypatch.setattr(_container, "_CSV_TEXT_VALUES", per_call)
     rng = np.random.default_rng(7)
-    n = 2 * max(1, per_call // 4) + 2  # two full calls and, at 1024, a short last one
+    n = 2 * max(1, per_call // 4) + 2
     columns = [np.arange(n) * 0.1, rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n),
                rng.standard_normal(n).astype(np.float32), list(range(n))]
     columns[1][:4] = -0.0, 5e-324, np.inf, np.nan

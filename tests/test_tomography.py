@@ -33,7 +33,7 @@ from iontomo import (
     wigner_cat,
     wigner_gaussian,
 )
-from iontomo import cli, tomography
+from iontomo import cli, states, tomography
 from iontomo.tomography import _frame_arrays
 from iontomo.verify import replacement_evolution
 from oracles import SupportTruncationWarning, project_wigner
@@ -656,6 +656,34 @@ def test_vacuum_sinogram_columns():
     np.testing.assert_allclose(sino.column_norms(), 1.0, atol=1e-6)
     spread = np.max(np.abs(sino.values - sino.values[0]))
     assert spread <= 1e-13
+
+
+@pytest.mark.parametrize("block_points", [3, states._EVAL_BLOCK_POINTS])
+def test_sinogram_from_evaluator_blocks_are_bit_identical(monkeypatch, block_points):
+    # blocks of whole angle rows: one row per block at 3 points, 7 rows of 513
+    # at the default with a short last block; the evolved odd cat is the
+    # evaluator the CLI samples
+    monkeypatch.setattr(states, "_EVAL_BLOCK_POINTS", block_points)
+    spec = CatSpec(1.5 + 0.5j, "odd")
+    evaluator = partial(evolve_tomogram, partial(tomogram_cat, spec), *epsilon_at(OscillatorParams(0.4, 2.0), 3.0))
+    phi_axis, x_axis = np.arange(360) * (math.pi / 360), np.linspace(-8.0, 8.0, 513)
+    sino = OpticalSinogram.from_evaluator(evaluator, phi_axis, x_axis)
+    whole = optical_slice(evaluator, phi_axis[:, np.newaxis], x_axis)
+    assert sino.values.tobytes() == whole.tobytes()
+
+
+def test_sinogram_from_evaluator_scratch_is_bounded():
+    # blocks of 7 angle rows; the evaluator on the whole grid at once peaked
+    # at about 7.5 MB here
+    spec = CatSpec(1.5 + 0.5j, "odd")
+    phi_axis, x_axis = np.arange(360) * (math.pi / 360), np.linspace(-8.0, 8.0, 513)
+    tracemalloc.start()
+    try:
+        sino = OpticalSinogram.from_evaluator(partial(tomogram_cat, spec), phi_axis, x_axis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= sino.values.nbytes + 2 ** 20
 
 
 @pytest.mark.parametrize("fmt", ["csv", "bin"])
