@@ -1,17 +1,17 @@
 """Command-line entry point: dataset generation, reconstruction, verification.
 
 Subcommands: ``epsilon``, ``tomogram``, ``reconstruct``, ``verify``.  Each
-reads a single JSON config (``--config``); the flags ``--out``, ``--format``
-and ``--seed`` override the config keys of the same name.  Unknown config
-keys are rejected before any compute.  Exit codes: 0 success, 1 numeric
-failure of a computed result (solver tolerance, residual or reconstruction
-thresholds), 2 usage/config/input-validation error.
+reads a single JSON config (``--config``); the flags ``--out`` and
+``--format`` override the config keys of the same name, and ``--plot`` draws
+an SVG next to the output.  Unknown config keys are rejected before any
+compute.  Exit codes: 0 success, 1 numeric failure of a computed result
+(solver tolerance, residual or reconstruction thresholds), 2
+usage/config/input-validation error.
 
 All computation is vectorized serial numpy, and BLAS runs on one thread
 unless the user sets ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or
-``MKL_NUM_THREADS``, so outputs are byte-identical with and without
-``--serial`` and on any core count; the flag is accepted to pin that
-guarantee.
+``MKL_NUM_THREADS``, so outputs are byte-identical from run to run and on any
+core count.
 
 A process (the ``iontomo`` script, ``python -m iontomo.cli``) enters through
 :func:`run`, which ends it without an exit-time collection over its heap;
@@ -54,8 +54,8 @@ from .oscillator import (  # noqa: E402
     epsilon_at,
     solve_epsilon,  # noqa: F401  (unused here; kept in this namespace for perfbench/traced_cli.py)
 )
-from .states import (CatSpec, GaussianState, WignerGrid, _uniform_spacing, evolve_wigner,  # noqa: E402
-                     wigner_cat, wigner_gaussian)
+from .states import (CatSpec, GaussianState, WignerGrid, _row_blocks, _uniform_spacing,  # noqa: E402
+                     evolve_wigner, wigner_cat, wigner_gaussian)
 from .tomography import (  # noqa: E402
     OpticalSinogram,
     evolve_tomogram,
@@ -73,7 +73,7 @@ from .verify import (  # noqa: E402
     replacement_evolution,
 )
 
-_COMMON_KEYS = {"out", "format", "seed"}
+_COMMON_KEYS = {"out", "format"}
 
 #: Bytes one array of a request may take (256 MiB).  Before any compute the
 #: CLI sizes a sinogram at 8 B per point (n_phi * n_x), a Wigner grid at 8 B
@@ -223,13 +223,6 @@ def _resolve_format(cfg: dict, args, *, allowed=("csv", "bin")) -> str:
     return fmt
 
 
-def _validate_seed(cfg: dict, args) -> None:
-    # reserved for future sampling features; validated, unused
-    seed = args.seed if args.seed is not None else cfg.get("seed")
-    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
-        raise ConfigError(f"seed must be an integer, got {seed!r}")
-
-
 def _plot_path(out: str) -> str:
     return os.path.splitext(out)[0] + ".svg"
 
@@ -268,7 +261,6 @@ def cmd_epsilon(cfg: dict, args) -> int:
     tol = _number(cfg, "tol", default=1e-9, strict_min=0.0, context="epsilon")
     out = _resolve_out(cfg, args)
     _resolve_format(cfg, args, allowed=("csv",))
-    _validate_seed(cfg, args)
 
     # each pass of solve_epsilon's policy streams into a temp file, which
     # becomes the output only when the pass's Wronskian drift meets 10 * tol
@@ -289,15 +281,18 @@ def cmd_epsilon(cfg: dict, args) -> int:
 
 
 def cmd_tomogram(cfg: dict, args) -> int:
-    _check_keys(cfg, {"kappa", "omega_drive", "time", "state", "mode", "sinogram", "queries"}, "tomogram")
+    mode = cfg.get("mode", "sinogram")
+    if mode not in ("sinogram", "samples"):
+        raise ConfigError(f"tomogram: mode must be 'sinogram' or 'samples', got {mode!r}")
+    # each mode reads its own section; the other mode's is an unknown key
+    _check_keys(cfg, {"kappa", "omega_drive", "time", "state", "mode",
+                      "sinogram" if mode == "sinogram" else "queries"}, "tomogram")
     params = _oscillator_params(cfg, "tomogram")
     t = _number(cfg, "time", default=0.0, minimum=0.0, context="tomogram")
     if "state" not in cfg:
         raise ConfigError("tomogram: missing required key 'state'")
     state_cfg = _section(cfg, "state", {"kind", "alpha", "parity"}, "tomogram")
-    mode = cfg.get("mode", "sinogram")
     out = _resolve_out(cfg, args)
-    _validate_seed(cfg, args)
 
     if mode == "sinogram":
         fmt = _resolve_format(cfg, args)
@@ -322,30 +317,30 @@ def cmd_tomogram(cfg: dict, args) -> int:
                              diverging=False)
         return 0
 
-    if mode == "samples":
-        _resolve_format(cfg, args, allowed=("csv",))
-        queries = cfg.get("queries")
-        if (not isinstance(queries, list) or not queries
-                or not all(isinstance(r, list) and len(r) == 4 and all(_is_number(v) for v in r)
-                           for r in queries)):
-            raise ConfigError("tomogram: mode 'samples' needs 'queries' as a list of [X, mu, nu, delta] rows")
-        rows = np.asarray(queries, dtype=float)
-        if np.any((rows[:, 1] == 0.0) & (rows[:, 2] == 0.0)):
-            raise ConfigError("tomogram: query frame (mu, nu) = (0, 0) is degenerate")
-        evaluator, _ = _state(state_cfg, "tomogram", params, t)
-        with np.errstate(all="ignore"):  # the check below names a row that overflows
-            w = np.array([float(evaluator(x - d, m, n)) for x, m, n, d in rows])
-        if not np.all(np.isfinite(w)):
-            i = int(np.argmin(np.isfinite(w)))
-            return _fail(1, f"samples failed validation: query row {i} {rows[i].tolist()} gives w = {w[i]}")
-        save_csv_rows(out, ("X", "mu", "nu", "delta", "w"), (*rows.T, w))
-        if args.plot:
-            order = np.argsort(rows[:, 0])
-            _svg.svg_polyline(_plot_path(out), rows[order, 0], [("w", w[order])],
-                              title="tomogram samples", xlabel="X", ylabel="w")
-        return 0
-
-    raise ConfigError(f"tomogram: mode must be 'sinogram' or 'samples', got {mode!r}")
+    _resolve_format(cfg, args, allowed=("csv",))
+    queries = cfg.get("queries")
+    if (not isinstance(queries, list) or not queries
+            or not all(isinstance(r, list) and len(r) == 4 and all(_is_number(v) for v in r)
+                       for r in queries)):
+        raise ConfigError("tomogram: mode 'samples' needs 'queries' as a list of [X, mu, nu, delta] rows")
+    rows = np.asarray(queries, dtype=float)
+    if np.any((rows[:, 1] == 0.0) & (rows[:, 2] == 0.0)):
+        raise ConfigError("tomogram: query frame (mu, nu) = (0, 0) is degenerate")
+    evaluator, _ = _state(state_cfg, "tomogram", params, t)
+    x, mu, nu, delta = rows.T
+    w = np.empty(x.size)
+    with np.errstate(all="ignore"):  # the check below names a row that overflows
+        for b in _row_blocks(x.size, 1):
+            w[b] = evaluator(x[b] - delta[b], mu[b], nu[b])
+    if not np.all(np.isfinite(w)):
+        i = int(np.argmin(np.isfinite(w)))
+        return _fail(1, f"samples failed validation: query row {i} {rows[i].tolist()} gives w = {w[i]}")
+    save_csv_rows(out, ("X", "mu", "nu", "delta", "w"), (x, mu, nu, delta, w))
+    if args.plot:
+        order = np.argsort(x)
+        _svg.svg_polyline(_plot_path(out), x[order], [("w", w[order])],
+                          title="tomogram samples", xlabel="X", ylabel="w")
+    return 0
 
 
 def cmd_reconstruct(cfg: dict, args) -> int:
@@ -366,13 +361,12 @@ def cmd_reconstruct(cfg: dict, args) -> int:
     _check_size("grid", f"n_q * n_p = {n_q} * {n_p}", 8 * n_q * n_p)
     q_axis = _uniform_axis(q_min, q_max, n_q, "q_min, q_max, n_q", "grid")
     p_axis = _uniform_axis(p_min, p_max, n_p, "p_min, p_max, n_p", "grid")
-    fourier_cfg = _section(cfg, "fourier", {"k_max", "n_nodes", "n_y", "y_halfwidth_sigmas"}, "reconstruct")
+    fourier_cfg = _section(cfg, "fourier", {"k_max", "n_nodes", "n_y"}, "reconstruct")
     k_max = _number(fourier_cfg, "k_max", default=12.0, strict_min=0.0, context="fourier")
     n_nodes = _integer(fourier_cfg, "n_nodes", default=193, minimum=3, context="fourier")
-    # n_y and y_halfwidth_sigmas tuned a sampling step that a sinogram input
-    # does not take; they are still checked so that existing configs run unchanged
+    # n_y sized a sampling step that a sinogram input does not take; it is
+    # still checked, since existing configs set it
     _integer(fourier_cfg, "n_y", minimum=3, context="fourier")
-    _number(fourier_cfg, "y_halfwidth_sigmas", strict_min=0.0, context="fourier")
     _check_size("fourier", f"n_nodes^2 = {n_nodes}^2", 16 * n_nodes * n_nodes)
     norm_tol = _number(cfg, "norm_tol", default=0.05, strict_min=0.0, context="reconstruct")
     l2_tol = _number(cfg, "l2_tol", default=0.05, strict_min=0.0, context="reconstruct")
@@ -385,7 +379,6 @@ def cmd_reconstruct(cfg: dict, args) -> int:
         _, reference = _state(ref_cfg, "reference", ref_params, t_ref)
     out = _resolve_out(cfg, args)
     fmt = _resolve_format(cfg, args)
-    _validate_seed(cfg, args)
 
     try:
         sino = OpticalSinogram.load(path)
@@ -474,7 +467,6 @@ def cmd_verify(cfg: dict, args) -> int:
         raise ConfigError("verify: writes a JSON report; --format and 'format' do not apply")
     if args.plot:
         raise ConfigError("verify: --plot does not apply; verify draws no plot")
-    _validate_seed(cfg, args)
 
     thresholds = {
         "pde_max": 1e-4,
@@ -558,10 +550,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", help="output path (overrides config 'out')")
         p.add_argument("--plot", action="store_true", help="emit an SVG plot next to the output")
-        p.add_argument("--serial", action="store_true",
-                       help="force deterministic serial mode (outputs are byte-identical either way)")
         p.add_argument("--format", choices=("csv", "bin"), help="output format (overrides config)")
-        p.add_argument("--seed", type=int, help="reserved; validated and unused")
     return parser
 
 

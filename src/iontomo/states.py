@@ -29,15 +29,19 @@ __all__ = [
     "evolve_wigner",
 ]
 
-#: Points per block of :meth:`WignerGrid.from_evaluator` and :meth:`OpticalSinogram.from_evaluator`.
+#: Points per evaluator call of :func:`_row_blocks`, the one block rule of
+#: :meth:`WignerGrid.from_evaluator`, :meth:`OpticalSinogram.from_evaluator` and
+#: the CLI's tomogram samples; it bounds an evaluator's scratch, not its values.
 _EVAL_BLOCK_POINTS = 4096
 
 Parity = Literal["even", "odd"]
 
 
-def _block_rows(row_points: int) -> int:
-    """Whole rows of ``row_points`` per evaluator call: about ``_EVAL_BLOCK_POINTS`` points, at least one row."""
-    return max(1, _EVAL_BLOCK_POINTS // max(1, row_points))
+def _row_blocks(n_rows: int, row_points: int):
+    """Slices of whole rows of ``row_points``: about ``_EVAL_BLOCK_POINTS`` points each, at least one row."""
+    rows = max(1, _EVAL_BLOCK_POINTS // max(1, row_points))
+    for start in range(0, n_rows, rows):
+        yield slice(start, start + rows)
 
 
 def _finite_alpha(alpha) -> complex:
@@ -254,18 +258,17 @@ class WignerGrid:
     def from_evaluator(cls, evaluator: Callable, q_axis, p_axis) -> "WignerGrid":
         """Sample ``evaluator(q, p)`` on the tensor grid (serial, deterministic).
 
-        The evaluator must act pointwise: it is called on blocks of whole q
-        rows of about 4096 points, so its scratch stays bounded however large
-        the grid (a one-mode cat takes about 100 bytes per point, 0.4 MB a
-        block).
+        The evaluator is called on the blocks of :func:`_row_blocks`, whole q
+        rows of about 4096 points, with ``q`` a column of the block's q values
+        and ``p`` the p axis; it must act pointwise and broadcast the column
+        against the row.  So its scratch stays bounded however large the grid
+        (a one-mode cat takes about 100 bytes per point, 0.4 MB a block).
         """
         q_axis = np.asarray(q_axis, dtype=float)
         p_axis = np.asarray(p_axis, dtype=float)
         values = np.empty((q_axis.size, p_axis.size))
-        rows = _block_rows(p_axis.size)
-        for s in range(0, q_axis.size, rows):
-            Q, P = np.meshgrid(q_axis.flat[s:s + rows], p_axis, indexing="ij")
-            values[s:s + rows] = evaluator(Q, P)
+        for b in _row_blocks(q_axis.size, p_axis.size):
+            values[b] = evaluator(q_axis[b, None], p_axis)
         return cls(q_axis=q_axis, p_axis=p_axis, values=values)
 
     def integral(self) -> float:

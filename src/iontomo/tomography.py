@@ -21,7 +21,7 @@ import numpy as np
 from . import _container
 from .errors import DegenerateFrameError, InsufficientAnglesError
 from .oscillator import _carry_frame, _check_wronskian
-from .states import (CatSpec, GaussianState, WignerGrid, _block_rows, _stencil, _trapezoid_weights,
+from .states import (CatSpec, GaussianState, WignerGrid, _row_blocks, _stencil, _trapezoid_weights,
                      _uniform_spacing, _uniform_trapezoid)
 
 __all__ = [
@@ -319,17 +319,16 @@ class OpticalSinogram:
     def from_evaluator(cls, evaluator: Callable, phi_axis, x_axis) -> "OpticalSinogram":
         """Sample optical slices of a (Y, mu, nu) evaluator on the grid.
 
-        As :meth:`WignerGrid.from_evaluator`, the evaluator is called on blocks
-        of whole angle rows of about 4096 points, so its scratch stays bounded
+        The evaluator is called on the blocks of :func:`~iontomo.states._row_blocks`,
+        whole angle rows of about 4096 points, so its scratch stays bounded
         however large the grid: ``Y`` is the X axis and ``mu``, ``nu`` a column
         of the block's angles, which the evaluator must broadcast against it.
         """
         phi_axis = np.asarray(phi_axis, dtype=float)
         x_axis = np.asarray(x_axis, dtype=float)
         values = np.empty((phi_axis.size, x_axis.size))
-        rows = _block_rows(x_axis.size)
-        for s in range(0, phi_axis.size, rows):
-            values[s:s + rows] = optical_slice(evaluator, phi_axis[s:s + rows, np.newaxis], x_axis)
+        for b in _row_blocks(phi_axis.size, x_axis.size):
+            values[b] = optical_slice(evaluator, phi_axis[b, None], x_axis)
         return cls(phi_axis=phi_axis, x_axis=x_axis, values=values)
 
     def save(self, path: str, fmt: str = "csv") -> None:

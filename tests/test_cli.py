@@ -205,7 +205,8 @@ def test_malformed_config_is_usage_error(tmp_path):
         {"kappa": 0.0, "omega_drive": 1.0, "t_end": 1.0, "bogus": 3},  # unknown key
         {"kappa": 0.0, "t_end": 1.0},  # missing omega_drive
         {"kappa": -0.5, "omega_drive": 1.0, "t_end": 1.0},  # invalid kappa
-        {"kappa": 0.0, "omega_drive": 1.0, "t_end": 1.0, "seed": 1.5},  # bad seed
+        {"kappa": 0.0, "omega_drive": 1.0, "t_end": 1.0, "seed": 1.5},  # no subcommand has a seed key
+        {"kappa": 0.0, "omega_drive": 1.0, "t_end": 1.0, "seed": 3},
         [1, 2, 3],  # not an object
         {"kappa": 0.0, "omega_drive": 1.0, "t_end": math.inf},
         {"kappa": 0.0, "omega_drive": 1.0, "t_end": 10 ** 400},  # past the float range
@@ -215,6 +216,14 @@ def test_malformed_config_is_usage_error(tmp_path):
 def test_epsilon_config_errors(tmp_path, payload):
     cfg = cfg_file(tmp_path, payload)
     assert main(["epsilon", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
+
+
+@pytest.mark.parametrize("flags", [["--serial"], ["--seed", "3"]], ids=["serial", "seed"])
+def test_removed_flags_are_usage_errors(tmp_path, flags):
+    # both were accepted and changed nothing
+    cfg = cfg_file(tmp_path, {"kappa": 0.0, "omega_drive": 1.0, "t_end": 1.0})
+    assert main(["epsilon", "--config", cfg, "--out", str(tmp_path / "o.csv"), *flags]) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 def test_epsilon_rejects_binary_format(tmp_path):
@@ -363,6 +372,48 @@ def test_tomogram_samples_reject_a_non_finite_density(tmp_path, capsys, query):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("state, time", [
+    ({"kind": "cat", "alpha": [1.5, 0.5], "parity": "odd"}, 0.0),
+    ({"kind": "cat", "alpha": [1.5, 0.5], "parity": "odd"}, 3.7),
+    ({"kind": "cat", "alpha": 2.0, "parity": "even"}, 2.0),
+    ({"kind": "gaussian", "alpha": [1.0, -0.5]}, 0.0),
+    ({"kind": "gaussian", "alpha": [1.0, -0.5]}, 2.0),
+], ids=["odd-cat-t0", "odd-cat-t3.7", "even-cat-t2", "gaussian-t0", "gaussian-t2"])
+def test_samples_at_the_sinogram_points_are_its_values(tmp_path, state, time):
+    # both modes call the evaluator on row blocks; per-row scalar calls
+    # differed at rounding level on 31 of these 492 points (odd cat, t = 0)
+    base = tomogram_cfg(state, time=time, kappa=0.4, omega_drive=2.0)
+    sino_cfg = cfg_file(tmp_path, {**base, "sinogram": {"n_phi": 12, "x_min": -6, "x_max": 6, "n_x": 41}},
+                        name="sino.json")
+    # the CSV holds the axes the sinogram was evaluated on (the container rebuilds them by linspace)
+    assert main(["tomogram", "--config", sino_cfg, "--out", str(tmp_path / "sino.csv")]) == 0
+    sino = OpticalSinogram.load(str(tmp_path / "sino.csv"))
+    mu, nu = np.cos(sino.phi_axis), np.sin(sino.phi_axis)
+    queries = [[x, m, n, 0.0] for m, n in zip(mu.tolist(), nu.tolist()) for x in sino.x_axis.tolist()]
+    samples_cfg = cfg_file(tmp_path, {**base, "mode": "samples", "queries": queries}, name="samples.json")
+    assert main(["tomogram", "--config", samples_cfg, "--out", str(tmp_path / "samples.csv")]) == 0
+    assert read_csv(tmp_path / "samples.csv")["w"].tobytes() == sino.values.tobytes()
+
+
+@pytest.mark.parametrize("block_points", [3, states._EVAL_BLOCK_POINTS])
+def test_samples_blocks_are_bit_identical(tmp_path, monkeypatch, block_points):
+    # one query per block at 3 points, all 400 in one block at the default;
+    # the evaluator on all of them at once is the reference
+    rng = np.random.default_rng(11)
+    rows = np.column_stack([rng.uniform(-5.0, 5.0, 400), rng.uniform(-2.0, 2.0, (400, 2)),
+                            rng.uniform(-1.0, 1.0, 400)])
+    spec = states.CatSpec(1.5 + 0.5j, "odd")
+    eps, deps = oscillator.epsilon_at(OscillatorParams(0.4, 2.0), 3.0)
+    whole = tomography.evolve_tomogram(functools.partial(tomography.tomogram_cat, spec), eps, deps,
+                                       rows[:, 0] - rows[:, 3], rows[:, 1], rows[:, 2])
+    monkeypatch.setattr(states, "_EVAL_BLOCK_POINTS", block_points)
+    cfg = cfg_file(tmp_path, tomogram_cfg({"kind": "cat", "alpha": [1.5, 0.5], "parity": "odd"}, time=3.0,
+                                          kappa=0.4, omega_drive=2.0, mode="samples", queries=rows.tolist()))
+    out = tmp_path / "samples.csv"
+    assert main(["tomogram", "--config", cfg, "--out", str(out)]) == 0
+    assert read_csv(out)["w"].tobytes() == whole.tobytes()
+
+
 def test_serial_reruns_are_byte_identical(tmp_path):
     cfg = cfg_file(
         tmp_path,
@@ -370,9 +421,8 @@ def test_serial_reruns_are_byte_identical(tmp_path):
                      sinogram={"n_phi": 24, "x_min": -6, "x_max": 6, "n_x": 65}),
     )
     a, b, c = (tmp_path / n for n in ("a.csv", "b.csv", "c.csv"))
-    assert main(["tomogram", "--config", cfg, "--out", str(a), "--serial"]) == 0
-    assert main(["tomogram", "--config", cfg, "--out", str(b), "--serial"]) == 0
-    assert main(["tomogram", "--config", cfg, "--out", str(c)]) == 0
+    for out in (a, b, c):
+        assert main(["tomogram", "--config", cfg, "--out", str(out)]) == 0
     assert a.read_bytes() == b.read_bytes() == c.read_bytes()
 
 
@@ -489,17 +539,17 @@ def test_reconstruct_fourier_vacuum(tmp_path):
 
 
 def test_reconstruct_fourier_cat_transforms_each_ray(tmp_path, cat_sinogram_file):
-    # the sinogram is transformed ray by ray on its own X samples, so the Y
-    # window settings are validated but change nothing
+    # the sinogram is transformed ray by ray on its own X samples, so n_y is
+    # validated but changes nothing
     outputs = []
-    for n_y, halfwidth in ((513, 12.0), (65, 3.0)):
+    for n_y in (513, 65):
         cfg = cfg_file(
             tmp_path,
             {
                 "input": cat_sinogram_file,
                 "method": "fourier",
                 "reference": {"kind": "cat", "alpha": 2.0, "parity": "even"},
-                "fourier": {"n_y": n_y, "y_halfwidth_sigmas": halfwidth},
+                "fourier": {"n_y": n_y},
             },
             name=f"rec{n_y}.json",
         )
@@ -808,6 +858,10 @@ def test_verify_passes_a_vanishing_odd_cat(tmp_path):
         # x_max - x_min and q_max - q_min overflow a float
         ("tomogram", tomogram_cfg({"kind": "gaussian"}, sinogram={"x_min": -1e308, "x_max": 1e308})),
         ("reconstruct", {"method": "fourier", "grid": {"q_min": -1e308, "q_max": 1e308}}),
+        # each mode's section is an unknown key in the other mode
+        ("tomogram", tomogram_cfg({"kind": "gaussian"}, sinogram=5, mode="samples", queries=[[0.5, 1.0, 0.0, 0.0]])),
+        ("tomogram", tomogram_cfg({"kind": "gaussian"}, mode="sinogram", queries="junk")),
+        ("reconstruct", {"method": "fourier", "fourier": {"y_halfwidth_sigmas": 12.0}}),
     ],
 )
 def test_nested_config_errors_write_nothing(tmp_path, cat_sinogram_file, command, payload):
@@ -914,7 +968,7 @@ NUMBER_CONFIGS = {
                 "queries": [[0.3, 1.0, 0.0, 0.0], [-0.7, 0.6, -0.8, 0.4]]},
     "reconstruct": {"method": "fourier", "norm_tol": 0.05, "l2_tol": 0.05,
                     "grid": {"q_min": -6.0, "q_max": 6.0, "p_min": -6.0, "p_max": 6.0},
-                    "fourier": {"k_max": 12.0, "y_halfwidth_sigmas": 12.0},
+                    "fourier": {"k_max": 12.0},
                     "reference": {"kind": "gaussian", "alpha": 0.5, "time": 0.5,
                                   "kappa": 0.4, "omega_drive": 2.0}},
     "verify": {"kappa": 0.4, "omega_drive": 2.0, "alpha": 1.0, "moment_h": 1e-4, "t_end": 1.0,
