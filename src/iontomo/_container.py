@@ -5,8 +5,9 @@ formats only +-inf, nan and values within 1e-9 of a rounding tie (such as 100000
 
 Container layout: one UTF-8 JSON line (terminated by ``\\n``) describing axes,
 shape and dtype, followed by the flat values as little-endian float64 in
-row-major order.  Uniform axes are stored as (first, last, n) and rebuilt with
-``np.linspace`` so reload is bit-exact.
+row-major order.  Each axis is stored as (first, last, n) and rebuilt with
+``np.linspace``; :func:`save_container` refuses an axis that this does not
+rebuild bit for bit, so every saved axis reloads bit-exact.
 """
 
 from __future__ import annotations
@@ -49,6 +50,11 @@ def _atomic_write(path: str, data) -> None:
 
 
 def save_container(path: str, kind: str, axis_names: list[str], axes: list[np.ndarray], values: np.ndarray) -> None:
+    """Write the container; ValueError naming the axis, and nothing written, unless each axis is a ``np.linspace``."""
+    for name, ax in zip(axis_names, axes):
+        if np.linspace(ax[0], ax[-1], ax.size).tobytes() != np.asarray(ax, dtype=float).tobytes():
+            raise ValueError(f"axis {name!r} is not np.linspace(first, last, n) bit for bit; "
+                             "the container stores only first, last and n")
     header = {
         "format": _FORMAT,
         "version": _VERSION,

@@ -21,6 +21,7 @@ A process (the ``iontomo`` script, ``python -m iontomo.cli``) enters through
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import gc
 import json
@@ -157,10 +158,11 @@ def _complex_amplitude(value, context: str) -> complex:
     raise ConfigError(f"{context}: alpha must be a finite number or [re, im], got {value!r}")
 
 
-def _oscillator_params(cfg: dict, context: str) -> OscillatorParams:
-    kappa = _number(cfg, "kappa", required=True, minimum=0.0, context=context)
-    omega = _number(cfg, "omega_drive", required=True, strict_min=0.0, context=context)
-    return OscillatorParams(kappa=kappa, omega_drive=omega)
+def _oscillator_params(cfg: dict, context: str, *, required: bool = True) -> OscillatorParams | None:
+    """The trap of ``cfg``; None, unless ``required``, when a key is absent (a present key is still checked)."""
+    kappa = _number(cfg, "kappa", required=required, minimum=0.0, context=context)
+    omega = _number(cfg, "omega_drive", required=required, strict_min=0.0, context=context)
+    return None if kappa is None or omega is None else OscillatorParams(kappa=kappa, omega_drive=omega)
 
 
 def _section(cfg: dict, key: str, allowed: set, context: str) -> dict:
@@ -213,6 +215,9 @@ def _resolve_out(cfg: dict, args) -> str:
         raise ConfigError("no output path: pass --out or set 'out' in the config")
     if not isinstance(out, str):
         raise ConfigError(f"'out' must be a string, got {out!r}")
+    # checked before any compute: the write at the end would fail after it
+    if os.path.isdir(out) or not os.path.isdir(os.path.dirname(os.path.abspath(out))):
+        raise ConfigError(f"output path {out!r} is a directory or lies in no existing directory")
     return out
 
 
@@ -304,7 +309,7 @@ def cmd_tomogram(cfg: dict, args) -> int:
         _check_size("sinogram", f"n_phi * n_x = {n_phi} * {n_x}", 8 * n_phi * n_x)
         x_axis = _uniform_axis(x_min, x_max, n_x, "x_min, x_max, n_x", "sinogram")
         evaluator, _ = _state(state_cfg, "tomogram", params, t)
-        phi_axis = np.arange(n_phi) * math.pi / n_phi
+        phi_axis = np.linspace(0.0, (n_phi - 1) * math.pi / n_phi, n_phi)
         try:
             with np.errstate(all="ignore"):  # the sinogram's own checks name values that overflow
                 sino = OpticalSinogram.from_evaluator(evaluator, phi_axis, x_axis)
@@ -375,15 +380,15 @@ def cmd_reconstruct(cfg: dict, args) -> int:
         ref_cfg = _section(cfg, "reference", {"kind", "alpha", "parity", "time", "kappa", "omega_drive"},
                            "reconstruct")
         t_ref = _number(ref_cfg, "time", default=0.0, minimum=0.0, context="reference")
-        ref_params = _oscillator_params(ref_cfg, "reference") if t_ref > 0.0 else None
+        ref_params = _oscillator_params(ref_cfg, "reference", required=t_ref > 0.0)
         _, reference = _state(ref_cfg, "reference", ref_params, t_ref)
     out = _resolve_out(cfg, args)
     fmt = _resolve_format(cfg, args)
 
     try:
         sino = OpticalSinogram.load(path)
-    except FileNotFoundError:
-        return _fail(2, f"input file not found: {path}")
+    except OSError as exc:  # missing, a directory, unreadable
+        return _fail(2, f"cannot read input file: {exc}")
     except ValueError as exc:
         return _fail(2, f"input file invalid: {exc}")
 
@@ -428,16 +433,20 @@ def cmd_reconstruct(cfg: dict, args) -> int:
 
 
 def _probe_from_config(cfg: dict) -> ProbeGrid:
+    """The ``probe`` section of a verify config, whose keys are the fields of :class:`ProbeGrid`."""
+    defaults = {f.name: f.default for f in dataclasses.fields(ProbeGrid)}
+    section = _section(cfg, "probe", set(defaults), "verify")
     kwargs = {}
-    for key in ("x_values", "mu_values", "nu_values", "t_values", "delta_values"):
-        if key in cfg:
-            v = cfg[key]
-            if not isinstance(v, list) or not v or not all(_is_number(c) for c in v):
-                raise ConfigError(f"verify.probe: {key} must be a non-empty list of finite numbers")
+    for key, default in defaults.items():
+        if key not in section:
+            continue
+        v = section[key]
+        if not isinstance(default, tuple):  # a stencil step
+            kwargs[key] = _number(section, key, strict_min=0.0, context="verify.probe")
+        elif not isinstance(v, list) or not v or not all(_is_number(c) for c in v):
+            raise ConfigError(f"verify.probe: {key} must be a non-empty list of finite numbers")
+        else:
             kwargs[key] = tuple(float(c) for c in v)
-    for key in ("h_t", "h_mu", "h_nu"):
-        if key in cfg:
-            kwargs[key] = _number(cfg, key, strict_min=0.0, context="verify.probe")
     probe = ProbeGrid(**kwargs)
     if any(abs(m) <= max(probe.h_mu, probe.h_nu) for m in probe.mu_values):
         raise ConfigError("verify.probe: mu_values must stay clear of 0 by more than the stencil step")
@@ -458,8 +467,7 @@ def cmd_verify(cfg: dict, args) -> int:
     base_g, _ = _state({"kind": "gaussian", "alpha": cfg.get("alpha", 1.0)}, "verify", params, 0.0)
     cat_cfg = _section(cfg, "cat", {"alpha", "parity"}, "verify")
     cat_eval, _ = _state({"kind": "cat", **cat_cfg}, "verify", params, 0.0)
-    probe = _probe_from_config(_section(cfg, "probe", {"x_values", "mu_values", "nu_values", "t_values",
-                                                       "delta_values", "h_t", "h_mu", "h_nu"}, "verify"))
+    probe = _probe_from_config(cfg)
     moment_h = _number(cfg, "moment_h", default=1e-4, strict_min=0.0, context="verify")
     t_end = _number(cfg, "t_end", default=10.0, strict_min=0.0, context="verify")
     out = _resolve_out(cfg, args)
@@ -564,9 +572,9 @@ def main(argv=None) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except FileNotFoundError:
-        return _fail(2, f"config file not found: {args.config}")
-    except json.JSONDecodeError as exc:
+    except OSError as exc:  # missing, a directory, unreadable
+        return _fail(2, f"cannot read config file: {exc}")
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, or an int past Python's digit limit
         return _fail(2, f"config is not valid JSON: {exc}")
     if not isinstance(cfg, dict):
         return _fail(2, "config must be a JSON object")

@@ -21,8 +21,7 @@ import numpy as np
 from . import _container
 from .errors import DegenerateFrameError, InsufficientAnglesError
 from .oscillator import _carry_frame, _check_wronskian
-from .states import (CatSpec, GaussianState, WignerGrid, _row_blocks, _stencil, _trapezoid_weights,
-                     _uniform_spacing, _uniform_trapezoid)
+from .states import CatSpec, GaussianState, WignerGrid, _row_blocks, _stencil, _uniform_spacing, _uniform_trapezoid
 
 __all__ = [
     "OpticalSinogram",
@@ -173,7 +172,7 @@ def invert_to_wigner(sinogram: OpticalSinogram, q_axis, p_axis, *, k_max: float 
     del spectrum
 
     # separable phase factors turn the double (mu, nu) sum into two matmuls
-    w_nodes = _uniform_trapezoid(n_nodes, nodes[1] - nodes[0])
+    w_nodes = _uniform_trapezoid(n_nodes, _uniform_spacing(nodes, "nodes"))
     A = np.exp(-1j * np.outer(q_axis, nodes)) * w_nodes
     B = np.exp(-1j * np.outer(nodes, p_axis)) * w_nodes[:, np.newaxis]
     return WignerGrid(q_axis=q_axis, p_axis=p_axis, values=np.real(A @ F @ B) / (2.0 * math.pi))
@@ -242,7 +241,7 @@ def _row_spectra(grid: WignerGrid, k_reach: float) -> tuple[np.ndarray, float, i
     most one period of n columns, and a stencil guard on each side are kept.
     """
     x = grid.p_axis
-    trapezoid = _trapezoid_weights(x)
+    trapezoid = _uniform_trapezoid(x.size, grid.dp)
     n_fft = 1 << (_K_OVERSAMPLE * x.size - 1).bit_length()
     dk = 2.0 * math.pi / (n_fft * grid.dp)
     half = _K_STENCIL // 2
@@ -313,7 +312,7 @@ class OpticalSinogram:
 
     def column_norms(self) -> np.ndarray:
         """Trapezoid integral of each phi-row over X."""
-        return self.values @ _trapezoid_weights(self.x_axis)
+        return self.values @ _uniform_trapezoid(self.x_axis.size, _uniform_spacing(self.x_axis, "x_axis"))
 
     @classmethod
     def from_evaluator(cls, evaluator: Callable, phi_axis, x_axis) -> "OpticalSinogram":
@@ -366,7 +365,7 @@ def radon_reconstruct(sinogram: OpticalSinogram, q_axis, p_axis) -> WignerGrid:
 
     x = sinogram.x_axis
     n = x.size
-    dx = float(x[1] - x[0])
+    dx = _uniform_spacing(x, "x_axis")
     nfft = 1 << (2 * n - 1).bit_length()
     # laid out circularly, the kernel's product with a zero-padded row is their linear convolution
     j = np.minimum(np.arange(nfft), nfft - np.arange(nfft))
@@ -382,13 +381,12 @@ def radon_reconstruct(sinogram: OpticalSinogram, q_axis, p_axis) -> WignerGrid:
     k = np.empty(out.shape, dtype=np.intp)
     inside = np.empty(out.shape, dtype=bool)
     lo = x[0]
-    step = (x[-1] - lo) / (n - 1)  # the step of np.linspace, nearer every x[k] than dx
     mid = (n - 1) / 2
     for phi, row in zip(sinogram.phi_axis, sinogram.values):
         level = np.fft.irfft(filt * np.fft.rfft(row, n=nfft), n=nfft)[:n]
         slope = np.append(np.diff(level), 0.0)
-        # u is t = q cos(phi) + p sin(phi) in units of the step from x[0]: sample j sits at u = j
-        np.add(((q_axis * math.cos(phi) - lo) / step)[:, np.newaxis], p_axis * math.sin(phi) / step, out=u)
+        # u is t = q cos(phi) + p sin(phi) in units of dx from x[0]: sample j sits at u = j
+        np.add(((q_axis * math.cos(phi) - lo) / dx)[:, np.newaxis], p_axis * math.sin(phi) / dx, out=u)
         # t outside [x[0], x[-1]] reads 0, as in np.interp
         np.less_equal(np.abs(np.subtract(u, mid, out=gathered), out=gathered), mid, out=inside)
         # on [j, j + 1) the line from sample j takes slope[j]; trunc, not floor, so

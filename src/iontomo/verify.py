@@ -15,7 +15,7 @@ residuals.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -54,13 +54,8 @@ class ProbeGrid:
     h_nu: float = 1e-3
 
     def spec(self) -> dict:
-        return {
-            "x_values": list(self.x_values),
-            "mu_values": list(self.mu_values),
-            "nu_values": list(self.nu_values),
-            "t_values": list(self.t_values),
-            "delta_values": list(self.delta_values),
-        }
+        """The probe points, each tuple field as a list."""
+        return {f.name: list(getattr(self, f.name)) for f in fields(self) if isinstance(f.default, tuple)}
 
 
 @dataclass(frozen=True)

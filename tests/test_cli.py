@@ -232,13 +232,31 @@ def test_epsilon_rejects_binary_format(tmp_path):
     assert main(["epsilon", "--config", cfg, "--out", str(out), "--format", "bin"]) == 2
 
 
-def test_missing_config_file(tmp_path):
+def test_missing_config_file(tmp_path, capsys):
     assert main(["epsilon", "--config", str(tmp_path / "absent.json")]) == 2
+    # a directory, bytes that are not UTF-8, or an int past Python's 4300 digits ended in a traceback (exit 1)
+    (tmp_path / "cfg.d").mkdir()
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"kappa": 0.0, "omega_drive": 1.0, "t_end": 1.0, "out": "\xe9.csv"}')
+    digits = tmp_path / "digits.json"
+    digits.write_text('{"kappa": ' + "1" * 5000 + "}")
+    capsys.readouterr()
+    for cfg in (tmp_path / "cfg.d", latin, digits):
+        assert main(["epsilon", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("iontomo: ") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.d", "digits.json", "latin.json"]
 
 
-def test_missing_output_path(tmp_path):
+def test_missing_output_path(tmp_path, capsys):
     cfg = cfg_file(tmp_path, {"kappa": 0.0, "omega_drive": 1.0, "t_end": 1.0})
     assert main(["epsilon", "--config", cfg]) == 2
+    # an --out in a missing directory failed after the compute with a traceback (exit 1); so did a directory
+    capsys.readouterr()
+    for out in (tmp_path / "missing" / "o.csv", tmp_path):
+        assert main(["epsilon", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("iontomo: output path ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 def test_usage_error_without_subcommand():
@@ -426,11 +444,26 @@ def test_serial_reruns_are_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes() == c.read_bytes()
 
 
-def test_sinogram_binary_round_trip(tmp_path):
+def evaluated_axes(monkeypatch):
+    """The list, filled as the CLI runs, of the (phi, x) axes of each sinogram it evaluates."""
+    seen = []
+    sample = OpticalSinogram.from_evaluator
+
+    def record(evaluator, phi_axis, x_axis):
+        seen.append((phi_axis.tobytes(), x_axis.tobytes()))
+        return sample(evaluator, phi_axis, x_axis)
+
+    monkeypatch.setattr(OpticalSinogram, "from_evaluator", record)
+    return seen
+
+
+def test_sinogram_binary_round_trip(tmp_path, monkeypatch):
+    evaluated = evaluated_axes(monkeypatch)
     cfg = cfg_file(tmp_path, tomogram_cfg({"kind": "gaussian"}))
     out = tmp_path / "sino.bin"
     assert main(["tomogram", "--config", cfg, "--out", str(out), "--format", "bin"]) == 0
     sino = OpticalSinogram.load(str(out))
+    assert evaluated == [(sino.phi_axis.tobytes(), sino.x_axis.tobytes())]
     again = tmp_path / "again.bin"
     sino.save(str(again), fmt="bin")
     assert again.read_bytes() == out.read_bytes()
@@ -441,6 +474,29 @@ def test_sinogram_binary_round_trip(tmp_path):
     grid = WignerGrid.load(str(tmp_path / "w.csv"))
     i0 = np.searchsorted(grid.q_axis, 0.0)
     assert grid.values[i0, i0] == pytest.approx(2.0, rel=5e-2)
+
+
+def test_csv_and_bin_copies_reconstruct_to_the_same_bytes(tmp_path, monkeypatch):
+    # the bin copy's angles were rebuilt by np.linspace 1 ulp off the CSV's
+    # np.arange(n) * pi / n (44 of 180), and FBP gave other bytes from each copy
+    evaluated = evaluated_axes(monkeypatch)
+    cfg = cfg_file(tmp_path, tomogram_cfg({"kind": "cat", "alpha": [2.0, 0.3], "parity": "even"}, time=1.3,
+                                          kappa=0.4, omega_drive=2.0))
+    grid = {"q_min": -6, "q_max": 6, "n_q": 61, "p_min": -6, "p_max": 6, "n_p": 61}
+    outputs = {}
+    for fmt in ("csv", "bin"):
+        sino = tmp_path / f"sino.{fmt}"
+        assert main(["tomogram", "--config", cfg, "--out", str(sino), "--format", fmt]) == 0
+        loaded = OpticalSinogram.load(str(sino))
+        assert evaluated[-1] == (loaded.phi_axis.tobytes(), loaded.x_axis.tobytes())
+        for method in ("fbp", "fourier"):
+            rcfg = cfg_file(tmp_path, {"input": str(sino), "method": method, "grid": grid}, name="rec.json")
+            out = tmp_path / f"{method}.{fmt}.w.bin"
+            assert main(["reconstruct", "--config", rcfg, "--out", str(out), "--format", "bin"]) == 0
+            outputs[method, fmt] = out.read_bytes()
+    assert evaluated[0] == evaluated[1]
+    assert outputs["fbp", "csv"] == outputs["fbp", "bin"]
+    assert outputs["fourier", "csv"] == outputs["fourier", "bin"]
 
 
 # ----------------------------------------------------------------- reconstruct
@@ -570,6 +626,11 @@ def test_reconstruct_missing_and_invalid_input(tmp_path):
     garbage.write_text("this,is,not\na,sinogram,file\n")
     cfg2 = cfg_file(tmp_path, {"input": str(garbage)}, name="g.json")
     assert main(["reconstruct", "--config", cfg2, "--out", str(tmp_path / "w.csv")]) == 2
+
+    # a directory ended in a traceback (exit 1)
+    cfg3 = cfg_file(tmp_path, {"input": str(tmp_path)}, name="d.json")
+    assert main(["reconstruct", "--config", cfg3, "--out", str(tmp_path / "w.csv")]) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "d.json", "g.json", "garbage.csv"]
 
 
 def _drop(key):
@@ -862,6 +923,9 @@ def test_verify_passes_a_vanishing_odd_cat(tmp_path):
         ("tomogram", tomogram_cfg({"kind": "gaussian"}, sinogram=5, mode="samples", queries=[[0.5, 1.0, 0.0, 0.0]])),
         ("tomogram", tomogram_cfg({"kind": "gaussian"}, mode="sinogram", queries="junk")),
         ("reconstruct", {"method": "fourier", "fourier": {"y_halfwidth_sigmas": 12.0}}),
+        # a trap named at time 0 is checked, though the reference does not evolve
+        ("reconstruct", {"reference": {"kind": "gaussian", "kappa": "junk"}}),
+        ("reconstruct", {"reference": {"kind": "gaussian", "omega_drive": None}}),
     ],
 )
 def test_nested_config_errors_write_nothing(tmp_path, cat_sinogram_file, command, payload):

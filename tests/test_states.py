@@ -592,6 +592,24 @@ def test_wigner_grid_round_trip(tmp_path, fmt):
     assert np.array_equal(back.values, grid.values)
 
 
+def test_container_axes_are_linspace_bit_for_bit(tmp_path):
+    # the header keeps first, last and n of each axis, and the load rebuilds it with np.linspace
+    path = tmp_path / "axis.bin"
+    for n in range(1, 401):
+        for axis in (np.linspace(0.0, (n - 1) * math.pi / n, n), np.linspace(-6.5, 6.5, n)):
+            _container.save_container(str(path), "axis", ["a"], [axis], np.arange(n, dtype=float))
+            _, (back,), values = _container.load_container(str(path))
+            assert back.tobytes() == axis.tobytes()
+            assert np.array_equal(values, np.arange(n))
+    path.unlink()
+    # 2 of 12, 44 of 180 and 334 of 360 such angles are off the linspace through their ends: refused, nothing written
+    for n in (12, 180, 360):
+        with pytest.raises(ValueError, match="axis 'phi' is not np.linspace"):
+            _container.save_container(str(path), "sinogram", ["phi", "x"],
+                                      [np.arange(n) * math.pi / n, np.linspace(-1.0, 1.0, 3)], np.zeros((n, 3)))
+        assert list(tmp_path.iterdir()) == []
+
+
 def test_csv_golden_bytes(tmp_path):
     # %.17g text: signed zero, subnormal, inexact decimal, huge and plain values
     ax0 = np.array([-1.5, 0.1])

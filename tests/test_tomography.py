@@ -550,7 +550,7 @@ def ray_spectrum_reference(sinogram):
     grid = tomography._wrapped_grid(sinogram)
     n_rows = grid.values.shape[0]
     rows = np.zeros((n_rows + 2, grid.p_axis.size))
-    rows[1:-1] = grid.values * tomography._trapezoid_weights(grid.p_axis)
+    rows[1:-1] = grid.values * tomography._uniform_trapezoid(grid.p_axis.size, grid.dp)
 
     def spectrum(m, nu):
         angle, k = tomography._fold(m, nu)
@@ -573,7 +573,7 @@ def test_ray_spectrum_matches_per_node_transform(x_half, n_x, n_phi, k_max, seed
     rng = np.random.default_rng(seed)
     x = np.linspace(-x_half, x_half, n_x)
     values = rng.uniform(0.0, 1.0, (n_phi, n_x))
-    values /= (values @ tomography._trapezoid_weights(x))[:, np.newaxis]
+    values /= (values @ tomography._uniform_trapezoid(n_x, tomography._uniform_spacing(x, "x")))[:, np.newaxis]
     sino = OpticalSinogram(phi_axis=np.arange(n_phi) * (math.pi / n_phi), x_axis=x, values=values)
     k_reach = math.hypot(k_max, k_max)
     table, dk, n_fft = tomography._row_spectra(tomography._wrapped_grid(sino), k_reach)
