@@ -198,12 +198,13 @@ def save_csv_triples(path: str, colnames: tuple[str, str, str], ax0: np.ndarray,
 def load_csv_triples(path: str, colnames: tuple[str, str, str]):
     """Inverse of :func:`save_csv_triples`; returns (ax0, ax1, values).
 
-    Reads the rows after the header as one ``np.loadtxt`` call would, with its
-    errors and their row numbers, but parses ``_CSV_BLOCK_ROWS`` lines at a
-    time into a values array sized by a line count beforehand: the scratch on
-    top of the returned arrays is one block of text and rows, however long
-    the file.  Each block's runs are checked against the first run's axis as
-    they arrive, and the grid errors are raised once the whole file parsed.
+    Parses ``_CSV_BLOCK_ROWS`` lines at a time into a values array sized by a
+    line count beforehand.  The first ax0 run, held as its ax1 pieces, fixes
+    the inner length n1; each later run must hold one ax0 value and repeat the
+    first run's ax1.  A block's whole runs are checked at once; the rows of an
+    unfinished run wait for the next block.  So the first fault in file order
+    is raised, save that a line that does not parse (loadtxt's error, its row
+    counted in the file) goes before the faults of the runs it leaves open.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
@@ -217,26 +218,75 @@ def load_csv_triples(path: str, colnames: tuple[str, str, str]):
             last = chunk[-1]
         capacity += last != "\n"
         fh.seek(body)
-        grid = _TripleGrid(capacity)
+        values = np.empty(capacity)
+        rows = done = 0  # rows parsed, and rows in runs found whole
+        n1, head, carry, ax0 = None, [], [], []  # first run's ax1 pieces, unchecked rows, each run's ax0
+
+        def check(c0, c1):
+            """Raise at the first row of the runs ``c0, c1`` (from row ``done`` on) off the grid; keep their ax0."""
+            bad = (c0 != c0[:, :1]) | (c1 != ax1[:c1.shape[1]])
+            if bad.any():
+                i, j = divmod(int(np.argmax(bad)), c1.shape[1])
+                raise ValueError(f"{path}: row {done + i * n1 + j + 1} after the header: ({colnames[0]}, "
+                                 f"{colnames[1]}) = {(c0[i, j].item(), c1[i, j].item())}, expected "
+                                 f"{(c0[i, 0].item(), ax1[j].item())}: each run of {n1} rows must hold one "
+                                 f"{colnames[0]} and repeat the first run's {colnames[1]}")
+            ax0.append(c0[:, 0].copy())
+
         with warnings.catch_warnings():
-            # a block of only blank or comment lines parses to no rows; an
-            # empty table is reported as a column count below
+            # a block of only blank or comment lines parses to no rows
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            while lines := list(itertools.islice(fh, _CSV_BLOCK_ROWS)):
-                grid.add(_parse_rows(lines, grid.width, grid.rows))
-    return grid.finish(path, colnames)
+            while (block := _parse_rows(fh, rows)) is not None:
+                if not (m := len(block)):
+                    continue
+                if not rows:
+                    first0 = block[0, 0]
+                    if block.shape[1] != 3:
+                        raise ValueError(f"{path}: expected 3 columns, got {block.shape[1]}")
+                    if np.isnan(first0):  # it starts no run
+                        raise ValueError(f"{path}: row 1 after the header: {colnames[0]} is not a number")
+                values[rows:rows + m] = block[:, 2]
+                rows += m
+                if n1 is None:
+                    cut = int(np.argmax(np.append(block[:, 0] != first0, True)))
+                    head.append(block[:cut, 1].copy())
+                    if cut == m:
+                        continue
+                    n1, block = rows - m + cut, block[cut:]
+                    ax1, head = np.concatenate(head), None
+                    check(np.broadcast_to(first0, (1, n1)), ax1[None])  # a NaN in ax1 differs from itself
+                    done = n1
+                carry.append(block)
+                if rows - done >= n1:
+                    rest = np.concatenate(carry)
+                    whole = len(rest) - len(rest) % n1
+                    check(rest[:whole, 0].reshape(-1, n1), rest[:whole, 1].reshape(-1, n1))
+                    carry, done = [rest[whole:].copy()], done + whole
+                block = rest = None  # freed before the next block is parsed
+    if not rows:  # an empty table parses as one column
+        raise ValueError(f"{path}: expected 3 columns, got 1")
+    if n1 is None:  # one run
+        n1, ax1 = rows, np.concatenate(head)
+        check(np.broadcast_to(first0, (1, n1)), ax1[None])
+    elif rows > done:
+        tail = np.concatenate(carry)
+        check(tail[None, :, 0], tail[None, :, 1])
+        raise ValueError(f"{path}: ragged grid ({rows} rows, inner run {n1})")
+    return np.concatenate(ax0), ax1, values[:rows].reshape(-1, n1)
 
 
-def _parse_rows(lines: list, width, offset: int) -> np.ndarray:
-    """``np.loadtxt`` of CSV ``lines`` that follow ``offset`` rows of ``width`` columns.
+def _parse_rows(fh, offset: int):
+    """``np.loadtxt`` of the next ``_CSV_BLOCK_ROWS`` lines of ``fh``, which follow ``offset`` rows; None at the end.
 
-    A row of ``width`` zeros goes first and is dropped, so a row of another
-    width fails as it does in a one-shot load; a row number in an error is
-    moved from the block to the file.
+    After the first row, a row of three zeros goes first and is dropped, so a
+    row of another width fails as in a one-shot load; a row number in an
+    error is moved from the block to the file.
     """
-    lead = width is not None
+    if not (lines := list(itertools.islice(fh, _CSV_BLOCK_ROWS))):
+        return None
+    lead = offset > 0
     if lead:
-        lines.insert(0, ",".join(["0"] * width) + "\n")
+        lines.insert(0, "0,0,0\n")
     try:
         block = np.loadtxt(lines, delimiter=",", ndmin=2)
     except ValueError as exc:
@@ -248,89 +298,3 @@ def _parse_rows(lines: list, width, offset: int) -> np.ndarray:
             raise
         raise ValueError(message) from exc
     return block[1:] if lead else block
-
-
-class _TripleGrid:
-    """The (ax0, ax1, w) rows of a row-major grid, taken one block at a time.
-
-    The length of the first ax0 run gives the inner (ax1) dimension; every
-    later run must hold one ax0 value and repeat the first run's ax1 axis.
-    The first row that breaks this is kept for :meth:`finish`, which raises
-    the errors in the order of a check on the whole table.
-    """
-
-    def __init__(self, capacity: int):
-        self.values = np.empty(capacity)
-        self.rows = 0
-        self.width = None
-        self.first0 = None
-        self.n1 = None      # inner run length, once the first run has ended
-        self.head = []      # ax1 pieces of the first run while it lasts
-        self.ax0 = self.ax1 = None
-        self.bad = None     # (row index, got, expected) of the first broken row
-
-    def add(self, block: np.ndarray) -> None:
-        m = block.shape[0]
-        if m == 0:
-            return
-        if self.width is None:
-            self.width = block.shape[1]
-        if self.width != 3:
-            self.rows += m
-            return
-        c0, c1 = block[:, 0], block[:, 1]
-        start, self.rows = self.rows, self.rows + m
-        self.values[start:self.rows] = block[:, 2]
-        if self.n1 is None:
-            if start == 0:
-                self.first0 = c0[0]
-            ends = np.flatnonzero(c0 != self.first0)
-            if ends.size == 0:
-                self.head.append(c1.copy())
-                return
-            self._end_first_run(start + int(ends[0]), c1[:ends[0]])
-        if self.n1 == 0:
-            return
-        g = np.arange(max(start, self.n1), self.rows)
-        i, j = np.divmod(g, self.n1)
-        local = g - start
-        runs = j == 0
-        self.ax0[i[runs]] = c0[local[runs]]
-        bad = (c0[local] != self.ax0[i]) | (c1[local] != self.ax1[j])
-        if self.bad is None and bad.any():
-            b = int(np.argmax(bad))
-            self.bad = (int(g[b]), (c0[local[b]].item(), c1[local[b]].item()),
-                        (self.ax0[i[b]].item(), self.ax1[j[b]].item()))
-
-    def _end_first_run(self, n1: int, tail: np.ndarray) -> None:
-        self.n1 = n1
-        self.ax1 = np.concatenate(self.head + [tail])
-        self.head = None
-        if n1 == 0:  # a NaN first ax0 value starts no run
-            return
-        self.ax0 = np.empty(-(-self.values.size // n1))
-        self.ax0[0] = self.first0
-        # a NaN in the first run's ax1 differs from itself
-        nan = np.flatnonzero(np.isnan(self.ax1))
-        if nan.size:
-            j = int(nan[0])
-            self.bad = (j, (self.first0.item(), self.ax1[j].item()), (self.first0.item(), self.ax1[j].item()))
-
-    def finish(self, path: str, colnames: tuple[str, str, str]):
-        if self.width != 3:  # an empty table parses as one column
-            raise ValueError(f"{path}: expected 3 columns, got {self.width or 1}")
-        if self.n1 is None:
-            self._end_first_run(self.rows, np.empty(0))
-        n1 = self.n1
-        if n1 == 0:
-            raise ValueError(f"{path}: row 1 after the header: {colnames[0]} is not a number")
-        if self.rows % n1 != 0:
-            raise ValueError(f"{path}: ragged grid ({self.rows} rows, inner run {n1})")
-        if self.bad is not None:
-            row, got, want = self.bad
-            raise ValueError(f"{path}: row {row + 1} after the header: ({colnames[0]}, {colnames[1]}) = "
-                             f"{got}, expected {want}: each run of {n1} rows must hold one "
-                             f"{colnames[0]} and repeat the first run's {colnames[1]}")
-        n0 = self.rows // n1
-        values = self.values if self.rows == self.values.size else self.values[:self.rows].copy()
-        return self.ax0[:n0].copy(), self.ax1, values.reshape(n0, n1)

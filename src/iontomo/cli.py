@@ -209,7 +209,8 @@ def _state(cfg: dict, context: str, params: OscillatorParams | None, t: float):
     return functools.partial(evolve_tomogram, tomogram, eps, deps), functools.partial(evolve_wigner, wigner, eps, deps)
 
 
-def _resolve_out(cfg: dict, args) -> str:
+def _resolve_out(cfg: dict, args, *suffixes: str) -> str:
+    """``--out`` or the config's ``out``, checked with the files written beside it: ``suffixes``, ``.svg`` on --plot."""
     out = args.out or cfg.get("out")
     if not out:
         raise ConfigError("no output path: pass --out or set 'out' in the config")
@@ -218,6 +219,9 @@ def _resolve_out(cfg: dict, args) -> str:
     # checked before any compute: the write at the end would fail after it
     if os.path.isdir(out) or not os.path.isdir(os.path.dirname(os.path.abspath(out))):
         raise ConfigError(f"output path {out!r} is a directory or lies in no existing directory")
+    for side in (_side_path(out, suffix) for suffix in suffixes + ((".svg",) if args.plot else ())):
+        if side == out or os.path.isdir(side):
+            raise ConfigError(f"{side!r}, written beside output {out!r}, is a directory or the output itself")
     return out
 
 
@@ -228,8 +232,8 @@ def _resolve_format(cfg: dict, args, *, allowed=("csv", "bin")) -> str:
     return fmt
 
 
-def _plot_path(out: str) -> str:
-    return os.path.splitext(out)[0] + ".svg"
+def _side_path(out: str, suffix: str) -> str:
+    return os.path.splitext(out)[0] + suffix
 
 
 #: Samples per series that ``epsilon --plot`` draws at most, evenly strided.
@@ -279,7 +283,7 @@ def cmd_epsilon(cfg: dict, args) -> int:
 
     if args.plot:
         times, eps = (np.concatenate(c) for c in zip(*plot))
-        _svg.svg_polyline(_plot_path(out), times, [("Re eps", eps.real), ("Im eps", eps.imag)],
+        _svg.svg_polyline(_side_path(out, ".svg"), times, [("Re eps", eps.real), ("Im eps", eps.imag)],
                           title=f"mode function (kappa={params.kappa}, Omega={params.omega_drive})",
                           xlabel="t", ylabel="eps(t)")
     return 0
@@ -317,7 +321,7 @@ def cmd_tomogram(cfg: dict, args) -> int:
             return _fail(1, f"sinogram failed validation: {exc}")
         sino.save(out, fmt=fmt)
         if args.plot:
-            _svg.svg_heatmap(_plot_path(out), sino.values, sino.phi_axis, sino.x_axis,
+            _svg.svg_heatmap(_side_path(out, ".svg"), sino.values, sino.phi_axis, sino.x_axis,
                              title="optical sinogram w(X, phi)", xlabel="phi", ylabel="X",
                              diverging=False)
         return 0
@@ -343,7 +347,7 @@ def cmd_tomogram(cfg: dict, args) -> int:
     save_csv_rows(out, ("X", "mu", "nu", "delta", "w"), (x, mu, nu, delta, w))
     if args.plot:
         order = np.argsort(x)
-        _svg.svg_polyline(_plot_path(out), x[order], [("w", w[order])],
+        _svg.svg_polyline(_side_path(out, ".svg"), x[order], [("w", w[order])],
                           title="tomogram samples", xlabel="X", ylabel="w")
     return 0
 
@@ -382,7 +386,7 @@ def cmd_reconstruct(cfg: dict, args) -> int:
         t_ref = _number(ref_cfg, "time", default=0.0, minimum=0.0, context="reference")
         ref_params = _oscillator_params(ref_cfg, "reference", required=t_ref > 0.0)
         _, reference = _state(ref_cfg, "reference", ref_params, t_ref)
-    out = _resolve_out(cfg, args)
+    out = _resolve_out(cfg, args, ".report.json")
     fmt = _resolve_format(cfg, args)
 
     try:
@@ -417,11 +421,10 @@ def cmd_reconstruct(cfg: dict, args) -> int:
         den = float(np.linalg.norm(target.values))
         report["rel_l2_error"] = num / den
         report["l2_tol"] = l2_tol
-    report_path = os.path.splitext(out)[0] + ".report.json"
-    _atomic_write(report_path, (json.dumps(report, sort_keys=True, indent=2) + "\n").encode())
+    _atomic_write(_side_path(out, ".report.json"), (json.dumps(report, sort_keys=True, indent=2) + "\n").encode())
 
     if args.plot:
-        _svg.svg_heatmap(_plot_path(out), grid.values, grid.q_axis, grid.p_axis,
+        _svg.svg_heatmap(_side_path(out, ".svg"), grid.values, grid.q_axis, grid.p_axis,
                          title=f"reconstructed Wigner function ({method})",
                          xlabel="q", ylabel="p", diverging=True)
 
@@ -470,11 +473,11 @@ def cmd_verify(cfg: dict, args) -> int:
     probe = _probe_from_config(cfg)
     moment_h = _number(cfg, "moment_h", default=1e-4, strict_min=0.0, context="verify")
     t_end = _number(cfg, "t_end", default=10.0, strict_min=0.0, context="verify")
-    out = _resolve_out(cfg, args)
     if args.format is not None or "format" in cfg:
         raise ConfigError("verify: writes a JSON report; --format and 'format' do not apply")
     if args.plot:
         raise ConfigError("verify: --plot does not apply; verify draws no plot")
+    out = _resolve_out(cfg, args)
 
     thresholds = {
         "pde_max": 1e-4,

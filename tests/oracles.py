@@ -6,8 +6,10 @@ line, so it checks every analytic tomogram without their moment formulas.
 family, from which :func:`wavefunction_moment_oracle` recomputes Gaussian
 moments by quadrature, as a :class:`Moments` record, and the state tests
 build Wigner functions by transform; :func:`schroedinger_relation_check`
-tests the moments against the uncertainty relation.  No CLI step runs any
-of them, so they live here and not in ``src/``.
+tests the moments against the uncertainty relation.
+:func:`load_csv_triples_reference` reads a grid CSV with one ``np.loadtxt``
+call and a check of the whole table, against which the blockwise reader is
+compared.  No CLI step runs any of them, so they live here and not in ``src/``.
 """
 
 import math
@@ -256,3 +258,30 @@ def wavefunction_moment_oracle(kind, eps, deps, alpha=0j):
         sigma_pp=p2 - mean_p ** 2,
         sigma_pq=sym - mean_q * mean_p,
     )
+
+
+def load_csv_triples_reference(path: str, colnames: tuple[str, str, str]):
+    """(ax0, ax1, values) of a grid CSV from one ``np.loadtxt`` of its whole body.
+
+    The whole table is then checked at once: the first ax0 run fixes the
+    inner length, and each run must hold one ax0 value and repeat the first
+    run's ax1.  Any fault raises ValueError, whatever it names first.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().strip()
+        if header != ",".join(colnames):
+            raise ValueError(f"{path}: expected header {','.join(colnames)!r}, got {header!r}")
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    if data.shape[1] != 3:
+        raise ValueError(f"{path}: expected 3 columns, got {data.shape[1]}")
+    col0 = data[:, 0]
+    starts_run = col0 != col0[0]
+    n1 = int(np.argmax(starts_run)) if starts_run.any() else data.shape[0]
+    if n1 == 0 or data.shape[0] % n1 != 0:
+        raise ValueError(f"{path}: a NaN first {colnames[0]} or a ragged grid")
+    grid = data.reshape(-1, n1, 3)
+    if np.any((grid[:, :, 0] != grid[:, :1, 0]) | (grid[:, :, 1] != grid[:1, :, 1])):
+        raise ValueError(f"{path}: a run off the grid")
+    return grid[:, 0, 0].copy(), grid[0, :, 1].copy(), grid[:, :, 2].copy()

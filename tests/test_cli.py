@@ -176,6 +176,18 @@ def test_epsilon_plot(tmp_path):
     assert svg.read_bytes() == want.read_bytes()
 
 
+def test_epsilon_refuses_a_plot_path_it_cannot_write(tmp_path, capsys):
+    # --out e.svg --plot exited 0 with the plot written over the trajectory;
+    # an e.svg directory failed after the solve: both now exit 2 and write nothing
+    cfg = cfg_file(tmp_path, {"kappa": 0.0, "omega_drive": 1.0, "t_end": 1.0})
+    (tmp_path / "d.svg").mkdir()
+    for out in ("e.svg", "d.csv"):
+        assert main(["epsilon", "--config", cfg, "--out", str(tmp_path / out), "--plot"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("iontomo: ") and err.count("\n") == 1 and "is a directory or the output itself" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "d.svg"]
+
+
 def test_epsilon_plot_of_a_long_run_is_strided(tmp_path, monkeypatch):
     monkeypatch.setattr(oscillator, "_BLOCK", 1000)
     n = 3 * cli._PLOT_SAMPLES
@@ -322,6 +334,19 @@ def test_cat_sinogram_shows_fringes(tmp_path):
     # two coherent humps along the displacement axis, five fringe peaks at pi/2
     assert _count_maxima(sino.x_axis, sino.values[0], 1e-3) == 2
     assert _count_maxima(sino.x_axis, sino.values[18], 1e-3) == 5
+
+
+@pytest.mark.parametrize("mode", ["sinogram", "samples"])
+def test_tomogram_refuses_a_plot_path_it_cannot_write(tmp_path, capsys, mode):
+    # --out s.svg --plot exited 0 with the plot written over the data, without a warning
+    extra = {"mode": "samples", "queries": [[0.0, 1.0, 0.0, 0.0]]} if mode == "samples" else {}
+    cfg = cfg_file(tmp_path, tomogram_cfg({"kind": "gaussian"}, **extra))
+    (tmp_path / "d.svg").mkdir()
+    for out in ("s.svg", "d.csv"):
+        assert main(["tomogram", "--config", cfg, "--out", str(tmp_path / out), "--plot"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("iontomo: ") and err.count("\n") == 1 and "is a directory or the output itself" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "d.svg"]
 
 
 def test_tomogram_samples_mode(tmp_path):
@@ -631,6 +656,19 @@ def test_reconstruct_missing_and_invalid_input(tmp_path):
     cfg3 = cfg_file(tmp_path, {"input": str(tmp_path)}, name="d.json")
     assert main(["reconstruct", "--config", cfg3, "--out", str(tmp_path / "w.csv")]) == 2
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "d.json", "g.json", "garbage.csv"]
+
+
+def test_reconstruct_refuses_side_files_it_cannot_write(tmp_path, capsys, cat_sinogram_file):
+    # a w.report.json directory left w.csv written and ended in an
+    # IsADirectoryError traceback (exit 1); --out w.svg --plot had the plot
+    # overwrite the grid: both now exit 2 before any compute and write nothing
+    cfg = cfg_file(tmp_path, {"input": cat_sinogram_file})
+    (tmp_path / "w.report.json").mkdir()
+    for out, flags in (("w.csv", []), ("w.bin", ["--plot"]), ("v.svg", ["--plot"])):
+        assert main(["reconstruct", "--config", cfg, "--out", str(tmp_path / out), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("iontomo: ") and err.count("\n") == 1 and "is a directory or the output itself" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "w.report.json"]
 
 
 def _drop(key):

@@ -10,6 +10,7 @@ import dataclasses
 import math
 import re
 import tracemalloc
+import warnings
 from functools import partial
 
 import numpy as np
@@ -35,7 +36,7 @@ from iontomo import (
 )
 from iontomo import _container, states
 from iontomo.states import _catmull_rom_weights, _wab
-from oracles import Moments, eval_wavefunction, schroedinger_relation_check
+from oracles import Moments, eval_wavefunction, load_csv_triples_reference, schroedinger_relation_check
 
 ROOT2 = math.sqrt(2.0)
 
@@ -786,6 +787,118 @@ def test_csv_triples_rejects_a_broken_grid(tmp_path, monkeypatch, flaw, row):
         message = re.escape(str(one_shot.value))
     with pytest.raises(ValueError, match=message):
         _container.load_csv_triples(str(path), ("q", "p", "w"))
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, 1024])
+def test_csv_triples_reject_a_nan_in_a_one_run_grid(tmp_path, monkeypatch, block_rows):
+    # one run of 7 rows has no later run to hold its inner axis against; its
+    # NaN inner value is still named by its row
+    monkeypatch.setattr(_container, "_CSV_BLOCK_ROWS", block_rows)
+    ax1 = np.linspace(-1.0, 1.0, 7)
+    ax1[4] = np.nan
+    path = tmp_path / "grid.csv"
+    _container.save_csv_rows(str(path), ("q", "p", "w"), (np.zeros(7), ax1, np.arange(7.0)))
+    with pytest.raises(ValueError, match=r"row 5 after the header: \(q, p\) = \(0.0, nan\)"):
+        _container.load_csv_triples(str(path), ("q", "p", "w"))
+
+
+def test_csv_triples_load_of_one_long_run_is_bounded(tmp_path):
+    # 40,000 rows of one q: the open first run is kept as its p pieces, so the
+    # scratch stays within 1 MiB of the values; joining its (q, p) rows block
+    # by block peaked at 1.63 MB above the process
+    rng = np.random.default_rng(17)
+    ax0, ax1 = np.array([0.5]), np.linspace(-8.0, 8.0, 40_000)
+    values = rng.standard_normal((1, ax1.size))
+    path = str(tmp_path / "run.csv")
+    _container.save_csv_triples(path, ("phi", "x", "w"), ax0, ax1, values)
+    assert _container._CSV_BLOCK_ROWS == 1024
+    tracemalloc.start()
+    try:
+        back = _container.load_csv_triples(path, ("phi", "x", "w"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    for got, want in zip(back, (ax0, ax1, values)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert peak <= values.nbytes + 2 ** 20
+
+
+@pytest.mark.parametrize("body", ["", "\n\n# only a comment\n"], ids=["header-only", "blank-and-comment"])
+@pytest.mark.parametrize("block_rows", [1, 1024])
+def test_csv_triples_reject_an_empty_table(tmp_path, monkeypatch, body, block_rows):
+    # loadtxt warns on a block with no rows; the reader keeps that warning to
+    # itself and reports the empty table as one column, as a one-shot load did
+    monkeypatch.setattr(_container, "_CSV_BLOCK_ROWS", block_rows)
+    path = tmp_path / "grid.csv"
+    path.write_text("q,p,w\n" + body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="expected 3 columns, got 1"):
+            _container.load_csv_triples(str(path), ("q", "p", "w"))
+
+
+def malformed_grid_csv(rng) -> bytes:
+    """A q,p,w grid CSV of up to 5 x 6 points with 1 to 3 faults, and LF, CRLF or CR endings."""
+    n0, n1 = (int(n) for n in rng.integers(1, 6, 2))
+    ax0, ax1 = np.sort(rng.choice(12, n0, replace=False)) * 0.25, np.linspace(-1.0, 1.0, n1 + 1)[:n1]
+    lines = [["%.17g" % a, "%.17g" % b, "%.17g" % w] for a, b, w in
+             zip(np.repeat(ax0, n1), np.tile(ax1, n0), rng.standard_normal(n0 * n1))]
+    for _ in range(int(rng.integers(1, 4))):
+        i = int(rng.integers(0, len(lines) + 1))
+        data = [line for line in lines if len(line) >= 3] or [["0.0", "0.0", "0.0"]]
+        row = data[int(rng.integers(0, len(data)))]
+        fault = rng.choice(["nan", "stray", "drop", "duplicate", "reverse", "column", "number", "blank", "comment"])
+        if fault == "nan":
+            row[int(rng.integers(0, 2))] = "nan"
+        elif fault == "stray":
+            lines.insert(i, ["%.17g" % rng.choice(ax0), "%.17g" % rng.choice(ax1), "1.5"])
+        elif fault == "drop" and lines:
+            del lines[min(i, len(lines) - 1)]
+        elif fault == "duplicate":
+            lines.insert(i, list(row))
+        elif fault == "reverse" and n1 > 1:
+            run = data[min(i, len(data) - 1) // n1 * n1:][:n1]
+            for line, b in zip(run, [line[1] for line in run][::-1]):
+                line[1] = b
+        elif fault == "column":
+            row.append("0")
+        elif fault == "number":
+            row[int(rng.integers(0, 3))] = str(rng.choice(["x", "1e", "--1", ""]))
+        elif fault == "blank":
+            lines.insert(i, [])
+        elif fault == "comment":
+            lines.insert(i, ["# note"])
+    end = str(rng.choice(["\n", "\r\n", "\r"]))
+    return end.join(["q,p,w"] + [",".join(line) for line in lines] + [""]).encode()
+
+
+def _outcome(load, path):
+    try:
+        return load(path, ("q", "p", "w"))
+    except ValueError:
+        return None
+
+
+def test_csv_triples_match_a_one_shot_load_on_malformed_grids(tmp_path, monkeypatch):
+    # 1000 seeded grids with NaN, stray, dropped, duplicated, reversed, widened
+    # and unparsable rows, blank and comment lines: at every block size the
+    # reader accepts and rejects as one np.loadtxt of the whole body does, and
+    # returns the same bytes
+    rng = np.random.default_rng(2028)
+    path = tmp_path / "grid.csv"
+    accepted = 0
+    for case in range(1000):
+        path.write_bytes(malformed_grid_csv(rng))
+        want = _outcome(load_csv_triples_reference, str(path))
+        accepted += want is not None
+        for block_rows in (1, 2, 3, 5, 1024):
+            monkeypatch.setattr(_container, "_CSV_BLOCK_ROWS", block_rows)
+            got = _outcome(_container.load_csv_triples, str(path))
+            assert (got is None) == (want is None), (case, block_rows, path.read_bytes())
+            if want is not None:
+                for a, b in zip(got, want):
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes(), (case, block_rows)
+    assert 100 <= accepted <= 900
 
 
 def test_wigner_grid_save_rejects_unknown_format(tmp_path):
