@@ -201,10 +201,11 @@ def load_csv_triples(path: str, colnames: tuple[str, str, str]):
     Parses ``_CSV_BLOCK_ROWS`` lines at a time into a values array sized by a
     line count beforehand.  The first ax0 run, held as its ax1 pieces, fixes
     the inner length n1; each later run must hold one ax0 value and repeat the
-    first run's ax1.  A block's whole runs are checked at once; the rows of an
-    unfinished run wait for the next block.  So the first fault in file order
+    first run's ax1.  After the first run, each block's rows are checked as
+    they arrive, against ``ax1[j0:j0 + m]`` and the ax0 of their runs, so the
+    scratch is one block however long a run is.  The first fault in file order
     is raised, save that a line that does not parse (loadtxt's error, its row
-    counted in the file) goes before the faults of the runs it leaves open.
+    counted in the file) goes before the faults earlier in its block.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
@@ -219,19 +220,33 @@ def load_csv_triples(path: str, colnames: tuple[str, str, str]):
         capacity += last != "\n"
         fh.seek(body)
         values = np.empty(capacity)
-        rows = done = 0  # rows parsed, and rows in runs found whole
-        n1, head, carry, ax0 = None, [], [], []  # first run's ax1 pieces, unchecked rows, each run's ax0
+        rows = 0
+        n1, head, ax0 = None, [], []  # inner run length, first run's ax1 pieces, each run's ax0
 
-        def check(c0, c1):
-            """Raise at the first row of the runs ``c0, c1`` (from row ``done`` on) off the grid; keep their ax0."""
-            bad = (c0 != c0[:, :1]) | (c1 != ax1[:c1.shape[1]])
+        def fault(i, got, want):
+            raise ValueError(f"{path}: row {i + 1} after the header: ({colnames[0]}, {colnames[1]}) = "
+                             f"{tuple(v.item() for v in got)}, expected {tuple(v.item() for v in want)}: "
+                             f"each run of {n1} rows must hold one {colnames[0]} and repeat the first run's "
+                             f"{colnames[1]}")
+
+        def check_first_run(first0):
+            """Raise at the first NaN of the first run's ax1 (it differs from itself); keep its ax0."""
+            if (nan := np.isnan(ax1)).any():
+                j = int(np.argmax(nan))
+                fault(j, (first0, ax1[j]), (first0, ax1[j]))
+            ax0.append(np.array([first0]))
+
+        def check(at, c0, c1):
+            """Raise at the first of the rows ``c0, c1``, from file row ``at`` on, that is off the grid."""
+            run, col = np.divmod(np.arange(at % n1, at % n1 + c0.size), n1)
+            heads = c0[(-at) % n1::n1]  # the ax0 of each run that starts in these rows
+            want0 = (np.append(ax0[-1][-1], heads) if at % n1 else heads)[run]
+            bad = (c0 != want0) | (c1 != ax1[col])
             if bad.any():
-                i, j = divmod(int(np.argmax(bad)), c1.shape[1])
-                raise ValueError(f"{path}: row {done + i * n1 + j + 1} after the header: ({colnames[0]}, "
-                                 f"{colnames[1]}) = {(c0[i, j].item(), c1[i, j].item())}, expected "
-                                 f"{(c0[i, 0].item(), ax1[j].item())}: each run of {n1} rows must hold one "
-                                 f"{colnames[0]} and repeat the first run's {colnames[1]}")
-            ax0.append(c0[:, 0].copy())
+                i = int(np.argmax(bad))
+                fault(at + i, (c0[i], c1[i]), (want0[i], ax1[col[i]]))
+            if heads.size:
+                ax0.append(heads.copy())
 
         with warnings.catch_warnings():
             # a block of only blank or comment lines parses to no rows
@@ -246,31 +261,23 @@ def load_csv_triples(path: str, colnames: tuple[str, str, str]):
                     if np.isnan(first0):  # it starts no run
                         raise ValueError(f"{path}: row 1 after the header: {colnames[0]} is not a number")
                 values[rows:rows + m] = block[:, 2]
-                rows += m
+                at, rows = rows, rows + m
                 if n1 is None:
                     cut = int(np.argmax(np.append(block[:, 0] != first0, True)))
                     head.append(block[:cut, 1].copy())
                     if cut == m:
                         continue
-                    n1, block = rows - m + cut, block[cut:]
+                    n1, at, block = at + cut, at + cut, block[cut:]
                     ax1, head = np.concatenate(head), None
-                    check(np.broadcast_to(first0, (1, n1)), ax1[None])  # a NaN in ax1 differs from itself
-                    done = n1
-                carry.append(block)
-                if rows - done >= n1:
-                    rest = np.concatenate(carry)
-                    whole = len(rest) - len(rest) % n1
-                    check(rest[:whole, 0].reshape(-1, n1), rest[:whole, 1].reshape(-1, n1))
-                    carry, done = [rest[whole:].copy()], done + whole
-                block = rest = None  # freed before the next block is parsed
+                    check_first_run(first0)
+                check(at, block[:, 0], block[:, 1])
+                block = None  # freed before the next block is parsed
     if not rows:  # an empty table parses as one column
         raise ValueError(f"{path}: expected 3 columns, got 1")
     if n1 is None:  # one run
         n1, ax1 = rows, np.concatenate(head)
-        check(np.broadcast_to(first0, (1, n1)), ax1[None])
-    elif rows > done:
-        tail = np.concatenate(carry)
-        check(tail[None, :, 0], tail[None, :, 1])
+        check_first_run(first0)
+    elif rows % n1:
         raise ValueError(f"{path}: ragged grid ({rows} rows, inner run {n1})")
     return np.concatenate(ax0), ax1, values[:rows].reshape(-1, n1)
 

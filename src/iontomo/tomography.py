@@ -340,18 +340,39 @@ class OpticalSinogram:
         return OpticalSinogram(phi_axis=phi_axis, x_axis=x_axis, values=values)
 
 
+#: Fine samples per X sample in the table that filtered backprojection reads.
+#: On criterion 9b, 2 gave 2.1e-3, 4 gave 5.3e-4 and 8 gave 1.3e-4.  On a
+#: 360 x 513 sinogram onto 201^2, 8 took 1.4x as long as 4, and 4 as long as the
+#: linear reading of the X samples that it replaced.
+_FBP_UPSAMPLE = 4
+
+
 def radon_reconstruct(sinogram: OpticalSinogram, q_axis, p_axis) -> WignerGrid:
     """Wigner function from an optical sinogram by filtered backprojection.
 
     Each angular projection is convolved with the band-limited Ram-Lak
     kernel, h[0] = 1 / (4 dx^2), h[j] = -1 / (pi j dx)^2 for odd j and 0 for
     even j != 0 (Kak & Slaney, *Principles of Computerized Tomographic
-    Imaging*, eq. 3.61), and backprojected with linear interpolation.  Its
-    spectrum follows |omega| up to the Nyquist frequency but keeps a small
-    positive DC term, the sum of the kernel over the padded row; a sampled
-    ramp |omega| is 0 there and loses about 1.8% of the normalization.  With
-    the 2 pi Wigner convention the overall scale is exactly the angle step:
-    W = dphi * sum_phi filtered_phi(q cos phi + p sin phi).
+    Imaging*, eq. 3.61).  Its spectrum follows |omega| up to the Nyquist
+    frequency but keeps a small positive DC term, the sum of the kernel over
+    the padded row; a sampled ramp |omega| is 0 there and loses about 1.8% of
+    the normalization.  With the 2 pi Wigner convention the overall scale is
+    exactly the angle step: W = dphi * sum_phi filtered_phi(q cos phi + p sin phi).
+
+    The whole filtered row is backprojected, not only its n samples on the X
+    axis: the row sits at offset (N - n) // 2 of N >= 2 n - 1 zeros (N a power
+    of two), so the circular convolution also holds at least (n - 1) / 2
+    samples of filtered tail on each side, which points past the X range,
+    such as a square grid's corners, read.  The inverse FFT of each row runs
+    to ``_FBP_UPSAMPLE`` (4) N points: the spectrum zero-padded, with its
+    Nyquist bin halved, is the band-limited interpolant at 4x the X
+    sampling (Kak & Slaney, ch. 3).  Points are read linearly between these
+    fine samples, and as exactly 0 past them.  On criterion 9b (an even cat,
+    alpha 2, 180 x 257 over [-8, 8] onto 121^2) the rel-L2 error is 5.3e-4,
+    where linear reading of the X samples with the tails as 0 gave 8.5e-3.
+    The fine table and its slopes take 8 x 4 N bytes each, and the inverse
+    FFT's zero-padded spectrum as much again: 128 MiB each for a 16-angle
+    sinogram at the CLI's 256 MiB array cap (n = 2^21, N = 2^22).
 
     Raises
     ------
@@ -371,7 +392,10 @@ def radon_reconstruct(sinogram: OpticalSinogram, q_axis, p_axis) -> WignerGrid:
     j = np.minimum(np.arange(nfft), nfft - np.arange(nfft))
     h = np.where(j % 2 == 1, -1.0 / (math.pi * np.maximum(j, 1) * dx) ** 2, 0.0)
     h[0] = 1.0 / (4.0 * dx * dx)
-    filt = 2.0 * math.pi * dx * np.fft.rfft(h).real
+    # irfft to U nfft points divides by U nfft; the Nyquist bin is halved so its
+    # two halves at +-nfft / 2 give the real, symmetric band-limited interpolant
+    filt = (2.0 * math.pi * dx * _FBP_UPSAMPLE) * np.fft.rfft(h).real
+    filt[-1] *= 0.5
 
     q_axis = np.asarray(q_axis, dtype=float)
     p_axis = np.asarray(p_axis, dtype=float)
@@ -379,24 +403,31 @@ def radon_reconstruct(sinogram: OpticalSinogram, q_axis, p_axis) -> WignerGrid:
     # per-angle scratch, allocated once and filled in place
     u, gathered = np.empty_like(out), np.empty_like(out)
     k = np.empty(out.shape, dtype=np.intp)
-    inside = np.empty(out.shape, dtype=bool)
-    lo = x[0]
-    mid = (n - 1) / 2
+    s0 = (nfft - n) // 2
+    padded, spectrum = np.zeros(nfft), np.empty(filt.size, dtype=complex)
+    fine = _FBP_UPSAMPLE * nfft
+    # level[1 + i] is the filtered row at buffer position i / U; the zero entry
+    # and zero slope at each end make every point past the table read 0
+    level, slope = np.zeros(fine + 2), np.zeros(fine + 2)
+    base = _FBP_UPSAMPLE * s0 + 1  # table index of x[0]
+    scale = _FBP_UPSAMPLE / dx
     for phi, row in zip(sinogram.phi_axis, sinogram.values):
-        level = np.fft.irfft(filt * np.fft.rfft(row, n=nfft), n=nfft)[:n]
-        slope = np.append(np.diff(level), 0.0)
-        # u is t = q cos(phi) + p sin(phi) in units of dx from x[0]: sample j sits at u = j
-        np.add(((q_axis * math.cos(phi) - lo) / dx)[:, np.newaxis], p_axis * math.sin(phi) / dx, out=u)
-        # t outside [x[0], x[-1]] reads 0, as in np.interp
-        np.less_equal(np.abs(np.subtract(u, mid, out=gathered), out=gathered), mid, out=inside)
-        # on [j, j + 1) the line from sample j takes slope[j]; trunc, not floor, so
-        # a u rounded into the mask from just below 0 reads sample 0, not sample 1
-        np.trunc(u, out=gathered)
+        padded[s0:s0 + n] = row
+        np.fft.rfft(padded, out=spectrum)
+        spectrum *= filt
+        np.fft.irfft(spectrum, n=fine, out=level[1:-1])
+        np.subtract(level[2:], level[1:-1], out=slope[1:-1])
+        # u is t = q cos(phi) + p sin(phi) in fine samples from x[0]: a row fill and
+        # a contiguous add, where one broadcast add walks its column operand slowly
+        np.copyto(u, ((q_axis * math.cos(phi) - x[0]) * scale)[:, np.newaxis])
+        u += p_axis * (math.sin(phi) * scale)
+        np.floor(u, out=gathered)
         u -= gathered
         np.copyto(k, gathered, casting="unsafe")
+        k += base
         u *= slope.take(k, mode="clip", out=gathered)
         u += level.take(k, mode="clip", out=gathered)
-        np.add(out, u, out=out, where=inside)
+        out += u
 
     out *= math.pi / sinogram.phi_axis.size
     return WignerGrid(q_axis=q_axis, p_axis=p_axis, values=out)

@@ -823,6 +823,26 @@ def test_csv_triples_load_of_one_long_run_is_bounded(tmp_path):
     assert peak <= values.nbytes + 2 ** 20
 
 
+def test_csv_triples_load_of_two_long_runs_is_bounded(tmp_path):
+    # 2 runs of 200,000 rows: the first run is held as its p pieces and joined
+    # once, and the second is checked block by block as it arrives; holding the
+    # open run's rows until it was whole peaked at 15.07 MB here
+    rng = np.random.default_rng(19)
+    ax0, ax1 = np.array([-0.5, 0.5]), np.linspace(-8.0, 8.0, 200_000)
+    values = rng.standard_normal((ax0.size, ax1.size))
+    path = str(tmp_path / "runs.csv")
+    _container.save_csv_triples(path, ("phi", "x", "w"), ax0, ax1, values)
+    tracemalloc.start()
+    try:
+        back = _container.load_csv_triples(path, ("phi", "x", "w"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    for got, want in zip(back, (ax0, ax1, values)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert peak <= values.nbytes + 2 * ax1.nbytes + 2 ** 20
+
+
 @pytest.mark.parametrize("body", ["", "\n\n# only a comment\n"], ids=["header-only", "blank-and-comment"])
 @pytest.mark.parametrize("block_rows", [1, 1024])
 def test_csv_triples_reject_an_empty_table(tmp_path, monkeypatch, body, block_rows):

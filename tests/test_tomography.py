@@ -750,8 +750,8 @@ def test_radon_vacuum_peak():
 
 @pytest.mark.parametrize("window", ["hann", "none"])
 def test_radon_cat_accuracy(window):
-    # the shipped filter is the bare band-limited ramp: the oracle with no
-    # window matches its accuracy, and a Hann window on the same kernel is worse
+    # the shipped filter is the bare band-limited ramp: the FFT-free oracle with
+    # no window matches its accuracy, and a Hann window on the same kernel is worse
     spec = CatSpec(2.0 + 0.0j, "even")
     sino = OpticalSinogram.from_evaluator(
         partial(tomogram_cat, spec),
@@ -809,27 +809,52 @@ def test_radon_consistent_under_rotation():
 
 
 def radon_reference(sinogram, q_axis, p_axis, window="none"):
-    """Filtered backprojection by direct convolution with the band-limited
-    Ram-Lak kernel and one ``np.interp`` per angle, with no FFT.
+    """Filtered backprojection with no FFT.
+
+    Each row sits at offset s0 = (N - n) // 2 of N zeros, N the smallest power
+    of two >= 2 n - 1, and is convolved circularly with the band-limited
+    Ram-Lak kernel.  The N filtered samples are interpolated to U N fine ones
+    (U = ``_FBP_UPSAMPLE``) by the even-N Dirichlet kernel
+    sin(pi y) / (N tan(pi y / N)), the periodic band-limited interpolant with
+    the Nyquist term split in half, and each angle is one ``np.interp`` on the
+    fine samples, 0 past them.
 
     ``window="hann"`` multiplies the filter by 0.5 (1 + cos(omega dx)), which in
     X is a convolution of the kernel with the taps 1/4, 1/2, 1/4."""
     x = sinogram.x_axis
     n = x.size
-    dx = float(x[1] - x[0])
-    j = np.arange(-(n - 1), n)
-    kernel = np.zeros(j.size)
-    odd = j % 2 == 1
-    kernel[odd] = -1.0 / (math.pi * j[odd] * dx) ** 2
-    kernel[n - 1] = 1.0 / (4.0 * dx * dx)
+    dx = (x[-1] - x[0]) / (n - 1)
+    N = 1 << (2 * n - 1).bit_length()
+    s0 = (N - n) // 2
+    U = tomography._FBP_UPSAMPLE
+    d = np.minimum(np.arange(N), N - np.arange(N))
+    kernel = np.zeros(N)
+    odd = d % 2 == 1
+    kernel[odd] = -1.0 / (math.pi * d[odd] * dx) ** 2
+    kernel[0] = 1.0 / (4.0 * dx * dx)
     if window == "hann":
-        kernel = np.convolve(kernel, [0.25, 0.5, 0.25])
-    centre = kernel.size // 2
+        kernel = 0.5 * kernel + 0.25 * (np.roll(kernel, 1) + np.roll(kernel, -1))
+    # filtered[:, i] = sum_m row[m] kernel[(i - s0 - m) mod N]
+    circulant = kernel[(np.arange(N)[:, np.newaxis] - s0 - np.arange(n)) % N]
+    filtered = 2.0 * math.pi * dx * sinogram.values @ circulant.T
+    # fine sample U a + b is sum_i filtered[i] D(a - i + b / U).  D is even with
+    # period N, so it is taken at the circular distance r / U <= N / 2, and the
+    # sine at r mod 2 U: unreduced arguments put 1e-13 of rounding into D
+    r = np.arange(U * N)
+    r = np.minimum(r, U * N - r)
+    on_node = r % U == 0
+    dirichlet = np.where(r == 0, 1.0, 0.0)
+    r = r[~on_node]
+    dirichlet[~on_node] = np.sin(math.pi * (r % (2 * U)) / U) / (N * np.tan(math.pi * r / (U * N)))
+    fine = np.empty((filtered.shape[0], U * N))
+    a = np.arange(N)
+    for b in range(U):
+        fine[:, b::U] = filtered @ dirichlet[(U * (a[:, np.newaxis] - a) + b) % (U * N)].T
+    positions = x[0] + (np.arange(U * N) / U - s0) * dx
     Q, P = np.meshgrid(q_axis, p_axis, indexing="ij")
     out = np.zeros_like(Q)
-    for i, phi in enumerate(sinogram.phi_axis):
-        filtered = 2.0 * math.pi * dx * np.convolve(sinogram.values[i], kernel)[centre:centre + n]
-        out += np.interp(Q * math.cos(phi) + P * math.sin(phi), x, filtered, left=0.0, right=0.0)
+    for phi, row in zip(sinogram.phi_axis, fine):
+        out += np.interp(Q * math.cos(phi) + P * math.sin(phi), positions, row, left=0.0, right=0.0)
     return out * (math.pi / sinogram.phi_axis.size)
 
 
@@ -842,7 +867,8 @@ def radon_reference(sinogram, q_axis, p_axis, window="none"):
     (np.linspace(-5.0, 7.0, 131), np.linspace(-9.0, 3.0, 40), np.linspace(-2.0, 11.0, 53)),
 ], ids=["grid-is-x", "corners-outside", "off-centre"])
 def test_radon_matches_interp_loop(x_axis, q_axis, p_axis):
-    # the FFT and the index arithmetic round differently from np.convolve and np.interp, and nothing else
+    # the FFTs and the index arithmetic round differently from the circulant and
+    # Dirichlet sums and np.interp, and nothing else: about 6e-15 on each case
     spec = CatSpec(1.5 + 0.5j, "odd")
     sino = OpticalSinogram.from_evaluator(partial(tomogram_cat, spec),
                                           np.linspace(0.0, math.pi, 64, endpoint=False), x_axis)
@@ -851,10 +877,44 @@ def test_radon_matches_interp_loop(x_axis, q_axis, p_axis):
     assert np.max(np.abs(got - want)) <= 1e-13
 
 
+def test_radon_upsampled_row_accuracy():
+    # criterion 9b's case, and the odd cat of the dataset workload's size: the
+    # 4x table read 5.3e-4 and 1.25e-4, linear FBP on the coarse X samples with
+    # its tails read as 0 read 8.5e-3 and 2.0e-3
+    for spec, n_phi, n_x, half, n_grid, grid_half, bound in [
+        (CatSpec(2.0 + 0.0j, "even"), 180, 257, 8.0, 121, 6.0, 1e-3),
+        (CatSpec(1.5 + 0.0j, "odd"), 360, 513, 10.0, 201, 7.0, 5e-4),
+    ]:
+        sino = OpticalSinogram.from_evaluator(partial(tomogram_cat, spec), np.arange(n_phi) * (math.pi / n_phi),
+                                              np.linspace(-half, half, n_x))
+        axis = np.linspace(-grid_half, grid_half, n_grid)
+        Q, P = np.meshgrid(axis, axis, indexing="ij")
+        exact = wigner_cat(spec, Q, P)
+        rel_l2 = np.linalg.norm(radon_reconstruct(sino, axis, axis).values - exact) / np.linalg.norm(exact)
+        assert rel_l2 < bound
+
+
+@pytest.mark.parametrize("centre", [105.0, -105.0], ids=["table-above", "table-below"])
+def test_radon_reads_zero_past_the_table(centre):
+    # rows on X in [100, 110] (or its mirror) put the filtered table on about
+    # [85, 125]; a grid within radius 1.5 of the origin lies past its end at every
+    # angle and reads exactly 0, as np.interp(..., left=0, right=0) would
+    x = np.linspace(centre - 5.0, centre + 5.0, 65)
+    phi = np.arange(16) * (math.pi / 16)
+    rows = np.exp(-0.5 * (x - centre) ** 2) / math.sqrt(2.0 * math.pi)
+    sino = OpticalSinogram(phi_axis=phi, x_axis=x, values=np.tile(rows, (phi.size, 1)))
+    axis = np.linspace(-1.0, 1.0, 21)
+    assert not np.any(radon_reconstruct(sino, axis, axis).values)
+    # the filtered tails reach a grid on the near side of the window
+    near = np.linspace(centre - 6.0, centre - 5.5, 3) if centre > 0 else np.linspace(centre + 5.5, centre + 6.0, 3)
+    assert np.all(radon_reconstruct(sino, near, near).values != 0.0)
+
+
 def test_radon_scratch_is_bounded():
-    # the output, three grids of per-angle scratch (t and u, indices, one
-    # gather) and two masks, allocated once; a fresh set per angle and a
-    # scaled copy of the output peaked at 1.79 MB here
+    # the output and three grids of per-angle scratch (u, indices, one gather),
+    # allocated once, and the fine table with its slopes and the FFT buffers
+    # (about 0.27 MB at 4x upsampling; 1.57 MB in all); a fresh set of grids per
+    # angle and a scaled copy of the output peaked at 1.79 MB here
     spec = CatSpec(1.5 + 0.5j, "odd")
     sino = OpticalSinogram.from_evaluator(partial(tomogram_cat, spec),
                                           np.arange(360) * (math.pi / 360), np.linspace(-8.0, 8.0, 513))
