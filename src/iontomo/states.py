@@ -156,35 +156,42 @@ def wigner_gaussian(state: GaussianState, q, p):
     return np.exp(-quad / (2.0 * d)) / math.sqrt(d)
 
 
-def _wab(a: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Coherent-pair Wigner kernel W_{a,b}(z) of one mode.
-
-    W_{a,b} = 2 exp(-2 z z* + 2 a z* + 2 b* z - a b* - |a|^2/2 - |b|^2/2)
-    """
-    expo = (-2.0 * z * np.conj(z) + 2.0 * a * np.conj(z) + 2.0 * np.conj(b) * z
-            - a * np.conj(b) - np.abs(a) ** 2 / 2.0 - np.abs(b) ** 2 / 2.0)
-    return 2.0 * np.exp(expo)
-
-
 def wigner_cat(spec: CatSpec, q, p):
     """Wigner function of a one-mode even/odd cat at phase-space points.
+
+    W = 4 exp(-2 |z|^2) N^2 [exp(-2 |alpha|^2) cosh x +/- cos y] with
+    z = (q + i p) / sqrt(2), x = 4 Re(alpha z*) and y = 4 Im(alpha z*): the two
+    displaced Gaussians and their interference.  The Gaussians are summed as
+    2 N^2 exp(-2 m) (1 + exp(-2 |x|)) with m = min |z -/+ alpha|^2, which
+    cannot overflow.  N^2 times the odd bracket is summed in the exact form
+    N^2 (2 exp(-2 |alpha|^2) sinh^2(x / 2) + 2 sin^2(y / 2)) - 1/2, since
+    N^2 expm1(-2 |alpha|^2) = -1/2: no term cancels another, so the odd cat
+    keeps its digits as alpha -> 0, where N^2 ~ 1 / (4 |alpha|^2) and W tends
+    to the one-phonon 2 (2 r^2 - 1) exp(-r^2).  As in :func:`tomogram_cat`,
+    n = N meets the small factors before any square, so nothing underflows
+    or overflows down to the CatSpec floor.
 
     Returns
     -------
     ndarray of float
-        Real value of the broadcast shape of q and p; the two interference
-        terms are complex conjugates, so the imaginary part cancels
-        identically.  May be negative; the odd cat has W(0) = -2.
+        Value of the broadcast shape of q and p.  May be negative; the odd cat
+        has W(0) = -2.
     """
-    z = (np.asarray(q, dtype=float) + 1j * np.asarray(p, dtype=float)) / math.sqrt(2.0)
-    shape = z.shape
-    # arrays, never scalars: numpy rounds scalar complex products differently
-    z = np.atleast_1d(z)
-    a = np.full(1, complex(spec.alpha))
-    sign = 1.0 if spec.parity == "even" else -1.0
-    total = (_wab(a, a, z) + _wab(-a, -a, z)
-             + sign * (_wab(a, -a, z) + _wab(-a, a, z)))
-    return spec.norm_squared * np.real(total).reshape(shape)
+    zq = np.asarray(q, dtype=float) / math.sqrt(2.0)
+    zp = np.asarray(p, dtype=float) / math.sqrt(2.0)
+    a = complex(spec.alpha)
+    x = 4.0 * (a.real * zq + a.imag * zp)
+    y = 4.0 * (a.imag * zq - a.real * zp)
+    m = np.minimum((zq - a.real) ** 2 + (zp - a.imag) ** 2, (zq + a.real) ** 2 + (zp + a.imag) ** 2)
+    centre = np.exp(-2.0 * (zq ** 2 + zp ** 2))
+    n = math.sqrt(spec.norm_squared)
+    if spec.parity == "odd":
+        total = (2.0 * (n * np.exp(-m) * np.expm1(-np.abs(x))) ** 2
+                 + 8.0 * centre * (n * np.sin(y / 2.0)) ** 2 - 2.0 * centre)
+    else:
+        total = spec.norm_squared * (2.0 * np.exp(-2.0 * m) * (1.0 + np.exp(-2.0 * np.abs(x)))
+                                     + 4.0 * centre * np.cos(y))
+    return np.asarray(total)
 
 
 def evolve_wigner(initial: Callable, eps: complex, deps: complex, q, p):

@@ -133,14 +133,19 @@ def invert_to_wigner(sinogram: OpticalSinogram, q_axis, p_axis, *, k_max: float 
     on the sinogram's own X samples, so nothing is interpolated in X.  Each
     row's sum is taken once for all k, by a zero-padded FFT at least 8x
     oversampled in k, and read at k = +-r by a 16-point Lagrange stencil:
-    within about 1e-12 of max |F| of the sum at each node, and 1.5e-13 of
-    max |W| on a 180x321 cat sinogram.
+    within about 1e-12 of max |F| of the sum at each node, and 2.8e-15 of
+    max |W| on the benchmark's 180x321 sinogram at seed 0.
 
     Only the half plane of the first ``(n_nodes + 1) // 2`` mu rows is
-    evaluated.  The rest follows from F(-mu, -nu) = conj F(mu, nu), which
-    holds because homogeneity at lambda = -1 gives
-    w(Y, -mu, -nu) = w(-Y, mu, nu), the fold every sinogram is read with.
-    The nodes are made exactly antisymmetric for this mirror.
+    evaluated and contracted.  The rest follows from
+    F(-mu, -nu) = conj F(mu, nu), which holds because homogeneity at
+    lambda = -1 gives w(Y, -mu, -nu) = w(-Y, mu, nu), the fold every sinogram
+    is read with: on nodes made exactly antisymmetric, the mirrored rows add
+    the conjugate of the half plane's term, so W = Re(A_h F_h B) / 2 pi with
+    the half plane's mu weights doubled (the middle row of an odd
+    ``n_nodes`` kept once).  The peak memory is the wrapped sinogram and its
+    row table, with half of F filled beside them; the phase factors and
+    products come after the table is dropped and are smaller.
 
     The grid is returned whatever its normalization, as from
     :func:`radon_reconstruct`; ``grid.integral()`` far from 1 means k_max or
@@ -161,26 +166,28 @@ def invert_to_wigner(sinogram: OpticalSinogram, q_axis, p_axis, *, k_max: float 
     half = (n_nodes + 1) // 2
 
     spectrum = _ray_spectrum(sinogram, float(np.hypot(nodes[-1], nodes[-1])))
-    F = np.empty((n_nodes, n_nodes), dtype=complex)
+    F = np.empty((half, n_nodes), dtype=complex)
     for i, m in enumerate(nodes[:half]):
         degenerate = (m == 0.0) & (nodes == 0.0)
         F[i, :] = spectrum(m, np.where(degenerate, 1.0, nodes))
         F[i, degenerate] = 1.0
-    # F(-mu, -nu) = conj F(mu, nu) for every real tomogram with w(Y, -mu, -nu) = w(-Y, mu, nu)
-    F[n_nodes - half:] = np.conj(F[half - 1::-1, ::-1])
-    # the sinogram's row table is dropped before the matmuls, which set the peak memory
+    # the sinogram and its row table are dropped before the matmuls
     del spectrum
 
-    # separable phase factors turn the double (mu, nu) sum into two matmuls
+    # separable phase factors turn the double (mu, nu) sum into two matmuls.  The
+    # mirrored row n - 1 - i adds the conjugate of row i's term, so the real part
+    # counts row i twice, and the middle row of an odd n_nodes once
     w_nodes = _uniform_trapezoid(n_nodes, _uniform_spacing(nodes, "nodes"))
-    A = np.exp(-1j * np.outer(q_axis, nodes)) * w_nodes
+    w_rows = 2.0 * w_nodes[:half]
+    w_rows[n_nodes // 2:] *= 0.5
+    A = np.exp(-1j * np.outer(q_axis, nodes[:half])) * w_rows
     B = np.exp(-1j * np.outer(nodes, p_axis)) * w_nodes[:, np.newaxis]
     return WignerGrid(q_axis=q_axis, p_axis=p_axis, values=np.real(A @ F @ B) / (2.0 * math.pi))
 
 
 #: FFT length of a sinogram row, as a multiple of its sample count (rounded up
-#: to a power of two): the k grid then samples each row spectrum at least 8x
-#: finer than its bandwidth, the half-length of the X range.
+#: by :func:`_fft_length`): the k grid then samples each row spectrum at least
+#: 8x finer than its bandwidth, the half-length of the X range.
 _K_OVERSAMPLE = 8
 #: Points of the Lagrange stencil that reads a row spectrum between k nodes.
 #: At 8x oversampling 16 points keep the error near 1e-12 of max |F| even for
@@ -236,13 +243,13 @@ def _row_spectra(grid: WignerGrid, k_reach: float) -> tuple[np.ndarray, float, i
     :meth:`WignerGrid.interpolate`.  On the X axis symmetric about 0 that
     :func:`_wrapped_grid` requires, the rows have the smallest bandwidth in k,
     half the X range.  Each row is one zero-padded rfft of length
-    n >= ``_K_OVERSAMPLE`` n_x, weighted and taken in blocks of
+    n = ``_fft_length(_K_OVERSAMPLE n_x)``, weighted and taken in blocks of
     ``_FFT_BLOCK_ROWS`` rows; only the columns of 0 <= k <= ``k_reach``, at
     most one period of n columns, and a stencil guard on each side are kept.
     """
     x = grid.p_axis
     trapezoid = _uniform_trapezoid(x.size, grid.dp)
-    n_fft = 1 << (_K_OVERSAMPLE * x.size - 1).bit_length()
+    n_fft = _fft_length(_K_OVERSAMPLE * x.size)
     dk = 2.0 * math.pi / (n_fft * grid.dp)
     half = _K_STENCIL // 2
     cols = np.arange(min(int(k_reach / dk), n_fft) + 2 * half + 2) - half
@@ -256,6 +263,24 @@ def _row_spectra(grid: WignerGrid, k_reach: float) -> tuple[np.ndarray, float, i
         spec = np.fft.rfft(grid.values[start:start + _FFT_BLOCK_ROWS] * trapezoid, n=n_fft)[:, column]
         table[1 + start:1 + start + spec.shape[0]] = np.where(upper, spec, np.conj(spec)) * phase
     return table, dk, n_fft
+
+
+def _fft_length(m: int) -> int:
+    """The smallest even 2^a 3^b 5^c >= m, a length that numpy's FFT takes in radix-2, 3 and 5 passes."""
+    best = 2
+    while best < m:
+        best *= 2
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            n = 2 * p35
+            while n < m:
+                n *= 2
+            best = min(best, n)
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def _lagrange_weights(t: np.ndarray, offsets: np.ndarray, denominators: np.ndarray) -> np.ndarray:
@@ -345,6 +370,9 @@ class OpticalSinogram:
 #: 360 x 513 sinogram onto 201^2, 8 took 1.4x as long as 4, and 4 as long as the
 #: linear reading of the X samples that it replaced.
 _FBP_UPSAMPLE = 4
+#: Clip of each term of a backprojected position, in fine samples: two terms
+#: sum to at most 2^62, which an intp holds.
+_FBP_REACH = 2.0 ** 61
 
 
 def radon_reconstruct(sinogram: OpticalSinogram, q_axis, p_axis) -> WignerGrid:
@@ -360,19 +388,27 @@ def radon_reconstruct(sinogram: OpticalSinogram, q_axis, p_axis) -> WignerGrid:
     exactly the angle step: W = dphi * sum_phi filtered_phi(q cos phi + p sin phi).
 
     The whole filtered row is backprojected, not only its n samples on the X
-    axis: the row sits at offset (N - n) // 2 of N >= 2 n - 1 zeros (N a power
-    of two), so the circular convolution also holds at least (n - 1) / 2
-    samples of filtered tail on each side, which points past the X range,
-    such as a square grid's corners, read.  The inverse FFT of each row runs
+    axis: the row sits at offset (N - n) // 2 of N zeros, N the smallest even
+    2^a 3^b 5^c >= 2 n - 1, and the circular convolution holds filtered tail
+    on each side, which points past the X range, such as a square grid's
+    corners, read.  It is the linear convolution on the window and
+    N / 2 - (n - 1) samples past each end of it (28 at n = 513, N = 1080);
+    further out it carries the kernel's wrapped-around tail, and (N - n) // 2
+    samples past each end the row reads 0.  The inverse FFT of each row runs
     to ``_FBP_UPSAMPLE`` (4) N points: the spectrum zero-padded, with its
     Nyquist bin halved, is the band-limited interpolant at 4x the X
     sampling (Kak & Slaney, ch. 3).  Points are read linearly between these
-    fine samples, and as exactly 0 past them.  On criterion 9b (an even cat,
-    alpha 2, 180 x 257 over [-8, 8] onto 121^2) the rel-L2 error is 5.3e-4,
-    where linear reading of the X samples with the tails as 0 gave 8.5e-3.
+    fine samples and a zero sample past each end, and as exactly 0 further
+    out.  On criterion 9b (an even cat, alpha 2, 180 x 257 over [-8, 8] onto
+    121^2) the rel-L2 error is 5.3e-4, where linear reading of the X samples
+    with the tails as 0 gave 8.5e-3.
     The fine table and its slopes take 8 x 4 N bytes each, and the inverse
     FFT's zero-padded spectrum as much again: 128 MiB each for a 16-angle
-    sinogram at the CLI's 256 MiB array cap (n = 2^21, N = 2^22).
+    sinogram at the CLI's 256 MiB array cap (n = 2^21, where N = 2^22 is
+    itself the smallest such length).  Each angle's q and p terms are clipped
+    to +-2^61 fine samples, so their sum casts to an index without overflow;
+    that far out a double resolves no fine sample, and the grid's
+    normalization shows the miss.
 
     Raises
     ------
@@ -387,7 +423,7 @@ def radon_reconstruct(sinogram: OpticalSinogram, q_axis, p_axis) -> WignerGrid:
     x = sinogram.x_axis
     n = x.size
     dx = _uniform_spacing(x, "x_axis")
-    nfft = 1 << (2 * n - 1).bit_length()
+    nfft = _fft_length(2 * n - 1)
     # laid out circularly, the kernel's product with a zero-padded row is their linear convolution
     j = np.minimum(np.arange(nfft), nfft - np.arange(nfft))
     h = np.where(j % 2 == 1, -1.0 / (math.pi * np.maximum(j, 1) * dx) ** 2, 0.0)
@@ -406,21 +442,22 @@ def radon_reconstruct(sinogram: OpticalSinogram, q_axis, p_axis) -> WignerGrid:
     s0 = (nfft - n) // 2
     padded, spectrum = np.zeros(nfft), np.empty(filt.size, dtype=complex)
     fine = _FBP_UPSAMPLE * nfft
-    # level[1 + i] is the filtered row at buffer position i / U; the zero entry
-    # and zero slope at each end make every point past the table read 0
-    level, slope = np.zeros(fine + 2), np.zeros(fine + 2)
-    base = _FBP_UPSAMPLE * s0 + 1  # table index of x[0]
+    # level[2 + i] is the filtered row at buffer position i / U, between a zero
+    # sample on each side; the zero entry and zero slope at each end then make
+    # every point further out read 0, whichever way the index clips
+    level, slope = np.zeros(fine + 3), np.zeros(fine + 3)
+    base = _FBP_UPSAMPLE * s0 + 2  # table index of x[0]
     scale = _FBP_UPSAMPLE / dx
     for phi, row in zip(sinogram.phi_axis, sinogram.values):
         padded[s0:s0 + n] = row
         np.fft.rfft(padded, out=spectrum)
         spectrum *= filt
-        np.fft.irfft(spectrum, n=fine, out=level[1:-1])
+        np.fft.irfft(spectrum, n=fine, out=level[2:-1])
         np.subtract(level[2:], level[1:-1], out=slope[1:-1])
         # u is t = q cos(phi) + p sin(phi) in fine samples from x[0]: a row fill and
         # a contiguous add, where one broadcast add walks its column operand slowly
-        np.copyto(u, ((q_axis * math.cos(phi) - x[0]) * scale)[:, np.newaxis])
-        u += p_axis * (math.sin(phi) * scale)
+        np.copyto(u, np.clip((q_axis * math.cos(phi) - x[0]) * scale, -_FBP_REACH, _FBP_REACH)[:, np.newaxis])
+        u += np.clip(p_axis * (math.sin(phi) * scale), -_FBP_REACH, _FBP_REACH)
         np.floor(u, out=gathered)
         u -= gathered
         np.copyto(k, gathered, casting="unsafe")

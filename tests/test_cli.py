@@ -11,6 +11,7 @@ import os
 import pathlib
 import tempfile
 import tracemalloc
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -593,6 +594,24 @@ def test_reconstruct_fourier_normalization_miss_still_writes_outputs(tmp_path, c
     # measured 0.118
     assert report["normalization"] == grid.integral() < 0.2
     assert report["norm_tol"] == 0.05
+
+
+def test_reconstruct_fbp_far_grid_casts_no_index_overflow(tmp_path, capsys):
+    # over +-1e18 each point's fine-sample position passes 2^63; its integer cast
+    # once warned "invalid value encountered in cast" before the gate's line
+    scfg = cfg_file(tmp_path, tomogram_cfg({"kind": "gaussian"}, sinogram={"n_phi": 32, "n_x": 129}), name="sino.json")
+    sino = tmp_path / "vac.bin"
+    assert main(["tomogram", "--config", scfg, "--out", str(sino), "--format", "bin"]) == 0
+    capsys.readouterr()
+    far = {"q_min": -1e18, "q_max": 1e18, "n_q": 41, "p_min": -1e18, "p_max": 1e18, "n_p": 41}
+    axis = np.linspace(-1e18, 1e18, 41)
+    cfg = cfg_file(tmp_path, {"input": str(sino), "method": "fbp", "grid": far})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.all(np.isfinite(tomography.radon_reconstruct(OpticalSinogram.load(str(sino)), axis, axis).values))
+        assert main(["reconstruct", "--config", cfg, "--out", str(tmp_path / "w.bin"), "--format", "bin"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("iontomo: normalization ")
 
 
 def test_reconstruct_fourier_vacuum(tmp_path):

@@ -35,7 +35,7 @@ from iontomo import (
     wigner_gaussian,
 )
 from iontomo import _container, states
-from iontomo.states import _catmull_rom_weights, _wab
+from iontomo.states import _catmull_rom_weights
 from oracles import Moments, eval_wavefunction, load_csv_triples_reference, schroedinger_relation_check
 
 ROOT2 = math.sqrt(2.0)
@@ -353,6 +353,18 @@ def test_wigner_cat_limits():
         assert wigner_cat(CatSpec(alpha, "odd"), 0.0, 0.0) == pytest.approx(-2.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("modulus", [1e-8, 1e-12, 1e-150])
+def test_small_odd_cat_wigner_is_the_one_phonon_wigner(modulus):
+    # the four-kernel sum cancels here: it was off by 2.0 of the peak 2 at 1e-8,
+    # by 1.1e8 at 1e-12 and by 2.0 at 1e-150; measured now: at most 1e-15
+    grid = np.linspace(-3.0, 3.0, 61)
+    Q, P = np.meshgrid(grid, grid, indexing="ij")
+    r2 = Q ** 2 + P ** 2
+    one = 2.0 * (2.0 * r2 - 1.0) * np.exp(-r2)
+    got = wigner_cat(CatSpec(modulus * (0.6 + 0.8j), "odd"), Q, P)
+    assert np.max(np.abs(got - one)) <= 1e-14
+
+
 def test_wigner_cat_grid_normalized():
     spec = CatSpec(2.0 + 0.0j, "even")
     axis = np.linspace(-7.0, 7.0, 181)
@@ -417,10 +429,10 @@ def test_cat_term_structure():
     grid = np.linspace(-3.0, 3.0, 21)
     Q, P = np.meshgrid(grid, grid, indexing="ij")
     Z = ((Q + 1j * P) / ROOT2)[..., np.newaxis]
-    direct = _wab(A, A, Z) + _wab(-A, -A, Z)
+    direct = _wab_n_modes(A, A, Z) + _wab_n_modes(-A, -A, Z)
     assert np.all(np.real(direct) >= 0.0)
     assert np.max(np.abs(np.imag(direct))) <= 1e-12
-    cross = _wab(A, -A, Z) + _wab(-A, A, Z)
+    cross = _wab_n_modes(A, -A, Z) + _wab_n_modes(-A, A, Z)
     assert np.max(np.abs(np.imag(cross))) <= 1e-12
 
 
@@ -450,12 +462,14 @@ def _wigner_cat_n_modes(spec, q, p):
 @pytest.mark.parametrize("spec", [CatSpec(0.0j, "even"), CatSpec(1.5 + 0.5j, "even"),
                                   CatSpec(2.0 + 0.0j, "odd"), CatSpec(-0.3 + 1.1j, "odd")])
 def test_one_mode_cat_equals_n_mode_path(spec):
+    # the real closed form against the four complex kernels: rounding apart,
+    # measured at most 1.4e-15 (the peak is 2)
     grid = np.linspace(-4.0, 4.0, 41)
     Q, P = np.meshgrid(grid, grid, indexing="ij")
-    np.testing.assert_array_equal(wigner_cat(spec, Q, P), _wigner_cat_n_modes(spec, Q, P))
-    np.testing.assert_array_equal(wigner_cat(spec, grid, 0.7), _wigner_cat_n_modes(spec, grid, 0.7))
+    np.testing.assert_allclose(wigner_cat(spec, Q, P), _wigner_cat_n_modes(spec, Q, P), rtol=0.0, atol=4e-15)
+    np.testing.assert_allclose(wigner_cat(spec, grid, 0.7), _wigner_cat_n_modes(spec, grid, 0.7), rtol=0.0, atol=4e-15)
     point = wigner_cat(spec, 0.3, -1.2)
-    assert point.shape == () and point == _wigner_cat_n_modes(spec, 0.3, -1.2)
+    assert point.shape == () and point == pytest.approx(_wigner_cat_n_modes(spec, 0.3, -1.2), rel=0.0, abs=4e-15)
 
 
 # -------------------------------------------------------------------- evolve
