@@ -50,9 +50,7 @@ from .errors import (  # noqa: E402
     SolverError,
 )
 from .oscillator import (  # noqa: E402
-    OscillatorParams,
-    _passes,
-    epsilon_at,
+    OscillatorParams, _blocks, _epsilon_points, _step_count, _wronskian, epsilon_at,
     solve_epsilon,  # noqa: F401  (unused here; kept in this namespace for perfbench/traced_cli.py)
 )
 from .states import (CatSpec, GaussianState, WignerGrid, _row_blocks, _uniform_spacing,  # noqa: E402
@@ -240,26 +238,24 @@ def _side_path(out: str, suffix: str) -> str:
 _PLOT_SAMPLES = 4096
 
 
-class _GateMiss(Exception):
-    """Raised into an ``epsilon`` write once its pass misses the gate, so the temp file is removed."""
+def _trajectory_columns(params: OscillatorParams, t_end: float, n_rows: int, tol: float, plot):
+    """The CSV columns of each block of the rows at ``np.linspace(0, t_end, n_rows)``, each row :func:`epsilon_at`.
 
-
-def _trajectory_columns(run, plot):
-    """The CSV columns of each block of the pass ``run``; raises _GateMiss once its drift misses the gate.
-
-    Unless ``plot`` is None, (t, eps) of evenly strided samples, at most
-    ``_PLOT_SAMPLES`` of the pass, are appended to it.
+    Unless ``plot`` is None, (t, eps) of evenly strided rows, at most
+    ``_PLOT_SAMPLES`` of them, are appended to it.
     """
-    stride = -(-(run.n_steps + 1) // _PLOT_SAMPLES)
-    start = 0
-    for t, eps, deps, w in run:
-        if not run.met:
-            raise _GateMiss
+    h = t_end / (n_rows - 1)
+    stride = -(-n_rows // _PLOT_SAMPLES)
+    tables = []
+    for b in _blocks(n_rows):
+        t = np.arange(b.start, b.stop) * h
+        if b.stop == n_rows:
+            t[-1] = t_end
+        eps, deps = _epsilon_points(params, t, tol, tables)
         if plot is not None:
-            keep = slice(-start % stride, None, stride)
+            keep = slice(-b.start % stride, None, stride)
             plot.append((t[keep].copy(), eps[keep].copy()))
-        start += t.size
-        yield t, eps.real, eps.imag, deps.real, deps.imag, w
+        yield t, eps.real, eps.imag, deps.real, deps.imag, _wronskian(eps, deps)
 
 
 def cmd_epsilon(cfg: dict, args) -> int:
@@ -271,15 +267,11 @@ def cmd_epsilon(cfg: dict, args) -> int:
     out = _resolve_out(cfg, args)
     _resolve_format(cfg, args, allowed=("csv",))
 
-    # each pass of solve_epsilon's policy streams into a temp file, which
-    # becomes the output only when the pass's Wronskian drift meets 10 * tol
-    for run in _passes(params, t_end, n_steps, tol):
-        plot = [] if args.plot else None
-        try:
-            _save_csv_blocks(out, ("t", "re_eps", "im_eps", "re_deps", "im_deps", "wronskian"),
-                             _trajectory_columns(run, plot))
-        except _GateMiss:
-            pass
+    # n_steps + 1 rows, streamed into a temp file that a SolverError in any block removes
+    n_steps = _step_count(t_end, n_steps)
+    plot = [] if args.plot else None
+    _save_csv_blocks(out, ("t", "re_eps", "im_eps", "re_deps", "im_deps", "wronskian"),
+                     _trajectory_columns(params, t_end, n_steps + 1, tol, plot))
 
     if args.plot:
         times, eps = (np.concatenate(c) for c in zip(*plot))

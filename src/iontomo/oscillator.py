@@ -54,11 +54,8 @@ _MIN_STEP = 1e-12
 #: Wronskian; bounds their scratch at about 0.5 MB.
 _BLOCK = 4096
 
-#: Most RK4 steps one pass of :func:`solve_epsilon` integrates.  A pass only
-#: ever holds one block of steps and samples; the trajectory
-#: :func:`solve_epsilon` returns takes 40 bytes per step, about 0.67 GB at the
-#: cap, while the ``epsilon`` CLI step writes each block as it comes and peaks
-#: under 1 MiB of Python allocations however many steps it takes.
+#: Most RK4 steps :func:`solve_epsilon` integrates (its trajectory takes 40
+#: bytes per step, about 0.67 GB at the cap) and most rows ``epsilon`` writes.
 _MAX_STEPS = 2 ** 24
 
 #: Samples the Floquet tables of :func:`epsilon_at` may hold together (40
@@ -129,8 +126,8 @@ class EpsilonTrajectory:
 
 
 def _blocks(n: int):
-    """Slices of ``range(n)`` in blocks of ``_BLOCK``."""
-    return (slice(s, s + _BLOCK) for s in range(0, n, _BLOCK))
+    """Slices of ``range(n)`` in blocks of ``_BLOCK``, the last one ending at ``n``."""
+    return (slice(s, min(s + _BLOCK, n)) for s in range(0, n, _BLOCK))
 
 
 def _wronskian(eps, deps):
@@ -145,13 +142,14 @@ def _step_matrices(params: OscillatorParams, t0, h: float) -> np.ndarray:
     a block of steps is four arrays and its products are elementwise.
     """
     t0 = np.asarray(t0, dtype=float)
-    w0, wm, w1 = (omega_squared(t0 + c, params) for c in (0.0, h / 2, h))
+    w0, wm, w1 = omega_squared(np.array([t0, t0 + h / 2, t0 + h]), params)
     # the four RK4 stages of y' = [[0, 1], [-omega^2, 0]] y, summed into one matrix
+    hh6, hh4, wm2 = -h * h / 6, h * h / 4, 2 * wm
     d = np.empty((2, 2) + t0.shape)
-    d[0, 0] = -h * h / 6 * (w0 + 2 * wm - h * h / 4 * w0 * wm)
+    d[0, 0] = hh6 * (w0 + wm2 - hh4 * w0 * wm)
     d[0, 1] = h - h ** 3 / 6 * wm
     d[1, 0] = -h / 6 * (w0 + 4 * wm + w1 - h * h / 2 * wm * (w0 + w1))
-    d[1, 1] = -h * h / 6 * (2 * wm + w1 - h * h / 4 * wm * w1)
+    d[1, 1] = hh6 * (wm2 + w1 - hh4 * wm * w1)
     return d
 
 
@@ -220,47 +218,8 @@ def _block_samples(params: OscillatorParams, t, h: float, y) -> np.ndarray:
     return ys
 
 
-class _Pass:
-    """One RK4 pass of ``n_steps`` steps, read once.
-
-    Iterating yields ``(t, eps, deps, w)`` blocks as :func:`_rk4` makes them,
-    with the Wronskian ``w``; ``drift`` is ``max |w - 1|`` so far, NaN once
-    any sample is, and ``met`` whether it meets the gate.
-    """
-
-    def __init__(self, params: OscillatorParams, t_end: float, n_steps: int, gate: float):
-        self.n_steps = n_steps
-        self.gate = gate
-        self.drift = 0.0
-        self._blocks = self._integrate(params, t_end)
-
-    def __iter__(self):
-        return self._blocks
-
-    @property
-    def met(self) -> bool:
-        return self.drift <= self.gate
-
-    def _integrate(self, params, t_end):
-        for t, eps, deps in _rk4(params, t_end, self.n_steps):
-            with np.errstate(over="ignore", invalid="ignore"):
-                w = _wronskian(eps, deps)
-                self.drift = np.maximum(self.drift, np.max(np.abs(w - 1.0)))
-            yield t, eps, deps, w
-
-
-def _passes(params: OscillatorParams, t_end: float, n_steps: int | None, tol: float):
-    """The passes of :func:`solve_epsilon`'s retry policy, one :class:`_Pass` at a time.
-
-    The caller reads each pass; what it leaves unread is integrated here, so
-    the policy always sees the drift of the whole pass.  The iteration ends
-    after the first pass that meets the gate, and raises as
-    :func:`solve_epsilon` documents when the policy gives up.
-    """
-    if not (t_end > 0.0):
-        raise ValueError(f"t_end must be > 0, got {t_end}")
-    if not (tol > 0.0):
-        raise ValueError(f"tol must be > 0, got {tol}")
+def _step_count(t_end: float, n_steps: int | None) -> int:
+    """``n_steps``, by default 2000 per unit of ``t_end`` (at least 1000); SolverError above ``_MAX_STEPS``."""
     if n_steps is None:
         # checked as a float: 2000 * t_end is inf for t_end above about 9e304
         if _STEPS_PER_UNIT_TIME * t_end > _MAX_STEPS:
@@ -271,33 +230,7 @@ def _passes(params: OscillatorParams, t_end: float, n_steps: int | None, tol: fl
         raise ValueError(f"n_steps must be >= 2, got {n_steps}")
     if n_steps > _MAX_STEPS:
         raise SolverError(f"n_steps={n_steps} exceeds the cap of {_MAX_STEPS} steps; tolerance unreachable")
-
-    gate = 10.0 * tol
-    omega_max = math.hypot(1.0, params.kappa)
-    resolved_step = 1.0 / (_STEPS_PER_UNIT_TIME * omega_max)
-    prev_drift = math.inf
-    while True:
-        run = _Pass(params, t_end, n_steps, gate)
-        yield run
-        for _ in run:
-            pass
-        if run.met:
-            return
-        drift = run.drift
-        h = t_end / n_steps
-        # on a stable grid the drift falls no faster than h^5; NaN (overflow)
-        # there counts as needing too many steps
-        needed = n_steps * (drift / gate) ** 0.2
-        if h <= resolved_step and drift > prev_drift / 2:
-            why = f"doubling to n_steps={n_steps} on a resolved grid did not halve it from {prev_drift:.3e}"
-        elif h / 2 < _MIN_STEP:
-            why = f"n_steps={n_steps} is at the step-size floor"
-        elif 2 * n_steps > _MAX_STEPS or (h * omega_max <= _RK4_STABLE and not needed <= _MAX_STEPS):
-            why = f"n_steps={n_steps} cannot reach it within the cap of {_MAX_STEPS} steps"
-        else:
-            prev_drift, n_steps = drift, 2 * n_steps
-            continue
-        raise SolverError(f"Wronskian drift {drift:.3e} exceeds gate {gate:.3e}: {why}; tolerance unreachable")
+    return n_steps
 
 
 def solve_epsilon(
@@ -326,7 +259,7 @@ def solve_epsilon(
         No pass takes more than ``_MAX_STEPS = 2**24`` steps.  On a grid where
         RK4 is stable (``h * sqrt(1 + kappa^2) <= 2 sqrt(2)``) the retries also
         end once the drift, falling no faster than ``h^5``, would need more
-        steps than that.
+        steps than that.  A pass takes its drift one block at a time.
 
     Returns
     -------
@@ -340,15 +273,42 @@ def solve_epsilon(
         steps (a user ``n_steps`` above it, or a ``t_end`` whose default
         step count is above it, fails before any integration).
     """
-    for run in _passes(params, t_end, n_steps, tol):
-        times = np.empty(run.n_steps + 1)
-        eps = np.empty(run.n_steps + 1, dtype=complex)
+    if not (t_end > 0.0):
+        raise ValueError(f"t_end must be > 0, got {t_end}")
+    if not (tol > 0.0):
+        raise ValueError(f"tol must be > 0, got {tol}")
+    n_steps = _step_count(t_end, n_steps)
+    gate = 10.0 * tol
+    omega_max = math.hypot(1.0, params.kappa)
+    resolved_step = 1.0 / (_STEPS_PER_UNIT_TIME * omega_max)
+    prev_drift = math.inf
+    while True:
+        times = np.empty(n_steps + 1)
+        eps = np.empty(n_steps + 1, dtype=complex)
         deps = np.empty_like(eps)
+        drift = 0.0  # NaN once any sample is
         i = 0
-        for t, e, d, _ in run:
+        for t, e, d in _rk4(params, t_end, n_steps):
             times[i:i + t.size], eps[i:i + t.size], deps[i:i + t.size] = t, e, d
             i += t.size
-    return EpsilonTrajectory(params=params, times=times, eps=eps, deps=deps)
+            with np.errstate(over="ignore", invalid="ignore"):
+                drift = np.maximum(drift, np.max(np.abs(_wronskian(e, d) - 1.0)))
+        if drift <= gate:
+            return EpsilonTrajectory(params=params, times=times, eps=eps, deps=deps)
+        h = t_end / n_steps
+        # on a stable grid the drift falls no faster than h^5; NaN (overflow)
+        # there counts as needing too many steps
+        needed = n_steps * (drift / gate) ** 0.2
+        if h <= resolved_step and drift > prev_drift / 2:
+            why = f"doubling to n_steps={n_steps} on a resolved grid did not halve it from {prev_drift:.3e}"
+        elif h / 2 < _MIN_STEP:
+            why = f"n_steps={n_steps} is at the step-size floor"
+        elif 2 * n_steps > _MAX_STEPS or (h * omega_max <= _RK4_STABLE and not needed <= _MAX_STEPS):
+            why = f"n_steps={n_steps} cannot reach it within the cap of {_MAX_STEPS} steps"
+        else:
+            prev_drift, n_steps = drift, 2 * n_steps
+            continue
+        raise SolverError(f"Wronskian drift {drift:.3e} exceeds gate {gate:.3e}: {why}; tolerance unreachable")
 
 
 #: Floquet tables by (params, tol, n_steps), least recently used first.
@@ -373,25 +333,80 @@ def _period_table(params: OscillatorParams, tol: float, n_steps: int | None) -> 
     return table
 
 
-def _floquet_point(table: EpsilonTrajectory, t: float) -> tuple[complex, complex]:
-    """``(eps, deps)`` at ``t = k T + s`` from a one-period table.
+def _mul(a, b):
+    """2x2 products ``a b``, stacked on the last axis, entry by entry: ``a_i0 b_0j + a_i1 b_1j``."""
+    return a[:, :1] * b[np.newaxis, 0] + a[:, 1:] * b[np.newaxis, 1]
+
+
+def _floquet_points(table: EpsilonTrajectory, t: np.ndarray):
+    """``(eps, deps)`` at the times ``t = k T + s`` from a one-period table.
 
     Re and Im of the table are the two real fundamental solutions, so node j
-    holds ``Phi(j h)`` and the last node the monodromy ``Phi(T)``; the point is
+    holds ``Phi(j h)`` and the last node the monodromy ``Phi(T)``; a point is
     ``(I + d(j h, r)) Phi(j h) Phi(T)^k (1, i)`` with one partial RK4 step of
-    length ``r = s - j h`` from the last node at or below ``s``.
+    length ``r = s - j h`` from the last node at or below ``s``.  ``Phi(T)^k``
+    is taken once per distinct k by repeated squaring, ``r <- r z`` at each set
+    bit of k as in ``numpy.linalg.matrix_power``; every product is :func:`_mul`.
     """
     def phi(i):
         return np.array([[table.eps[i].real, table.eps[i].imag],
                          [table.deps[i].real, table.deps[i].imag]])
 
     times = table.times
-    k, s = divmod(t, float(times[-1]))  # 0 <= s < T = times[-1]
-    j = int(np.searchsorted(times, s, side="right")) - 1
-    y = phi(j) @ (np.linalg.matrix_power(phi(-1), int(k)) @ np.array([1.0, 1.0j]))
+    k, s = np.divmod(t, times[-1])  # 0 <= s < T = times[-1]
+    j = np.searchsorted(times, s, side="right") - 1
+    ks = np.sort(k)  # the distinct k, without np.unique, whose first call imports numpy.ma
+    distinct = ks = ks[np.concatenate(([True], ks[1:] != ks[:-1]))]
+    z = phi([-1])
+    power = np.zeros((2, 2, ks.size))
+    power[0, 0] = power[1, 1] = 1.0
+    for b in range(int(ks[-1]).bit_length()):
+        if b:
+            z = _mul(z, z)
+        ks, bit = np.divmod(ks, 2.0)  # exact: ks holds whole numbers
+        power = np.where(bit == 1.0, _mul(power, z), power)
+    y = _mul(phi(j), power[..., np.searchsorted(distinct, k)])
     # the partial step adds its increment, so the identity is never rounded into it
-    y = y + _step_matrices(table.params, times[j], s - times[j]) @ y
-    return complex(y[0]), complex(y[1])
+    y += _mul(_step_matrices(table.params, times[j], s - times[j]), y)
+    points = np.empty((2, t.size), dtype=complex)  # columns 0 and 1 are the Re and Im parts
+    points.real, points.imag = y[:, 0], y[:, 1]
+    return points[0], points[1]
+
+
+def _epsilon_points(params: OscillatorParams, t: np.ndarray, tol: float, tables: list | None = None):
+    """:func:`epsilon_at` at each of the finite times ``t >= 0``, whatever else ``t`` holds.
+
+    A point that misses the gate moves on to the doubled table, and the call
+    raises as :func:`epsilon_at` does, naming the first such t.  ``tables``, kept
+    by the caller from call to call, holds the tables by doubling, so one too
+    large for the cache is built once.
+    """
+    tables = [] if tables is None else tables
+    gate = 10.0 * tol
+    eps, deps = np.empty((2, t.size), dtype=complex)
+    todo, prev_drift = np.arange(t.size), np.full(t.size, math.inf)
+    level = 0
+    while True:
+        if level == len(tables):
+            tables.append(_period_table(params, tol, 2 * (tables[-1].times.size - 1) if tables else None))
+        table = tables[level]
+        # far into a resonance Phi(T)^k overflows; the NaN drift then raises below
+        with np.errstate(over="ignore", invalid="ignore"):
+            e, d = _floquet_points(table, t[todo])
+            drift = np.abs(_wronskian(e, d) - 1.0)
+        met = drift <= gate
+        eps[todo[met]], deps[todo[met]] = e[met], d[met]
+        if met.all():
+            return eps, deps
+        todo, drift, prev_drift = todo[~met], drift[~met], prev_drift[~met]
+        n_steps = 2 * (table.times.size - 1)
+        stuck = ~(drift <= prev_drift / 2)
+        if stuck.any() or n_steps > _MAX_STEPS:
+            i = int(np.argmax(stuck))  # the first missed point when none is stuck
+            raise SolverError(f"Wronskian drift {drift[i]:.3e} at t={float(t[todo[i]])} exceeds gate {gate:.3e} "
+                              f"from a {n_steps // 2}-step period table; tolerance unreachable")
+        prev_drift = drift
+        level += 1
 
 
 def epsilon_at(params: OscillatorParams, t: float, tol: float = DEFAULT_TOL) -> tuple[complex, complex]:
@@ -404,7 +419,8 @@ def epsilon_at(params: OscillatorParams, t: float, tol: float = DEFAULT_TOL) -> 
     period: the first call for a ``(params, tol)`` pair solves ``[0, T]`` with
     :func:`solve_epsilon` and keeps that table.  A query ``t = k T + s`` then
     costs one 2x2 power ``Phi(T)^k`` (repeated squaring), one table node at or
-    below ``s`` and one partial RK4 step onto ``s``, never an interpolation.
+    below ``s`` and one partial RK4 step onto ``s``, never an interpolation;
+    every product is written out entry by entry, so no BLAS sets the bits.
     ``t == 0`` returns the exact initial point.  A drive whose period needs
     more than ``_MAX_STEPS`` steps (``Omega`` below about ``4e-4``) raises.
 
@@ -431,22 +447,8 @@ def epsilon_at(params: OscillatorParams, t: float, tol: float = DEFAULT_TOL) -> 
         raise ValueError(f"t must be finite and >= 0, got {t}")
     if t == 0.0:
         return 1.0 + 0.0j, 1.0j
-    gate = 10.0 * tol
-    prev_drift = math.inf
-    n_steps = None
-    while True:
-        table = _period_table(params, tol, n_steps)
-        # far into a resonance Phi(T)^k overflows; the NaN drift then raises below
-        with np.errstate(over="ignore", invalid="ignore"):
-            eps, deps = _floquet_point(table, float(t))
-        drift = abs(_wronskian(eps, deps) - 1.0)
-        if drift <= gate:
-            return eps, deps
-        n_steps = 2 * (table.times.size - 1)
-        if not drift <= prev_drift / 2 or n_steps > _MAX_STEPS:
-            raise SolverError(f"Wronskian drift {drift:.3e} at t={t} exceeds gate {gate:.3e} from a "
-                              f"{n_steps // 2}-step period table; tolerance unreachable")
-        prev_drift = drift
+    eps, deps = _epsilon_points(params, np.array([t], dtype=float), tol)
+    return complex(eps[0]), complex(deps[0])
 
 
 def _check_wronskian(eps: complex, deps: complex) -> tuple[complex, complex]:

@@ -212,13 +212,16 @@ def _ray_spectrum(sinogram: OpticalSinogram, k_reach: float) -> Callable:
     n_cols = table.shape[1]
     flat = table.ravel()
     odd_x = (grid.p_axis.size - 1) % 2
+    # the closure keeps the axis origin and step, not the wrapped sinogram
+    phi0, dphi = float(grid.q_axis[0]), grid.dq
+    del grid
     offsets = np.arange(_K_STENCIL) - (_K_STENCIL // 2 - 1)
     denominators = np.array([np.prod([float(d - e) for e in offsets if e != d]) for d in offsets])
     taps = np.arange(_K_STENCIL)[:, np.newaxis]
 
     def spectrum(m, nu):
         angle, k = _fold(m, nu)
-        i, w, _ = _stencil(angle, grid.q_axis[0], grid.dq, n_rows)
+        i, w, _ = _stencil(angle, phi0, dphi, n_rows)
         s = np.abs(k) / dk
         # on an X axis symmetric about 0 the X sum repeats every n_fft
         # columns up to the sign (-1)^(n_x - 1), so the table holds at most one period

@@ -9,6 +9,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import tempfile
 import tracemalloc
 import warnings
@@ -25,6 +26,7 @@ from iontomo import (
     OscillatorParams,
     SolverError,
     WignerGrid,
+    epsilon_at,
     solve_epsilon,
     tomogram_gaussian,
 )
@@ -88,13 +90,13 @@ def test_epsilon_unreachable_tolerance_fails_numerically(tmp_path, payload):
 
 
 def test_epsilon_gate_miss_reports_the_whole_pass(tmp_path, capsys):
-    # the write stops at the first block over the gate, the integration does not
+    # the first row whose point cannot meet the gate ends the write, with epsilon_at's own message
     payload = {"kappa": 1.0, "omega_drive": 1.2247, "t_end": 100.0}
-    with pytest.raises(SolverError) as want:
-        solve_epsilon(OscillatorParams(1.0, 1.2247), 100.0)
-    capsys.readouterr()
     assert main(["epsilon", "--config", cfg_file(tmp_path, payload), "--out", str(tmp_path / "eps.csv")]) == 1
-    assert capsys.readouterr().err == f"iontomo: {want.value}\n"
+    err = capsys.readouterr().err
+    with pytest.raises(SolverError) as want:
+        epsilon_at(OscillatorParams(1.0, 1.2247), float(re.search(r" at t=(\S+) ", err).group(1)))
+    assert err == f"iontomo: {want.value}\n"
 
 
 def test_epsilon_step_count_cap_exits_1(tmp_path):
@@ -105,46 +107,63 @@ def test_epsilon_step_count_cap_exits_1(tmp_path):
     assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
 
 
-def save_trajectory(path, traj):
-    """The epsilon CSV of a whole trajectory: the oracle of the CLI's streamed write."""
+def save_points(path, params, t_end, n):
+    """The epsilon CSV of ``epsilon_at`` at every t of ``np.linspace(0, t_end, n + 1)``: the oracle of the CLI's rows."""
+    t = np.linspace(0.0, t_end, n + 1)
+    eps, deps = (np.array(c) for c in zip(*(epsilon_at(params, float(x)) for x in t)))
     _container.save_csv_rows(str(path), ("t", "re_eps", "im_eps", "re_deps", "im_deps", "wronskian"),
-                             (traj.times, traj.eps.real, traj.eps.imag, traj.deps.real, traj.deps.imag,
-                              traj.wronskian()))
+                             (t, eps.real, eps.imag, deps.real, deps.imag, np.imag(np.conj(eps) * deps)))
 
 
 @pytest.mark.parametrize("block", [3, _BLOCK])
 @pytest.mark.parametrize("n", [2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7])
 def test_epsilon_stream_matches_the_whole_trajectory(tmp_path, monkeypatch, block, n):
+    # every row, in blocks of any size, is epsilon_at at its t, bit for bit
     monkeypatch.setattr(oscillator, "_BLOCK", block)
     payload = {"kappa": 0.4, "omega_drive": 2.0, "t_end": n / 1000.0, "n_steps": n}
     out = tmp_path / "eps.csv"
     assert main(["epsilon", "--config", cfg_file(tmp_path, payload), "--out", str(out)]) == 0
-    save_trajectory(tmp_path / "want.csv", solve_epsilon(OscillatorParams(0.4, 2.0), n / 1000.0, n))
+    save_points(tmp_path / "want.csv", OscillatorParams(0.4, 2.0), n / 1000.0, n)
     assert out.read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
-def test_epsilon_stream_keeps_only_the_pass_that_meets_the_gate(tmp_path, monkeypatch):
-    # from 8 steps the policy doubles eight times; each miss leaves no file behind
-    monkeypatch.setattr(oscillator, "_BLOCK", 300)
+def test_epsilon_stream_keeps_only_the_pass_that_meets_the_gate(tmp_path):
+    # a drive whose period table needs doublings: n_steps still gives the rows,
+    # each from the first table that meets the gate, and nothing else is left behind
     payload = {"kappa": 3.0, "omega_drive": 5.0, "t_end": 10.0, "n_steps": 8}
     out = tmp_path / "eps.csv"
     assert main(["epsilon", "--config", cfg_file(tmp_path, payload), "--out", str(out)]) == 0
     assert sorted(tmp_path.iterdir()) == [tmp_path / "cfg.json", out]
-    save_trajectory(tmp_path / "want.csv", solve_epsilon(OscillatorParams(3.0, 5.0), 10.0, 8))
+    save_points(tmp_path / "want.csv", OscillatorParams(3.0, 5.0), 10.0, 8)
     assert out.read_bytes() == (tmp_path / "want.csv").read_bytes()
+    assert len(out.read_text().splitlines()) == 1 + 9
+
+
+@pytest.mark.parametrize("t_end", [1e4, 1e5])
+def test_epsilon_rows_are_n_steps_plus_one_whatever_t_end(tmp_path, t_end):
+    # an RK4 pass over all of [0, t_end] wrote 2,048,001 rows at 1e4, after
+    # eleven doublings of its step count, and could not meet the gate within
+    # the 2**24-step cap at 1e5
+    payload = {"kappa": 0.4, "omega_drive": 2.0, "t_end": t_end, "n_steps": 1000}
+    out = tmp_path / "eps.csv"
+    assert main(["epsilon", "--config", cfg_file(tmp_path, payload), "--out", str(out)]) == 0
+    save_points(tmp_path / "want.csv", OscillatorParams(0.4, 2.0), t_end, 1000)
+    assert out.read_bytes() == (tmp_path / "want.csv").read_bytes()
+    assert len(out.read_text().splitlines()) == 1 + 1001
 
 
 def test_epsilon_nan_in_a_middle_block_fails_the_gate(tmp_path, monkeypatch):
-    # exact samples but one NaN, in the third of four blocks
-    def rk4(params, t_end, n_steps):
-        for s in range(0, n_steps + 1, 4):
-            t = np.arange(s, min(s + 4, n_steps + 1)) * (t_end / n_steps)
-            eps, deps = np.exp(1j * t), 1j * np.exp(1j * t)
-            if s == 8:
-                deps[1] = np.nan
-            yield t, eps, deps
+    # exact points but one NaN, in the third of four blocks, at every table
+    floquet_points = oscillator._floquet_points
+    bad = 9 * (1.0 / 15)
 
-    monkeypatch.setattr(oscillator, "_rk4", rk4)
+    def with_nan(table, t):
+        eps, deps = floquet_points(table, t)
+        deps[t == bad] = np.nan
+        return eps, deps
+
+    monkeypatch.setattr(oscillator, "_BLOCK", 4)
+    monkeypatch.setattr(oscillator, "_floquet_points", with_nan)
     cfg = cfg_file(tmp_path, {"kappa": 0.0, "omega_drive": 1.0, "t_end": 1.0, "n_steps": 15})
     assert main(["epsilon", "--config", cfg, "--out", str(tmp_path / "eps.csv")]) == 1
     assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]

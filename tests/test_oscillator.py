@@ -218,6 +218,33 @@ def test_floquet_growth_exactly_outside_the_stable_band(kappa, omega):
         assert grown[1] / grown[0] == pytest.approx(multiplier, rel=1e-3)
 
 
+def test_monodromy_trace_at_mathieu_band_edges():
+    # With tau = Omega t the mode equation is Mathieu's y'' + (a - 2 q cos 2 tau) y = 0
+    # at a = (1 + kappa^2 / 2) / Omega^2, q = kappa^2 / (4 Omega^2) (Abramowitz &
+    # Stegun ch. 20).  At a characteristic value a_r(q) or b_r(q) a solution of
+    # period pi or 2 pi in tau exists, so the monodromy Phi(T) has the multiplier
+    # (-1)^r twice and the trace Re eps(T) + Im deps(T) = 2 (-1)^r.  The edges
+    # below have gaps wide enough that a 1e-8 relative change of kappa moves the
+    # trace at least 2e-11 off the edge (measured: at least 2.1e-11, and the
+    # edges themselves at most 2.4e-13 off)
+    special = pytest.importorskip("scipy.special")
+    edges = 0
+    for r in (1, 2, 3):
+        for q in (0.5, 0.7, 1.0):
+            for characteristic in (special.mathieu_a, special.mathieu_b):
+                a = characteristic(r, q)
+                if not a > 2.0 * q:  # no real drive frequency reaches it
+                    continue
+                omega = 1.0 / math.sqrt(a - 2.0 * q)
+                kappa = 2.0 * math.sqrt(q) * omega
+                off = [abs(np.trace(_monodromy(OscillatorParams(k, omega))) - 2.0 * (-1) ** r)
+                       for k in (kappa, kappa * (1.0 + 1e-8))]
+                assert off[0] <= 1e-12
+                assert off[1] >= 2e-11
+                edges += 1
+    assert edges == 14
+
+
 @pytest.mark.parametrize("params", [PARAMS04, OscillatorParams(1.0, 1.2247)], ids=["stable", "resonance"])
 def test_epsilon_at_integrates_one_period_table(monkeypatch, params):
     # a step count, not a timing: 100 queries over [0, 100] cost one table
@@ -439,17 +466,29 @@ def test_blocked_trajectory_is_bit_identical_to_full_arrays(monkeypatch, block, 
     assert traj.eps.tobytes() == eps.tobytes() and traj.deps.tobytes() == deps.tobytes()
     w = np.imag(np.conj(eps) * deps)
     assert traj.wronskian().tobytes() == w.tobytes()
-    run = oscillator._Pass(params, t_end, n, gate=1.0)
-    assert np.concatenate([b[3] for b in run]).tobytes() == w.tobytes()
-    assert run.drift == np.max(np.abs(w - 1.0))
+    # the drift solve_epsilon gates, taken block by block, is max |w - 1| of the
+    # whole arrays: a gate of exactly that passes, the next float below fails
+    # (the cap at n leaves no retry)
+    drift = np.max(np.abs(w - 1.0))
+    monkeypatch.setattr(oscillator, "_MAX_STEPS", n)
+    tol = drift / 10.0
+    while 10.0 * tol < drift:
+        tol = np.nextafter(tol, math.inf)
+    while tol > 0.0 and 10.0 * np.nextafter(tol, 0.0) >= drift:
+        tol = np.nextafter(tol, 0.0)
+    if tol > 0.0:
+        assert solve_epsilon(params, t_end=t_end, n_steps=n, tol=tol).eps.tobytes() == eps.tobytes()
+        with pytest.raises(SolverError, match=f"Wronskian drift {drift:.3e} exceeds"):
+            solve_epsilon(params, t_end=t_end, n_steps=n, tol=np.nextafter(tol, 0.0))
 
 
 def nan_at(bad):
-    """An ``_rk4`` stand-in whose 10 samples, in blocks of 3 after the start point, are exact but one NaN."""
+    """An ``_rk4`` stand-in whose 10 samples, in blocks of 3 after the start point, are exact but one NaN (none for None)."""
     def rk4(params, t_end, n_steps):
         eps = np.ones(10, dtype=complex)
         deps = np.full(10, 1.0j)
-        deps[bad] = complex(np.nan, np.nan)
+        if bad is not None:
+            deps[bad] = complex(np.nan, np.nan)
         for b in (slice(0, 1), slice(1, 4), slice(4, 7), slice(7, 10)):
             yield np.arange(10.0)[b], eps[b], deps[b]
     return rk4
@@ -458,11 +497,11 @@ def nan_at(bad):
 @pytest.mark.parametrize("bad", [1, 7])
 def test_blocked_drift_is_nan_when_any_sample_is(monkeypatch, bad):
     # an overflowed grid must keep failing the gate, whichever block holds the NaN
+    monkeypatch.setattr(oscillator, "_rk4", nan_at(None))
+    assert solve_epsilon(PARAMS04, 1.0, 9, tol=0.1).times.size == 10
     monkeypatch.setattr(oscillator, "_rk4", nan_at(bad))
-    run = oscillator._Pass(PARAMS04, 1.0, 9, gate=1.0)
-    for _ in run:
-        pass
-    assert np.isnan(run.drift) and not run.met
+    with pytest.raises(SolverError, match="Wronskian drift nan exceeds"):
+        solve_epsilon(PARAMS04, 1.0, 9, tol=0.1)
 
 
 def test_solve_epsilon_scratch_is_bounded():
