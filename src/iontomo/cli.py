@@ -246,12 +246,11 @@ def _trajectory_columns(params: OscillatorParams, t_end: float, n_rows: int, tol
     """
     h = t_end / (n_rows - 1)
     stride = -(-n_rows // _PLOT_SAMPLES)
-    tables = []
     for b in _blocks(n_rows):
         t = np.arange(b.start, b.stop) * h
         if b.stop == n_rows:
             t[-1] = t_end
-        eps, deps = _epsilon_points(params, t, tol, tables)
+        eps, deps = _epsilon_points(params, t, tol)
         if plot is not None:
             keep = slice(-b.start % stride, None, stride)
             plot.append((t[keep].copy(), eps[keep].copy()))
@@ -267,8 +266,10 @@ def cmd_epsilon(cfg: dict, args) -> int:
     out = _resolve_out(cfg, args)
     _resolve_format(cfg, args, allowed=("csv",))
 
-    # n_steps + 1 rows, streamed into a temp file that a SolverError in any block removes
+    # n_steps + 1 rows, streamed into a temp file that a SolverError in any block removes;
+    # the last row first, so a drive whose growth defeats the gate fails before any is written
     n_steps = _step_count(t_end, n_steps)
+    _epsilon_points(params, np.array([t_end]), tol)
     plot = [] if args.plot else None
     _save_csv_blocks(out, ("t", "re_eps", "im_eps", "re_deps", "im_deps", "wronskian"),
                      _trajectory_columns(params, t_end, n_steps + 1, tol, plot))

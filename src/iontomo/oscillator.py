@@ -59,7 +59,7 @@ _BLOCK = 4096
 _MAX_STEPS = 2 ** 24
 
 #: Samples the Floquet tables of :func:`epsilon_at` may hold together (40
-#: bytes each, so about 42 MB).
+#: bytes each, so about 42 MB), beside those of the span last used.
 _TABLE_SAMPLES = 2 ** 20
 
 #: RK4 is stable for y'' = -omega^2 y while h * omega <= 2 sqrt(2).
@@ -311,25 +311,21 @@ def solve_epsilon(
         raise SolverError(f"Wronskian drift {drift:.3e} exceeds gate {gate:.3e}: {why}; tolerance unreachable")
 
 
-#: Floquet tables by (params, tol, n_steps), least recently used first.
-_tables: dict[tuple[OscillatorParams, float, int | None], EpsilonTrajectory] = {}
+#: Floquet tables by (params, span, tol, n_steps), least recently used first.
+_tables: dict[tuple[OscillatorParams, float, float, int | None], EpsilonTrajectory] = {}
 
 
-def _period_table(params: OscillatorParams, tol: float, n_steps: int | None) -> EpsilonTrajectory:
-    """The mode function over one drive period ``pi / Omega``: the Floquet table.
-
-    Tables are kept while all of them together hold at most ``_TABLE_SAMPLES``
-    samples, the least recently used dropped first; a larger table is
-    returned without being kept.
-    """
-    key = (params, tol, n_steps)
+def _table(params: OscillatorParams, span: float, tol: float, n_steps: int | None) -> EpsilonTrajectory:
+    """The mode function over ``[0, span]``, kept with every table of the span last used (a point
+    may need any doubling) and the most recently used others up to ``_TABLE_SAMPLES`` samples."""
+    key = (params, span, tol, n_steps)
     table = _tables.pop(key, None)
     if table is None:
-        table = solve_epsilon(params, t_end=math.pi / params.omega_drive, n_steps=n_steps, tol=tol)
-    if table.times.size <= _TABLE_SAMPLES:
-        _tables[key] = table
-        while sum(kept.times.size for kept in _tables.values()) > _TABLE_SAMPLES:
-            del _tables[next(iter(_tables))]
+        table = solve_epsilon(params, t_end=span, n_steps=n_steps, tol=tol)
+    _tables[key] = table
+    for old in [old for old in _tables if old[:3] != key[:3]]:
+        if sum(kept.times.size for kept in _tables.values()) > _TABLE_SAMPLES:
+            del _tables[old]
     return table
 
 
@@ -339,23 +335,24 @@ def _mul(a, b):
 
 
 def _floquet_points(table: EpsilonTrajectory, t: np.ndarray):
-    """``(eps, deps)`` at the times ``t = k T + s`` from a one-period table.
+    """``(eps, deps)`` at the times ``t = k S + s`` from a table over ``[0, S]``.
 
-    Re and Im of the table are the two real fundamental solutions, so node j
-    holds ``Phi(j h)`` and the last node the monodromy ``Phi(T)``; a point is
-    ``(I + d(j h, r)) Phi(j h) Phi(T)^k (1, i)`` with one partial RK4 step of
-    length ``r = s - j h`` from the last node at or below ``s``.  ``Phi(T)^k``
-    is taken once per distinct k by repeated squaring, ``r <- r z`` at each set
-    bit of k as in ``numpy.linalg.matrix_power``; every product is :func:`_mul`.
+    Re and Im of the table are the two real fundamental solutions, so a point
+    is ``(I + d(j h, r)) Phi(j h) Phi(S)^k (1, i)`` for the last node j at or
+    below s and one partial RK4 step ``r = s - j h``.  ``Phi(S)^k`` is taken
+    once per distinct k in ``numpy.linalg.matrix_power``'s order; every
+    product is :func:`_mul`.
     """
     def phi(i):
-        return np.array([[table.eps[i].real, table.eps[i].imag],
-                         [table.deps[i].real, table.deps[i].imag]])
+        eps, deps = table.eps[i], table.deps[i]
+        return np.array([[eps.real, eps.imag], [deps.real, deps.imag]])
 
-    times = table.times
-    k, s = np.divmod(t, times[-1])  # 0 <= s < T = times[-1]
+    times, shape = table.times, t.shape
+    if t.size == 1:  # numpy scalars cost a fraction of 1-element arrays
+        t = t.reshape(())
+    k, s = np.divmod(t, times[-1])  # 0 <= s < S = times[-1]
     j = np.searchsorted(times, s, side="right") - 1
-    ks = np.sort(k)  # the distinct k, without np.unique, whose first call imports numpy.ma
+    ks = np.sort(k, axis=None)  # the distinct k, without np.unique, whose first call imports numpy.ma
     distinct = ks = ks[np.concatenate(([True], ks[1:] != ks[:-1]))]
     z = phi([-1])
     power = np.zeros((2, 2, ks.size))
@@ -368,45 +365,45 @@ def _floquet_points(table: EpsilonTrajectory, t: np.ndarray):
     y = _mul(phi(j), power[..., np.searchsorted(distinct, k)])
     # the partial step adds its increment, so the identity is never rounded into it
     y += _mul(_step_matrices(table.params, times[j], s - times[j]), y)
-    points = np.empty((2, t.size), dtype=complex)  # columns 0 and 1 are the Re and Im parts
+    points = np.empty((2,) + t.shape, dtype=complex)  # columns 0 and 1 are the Re and Im parts
     points.real, points.imag = y[:, 0], y[:, 1]
-    return points[0], points[1]
+    return points[0].reshape(shape), points[1].reshape(shape)
 
 
-def _epsilon_points(params: OscillatorParams, t: np.ndarray, tol: float, tables: list | None = None):
-    """:func:`epsilon_at` at each of the finite times ``t >= 0``, whatever else ``t`` holds.
-
-    A point that misses the gate moves on to the doubled table, and the call
-    raises as :func:`epsilon_at` does, naming the first such t.  ``tables``, kept
-    by the caller from call to call, holds the tables by doubling, so one too
-    large for the cache is built once.
-    """
-    tables = [] if tables is None else tables
+def _epsilon_points(params: OscillatorParams, t: np.ndarray, tol: float):
+    """:func:`epsilon_at` at each of the finite times ``t >= 0``, the first t that fails named."""
     gate = 10.0 * tol
     eps, deps = np.empty((2, t.size), dtype=complex)
-    todo, prev_drift = np.arange(t.size), np.full(t.size, math.inf)
-    level = 0
-    while True:
-        if level == len(tables):
-            tables.append(_period_table(params, tol, 2 * (tables[-1].times.size - 1) if tables else None))
-        table = tables[level]
-        # far into a resonance Phi(T)^k overflows; the NaN drift then raises below
-        with np.errstate(over="ignore", invalid="ignore"):
-            e, d = _floquet_points(table, t[todo])
-            drift = np.abs(_wronskian(e, d) - 1.0)
-        met = drift <= gate
-        eps[todo[met]], deps[todo[met]] = e[met], d[met]
-        if met.all():
-            return eps, deps
-        todo, drift, prev_drift = todo[~met], drift[~met], prev_drift[~met]
-        n_steps = 2 * (table.times.size - 1)
-        stuck = ~(drift <= prev_drift / 2)
-        if stuck.any() or n_steps > _MAX_STEPS:
-            i = int(np.argmax(stuck))  # the first missed point when none is stuck
-            raise SolverError(f"Wronskian drift {drift[i]:.3e} at t={float(t[todo[i]])} exceeds gate {gate:.3e} "
-                              f"from a {n_steps // 2}-step period table; tolerance unreachable")
-        prev_drift = drift
-        level += 1
+    period = math.pi / params.omega_drive
+    with np.errstate(over="ignore"):  # from t = 2**1023 on the power is inf, so the span the period
+        spans = np.maximum(np.ldexp(1.0, np.frexp(t)[1]), 8.0)  # frexp: t = m 2^e, 1/2 <= m < 1
+    spans[spans >= period] = period
+    for span in sorted(set(spans.tolist())):
+        todo = np.flatnonzero(spans == span)
+        prev_drift, n_steps = np.full(todo.size, math.inf), None
+        while True:
+            try:
+                table = _table(params, span, tol, n_steps)
+            except SolverError as exc:  # named by the first t that needs the table, not by its span
+                raise SolverError(f"t={float(t[todo[0]])}: table over [0, {span}]: {exc}") from None
+            # far into a resonance Phi(T)^k overflows; the NaN drift then raises below
+            with np.errstate(over="ignore", invalid="ignore"):
+                e, d = _floquet_points(table, t[todo])
+                drift = np.abs(_wronskian(e, d) - 1.0)
+                met = drift <= gate
+                eps[todo[met]], deps[todo[met]] = e[met], d[met]
+                if met.all():
+                    break
+                todo, drift, prev_drift = todo[~met], drift[~met], prev_drift[~met]
+                steps = table.times.size - 1
+                # as in solve_epsilon: the drift falls no faster than h^5, and a NaN drift never
+                hopeless = ~(drift <= prev_drift / 2) | ~(steps * (drift / gate) ** 0.2 <= _MAX_STEPS)
+            if hopeless.any() or 2 * steps > _MAX_STEPS:
+                miss = int(np.argmax(hopeless))  # the first missed point when none is hopeless
+                raise SolverError(f"Wronskian drift {drift[miss]:.3e} at t={float(t[todo[miss]])} exceeds gate "
+                                  f"{gate:.3e} from a {steps}-step table over [0, {span}]; tolerance unreachable")
+            prev_drift, n_steps = drift, 2 * steps
+    return eps, deps
 
 
 def epsilon_at(params: OscillatorParams, t: float, tol: float = DEFAULT_TOL) -> tuple[complex, complex]:
@@ -421,19 +418,21 @@ def epsilon_at(params: OscillatorParams, t: float, tol: float = DEFAULT_TOL) -> 
     costs one 2x2 power ``Phi(T)^k`` (repeated squaring), one table node at or
     below ``s`` and one partial RK4 step onto ``s``, never an interpolation;
     every product is written out entry by entry, so no BLAS sets the bits.
-    ``t == 0`` returns the exact initial point.  A drive whose period needs
-    more than ``_MAX_STEPS`` steps (``Omega`` below about ``4e-4``) raises.
+    Where the least power of two above ``t``, at least 8, is shorter than
+    ``T``, the table spans it instead (``k = 0``), so a slow drive's tables
+    follow its queries, not its period; only where ``2000 T`` passes
+    ``_MAX_STEPS`` (``Omega`` below about ``3.75e-4``) does a ``t`` from 8192
+    on raise.  ``t == 0`` returns the exact initial point.
 
     The returned point always meets ``|Im(eps* deps) - 1| <= 10 * tol``.  When
     it does not, the table's step count is doubled; if that fails to halve the
-    point's drift, or would pass ``_MAX_STEPS``, the call raises.  Each
-    doubled table is kept too, so a later query walks the same steps without
-    integrating.
+    point's drift, would pass ``_MAX_STEPS``, or could not reach the gate
+    within it were the drift to fall as ``h^5``, the call raises.
 
-    A table holds 40 bytes per step: about 80 kB per unit of ``T`` at the
-    default 2000 steps per unit time, twice that per doubling.  The process
-    keeps the most recently used tables up to ``2**20`` samples (about 42 MB)
-    in all; a larger table is rebuilt on every call.
+    A table holds 40 bytes per step, about 80 kB per unit of its span at the
+    default density, twice that per doubling.  The process keeps every table
+    of the span last used, and beside them the most recently used tables up
+    to ``2**20`` samples (about 42 MB) in all.
 
     Raises
     ------

@@ -79,8 +79,11 @@ def test_epsilon_driven_matches_frozen_reference(tmp_path):
         {"kappa": 0.0, "omega_drive": 1.0, "t_end": 1e-7, "n_steps": 60001, "tol": 1e-30},
         {"kappa": 1.0, "omega_drive": 1.2247, "t_end": 100.0},
         {"kappa": 0.0, "omega_drive": 1.0, "t_end": 1e308},  # 2000 * t_end is inf
+        # 16,384,000 rows fit the cap, but the last row's table, over the
+        # period T = 31416 or the span 16384 above t, would not
+        {"kappa": 0.4, "omega_drive": 1e-4, "t_end": 8192.0},
     ],
-    ids=["step-floor", "resonance", "step-count-overflow"],
+    ids=["step-floor", "resonance", "step-count-overflow", "slow-drive-table-over-cap"],
 )
 def test_epsilon_unreachable_tolerance_fails_numerically(tmp_path, payload):
     cfg = cfg_file(tmp_path, payload)
@@ -99,12 +102,27 @@ def test_epsilon_gate_miss_reports_the_whole_pass(tmp_path, capsys):
     assert err == f"iontomo: {want.value}\n"
 
 
-def test_epsilon_step_count_cap_exits_1(tmp_path):
+def test_epsilon_step_count_cap_exits_1(tmp_path, monkeypatch, capsys):
+    # the last row, |eps|^2 + |deps|^2 ~ 1e50 with a drift of 9e27 on the 1,608,704-step
+    # period table, could not meet the gate within the cap even were the drift
+    # to fall as h^5: it fails first, with no doubled table built (the rows
+    # before it built tables of 3.2M and 6.4M steps, then failed at t = 17.4)
+    steps = []
+    rk4 = oscillator._rk4
+
+    def counted(p, t_end, n_steps):
+        steps.append(n_steps)
+        return rk4(p, t_end, n_steps)
+
+    monkeypatch.setattr(oscillator, "_rk4", counted)
+    monkeypatch.setattr(oscillator, "_tables", {})
     cfg = cfg_file(tmp_path, {"kappa": 1e4, "omega_drive": 2.0, "t_end": 100.0})
     out = tmp_path / "eps.csv"
     assert main(["epsilon", "--config", cfg, "--out", str(out)]) == 1
+    assert " at t=100.0 " in capsys.readouterr().err
     assert not out.exists()
     assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+    assert sum(steps) <= 2 * max(steps) <= 2 ** 22
 
 
 def save_points(path, params, t_end, n):
@@ -120,6 +138,7 @@ def save_points(path, params, t_end, n):
 def test_epsilon_stream_matches_the_whole_trajectory(tmp_path, monkeypatch, block, n):
     # every row, in blocks of any size, is epsilon_at at its t, bit for bit
     monkeypatch.setattr(oscillator, "_BLOCK", block)
+    monkeypatch.setattr(oscillator, "_tables", {})  # tables built in other blocks round differently
     payload = {"kappa": 0.4, "omega_drive": 2.0, "t_end": n / 1000.0, "n_steps": n}
     out = tmp_path / "eps.csv"
     assert main(["epsilon", "--config", cfg_file(tmp_path, payload), "--out", str(out)]) == 0
@@ -139,15 +158,16 @@ def test_epsilon_stream_keeps_only_the_pass_that_meets_the_gate(tmp_path):
     assert len(out.read_text().splitlines()) == 1 + 9
 
 
-@pytest.mark.parametrize("t_end", [1e4, 1e5])
-def test_epsilon_rows_are_n_steps_plus_one_whatever_t_end(tmp_path, t_end):
+@pytest.mark.parametrize("omega, t_end", [(2.0, 1e4), (2.0, 1e5), (1e-4, 10.0)], ids=["1e4", "1e5", "slow-drive"])
+def test_epsilon_rows_are_n_steps_plus_one_whatever_t_end(tmp_path, omega, t_end):
     # an RK4 pass over all of [0, t_end] wrote 2,048,001 rows at 1e4, after
     # eleven doublings of its step count, and could not meet the gate within
-    # the 2**24-step cap at 1e5
-    payload = {"kappa": 0.4, "omega_drive": 2.0, "t_end": t_end, "n_steps": 1000}
+    # the 2**24-step cap at 1e5; at Omega 1e-4 a table over the whole period
+    # T = 31416 would pass that cap, so the rows read tables over 8 and 16
+    payload = {"kappa": 0.4, "omega_drive": omega, "t_end": t_end, "n_steps": 1000}
     out = tmp_path / "eps.csv"
     assert main(["epsilon", "--config", cfg_file(tmp_path, payload), "--out", str(out)]) == 0
-    save_points(tmp_path / "want.csv", OscillatorParams(0.4, 2.0), t_end, 1000)
+    save_points(tmp_path / "want.csv", OscillatorParams(0.4, omega), t_end, 1000)
     assert out.read_bytes() == (tmp_path / "want.csv").read_bytes()
     assert len(out.read_text().splitlines()) == 1 + 1001
 
@@ -163,6 +183,7 @@ def test_epsilon_nan_in_a_middle_block_fails_the_gate(tmp_path, monkeypatch):
         return eps, deps
 
     monkeypatch.setattr(oscillator, "_BLOCK", 4)
+    monkeypatch.setattr(oscillator, "_tables", {})  # tables built in other blocks round differently
     monkeypatch.setattr(oscillator, "_floquet_points", with_nan)
     cfg = cfg_file(tmp_path, {"kappa": 0.0, "omega_drive": 1.0, "t_end": 1.0, "n_steps": 15})
     assert main(["epsilon", "--config", cfg, "--out", str(tmp_path / "eps.csv")]) == 1
@@ -210,6 +231,7 @@ def test_epsilon_refuses_a_plot_path_it_cannot_write(tmp_path, capsys):
 
 def test_epsilon_plot_of_a_long_run_is_strided(tmp_path, monkeypatch):
     monkeypatch.setattr(oscillator, "_BLOCK", 1000)
+    monkeypatch.setattr(oscillator, "_tables", {})  # tables built in other blocks round differently
     n = 3 * cli._PLOT_SAMPLES
     cfg = cfg_file(tmp_path, {"kappa": 0.4, "omega_drive": 2.0, "t_end": n / 2000, "n_steps": n})
     assert main(["epsilon", "--config", cfg, "--out", str(tmp_path / "eps.csv"), "--plot"]) == 0

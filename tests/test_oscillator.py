@@ -136,10 +136,30 @@ def test_epsilon_at_matches_mpmath_oracle():
     assert abs(deps - (du + 1j * dv)) <= 1e-13
 
 
-def test_epsilon_at_period_over_the_step_cap_raises():
-    # T = pi / 1e-4 needs 2000 T > 2**24 steps: refused before any integration
+def test_epsilon_at_period_over_the_step_cap_raises(monkeypatch):
+    # T = pi / 1e-4 needs 2000 T > 2**24 steps, and so does the span 16384 of
+    # t = 8192, the least power of two above it: refused before any integration
+    def never(*args):
+        raise AssertionError("_rk4 called")
+
+    monkeypatch.setattr(oscillator, "_rk4", never)
     with pytest.raises(SolverError, match="tolerance unreachable"):
-        epsilon_at(OscillatorParams(0.4, 1e-4), 1.0)
+        epsilon_at(OscillatorParams(0.4, 1e-4), 8192.0)
+
+
+@pytest.mark.parametrize("t, span", [(1e-300, 8.0), (1.0, 8.0), (8.0, 16.0), (10.0, 16.0), (100.0, 128.0)])
+def test_slow_drive_tables_span_the_query(monkeypatch, t, span):
+    # below the period the table spans the least power of two above t (at
+    # least 8), so its cost follows t; k = 0, and the point is that table's
+    # node and partial step
+    monkeypatch.setattr(oscillator, "_tables", {})
+    params = OscillatorParams(0.4, 1e-4)
+    eps, deps = epsilon_at(params, t)
+    assert list(oscillator._tables) == [(params, span, oscillator.DEFAULT_TOL, None)]
+    traj = solve_epsilon(params, t_end=t, n_steps=max(1000, math.ceil(2000 * t)))
+    scale = max(1.0, abs(traj.eps[-1]))
+    assert abs(eps - traj.eps[-1]) <= 1e-11 * scale
+    assert abs(deps - traj.deps[-1]) <= 1e-11 * scale
 
 
 def test_epsilon_at_unreachable_in_resonance():
@@ -161,7 +181,7 @@ def test_epsilon_at_rejects_non_finite_time(t):
 
 
 def _monodromy(params):
-    table = oscillator._period_table(params, oscillator.DEFAULT_TOL, None)
+    table = oscillator._table(params, math.pi / params.omega_drive, oscillator.DEFAULT_TOL, None)
     return np.array([[table.eps[-1].real, table.eps[-1].imag],
                      [table.deps[-1].real, table.deps[-1].imag]])
 
@@ -273,17 +293,21 @@ def test_period_tables_are_bounded_by_samples(monkeypatch):
     monkeypatch.setattr(oscillator, "_tables", {})
     tol = oscillator.DEFAULT_TOL
     resonant = OscillatorParams(1.0, 1.2247)
+    doubled = [(resonant, math.pi / 1.2247, tol, n) for n in (None, 10262)]
     epsilon_at(resonant, 95.0)  # |eps| ~ 1e4: the point needs a doubled table
-    assert list(oscillator._tables) == [(resonant, tol, None), (resonant, tol, 10262)]
+    assert list(oscillator._tables) == doubled
     # Omega = 2, 2.5, 3: tables of 3143, 2515 and 2096 samples
     drives = [OscillatorParams(0.4, omega) for omega in (2.0, 2.5, 3.0)]
     monkeypatch.setattr(oscillator, "_TABLE_SAMPLES", 6000)
     for params in drives:
         epsilon_at(params, 1.0)
-    assert list(oscillator._tables) == [(drives[1], tol, None), (drives[2], tol, None)]
-    epsilon_at(OscillatorParams(0.4, 0.5), 1.0)  # 12567 samples: built, never kept
-    epsilon_at(drives[1], 1.0)  # reused, now the most recently used
-    assert list(oscillator._tables) == [(drives[2], tol, None), (drives[1], tol, None)]
+    assert [key[0] for key in oscillator._tables] == drives[1:]
+    epsilon_at(OscillatorParams(0.4, 0.5), 1.0)  # 12567 samples: kept while it is the last used
+    assert [key[0] for key in oscillator._tables] == [OscillatorParams(0.4, 0.5)]
+    epsilon_at(drives[1], 1.0)  # rebuilt, and the larger table, now least recently used, dropped
+    assert [key[0] for key in oscillator._tables] == [drives[1]]
+    epsilon_at(resonant, 95.0)  # 15395 samples: every table of the span last used stays
+    assert list(oscillator._tables) == doubled
 
 
 @pytest.mark.parametrize(
@@ -456,7 +480,7 @@ def test_blocked_trajectory_is_bit_identical_to_full_arrays(monkeypatch, block, 
     # step matrices, Wronskian and drift are taken one block at a time; every
     # value is elementwise, so each must equal its full-array form bit for bit
     monkeypatch.setattr(oscillator, "_BLOCK", block)
-    t_end = n / 500.0
+    t_end = n / 100.0  # h = 0.01 keeps the drift off 0 in every case (at 0.002 it rounds to 0 for n <= 7)
     t, eps, deps = rk4_reference(params, t_end, n, block)
     blocks = list(oscillator._rk4(params, t_end, n))
     assert [b[0].size for b in blocks] == [1] + [min(block, n - s) for s in range(0, n, block)]
@@ -470,16 +494,16 @@ def test_blocked_trajectory_is_bit_identical_to_full_arrays(monkeypatch, block, 
     # whole arrays: a gate of exactly that passes, the next float below fails
     # (the cap at n leaves no retry)
     drift = np.max(np.abs(w - 1.0))
+    assert drift > 0.0  # else no gate lies below it and the check below could not fail
     monkeypatch.setattr(oscillator, "_MAX_STEPS", n)
     tol = drift / 10.0
     while 10.0 * tol < drift:
         tol = np.nextafter(tol, math.inf)
-    while tol > 0.0 and 10.0 * np.nextafter(tol, 0.0) >= drift:
+    while 10.0 * np.nextafter(tol, 0.0) >= drift:
         tol = np.nextafter(tol, 0.0)
-    if tol > 0.0:
-        assert solve_epsilon(params, t_end=t_end, n_steps=n, tol=tol).eps.tobytes() == eps.tobytes()
-        with pytest.raises(SolverError, match=f"Wronskian drift {drift:.3e} exceeds"):
-            solve_epsilon(params, t_end=t_end, n_steps=n, tol=np.nextafter(tol, 0.0))
+    assert solve_epsilon(params, t_end=t_end, n_steps=n, tol=tol).eps.tobytes() == eps.tobytes()
+    with pytest.raises(SolverError, match=f"Wronskian drift {drift:.3e} exceeds"):
+        solve_epsilon(params, t_end=t_end, n_steps=n, tol=np.nextafter(tol, 0.0))
 
 
 def nan_at(bad):
