@@ -21,6 +21,7 @@ A process (the ``iontomo`` script, ``python -m iontomo.cli``) enters through
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import functools
 import gc
@@ -589,9 +590,18 @@ def run() -> int:
     Freezing moves every tracked object into the permanent generation, so the
     collection the interpreter runs at exit does not walk the objects numpy
     and the package built at import.  Module teardown, atexit handlers and
-    stream flushes still run.  In-process callers call ``main()``, which
-    leaves their collector state alone.
+    stream flushes still run.  On Linux, glibc's malloc first keeps up to 64 MB
+    of freed heap (``mallopt``'s ``M_TRIM_THRESHOLD``, -1), which also stops its
+    trim and mmap thresholds moving with what the process has freed: with them
+    moving, whether a block's numpy temporaries are faulted in afresh depends on
+    that history, and an ``epsilon`` step of 10^5 rows took 8.7k to 19.5k minor
+    page faults by drive, against 5.2k for every drive with them fixed.
+    In-process callers call ``main()``, which leaves their collector and
+    allocator state alone.
     """
+    libc = ctypes.CDLL(None) if sys.platform.startswith("linux") else None
+    if hasattr(libc, "mallopt"):
+        libc.mallopt(-1, 64 << 20)
     status = main()
     gc.freeze()
     return status

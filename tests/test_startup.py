@@ -12,6 +12,7 @@ import gc
 import importlib
 import json
 import os
+import platform
 import subprocess
 import sys
 import tokenize
@@ -26,6 +27,9 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 needs_proc = pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+_LIBC = platform.libc_ver()
+needs_glibc = pytest.mark.skipif(_LIBC[0] != "glibc" or tuple(map(int, _LIBC[1].split(".")[:2])) < (2, 33),
+                                 reason="needs glibc 2.33+ (mallinfo2)")
 
 #: The power of two of parser tokens each module stays at or under (4096 if
 #: not named).  A CLI process compiles the package again wherever no bytecode
@@ -157,6 +161,29 @@ def test_a_cli_process_freezes_the_collector_at_exit(tmp_path):
             "except SystemExit as exc:\n    print(exc.code, gc.isenabled(), gc.get_freeze_count() > 0)")
     assert _python(code) == "0 True True"
     assert (tmp_path / "eps.csv").stat().st_size > 0
+
+
+@needs_glibc
+@pytest.mark.parametrize("keep", [False, True])
+def test_a_cli_process_keeps_its_freed_heap(keep):
+    # 16 MB freed at the top of the heap stays there after the process entry has run (here on a
+    # usage error), and goes back to the kernel after a bare import: a control the check must fail
+    entry = "runpy.run_module('iontomo.cli', run_name='__main__')" if keep else "import iontomo.cli"
+    code = ("import ctypes, runpy, sys\n"
+            "sys.argv = ['iontomo', 'no-such-command']\n"
+            f"try:\n    {entry}\nexcept SystemExit:\n    pass\n"
+            "libc = ctypes.CDLL(None)\n"
+            "class Info(ctypes.Structure):\n"
+            "    _fields_ = [(n, ctypes.c_size_t) for n in ('arena', 'ordblks', 'smblks', 'hblks', 'hblkhd',\n"
+            "                                               'usmblks', 'fsmblks', 'uordblks', 'fordblks', 'keepcost')]\n"
+            "libc.mallinfo2.restype = Info\n"
+            "libc.malloc.restype, libc.malloc.argtypes = ctypes.c_void_p, [ctypes.c_size_t]\n"
+            "libc.free.argtypes = [ctypes.c_void_p]\n"
+            "blocks = [libc.malloc(64 << 10) for _ in range(256)]\n"
+            "for b in reversed(blocks):\n    libc.free(b)\n"
+            "print(libc.mallinfo2().keepcost >> 20)")
+    kept_mb = int(_python(code))
+    assert kept_mb >= 8 if keep else kept_mb < 1
 
 
 def test_the_console_script_is_the_process_entry_point():
