@@ -79,6 +79,11 @@ def svg_polyline(path: str, x: np.ndarray, series: list[tuple[str, np.ndarray]],
     _atomic_write(path, "\n".join(parts).encode())
 
 
+def _stride(n: int) -> int:
+    """The step of the rows (or columns) that :func:`svg_heatmap` draws of ``n``."""
+    return max(1, math.ceil(n / _MAX_CELLS))
+
+
 def _diverging_color(v: float) -> str:
     # blue (-1) .. white (0) .. red (+1)
     v = max(-1.0, min(1.0, v))
@@ -106,8 +111,7 @@ def svg_heatmap(path: str, values: np.ndarray, x_axis: np.ndarray, y_axis: np.nd
     values = np.asarray(values, dtype=float)
     x_axis = np.asarray(x_axis, dtype=float)
     y_axis = np.asarray(y_axis, dtype=float)
-    si = max(1, math.ceil(values.shape[0] / _MAX_CELLS))
-    sj = max(1, math.ceil(values.shape[1] / _MAX_CELLS))
+    si, sj = _stride(values.shape[0]), _stride(values.shape[1])
     values = values[::si, ::sj]
     x_axis = x_axis[::si]
     y_axis = y_axis[::sj]

@@ -42,7 +42,8 @@ if "numpy" not in sys.modules:
 import numpy as np  # noqa: E402  (after the thread setting)
 
 from . import _svg  # noqa: E402
-from ._container import _atomic_write, _save_csv_blocks, save_csv_rows  # noqa: E402
+from ._checks import checked_rows  # noqa: E402
+from ._container import _atomic_write, _save_csv_blocks, grid_rows, save_csv_rows, save_grid  # noqa: E402
 from .errors import (  # noqa: E402
     ConfigError,
     DegenerateFrameError,
@@ -57,7 +58,7 @@ from .oscillator import (  # noqa: E402
 from .states import (CatSpec, GaussianState, WignerGrid, _row_blocks, _uniform_spacing,  # noqa: E402
                      evolve_wigner, wigner_cat, wigner_gaussian)
 from .tomography import (  # noqa: E402
-    OpticalSinogram,
+    _sample_rows,
     evolve_tomogram,
     invert_to_wigner,
     radon_reconstruct,
@@ -283,6 +284,18 @@ def cmd_epsilon(cfg: dict, args) -> int:
     return 0
 
 
+def _plotted_rows(blocks, plot):
+    """The values of each sinogram row block; unless ``plot`` is None, the cells of them that
+    :func:`~iontomo._svg.svg_heatmap` draws, every ``_svg._stride``-th row and column, are appended to it."""
+    start = 0
+    for phi, x, values, total in blocks:
+        if plot is not None:
+            step = _svg._stride(total)
+            plot.append(values[-start % step::step, ::_svg._stride(x.size)].copy())
+        start += phi.size
+        yield values
+
+
 def cmd_tomogram(cfg: dict, args) -> int:
     mode = cfg.get("mode", "sinogram")
     if mode not in ("sinogram", "samples"):
@@ -308,16 +321,19 @@ def cmd_tomogram(cfg: dict, args) -> int:
         x_axis = _uniform_axis(x_min, x_max, n_x, "x_min, x_max, n_x", "sinogram")
         evaluator, _ = _state(state_cfg, "tomogram", params, t)
         phi_axis = np.linspace(0.0, (n_phi - 1) * math.pi / n_phi, n_phi)
+        # each row block is checked and formatted as it is sampled; a fault, found
+        # once the last block is checked, removes the temp file
+        plot = [] if args.plot else None
         try:
             with np.errstate(all="ignore"):  # the sinogram's own checks name values that overflow
-                sino = OpticalSinogram.from_evaluator(evaluator, phi_axis, x_axis)
+                save_grid(out, fmt, "sinogram", phi_axis, x_axis,
+                          _plotted_rows(checked_rows(_sample_rows(evaluator, phi_axis, x_axis)), plot))
         except ValueError as exc:
             return _fail(1, f"sinogram failed validation: {exc}")
-        sino.save(out, fmt=fmt)
         if args.plot:
-            _svg.svg_heatmap(_side_path(out, ".svg"), sino.values, sino.phi_axis, sino.x_axis,
-                             title="optical sinogram w(X, phi)", xlabel="phi", ylabel="X",
-                             diverging=False)
+            _svg.svg_heatmap(_side_path(out, ".svg"), np.concatenate(plot), phi_axis[::_svg._stride(n_phi)],
+                             x_axis[::_svg._stride(n_x)], title="optical sinogram w(X, phi)", xlabel="phi",
+                             ylabel="X", diverging=False)
         return 0
 
     _resolve_format(cfg, args, allowed=("csv",))
@@ -383,24 +399,20 @@ def cmd_reconstruct(cfg: dict, args) -> int:
     out = _resolve_out(cfg, args, ".report.json")
     fmt = _resolve_format(cfg, args)
 
+    # the sinogram's rows go to the reconstruction as they are read, and are never held whole
     try:
-        sino = OpticalSinogram.load(path)
+        rows = grid_rows(path, "sinogram")
+        if method == "fbp":
+            grid = radon_reconstruct(rows, q_axis, p_axis)
+        else:
+            grid = invert_to_wigner(rows, q_axis, p_axis, k_max=k_max, n_nodes=n_nodes)
     except OSError as exc:  # missing, a directory, unreadable
         return _fail(2, f"cannot read input file: {exc}")
-    except ValueError as exc:
-        return _fail(2, f"input file invalid: {exc}")
-
-    try:
-        if method == "fbp":
-            grid = radon_reconstruct(sino, q_axis, p_axis)
-        else:
-            grid = invert_to_wigner(sino, q_axis, p_axis, k_max=k_max, n_nodes=n_nodes)
     except InsufficientAnglesError as exc:
         return _fail(2, str(exc))
-    except ValueError as exc:  # the Fourier path's angle wrap cannot read this sinogram
+    except ValueError as exc:  # a malformed file, an invalid sinogram, or one the Fourier path cannot fold
         return _fail(2, f"input file invalid: {exc}")
 
-    del sino  # its memory goes back before the grid's text is formatted
     grid.save(out, fmt=fmt)
     report = {
         "method": method,

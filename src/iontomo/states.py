@@ -301,7 +301,7 @@ class WignerGrid:
 
     def save(self, path: str, fmt: str = "csv") -> None:
         """Write as CSV rows ``q,p,w`` or as the JSON+binary container."""
-        _container.save_grid(path, fmt, "wigner", self.q_axis, self.p_axis, self.values)
+        _container.save_grid(path, fmt, "wigner", self.q_axis, self.p_axis, [self.values])
 
     @staticmethod
     def load(path: str) -> "WignerGrid":

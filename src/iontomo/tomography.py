@@ -12,6 +12,7 @@ classical mode function, w(X, mu, nu, t) = w0(X - delta, mu(t), nu(t)).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -19,7 +20,8 @@ from typing import Callable
 import numpy as np
 
 from . import _container
-from .errors import DegenerateFrameError, InsufficientAnglesError
+from ._checks import checked_rows, row_integrals
+from .errors import DegenerateFrameError
 from .oscillator import _carry_frame, _check_wronskian
 from .states import CatSpec, GaussianState, WignerGrid, _row_blocks, _stencil, _uniform_spacing, _uniform_trapezoid
 
@@ -143,19 +145,25 @@ def invert_to_wigner(sinogram: OpticalSinogram, q_axis, p_axis, *, k_max: float 
     is read with: on nodes made exactly antisymmetric, the mirrored rows add
     the conjugate of the half plane's term, so W = Re(A_h F_h B) / 2 pi with
     the half plane's mu weights doubled (the middle row of an odd
-    ``n_nodes`` kept once).  The peak memory is the wrapped sinogram and its
-    row table, with half of F filled beside them; the phase factors and
-    products come after the table is dropped and are smaller.
+    ``n_nodes`` kept once).  The sinogram is read one row block at a time,
+    as its rows arrive, and never held whole: the peak memory is the row
+    table, with half of F filled beside it; the phase factors and products
+    come after the table is dropped and are smaller.
 
     The grid is returned whatever its normalization, as from
     :func:`radon_reconstruct`; ``grid.integral()`` far from 1 means k_max or
     the output window is too small, and the caller gates it.
 
+    ``sinogram`` is an :class:`OpticalSinogram` or its row blocks, such as
+    :func:`~iontomo._container.grid_rows` yields them from a file; blocks
+    are checked as they arrive, as :class:`OpticalSinogram` checks its
+    values, and the first fault is raised once the last block is read.
+
     Raises
     ------
     ValueError
-        When the sinogram has fewer than 2 angles or an X axis not symmetric
-        about 0.
+        When the sinogram is invalid, or has fewer than 2 angles or an X axis
+        not symmetric about 0.
     """
     q_axis = np.asarray(q_axis, dtype=float)
     p_axis = np.asarray(p_axis, dtype=float)
@@ -171,7 +179,7 @@ def invert_to_wigner(sinogram: OpticalSinogram, q_axis, p_axis, *, k_max: float 
         degenerate = (m == 0.0) & (nodes == 0.0)
         F[i, :] = spectrum(m, np.where(degenerate, 1.0, nodes))
         F[i, degenerate] = 1.0
-    # the sinogram and its row table are dropped before the matmuls
+    # the row table is dropped before the matmuls
     del spectrum
 
     # separable phase factors turn the double (mu, nu) sum into two matmuls.  The
@@ -197,7 +205,7 @@ _K_STENCIL = 16
 _FFT_BLOCK_ROWS = 8
 
 
-def _ray_spectrum(sinogram: OpticalSinogram, k_reach: float) -> Callable:
+def _ray_spectrum(sinogram, k_reach: float) -> Callable:
     """Coefficients F(m, nu) of one mu row as 1-D transforms of sinogram marginals.
 
     The transform is linear in the marginal, so the Catmull-Rom combination of
@@ -206,15 +214,10 @@ def _ray_spectrum(sinogram: OpticalSinogram, k_reach: float) -> Callable:
     in k and conjugates where k < 0 (the rows are real).  Nothing is
     interpolated in X.
     """
-    grid = _wrapped_grid(sinogram)
-    n_rows = grid.values.shape[0]
-    table, dk, n_fft = _row_spectra(grid, k_reach)
-    n_cols = table.shape[1]
+    table, dk, n_fft, phi0, dphi, n_x = _row_spectra(sinogram, k_reach)
+    n_rows, n_cols = table.shape[0] - 2, table.shape[1]
     flat = table.ravel()
-    odd_x = (grid.p_axis.size - 1) % 2
-    # the closure keeps the axis origin and step, not the wrapped sinogram
-    phi0, dphi = float(grid.q_axis[0]), grid.dq
-    del grid
+    odd_x = (n_x - 1) % 2
     offsets = np.arange(_K_STENCIL) - (_K_STENCIL // 2 - 1)
     denominators = np.array([np.prod([float(d - e) for e in offsets if e != d]) for d in offsets])
     taps = np.arange(_K_STENCIL)[:, np.newaxis]
@@ -238,22 +241,31 @@ def _ray_spectrum(sinogram: OpticalSinogram, k_reach: float) -> Callable:
     return spectrum
 
 
-def _row_spectra(grid: WignerGrid, k_reach: float) -> tuple[np.ndarray, float, int]:
-    """Transforms of the trapezoid-weighted rows of a wrapped sinogram on a k grid.
+def _row_spectra(sinogram, k_reach: float):
+    """Transforms of the trapezoid-weighted rows of the wrapped sinogram on a k grid.
 
-    Returns ``(table, dk, n)`` with ``table[r + 1, c]`` = sum_j w_rj exp(i k x_j)
-    at k = (c - _K_STENCIL // 2) dk; rows 0 and -1 are zero padding, as in
-    :meth:`WignerGrid.interpolate`.  On the X axis symmetric about 0 that
-    :func:`_wrapped_grid` requires, the rows have the smallest bandwidth in k,
-    half the X range.  Each row is one zero-padded rfft of length
+    Returns ``(table, dk, n, phi0, dphi, n_x)``: ``table[r + 1, c]`` =
+    sum_j w_rj exp(i k x_j) at k = (c - _K_STENCIL // 2) dk for row r of the
+    sinogram with two wrap rows on each side of [0, pi), whose angles start
+    at phi0 in steps of dphi; rows 0 and -1 are zero padding, as in
+    :meth:`WignerGrid.interpolate`.  The wrap rows use row(phi + pi) = row(phi)
+    with X reversed, so a 4-point Catmull-Rom stencil in phi stays on the
+    table for every angle in [0, pi]; the first two and last two rows are
+    kept aside for them, and the sinogram (an :class:`OpticalSinogram` or its
+    row blocks) is never held whole.  On the X axis symmetric about 0 that
+    the fold requires, the rows have the smallest bandwidth in k, half the X
+    range.  Each row is one zero-padded rfft of length
     n = ``_fft_length(_K_OVERSAMPLE n_x)``, weighted and taken in blocks of
-    ``_FFT_BLOCK_ROWS`` rows; only the columns of 0 <= k <= ``k_reach``, at
-    most one period of n columns, and a stencil guard on each side are kept.
+    at most ``_FFT_BLOCK_ROWS`` rows; only the columns of 0 <= k <= ``k_reach``,
+    at most one period of n columns, and a stencil guard on each side are kept.
     """
-    x = grid.p_axis
-    trapezoid = _uniform_trapezoid(x.size, grid.dp)
+    blocks = checked_rows(_blocks(sinogram), fold=True)
+    first = next(blocks)
+    x = first[1]
+    dx = _uniform_spacing(x, "x_axis")
+    trapezoid = _uniform_trapezoid(x.size, dx)
     n_fft = _fft_length(_K_OVERSAMPLE * x.size)
-    dk = 2.0 * math.pi / (n_fft * grid.dp)
+    dk = 2.0 * math.pi / (n_fft * dx)
     half = _K_STENCIL // 2
     cols = np.arange(min(int(k_reach / dk), n_fft) + 2 * half + 2) - half
     # the X sum at k = c dk is conj(rfft[c mod n]) up to n / 2 and rfft[n - c mod n] past it
@@ -261,11 +273,25 @@ def _row_spectra(grid: WignerGrid, k_reach: float) -> tuple[np.ndarray, float, i
     upper = wrapped > n_fft // 2
     column = np.where(upper, n_fft - wrapped, wrapped)
     phase = np.exp(1j * (cols * dk) * x[0])
-    table = np.zeros((len(grid.values) + 2, cols.size), dtype=complex)
-    for start in range(0, len(grid.values), _FFT_BLOCK_ROWS):
-        spec = np.fft.rfft(grid.values[start:start + _FFT_BLOCK_ROWS] * trapezoid, n=n_fft)[:, column]
-        table[1 + start:1 + start + spec.shape[0]] = np.where(upper, spec, np.conj(spec)) * phase
-    return table, dk, n_fft
+    table = np.zeros((first[3] + 6, cols.size), dtype=complex)
+
+    def fill(at, values):
+        for start in range(0, len(values), _FFT_BLOCK_ROWS):
+            spec = np.fft.rfft(values[start:start + _FFT_BLOCK_ROWS] * trapezoid, n=n_fft)[:, column]
+            table[at + start:at + start + spec.shape[0]] = np.where(upper, spec, np.conj(spec)) * phase
+
+    n, head, tail = 0, np.empty((0, x.size)), np.empty((0, x.size))
+    for phi, _, values, _ in itertools.chain([first], blocks):
+        fill(3 + n, values)
+        head = np.concatenate((head, values[:2 - len(head)]))
+        tail = np.concatenate((tail, values[-2:]))[-2:]
+        n, last = n + len(phi), phi[-1]
+    fill(1, tail[:, ::-1])
+    fill(n + 3, head[:, ::-1])
+    # the wrapped angle axis phi[0] - 2 dphi .. phi[-1] + 2 dphi and its step, as np.linspace has them
+    step = math.pi / n
+    phi0 = first[0][0] - step * 2.0
+    return table[:n + 6], dk, n_fft, phi0, float((last + step * 2.0 - phi0) / (n + 3)), x.size
 
 
 def _fft_length(m: int) -> int:
@@ -308,6 +334,13 @@ class OpticalSinogram:
     that filtered backprojection and the angle fold take.  Every column is a
     probability density in X; construction checks each one integrates to 1
     within 5e-2 (looser checks belong to callers).
+
+    This is the in-memory form.  The CLI moves a sinogram only as row
+    blocks: sampled by :func:`_sample_rows`, checked by :func:`~iontomo._checks.checked_rows`,
+    written and read by :func:`~iontomo._container.save_grid` and
+    :func:`~iontomo._container.grid_rows`, and taken by
+    :func:`radon_reconstruct` and :func:`invert_to_wigner` as they arrive;
+    the methods here collect the same blocks into the arrays.
     """
 
     phi_axis: np.ndarray
@@ -315,57 +348,48 @@ class OpticalSinogram:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        phi = np.asarray(self.phi_axis, dtype=float)
-        x = np.asarray(self.x_axis, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "phi_axis", phi)
-        object.__setattr__(self, "x_axis", x)
-        object.__setattr__(self, "values", v)
-        if phi.ndim != 1 or phi.size < 1:
-            raise ValueError("phi_axis must be a 1-D grid")
-        if phi[0] < 0.0 or phi[-1] >= math.pi:
-            raise ValueError("phi_axis must lie inside [0, pi)")
-        # the angle step of filtered backprojection and of the angle fold
-        if phi.size > 1 and not math.isclose(_uniform_spacing(phi, "phi_axis"), math.pi / phi.size, rel_tol=1e-9):
-            raise ValueError(f"phi_axis must tile [0, pi): its {phi.size} angles need the step pi / {phi.size}")
-        _uniform_spacing(x, "x_axis")
-        if v.shape != (phi.size, x.size):
-            raise ValueError(f"values shape {v.shape} does not match axes ({phi.size}, {x.size})")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("sinogram values must be finite")
-        norms = self.column_norms()
-        worst = float(np.max(np.abs(norms - 1.0)))
-        if worst > 5e-2:
-            raise ValueError(f"sinogram columns must be normalized; worst deviation {worst:.3e}")
+        for name in ("phi_axis", "x_axis", "values"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        for _ in checked_rows(_blocks(self)):
+            pass
 
     def column_norms(self) -> np.ndarray:
-        """Trapezoid integral of each phi-row over X."""
-        return self.values @ _uniform_trapezoid(self.x_axis.size, _uniform_spacing(self.x_axis, "x_axis"))
+        """Trapezoid integral of each phi-row over X, with the bits of :func:`~iontomo._checks.row_integrals`."""
+        return row_integrals(self.values, _uniform_trapezoid(self.x_axis.size, _uniform_spacing(self.x_axis, "x_axis")))
 
     @classmethod
     def from_evaluator(cls, evaluator: Callable, phi_axis, x_axis) -> "OpticalSinogram":
-        """Sample optical slices of a (Y, mu, nu) evaluator on the grid.
-
-        The evaluator is called on the blocks of :func:`~iontomo.states._row_blocks`,
-        whole angle rows of about 4096 points, so its scratch stays bounded
-        however large the grid: ``Y`` is the X axis and ``mu``, ``nu`` a column
-        of the block's angles, which the evaluator must broadcast against it.
-        """
-        phi_axis = np.asarray(phi_axis, dtype=float)
-        x_axis = np.asarray(x_axis, dtype=float)
-        values = np.empty((phi_axis.size, x_axis.size))
-        for b in _row_blocks(phi_axis.size, x_axis.size):
-            values[b] = optical_slice(evaluator, phi_axis[b, None], x_axis)
-        return cls(phi_axis=phi_axis, x_axis=x_axis, values=values)
+        """Sample optical slices of a (Y, mu, nu) evaluator on the grid, the blocks of :func:`_sample_rows`."""
+        return cls(*_container._collect(_sample_rows(evaluator, np.asarray(phi_axis, dtype=float),
+                                                     np.asarray(x_axis, dtype=float))))
 
     def save(self, path: str, fmt: str = "csv") -> None:
         """Write as CSV rows ``phi,x,w`` or as the JSON+binary container."""
-        _container.save_grid(path, fmt, "sinogram", self.phi_axis, self.x_axis, self.values)
+        _container.save_grid(path, fmt, "sinogram", self.phi_axis, self.x_axis, [self.values])
 
     @staticmethod
     def load(path: str) -> "OpticalSinogram":
-        phi_axis, x_axis, values = _container.load_grid(path, "sinogram")
-        return OpticalSinogram(phi_axis=phi_axis, x_axis=x_axis, values=values)
+        return OpticalSinogram(*_container.load_grid(path, "sinogram"))
+
+
+def _sample_rows(evaluator: Callable, phi_axis: np.ndarray, x_axis: np.ndarray):
+    """Optical slices of a (Y, mu, nu) evaluator on the grid, as row blocks ``(phi, x_axis, values, total)``.
+
+    The evaluator is called on the blocks of :func:`~iontomo.states._row_blocks`,
+    whole angle rows of about 4096 points, so its scratch stays bounded
+    however large the grid: ``Y`` is the X axis and ``mu``, ``nu`` a column
+    of the block's angles ``phi``, which the evaluator must broadcast against
+    it.  ``total`` is the number of angles; an empty grid gives one empty block.
+    """
+    for b in _row_blocks(max(1, phi_axis.size), x_axis.size):
+        yield phi_axis[b], x_axis, optical_slice(evaluator, phi_axis[b, None], x_axis), phi_axis.size
+
+
+def _blocks(sinogram):
+    """The row blocks of ``sinogram``: an :class:`OpticalSinogram` as one block, any other as it is."""
+    if isinstance(sinogram, OpticalSinogram):
+        return [(sinogram.phi_axis, sinogram.x_axis, sinogram.values, sinogram.phi_axis.size)]
+    return sinogram
 
 
 #: Fine samples per X sample in the table that filtered backprojection reads.
@@ -413,17 +437,23 @@ def radon_reconstruct(sinogram: OpticalSinogram, q_axis, p_axis) -> WignerGrid:
     that far out a double resolves no fine sample, and the grid's
     normalization shows the miss.
 
+    ``sinogram`` is an :class:`OpticalSinogram` or its row blocks, such as
+    :func:`~iontomo._container.grid_rows` yields them from a file.  Each
+    angle row is backprojected as it arrives and dropped, so the memory is
+    the output, its scratch and the tables above, whatever the number of
+    angles; the blocks are checked as :class:`OpticalSinogram` checks its
+    values, and the first fault is raised once the last block is read.
+
     Raises
     ------
     InsufficientAnglesError
         With fewer than 16 angles.
+    ValueError
+        When the sinogram is invalid.
     """
-    if sinogram.phi_axis.size < 16:
-        raise InsufficientAnglesError(
-            f"filtered backprojection needs >= 16 angles, got {sinogram.phi_axis.size}"
-        )
-
-    x = sinogram.x_axis
+    blocks = checked_rows(_blocks(sinogram), fbp=True)
+    first = next(blocks)
+    x = first[1]
     n = x.size
     dx = _uniform_spacing(x, "x_axis")
     nfft = _fft_length(2 * n - 1)
@@ -451,25 +481,28 @@ def radon_reconstruct(sinogram: OpticalSinogram, q_axis, p_axis) -> WignerGrid:
     level, slope = np.zeros(fine + 3), np.zeros(fine + 3)
     base = _FBP_UPSAMPLE * s0 + 2  # table index of x[0]
     scale = _FBP_UPSAMPLE / dx
-    for phi, row in zip(sinogram.phi_axis, sinogram.values):
-        padded[s0:s0 + n] = row
-        np.fft.rfft(padded, out=spectrum)
-        spectrum *= filt
-        np.fft.irfft(spectrum, n=fine, out=level[2:-1])
-        np.subtract(level[2:], level[1:-1], out=slope[1:-1])
-        # u is t = q cos(phi) + p sin(phi) in fine samples from x[0]: a row fill and
-        # a contiguous add, where one broadcast add walks its column operand slowly
-        np.copyto(u, np.clip((q_axis * math.cos(phi) - x[0]) * scale, -_FBP_REACH, _FBP_REACH)[:, np.newaxis])
-        u += np.clip(p_axis * (math.sin(phi) * scale), -_FBP_REACH, _FBP_REACH)
-        np.floor(u, out=gathered)
-        u -= gathered
-        np.copyto(k, gathered, casting="unsafe")
-        k += base
-        u *= slope.take(k, mode="clip", out=gathered)
-        u += level.take(k, mode="clip", out=gathered)
-        out += u
+    n_phi = 0
+    for phis, _, values, _ in itertools.chain([first], blocks):
+        n_phi += len(phis)
+        for phi, row in zip(phis, values):
+            padded[s0:s0 + n] = row
+            np.fft.rfft(padded, out=spectrum)
+            spectrum *= filt
+            np.fft.irfft(spectrum, n=fine, out=level[2:-1])
+            np.subtract(level[2:], level[1:-1], out=slope[1:-1])
+            # u is t = q cos(phi) + p sin(phi) in fine samples from x[0]: a row fill and
+            # a contiguous add, where one broadcast add walks its column operand slowly
+            np.copyto(u, np.clip((q_axis * math.cos(phi) - x[0]) * scale, -_FBP_REACH, _FBP_REACH)[:, np.newaxis])
+            u += np.clip(p_axis * (math.sin(phi) * scale), -_FBP_REACH, _FBP_REACH)
+            np.floor(u, out=gathered)
+            u -= gathered
+            np.copyto(k, gathered, casting="unsafe")
+            k += base
+            u *= slope.take(k, mode="clip", out=gathered)
+            u += level.take(k, mode="clip", out=gathered)
+            out += u
 
-    out *= math.pi / sinogram.phi_axis.size
+    out *= math.pi / n_phi
     return WignerGrid(q_axis=q_axis, p_axis=p_axis, values=out)
 
 
@@ -516,19 +549,13 @@ def _wrapped_grid(sinogram: OpticalSinogram) -> WignerGrid:
     """The sinogram on a (phi, X) grid with two wrap rows on each side of [0, pi).
 
     The wrap rows use row(phi + pi) = row(phi) with X reversed, so a 4-point
-    Catmull-Rom stencil in phi stays on the grid for every angle in [0, pi].
+    Catmull-Rom stencil in phi stays on the grid for every angle in [0, pi];
+    ValueError where :func:`~iontomo._checks.checked_rows` finds that the fold cannot read the sinogram.
     """
-    phi = sinogram.phi_axis
-    nphi = phi.size
-    if nphi < 2:
-        raise ValueError(f"sinogram has {nphi} angle(s); interpolation in phi needs at least 2")
-    dphi = math.pi / nphi
-    x = sinogram.x_axis
-    if abs(x[0] + x[-1]) > 1e-9 * (x[-1] - x[0]):
-        raise ValueError(f"sinogram X axis [{x[0]:.6g}, {x[-1]:.6g}] is not symmetric about 0, "
-                         "as the fold w(X, phi + pi) = w(-X, phi) needs")
-
-    v = sinogram.values
+    for _ in checked_rows(_blocks(sinogram), fold=True):
+        pass
+    phi, v = sinogram.phi_axis, sinogram.values
+    dphi = math.pi / phi.size
     ext = np.concatenate((v[-2:, ::-1], v, v[:2, ::-1]))
     ext_phi = np.concatenate((phi[0] - dphi * np.array([2.0, 1.0]), phi, phi[-1] + dphi * np.array([1.0, 2.0])))
-    return WignerGrid(q_axis=ext_phi, p_axis=x, values=ext)
+    return WignerGrid(q_axis=ext_phi, p_axis=sinogram.x_axis, values=ext)

@@ -499,6 +499,65 @@ def test_samples_blocks_are_bit_identical(tmp_path, monkeypatch, block_points):
     assert read_csv(out)["w"].tobytes() == whole.tobytes()
 
 
+def test_tomogram_plot_draws_the_strided_cells(tmp_path):
+    # the step keeps only the rows and columns that the heatmap draws (every
+    # third of 400 x 401 here); its SVG has the bytes of a plot of the whole sinogram
+    cfg = cfg_file(tmp_path, tomogram_cfg({"kind": "cat", "alpha": [1.5, 0.5], "parity": "odd"},
+                                          sinogram={"n_phi": 400, "n_x": 401}))
+    out = tmp_path / "sino.csv"
+    assert main(["tomogram", "--config", cfg, "--out", str(out), "--plot"]) == 0
+    sino = OpticalSinogram.load(str(out))
+    assert _svg._stride(400) == _svg._stride(401) == 3
+    want = tmp_path / "want.svg"
+    _svg.svg_heatmap(str(want), sino.values, sino.phi_axis, sino.x_axis, title="optical sinogram w(X, phi)",
+                     xlabel="phi", ylabel="X", diverging=False)
+    assert (tmp_path / "sino.svg").read_bytes() == want.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def large_sinogram_files(tmp_path_factory):
+    """A 1024 x 513 cat sinogram, whose values take 4.2 MB, as CSV and as the container."""
+    tmp = tmp_path_factory.mktemp("large")
+    cfg = cfg_file(tmp, tomogram_cfg({"kind": "cat", "alpha": [1.5, 0.5], "parity": "odd"},
+                                     sinogram={"n_phi": 1024, "n_x": 513}))
+    for fmt in ("csv", "bin"):
+        assert main(["tomogram", "--config", cfg, "--out", str(tmp / f"sino.{fmt}"), "--format", fmt]) == 0
+    return cfg, tmp
+
+
+def _traced_peak(argv):
+    main(argv)  # numpy's FFT module and the CSV text tables load on first use
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "bin"])
+def test_tomogram_scratch_is_bounded(tmp_path, large_sinogram_files, fmt):
+    # each row block is checked and written as it is sampled; the whole
+    # sinogram, sampled and then written, peaked at 4.9 MB (CSV) and 12.7 MB
+    # (the container's payload copy) here
+    cfg, _ = large_sinogram_files
+    peak = _traced_peak(["tomogram", "--config", cfg, "--out", str(tmp_path / f"s.{fmt}"), "--format", fmt])
+    assert peak <= 2 ** 20
+
+
+@pytest.mark.parametrize("method, fmt", [("fbp", "csv"), ("fourier", "bin")])
+def test_reconstruct_scratch_is_bounded(tmp_path, large_sinogram_files, method, fmt):
+    # the rows go to the reconstruction as they are read: FBP keeps one angle
+    # row, and the Fourier path its row table (1030 x 383 complex) with the half
+    # plane of F (97 x 193 complex) beside it.  Loading the sinogram first
+    # peaked at 4.9 MB (FBP from CSV) and 15.2 MB (Fourier, with the wrapped
+    # copy beside the table) here
+    _, tmp = large_sinogram_files
+    cfg = cfg_file(tmp_path, {"input": str(tmp / f"sino.{fmt}"), "method": method})
+    peak = _traced_peak(["reconstruct", "--config", cfg, "--out", str(tmp_path / "w.bin"), "--format", "bin"])
+    assert peak <= (2 ** 20 if method == "fbp" else 16 * (1030 * 383 + 97 * 193) + 2 ** 19)
+
+
 def test_serial_reruns_are_byte_identical(tmp_path):
     cfg = cfg_file(
         tmp_path,
@@ -512,15 +571,15 @@ def test_serial_reruns_are_byte_identical(tmp_path):
 
 
 def evaluated_axes(monkeypatch):
-    """The list, filled as the CLI runs, of the (phi, x) axes of each sinogram it evaluates."""
+    """The list, filled as the CLI runs, of the (phi, x) axes of each sinogram it samples."""
     seen = []
-    sample = OpticalSinogram.from_evaluator
+    sample = cli._sample_rows
 
     def record(evaluator, phi_axis, x_axis):
         seen.append((phi_axis.tobytes(), x_axis.tobytes()))
         return sample(evaluator, phi_axis, x_axis)
 
-    monkeypatch.setattr(OpticalSinogram, "from_evaluator", record)
+    monkeypatch.setattr(cli, "_sample_rows", record)
     return seen
 
 
@@ -716,6 +775,73 @@ def test_reconstruct_missing_and_invalid_input(tmp_path):
     cfg3 = cfg_file(tmp_path, {"input": str(tmp_path)}, name="d.json")
     assert main(["reconstruct", "--config", cfg3, "--out", str(tmp_path / "w.csv")]) == 2
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "d.json", "g.json", "garbage.csv"]
+
+
+def _sinogram_lines(phi, x):
+    """The CSV lines of a vacuum sinogram on these axes, header first."""
+    values = tomography.optical_slice(functools.partial(tomogram_gaussian, GaussianState()), phi[:, np.newaxis], x)
+    return [f"phi,x,w\n"] + [f"{a!r},{b!r},{w!r}\n" for a, row in zip(phi.tolist(), values.tolist())
+                              for b, w in zip(x.tolist(), row)]
+
+
+def _off_grid(lines, i):
+    lines[i] = lines[i].replace(lines[i].split(",")[1], "99.5", 1)
+
+
+def _not_normalized(lines, i):
+    a, b, w = lines[i].split(",")
+    lines[i] = f"{a},{b},{float(w) + 100.0!r}\n"
+
+
+def _nan(lines, i):
+    a, b, _ = lines[i].split(",")
+    lines[i] = f"{a},{b},nan\n"
+
+
+@pytest.mark.parametrize("n_phi, x_max, method, faults, message", [
+    # a reader fault in a later row goes before the sinogram's own checks
+    (24, 6.0, "fbp", [(_not_normalized, 40), (_off_grid, 400)],
+     r"input file invalid: \S+: row 400 after the header: \(phi, x\) = \(0\.7853981633974483, 99\.5\), "
+     r"expected \(0\.7853981633974483, -4\.3125\): each run of 65 rows"),
+    (15, 6.0, "fbp", [], r"filtered backprojection needs >= 16 angles, got 15"),
+    # the fold's checks come after the values' checks, whichever row holds the fault
+    (24, 7.0, "fourier", [(_nan, 700)], r"input file invalid: sinogram values must be finite"),
+    (24, 7.0, "fourier", [(_not_normalized, 1500)],
+     r"input file invalid: sinogram columns must be normalized; worst deviation 2\.000e\+01"),
+    (24, 6.0, "fbp", [(_nan, 40)], r"input file invalid: sinogram values must be finite"),
+    (24, 6.0, "fourier", [(_nan, 1500), (_not_normalized, 40)], r"input file invalid: sinogram values must be finite"),
+], ids=["unnormalized-then-off-grid", "15-angles", "asymmetric-x-then-nan", "asymmetric-x-then-unnormalized",
+        "nan", "unnormalized-before-nan"])
+def test_reconstruct_reports_the_first_fault_of_a_streamed_sinogram(tmp_path, capsys, n_phi, x_max, method,
+                                                                      faults, message):
+    # the rows are checked as they are read, and the first fault in the order of
+    # a whole-sinogram load is reported once the last row is read: exit 2, no output
+    x = np.linspace(-6.0, x_max, 65 if x_max == 6.0 else 66)
+    lines = _sinogram_lines(np.arange(n_phi) * (math.pi / n_phi), x)
+    for fault, i in faults:
+        fault(lines, i)
+    sino = tmp_path / "sino.csv"
+    sino.write_text("".join(lines))
+    cfg = cfg_file(tmp_path, {"input": str(sino), "method": method})
+    assert main(["reconstruct", "--config", cfg, "--out", str(tmp_path / "w.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and re.fullmatch(f"iontomo: {message}.*\n", err, flags=re.DOTALL)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "sino.csv"]
+
+
+def test_reconstruct_rejects_a_truncated_container(tmp_path, capsys):
+    # the payload's size is checked against the header before any row is read
+    phi, x = np.arange(24) * (math.pi / 24), np.linspace(-6.0, 6.0, 65)
+    values = tomography.optical_slice(functools.partial(tomogram_gaussian, GaussianState()), phi[:, np.newaxis], x)
+    sino = tmp_path / "sino.bin"
+    _container.save_container(str(sino), "sinogram", ["phi", "x"], [phi, x], values)
+    sino.write_bytes(sino.read_bytes()[:-8 * 65 - 3])
+    for method in ("fbp", "fourier"):
+        cfg = cfg_file(tmp_path, {"input": str(sino), "method": method})
+        assert main(["reconstruct", "--config", cfg, "--out", str(tmp_path / "w.csv")]) == 2
+        assert capsys.readouterr().err == (f"iontomo: input file invalid: {sino}: payload holds "
+                                           f"{8 * 24 * 65 - 8 * 65 - 3} bytes, expected {8 * 24 * 65}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "sino.bin"]
 
 
 def test_reconstruct_refuses_side_files_it_cannot_write(tmp_path, capsys, cat_sinogram_file):
@@ -1049,7 +1175,7 @@ def test_overflowing_axis_span_is_named_before_any_compute(tmp_path, vacuum_sino
         raise AssertionError("computed before the axis check")
 
     monkeypatch.setattr(cli, "_state", no_compute)
-    monkeypatch.setattr(cli.OpticalSinogram, "load", no_compute)
+    monkeypatch.setattr(cli, "grid_rows", no_compute)
     if command == "reconstruct":
         payload = {"input": vacuum_sinogram_file, **payload}
     cfg = cfg_file(tmp_path, payload)
@@ -1076,8 +1202,8 @@ def test_an_amplitude_whose_square_overflows_exits_2_before_any_compute(tmp_path
 
     for name in ("epsilon_at", "pde_residual", "moment_odes_check"):
         monkeypatch.setattr(cli, name, no_compute)
-    monkeypatch.setattr(cli.OpticalSinogram, "load", no_compute)
-    monkeypatch.setattr(cli.OpticalSinogram, "from_evaluator", no_compute)
+    monkeypatch.setattr(cli, "grid_rows", no_compute)
+    monkeypatch.setattr(cli, "_sample_rows", no_compute)
     if command == "reconstruct":
         payload = {"input": cat_sinogram_file, **payload}
     cfg = cfg_file(tmp_path, payload)

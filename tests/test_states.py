@@ -648,7 +648,7 @@ def test_csv_golden_bytes(tmp_path):
 def test_csv_triples_match_row_writer(tmp_path, monkeypatch, per_call):
     # the triple writer formats each axis value once; its bytes must equal the
     # generic row writer's on the repeated and tiled axes, across kernel calls:
-    # 300, 3 and 1 calls of the triple writer, 2100, 7 and 2 of the row writer
+    # 300, 2 and 1 calls of the triple writer, 2100, 6 and 2 of the row writer
     monkeypatch.setattr(_container, "_CSV_TEXT_VALUES", per_call)
     rng = np.random.default_rng(5)
     ax0 = np.linspace(0.0, math.pi, 300, endpoint=False)
@@ -730,9 +730,10 @@ def test_csv_rows_scratch_is_bounded(tmp_path):
 
 
 def test_csv_triples_scratch_is_bounded(tmp_path):
-    # the benchmark's sinogram shape: the text kernel's scratch, its tables
-    # included, stays 1 MiB above the inputs, so the tomogram step stays
-    # under the reconstruct step's peak
+    # the benchmark's sinogram shape, written from the array: the text
+    # kernel's scratch, its tables included, stays 1 MiB above the inputs.  The
+    # tomogram step formats each row block as it is sampled and holds no
+    # sinogram (test_cli.py's test_tomogram_scratch_is_bounded)
     rng = np.random.default_rng(13)
     phi, x = np.linspace(0.0, math.pi, 360, endpoint=False), np.linspace(-8.0, 8.0, 513)
     values = rng.standard_normal((phi.size, x.size))
