@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -46,9 +47,6 @@ DEFAULT_TOL = 1e-9
 
 #: Steps per unit time when the caller does not fix ``n_steps``.
 _STEPS_PER_UNIT_TIME = 2000
-
-#: Hard floor on the RK4 step size; below this the tolerance is unreachable.
-_MIN_STEP = 1e-12
 
 #: Steps per block of :func:`_rk4`'s step matrices and samples per block of the
 #: Wronskian; bounds their scratch at about 0.5 MB.
@@ -233,6 +231,63 @@ def _step_count(t_end: float, n_steps: int | None) -> int:
     return n_steps
 
 
+def _pass(params: OscillatorParams, span: float, n_steps: int) -> tuple[EpsilonTrajectory, float]:
+    """One RK4 pass of ``n_steps`` steps over ``[0, span]``, and its drift ``max |Im(eps* deps) - 1|``.
+
+    The drift is taken one block at a time as the arrays fill; it is NaN once any sample is.
+    """
+    times = np.empty(n_steps + 1)
+    eps = np.empty(n_steps + 1, dtype=complex)
+    deps = np.empty_like(eps)
+    drift = 0.0
+    i = 0
+    for t, e, d in _rk4(params, span, n_steps):
+        times[i:i + t.size], eps[i:i + t.size], deps[i:i + t.size] = t, e, d
+        i += t.size
+        with np.errstate(over="ignore", invalid="ignore"):
+            drift = np.maximum(drift, np.max(np.abs(_wronskian(e, d) - 1.0)))
+    return EpsilonTrajectory(params=params, times=times, eps=eps, deps=deps), float(drift)
+
+
+def _retry(params: OscillatorParams, span: float, n_steps: int, tol: float, build, t, todo, out):
+    """The one retry loop of the mode function: ``(eps, deps)`` at the times ``t[todo]`` into
+    ``out = (eps, deps)`` at ``todo``; returns the last pass.
+
+    ``build(n)`` gives the pass of ``n`` steps over ``[0, span]`` and its drift,
+    from ``n_steps`` on.  A time takes its point (:func:`_floquet_points`)
+    from the first pass on which the larger of the pass's drift and the
+    point's meets ``10 * tol``; the retries follow the rule stated in
+    :func:`solve_epsilon`, applied to each time's drift, and the error names
+    the first time that ends them.
+    """
+    gate = 10.0 * tol
+    prev, gated = np.full(todo.size, math.inf), False
+    while True:
+        table, pass_drift = build(n_steps)
+        # far into a resonance Phi(T)^k overflows; the NaN drift then raises below
+        with np.errstate(over="ignore", invalid="ignore"):
+            e, d = _floquet_points(table, t[todo])
+            drift = np.maximum(pass_drift, np.abs(_wronskian(e, d) - 1.0))
+            met = drift <= gate
+            served = todo[met]
+            out[0][served], out[1][served] = e[met], d[met]
+            if served.size == todo.size:
+                return table
+            todo, drift, prev = todo[~met], drift[~met], prev[~met]
+            h, omega_max = span / n_steps, math.hypot(1.0, params.kappa)
+            halving = ((h <= 1.0 / (_STEPS_PER_UNIT_TIME * omega_max)) | gated) & (drift > prev / 2)
+            # on a stable grid the drift falls no faster than h^5; NaN (overflow) counts as too many steps
+            over = (h * omega_max <= _RK4_STABLE) & ~(n_steps * (drift / gate) ** 0.2 <= _MAX_STEPS)
+        if halving.any() or over.any() or 2 * n_steps > _MAX_STEPS:
+            miss = int(np.argmax(halving | over))  # the first time left when only the cap ends them
+            why = (f"doubling to n_steps={n_steps} did not halve it from {prev[miss]:.3e}"
+                   if halving[miss] else f"n_steps={n_steps} cannot reach it within the cap of {_MAX_STEPS} steps")
+            raise SolverError(f"Wronskian drift {drift[miss]:.3e} exceeds gate {gate:.3e} at t={float(t[todo[miss]])} "
+                              f"from a pass over [0, {span}]: {why}; tolerance unreachable")
+        del table  # not held while the next pass is built
+        prev, n_steps, gated = drift, 2 * n_steps, pass_drift <= gate
+
+
 def solve_epsilon(
     params: OscillatorParams,
     t_end: float,
@@ -253,13 +308,17 @@ def solve_epsilon(
     tol : float
         Accuracy target.  The Wronskian drift is required to stay below
         ``10 * tol``; if it does not, the step count is doubled and the
-        integration retried.  Once ``h * sqrt(1 + kappa^2) <= 1/2000`` (the
-        default density at the fastest trap frequency), a doubling that fails
-        to halve the drift ends the retries: round-off, not the step, sets it.
-        No pass takes more than ``_MAX_STEPS = 2**24`` steps.  On a grid where
-        RK4 is stable (``h * sqrt(1 + kappa^2) <= 2 sqrt(2)``) the retries also
-        end once the drift, falling no faster than ``h^5``, would need more
-        steps than that.  A pass takes its drift one block at a time.
+        integration retried.  The retry rule, which :func:`epsilon_at` also
+        follows for the drift of each point it returns: a doubling that fails
+        to halve the drift ends the retries once the grid is resolved
+        (``h * sqrt(1 + kappa^2) <= 1/2000``, the default density at the
+        fastest trap frequency) or the pass before met the gate, since
+        round-off, not the step, then sets it; on a grid where RK4 is stable
+        (``h * sqrt(1 + kappa^2) <= 2 sqrt(2)``) they also end once the
+        drift, falling no faster than ``h^5``, would need more than
+        ``_MAX_STEPS = 2**24`` steps (a NaN drift counts as such); and no
+        pass takes more than ``_MAX_STEPS`` steps.  A pass takes its drift one
+        block at a time.
 
     Returns
     -------
@@ -268,65 +327,41 @@ def solve_epsilon(
     Raises
     ------
     SolverError
-        If a doubling of a resolved grid fails to halve the drift, at the
-        step-size floor, or when the tolerance needs more than ``_MAX_STEPS``
-        steps (a user ``n_steps`` above it, or a ``t_end`` whose default
-        step count is above it, fails before any integration).
+        If a doubling on a resolved grid fails to halve the drift, or when the
+        tolerance needs more than ``_MAX_STEPS`` steps (a user ``n_steps``
+        above it, or a ``t_end`` whose default step count is above it, fails
+        before any integration).
     """
     if not (t_end > 0.0):
         raise ValueError(f"t_end must be > 0, got {t_end}")
     if not (tol > 0.0):
         raise ValueError(f"tol must be > 0, got {tol}")
     n_steps = _step_count(t_end, n_steps)
-    gate = 10.0 * tol
-    omega_max = math.hypot(1.0, params.kappa)
-    resolved_step = 1.0 / (_STEPS_PER_UNIT_TIME * omega_max)
-    prev_drift = math.inf
-    while True:
-        times = np.empty(n_steps + 1)
-        eps = np.empty(n_steps + 1, dtype=complex)
-        deps = np.empty_like(eps)
-        drift = 0.0  # NaN once any sample is
-        i = 0
-        for t, e, d in _rk4(params, t_end, n_steps):
-            times[i:i + t.size], eps[i:i + t.size], deps[i:i + t.size] = t, e, d
-            i += t.size
-            with np.errstate(over="ignore", invalid="ignore"):
-                drift = np.maximum(drift, np.max(np.abs(_wronskian(e, d) - 1.0)))
-        if drift <= gate:
-            return EpsilonTrajectory(params=params, times=times, eps=eps, deps=deps)
-        h = t_end / n_steps
-        # on a stable grid the drift falls no faster than h^5; NaN (overflow)
-        # there counts as needing too many steps
-        needed = n_steps * (drift / gate) ** 0.2
-        if h <= resolved_step and drift > prev_drift / 2:
-            why = f"doubling to n_steps={n_steps} on a resolved grid did not halve it from {prev_drift:.3e}"
-        elif h / 2 < _MIN_STEP:
-            why = f"n_steps={n_steps} is at the step-size floor"
-        elif 2 * n_steps > _MAX_STEPS or (h * omega_max <= _RK4_STABLE and not needed <= _MAX_STEPS):
-            why = f"n_steps={n_steps} cannot reach it within the cap of {_MAX_STEPS} steps"
-        else:
-            prev_drift, n_steps = drift, 2 * n_steps
-            continue
-        raise SolverError(f"Wronskian drift {drift:.3e} exceeds gate {gate:.3e}: {why}; tolerance unreachable")
+    # the one time asked for is t_end, whose point is the pass's last sample: its drift is the pass's
+    return _retry(params, t_end, n_steps, tol, partial(_pass, params, t_end), np.array([t_end]), np.arange(1),
+                  np.empty((2, 1), dtype=complex))
 
 
-#: Floquet tables by (params, span, tol, n_steps), least recently used first.
-_tables: dict[tuple[OscillatorParams, float, float, int | None], EpsilonTrajectory] = {}
+#: Floquet tables by (params, span, tol), least recently used first: the
+#: span's passes that met ``10 * tol``, by step count, each with its drift.
+_tables: dict[tuple[OscillatorParams, float, float], dict[int, tuple[EpsilonTrajectory, float]]] = {}
 
 
-def _table(params: OscillatorParams, span: float, tol: float, n_steps: int | None) -> EpsilonTrajectory:
-    """The mode function over ``[0, span]``, kept with every table of the span last used (a point
-    may need any doubling) and the most recently used others up to ``_TABLE_SAMPLES`` samples."""
-    key = (params, span, tol, n_steps)
-    table = _tables.pop(key, None)
-    if table is None:
-        table = solve_epsilon(params, t_end=span, n_steps=n_steps, tol=tol)
-    _tables[key] = table
-    for old in [old for old in _tables if old[:3] != key[:3]]:
-        if sum(kept.times.size for kept in _tables.values()) > _TABLE_SAMPLES:
+def _table(params: OscillatorParams, span: float, tol: float, n_steps: int) -> tuple[EpsilonTrajectory, float]:
+    """The pass of ``n_steps`` steps over ``[0, span]`` and its drift.  A pass that meets ``10 * tol``
+    is kept, with every kept pass of the span last used (a point may need any doubling) and the most
+    recently used other spans' up to ``_TABLE_SAMPLES`` samples; one that misses it is not."""
+    key = (params, span, tol)
+    passes = _tables.pop(key, {})
+    found = passes.get(n_steps) or _pass(params, span, n_steps)
+    if found[1] <= 10.0 * tol:
+        passes[n_steps] = found
+    if passes:
+        _tables[key] = passes
+    for old in [old for old in _tables if old != key]:
+        if sum(kept.times.size for others in _tables.values() for kept, _ in others.values()) > _TABLE_SAMPLES:
             del _tables[old]
-    return table
+    return found
 
 
 def _mul(a, b):
@@ -372,37 +407,19 @@ def _floquet_points(table: EpsilonTrajectory, t: np.ndarray):
 
 def _epsilon_points(params: OscillatorParams, t: np.ndarray, tol: float):
     """:func:`epsilon_at` at each of the finite times ``t >= 0``, the first t that fails named."""
-    gate = 10.0 * tol
     eps, deps = np.empty((2, t.size), dtype=complex)
     period = math.pi / params.omega_drive
     with np.errstate(over="ignore"):  # from t = 2**1023 on the power is inf, so the span the period
         spans = np.maximum(np.ldexp(1.0, np.frexp(t)[1]), 8.0)  # frexp: t = m 2^e, 1/2 <= m < 1
     spans[spans >= period] = period
     for span in sorted(set(spans.tolist())):
-        todo = np.flatnonzero(spans == span)
-        prev_drift, n_steps = np.full(todo.size, math.inf), None
-        while True:
-            try:
-                table = _table(params, span, tol, n_steps)
-            except SolverError as exc:  # named by the first t that needs the table, not by its span
-                raise SolverError(f"t={float(t[todo[0]])}: table over [0, {span}]: {exc}") from None
-            # far into a resonance Phi(T)^k overflows; the NaN drift then raises below
-            with np.errstate(over="ignore", invalid="ignore"):
-                e, d = _floquet_points(table, t[todo])
-                drift = np.abs(_wronskian(e, d) - 1.0)
-                met = drift <= gate
-                eps[todo[met]], deps[todo[met]] = e[met], d[met]
-                if met.all():
-                    break
-                todo, drift, prev_drift = todo[~met], drift[~met], prev_drift[~met]
-                steps = table.times.size - 1
-                # as in solve_epsilon: the drift falls no faster than h^5, and a NaN drift never
-                hopeless = ~(drift <= prev_drift / 2) | ~(steps * (drift / gate) ** 0.2 <= _MAX_STEPS)
-            if hopeless.any() or 2 * steps > _MAX_STEPS:
-                miss = int(np.argmax(hopeless))  # the first missed point when none is hopeless
-                raise SolverError(f"Wronskian drift {drift[miss]:.3e} at t={float(t[todo[miss]])} exceeds gate "
-                                  f"{gate:.3e} from a {steps}-step table over [0, {span}]; tolerance unreachable")
-            prev_drift, n_steps = drift, 2 * steps
+        on = (spans == span).nonzero()[0]
+        kept = _tables.get((params, span, tol))
+        try:  # a repeat call starts at the first pass that met the gate
+            n_steps = min(kept) if kept else _step_count(span, None)
+        except SolverError as exc:  # named by the first t that needs the table, not by its span
+            raise SolverError(f"t={float(t[on[0]])}: table over [0, {span}]: {exc}") from None
+        _retry(params, span, n_steps, tol, partial(_table, params, span, tol), t, on, (eps, deps))
     return eps, deps
 
 
@@ -413,8 +430,8 @@ def epsilon_at(params: OscillatorParams, t: float, tol: float = DEFAULT_TOL) -> 
     stencils in the verification harness.
 
     The drive has period ``T = pi / Omega``, so the flow follows from one
-    period: the first call for a ``(params, tol)`` pair solves ``[0, T]`` with
-    :func:`solve_epsilon` and keeps that table.  A query ``t = k T + s`` then
+    period: the first call for a ``(params, tol)`` pair integrates ``[0, T]``
+    and keeps the first pass that meets the gate.  A query ``t = k T + s`` then
     costs one 2x2 power ``Phi(T)^k`` (repeated squaring), one table node at or
     below ``s`` and one partial RK4 step onto ``s``, never an interpolation;
     every product is written out entry by entry, so no BLAS sets the bits.
@@ -424,23 +441,26 @@ def epsilon_at(params: OscillatorParams, t: float, tol: float = DEFAULT_TOL) -> 
     ``_MAX_STEPS`` (``Omega`` below about ``3.75e-4``) does a ``t`` from 8192
     on raise.  ``t == 0`` returns the exact initial point.
 
-    The returned point always meets ``|Im(eps* deps) - 1| <= 10 * tol``.  When
-    it does not, the table's step count is doubled; if that fails to halve the
-    point's drift, would pass ``_MAX_STEPS``, or could not reach the gate
-    within it were the drift to fall as ``h^5``, the call raises.
+    The returned point meets ``|Im(eps* deps) - 1| <= 10 * tol``, and so does
+    the pass it comes from; the larger of the two drifts is that point's.
+    While it misses the gate, the table's step count is doubled, and the
+    retries end by :func:`solve_epsilon`'s rule, applied to that drift.  A
+    repeat call starts at the first pass that met the gate, so a returned
+    point's bits do not depend on the calls before it.
 
     A table holds 40 bytes per step, about 80 kB per unit of its span at the
-    default density, twice that per doubling.  The process keeps every table
-    of the span last used, and beside them the most recently used tables up
-    to ``2**20`` samples (about 42 MB) in all.
+    default density, twice that per doubling; a pass that misses the gate is
+    not kept.  The process keeps every table of the span last used, and
+    beside them the most recently used spans' tables up to ``2**20`` samples
+    (about 42 MB) in all.
 
     Raises
     ------
     ValueError
         If ``t < 0`` or ``t`` is not finite.
     SolverError
-        As :func:`solve_epsilon`, or when the point's drift cannot meet the
-        gate; the message says "tolerance unreachable".
+        When the retry rule ends the retries, or the span's default step
+        count passes ``_MAX_STEPS``; the message says "tolerance unreachable".
     """
     if not 0.0 <= t < math.inf:
         raise ValueError(f"t must be finite and >= 0, got {t}")

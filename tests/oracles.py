@@ -7,6 +7,9 @@ family, from which :func:`wavefunction_moment_oracle` recomputes Gaussian
 moments by quadrature, as a :class:`Moments` record, and the state tests
 build Wigner functions by transform; :func:`schroedinger_relation_check`
 tests the moments against the uncertainty relation.
+:func:`nested_epsilon_at` serves mode-function points by two nested retries,
+a table's own and the point's, against which ``epsilon_at``'s one retry loop
+is compared.
 :func:`load_csv_triples_reference` reads a grid CSV with one ``np.loadtxt``
 call and a check of the whole table, against which the blockwise reader is
 compared.  No CLI step runs any of them, so they live here and not in ``src/``.
@@ -19,6 +22,8 @@ from typing import Callable, NamedTuple, Union
 import numpy as np
 
 from iontomo import CatSpec, DegenerateFrameError, GaussianState, WignerGrid
+from iontomo import oscillator
+from iontomo.errors import SolverError
 from iontomo.oscillator import _check_wronskian
 from iontomo.states import _uniform_trapezoid
 
@@ -285,3 +290,60 @@ def load_csv_triples_reference(path: str, colnames: tuple[str, str, str]):
     if np.any((grid[:, :, 0] != grid[:, :1, 0]) | (grid[:, :, 1] != grid[:1, :, 1])):
         raise ValueError(f"{path}: a run off the grid")
     return grid[:, 0, 0].copy(), grid[0, :, 1].copy(), grid[:, :, 2].copy()
+
+
+def nested_epsilon_at(params, times, tol=oscillator.DEFAULT_TOL):
+    """``(eps, deps)`` at each time, or None where the nested retries give up, for a drive of period at most 8.
+
+    Each Floquet table over the period is its own doubling loop: RK4 passes
+    from a given step count (the default one for the first table) until the
+    pass's drift meets ``10 * tol``, given up when a doubling on a resolved
+    grid (``h * sqrt(1 + kappa^2) <= 1/2000``) fails to halve it, at a step
+    below 1e-12, past the 2**24-step cap, or when on a stable grid the drift,
+    falling as ``h^5``, would need more steps than that.  A point retries on
+    the table from twice the last table's steps, given up when its drift does
+    not halve, would need more than the cap as ``h^5``, or the next table
+    would pass the cap.  The tables are shared among the times.
+    """
+    gate = 10.0 * tol
+    span = math.pi / params.omega_drive
+    assert span <= 8.0  # longer periods take tables over powers of two below them
+    omega_max = math.hypot(1.0, params.kappa)
+    tables = {}
+
+    def table(n_steps):
+        if n_steps not in tables:
+            n, prev = n_steps or oscillator._step_count(span, None), math.inf
+            while True:
+                traj, drift = oscillator._pass(params, span, n)
+                if drift <= gate:
+                    break
+                h = span / n
+                resolved, stable = h <= 1.0 / (2000 * omega_max), h * omega_max <= 2.0 * ROOT2
+                needed = n * (drift / gate) ** 0.2
+                if ((resolved and drift > prev / 2) or h / 2 < 1e-12 or 2 * n > oscillator._MAX_STEPS
+                        or (stable and not needed <= oscillator._MAX_STEPS)):
+                    raise SolverError("table: tolerance unreachable")
+                prev, n = drift, 2 * n
+            tables[n_steps] = traj
+        return tables[n_steps]
+
+    def point(t):
+        n_steps, prev = None, math.inf
+        while True:
+            try:
+                traj = table(n_steps)
+            except SolverError:
+                return None
+            with np.errstate(over="ignore", invalid="ignore"):
+                eps, deps = oscillator._floquet_points(traj, np.array([t]))
+                drift = float(np.abs(oscillator._wronskian(eps, deps) - 1.0)[0])
+            if drift <= gate:
+                return complex(eps[0]), complex(deps[0])
+            steps = traj.times.size - 1
+            if not (drift <= prev / 2 and steps * (drift / gate) ** 0.2 <= oscillator._MAX_STEPS) \
+                    or 2 * steps > oscillator._MAX_STEPS:
+                return None
+            prev, n_steps = drift, 2 * steps
+
+    return [point(float(t)) for t in times]

@@ -21,7 +21,7 @@ from iontomo import (
 )
 from iontomo import oscillator
 from iontomo.oscillator import _BLOCK, _MAX_STEPS
-from oracles import eval_wavefunction
+from oracles import eval_wavefunction, nested_epsilon_at
 
 PARAMS04 = OscillatorParams(kappa=0.4, omega_drive=2.0)
 
@@ -147,6 +147,11 @@ def test_epsilon_at_period_over_the_step_cap_raises(monkeypatch):
         epsilon_at(OscillatorParams(0.4, 1e-4), 8192.0)
 
 
+def kept_passes():
+    """``(params, span, tol, n_steps)`` of each pass ``epsilon_at`` keeps, least recently used span first."""
+    return [(*key, n) for key, passes in oscillator._tables.items() for n in passes]
+
+
 @pytest.mark.parametrize("t, span", [(1e-300, 8.0), (1.0, 8.0), (8.0, 16.0), (10.0, 16.0), (100.0, 128.0)])
 def test_slow_drive_tables_span_the_query(monkeypatch, t, span):
     # below the period the table spans the least power of two above t (at
@@ -155,7 +160,7 @@ def test_slow_drive_tables_span_the_query(monkeypatch, t, span):
     monkeypatch.setattr(oscillator, "_tables", {})
     params = OscillatorParams(0.4, 1e-4)
     eps, deps = epsilon_at(params, t)
-    assert list(oscillator._tables) == [(params, span, oscillator.DEFAULT_TOL, None)]
+    assert kept_passes() == [(params, span, oscillator.DEFAULT_TOL, max(1000, math.ceil(2000 * span)))]
     traj = solve_epsilon(params, t_end=t, n_steps=max(1000, math.ceil(2000 * t)))
     scale = max(1.0, abs(traj.eps[-1]))
     assert abs(eps - traj.eps[-1]) <= 1e-11 * scale
@@ -181,7 +186,7 @@ def test_epsilon_at_rejects_non_finite_time(t):
 
 
 def _monodromy(params):
-    table = oscillator._table(params, math.pi / params.omega_drive, oscillator.DEFAULT_TOL, None)
+    table = solve_epsilon(params, t_end=math.pi / params.omega_drive)  # the period table epsilon_at keeps
     return np.array([[table.eps[-1].real, table.eps[-1].imag],
                      [table.deps[-1].real, table.deps[-1].imag]])
 
@@ -293,9 +298,9 @@ def test_period_tables_are_bounded_by_samples(monkeypatch):
     monkeypatch.setattr(oscillator, "_tables", {})
     tol = oscillator.DEFAULT_TOL
     resonant = OscillatorParams(1.0, 1.2247)
-    doubled = [(resonant, math.pi / 1.2247, tol, n) for n in (None, 10262)]
+    doubled = [(resonant, math.pi / 1.2247, tol, n) for n in (5131, 10262)]
     epsilon_at(resonant, 95.0)  # |eps| ~ 1e4: the point needs a doubled table
-    assert list(oscillator._tables) == doubled
+    assert kept_passes() == doubled
     # Omega = 2, 2.5, 3: tables of 3143, 2515 and 2096 samples
     drives = [OscillatorParams(0.4, omega) for omega in (2.0, 2.5, 3.0)]
     monkeypatch.setattr(oscillator, "_TABLE_SAMPLES", 6000)
@@ -307,7 +312,71 @@ def test_period_tables_are_bounded_by_samples(monkeypatch):
     epsilon_at(drives[1], 1.0)  # rebuilt, and the larger table, now least recently used, dropped
     assert [key[0] for key in oscillator._tables] == [drives[1]]
     epsilon_at(resonant, 95.0)  # 15395 samples: every table of the span last used stays
-    assert list(oscillator._tables) == doubled
+    assert kept_passes() == doubled
+
+
+@pytest.mark.parametrize("params, times", [
+    (OscillatorParams(300.0, 2.0), (0.01, 1.6, 10.0, 30.0)),
+    (OscillatorParams(3000.0, 2.0), (0.01, 1.6, 10.0, 30.0)),
+    (OscillatorParams(1e4, 2.0), (0.01, 1.6)),  # later times there take a 3.2M-step doubling
+    (OscillatorParams(1.0, 1.2247), (1.0, 30.0, 80.0, 95.0, 100.0, 120.0, 300.0)),
+], ids=["kappa300", "kappa3000", "kappa1e4", "resonance"])
+def test_one_retry_loop_matches_the_nested_retries(monkeypatch, params, times):
+    # stiff drives whose period tables take up to nine doublings, and resonant
+    # points that need a doubled table or give up: each point has the bits of
+    # a table gated on its own with the point retried on top, or raises where
+    # that gives up; later calls start at the first pass that met the gate
+    monkeypatch.setattr(oscillator, "_tables", {})
+    for t, want in zip(times, nested_epsilon_at(params, times)):
+        if want is None:
+            with pytest.raises(SolverError, match="tolerance unreachable"):
+                epsilon_at(params, t)
+        else:
+            assert np.array(epsilon_at(params, t)).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("params, t, bound", [
+    # |eps|^2 + |deps|^2 ~ 1e50: on the fifth pass (50272 steps) the drift,
+    # 1.1e26, could not reach the gate within 2**24 steps even falling as h^5.
+    # Gating the period table first took about 3.2M steps
+    (OscillatorParams(1e4, 2.0), 100.0, 2 ** 17),
+    # the 321792-step pass fails to halve the drift the 160896-step one, which
+    # met the gate, left: round-off sets it.  Stopping on that only on a
+    # resolved grid doubled on to a 10.3M-step pass, 20M steps in all
+    (OscillatorParams(3000.0, 5.0), 10.0, 2 ** 20),
+], ids=["kappa1e4", "kappa3000"])
+def test_hopeless_point_fails_fast(monkeypatch, params, t, bound):
+    steps = []
+    rk4 = oscillator._rk4
+
+    def counted(p, t_end, n_steps):
+        steps.append(n_steps)
+        return rk4(p, t_end, n_steps)
+
+    monkeypatch.setattr(oscillator, "_rk4", counted)
+    monkeypatch.setattr(oscillator, "_tables", {})
+    with pytest.raises(SolverError, match=f"at t={t} .*tolerance unreachable"):
+        epsilon_at(params, t)
+    assert sum(steps) <= bound
+
+
+def test_only_passes_that_meet_the_gate_are_kept(monkeypatch):
+    # kappa 3000: the passes of 3142 to 201088 steps miss the gate and none is
+    # kept or held while the next is built, so the peak is the 402176-step
+    # table (40 bytes per step) and block scratch; t = 10 needs its doubling
+    monkeypatch.setattr(oscillator, "_tables", {})
+    params = OscillatorParams(3000.0, 2.0)
+    tracemalloc.start()
+    try:
+        epsilon_at(params, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = [(params, math.pi / 2.0, oscillator.DEFAULT_TOL, n) for n in (402176, 804352)]
+    assert kept_passes() == kept[:1]
+    assert peak <= 40 * 402177 + 2 ** 20
+    epsilon_at(params, 10.0)
+    assert kept_passes() == kept
 
 
 @pytest.mark.parametrize(
@@ -327,8 +396,9 @@ def test_solve_epsilon_rejects_bad_arguments(kwargs):
 @pytest.mark.parametrize(
     "params, kwargs",
     [
-        # roundoff keeps the Wronskian drift near 1e-14 here, far above a 1e-30
-        # target, and the step size already sits at the refinement floor
+        # steps of 1.7e-12 (there is no step-size floor): round-off keeps the
+        # Wronskian drift near 2e-16, which even falling as h^5 would need
+        # about 3e7 steps to bring to a 1e-30 target, so the first pass ends it
         (PARAMS04, {"t_end": 1e-7, "n_steps": 60001, "tol": 1e-30}),
         # inside the first instability tongue |eps| reaches ~1e4 by t = 100 and
         # roundoff holds the drift near 1e-7 whatever the step count
