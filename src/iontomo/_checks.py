@@ -2,7 +2,8 @@
 
 A sinogram moves through the CLI as row blocks ``(phi, x, values, total)``:
 the block's angles, the X axis, their ``(len(phi), len(x))`` values and the
-number of angles, or a bound on it.  :func:`checked_rows` passes the blocks
+number of angles, a bound on it, or None where nothing counted it (a CSV
+file as the reconstructions read it).  :func:`checked_rows` passes the blocks
 on while they are valid and raises the first fault once the last block is
 read, so :class:`~iontomo.tomography.OpticalSinogram`, the CLI's sampling and
 both reconstructions hold one set of checks, raised in one order.

@@ -143,20 +143,22 @@ def save_grid(path: str, fmt: str, kind: str, ax0: np.ndarray, ax1: np.ndarray, 
     _atomic_write(path, chunks)
 
 
-def grid_rows(path: str, kind: str):
+def grid_rows(path: str, kind: str, *, count: bool = False):
     """The rows of a grid file of either format, as :func:`save_grid` writes it, while they are read.
 
     Yields ``(ax0, ax1, values, total)`` blocks of whole rows in file order:
     the block's ax0 values, the inner axis (the same array each time), its
-    ``(len(ax0), len(ax1))`` values and the number of rows the file holds at
-    most (exact for the container).  A malformed file or another kind raises
-    ValueError when the reader reaches the fault; blocks before it have been
-    yielded.  The container's header and payload size are checked before the
-    first block, and a CSV file is read by :func:`_csv_rows`.
+    ``(len(ax0), len(ax1))`` values and the number of rows the file holds:
+    exact for the container; for a CSV file a bound from a line count, made
+    only with ``count``, and None without it.  A malformed file or another
+    kind raises ValueError when the reader reaches the fault; blocks before
+    it have been yielded.  The container's header and payload size are
+    checked before the first block, and a CSV file is read by
+    :func:`_csv_rows`.
     """
     with open(path, "rb") as fh:
         if fh.read(1) != b"{":
-            yield from _csv_rows(path, _GRID_COLUMNS[kind])
+            yield from _csv_rows(path, _GRID_COLUMNS[kind], count=count)
             return
         fh.seek(0)
         got, axes = _read_header(fh, path)
@@ -173,7 +175,7 @@ def grid_rows(path: str, kind: str):
 
 def load_grid(path: str, kind: str):
     """Inverse of :func:`save_grid`, either format; ValueError on a malformed file or another kind."""
-    return _collect(grid_rows(path, kind))
+    return _collect(grid_rows(path, kind, count=True))
 
 
 def _collect(blocks):
@@ -266,14 +268,16 @@ def _csv_triples_chunks(colnames, ax0: np.ndarray, ax1: np.ndarray, blocks):
 
 def load_csv_triples(path: str, colnames: tuple[str, str, str]):
     """Inverse of :func:`save_csv_triples`; returns (ax0, ax1, values), the rows of :func:`_csv_rows`."""
-    return _collect(_csv_rows(path, colnames))
+    return _collect(_csv_rows(path, colnames, count=True))
 
 
-def _csv_rows(path: str, colnames: tuple[str, str, str]):
+def _csv_rows(path: str, colnames: tuple[str, str, str], *, count: bool = False):
     """The :func:`grid_rows` blocks of a CSV triples file, each yielded once its rows are whole.
 
-    Parses ``_CSV_BLOCK_ROWS`` lines at a time; a line count beforehand gives
-    ``total``.  The first ax0 run, held as its ax1 and value pieces, fixes the
+    Parses ``_CSV_BLOCK_ROWS`` lines at a time.  With ``count``, a line count
+    beforehand, a second read of the file, gives ``total``, which
+    :func:`_collect` sizes its array by; without it ``total`` is None.  The
+    first ax0 run, held as its ax1 and value pieces, fixes the
     inner length n1; each later run must hold one ax0 value and repeat the
     first run's ax1.  After the first run, each block's rows are checked as
     they arrive, against ``ax1[j0:j0 + m]`` and the ax0 of their runs, and a
@@ -286,14 +290,16 @@ def _csv_rows(path: str, colnames: tuple[str, str, str]):
         header = fh.readline().strip()
         if header != ",".join(colnames):
             raise ValueError(f"{path}: expected header {','.join(colnames)!r}, got {header!r}")
-        body = fh.tell()
-        # the text layer counts "\r" and "\r\n" endings as loadtxt reads them
-        capacity, last = 0, "\n"
-        while chunk := fh.read(_CSV_READ_CHARS):
-            capacity += chunk.count("\n")
-            last = chunk[-1]
-        capacity += last != "\n"
-        fh.seek(body)
+        capacity = None
+        if count:
+            body = fh.tell()
+            # the text layer counts "\r" and "\r\n" endings as loadtxt reads them
+            capacity, last = 0, "\n"
+            while chunk := fh.read(_CSV_READ_CHARS):
+                capacity += chunk.count("\n")
+                last = chunk[-1]
+            capacity += last != "\n"
+            fh.seek(body)
         rows = 0
         n1, head_x, head_w = None, [], []  # inner run length, the first run's ax1 and value pieces
         row, fill, runs = None, 0, []  # the open row, its values so far, the ax0 of the rows not yet yielded
@@ -358,7 +364,7 @@ def _csv_rows(path: str, colnames: tuple[str, str, str]):
                 done.append(w[:whole].reshape(-1, n1))
             if done:
                 done = done[0] if len(done) == 1 else np.concatenate(done)
-                yield np.array(runs[:len(done)]), ax1, done, capacity // n1
+                yield np.array(runs[:len(done)]), ax1, done, None if capacity is None else capacity // n1
                 del runs[:len(done)]
                 done = None  # the rows are freed before the next one is opened
             if whole < w.size:

@@ -125,18 +125,10 @@ def invert_to_wigner(sinogram: OpticalSinogram, q_axis, p_axis, *, k_max: float 
     |alpha| = 3.  The node mu = nu = 0 is never evaluated; its Fourier
     coefficient is exactly 1 for a normalized tomogram.  A tomogram evaluator
     is sampled first with :meth:`OpticalSinogram.from_evaluator`; its optical
-    slices determine it.
-
-    By homogeneity the coefficient on the ray (mu, nu) = r (cos phi, sin phi)
-    is the 1-D transform of one marginal, F = integral w_opt(X, phi)
-    exp(i k X) dX with k = r, or k = -r where phi folds back into [0, pi).
-    The marginal at phi combines four wrapped angle rows with the Catmull-Rom
-    weights of :func:`sinogram_evaluator`; its transform is the trapezoid sum
-    on the sinogram's own X samples, so nothing is interpolated in X.  Each
-    row's sum is taken once for all k, by a zero-padded FFT at least 8x
-    oversampled in k, and read at k = +-r by a 16-point Lagrange stencil:
-    within about 1e-12 of max |F| of the sum at each node, and 2.8e-15 of
-    max |W| on the benchmark's 180x321 sinogram at seed 0.
+    slices determine it.  The coefficients come from
+    :func:`~iontomo._fourier._node_spectra`, within about 1e-12 of max |F|
+    of the trapezoid sum at each node, and 2.8e-15 of max |W| on the
+    benchmark's 180x321 sinogram at seed 0.
 
     Only the half plane of the first ``(n_nodes + 1) // 2`` mu rows is
     evaluated and contracted.  The rest follows from
@@ -145,10 +137,17 @@ def invert_to_wigner(sinogram: OpticalSinogram, q_axis, p_axis, *, k_max: float 
     is read with: on nodes made exactly antisymmetric, the mirrored rows add
     the conjugate of the half plane's term, so W = Re(A_h F_h B) / 2 pi with
     the half plane's mu weights doubled (the middle row of an odd
-    ``n_nodes`` kept once).  The sinogram is read one row block at a time,
-    as its rows arrive, and never held whole: the peak memory is the row
-    table, with half of F filled beside it; the phase factors and products
-    come after the table is dropped and are smaller.
+    ``n_nodes`` kept once).  The product is taken in blocks of p columns, so
+    no complex q x n_nodes or n_nodes x n_p product sits beside F_h.
+
+    The sinogram is read in one pass, one row block at a time, and neither
+    it nor a table of its rows' spectra is ever held whole: the memory is
+    F_h, its node order, a window of the row spectra of about 4096 X
+    samples and the stencil scratch of a few hundred nodes, then A_h and W
+    beside F_h, and it does not grow with the number of angles.  The
+    tracemalloc peak is 0.80 MiB on the benchmark's 180x321 sinogram and
+    0.88 MiB on a 1024x513 one, where a table of every row's spectrum took
+    1.55 and 6.54 MiB.
 
     The grid is returned whatever its normalization, as from
     :func:`radon_reconstruct`; ``grid.integral()`` far from 1 means k_max or
@@ -172,15 +171,9 @@ def invert_to_wigner(sinogram: OpticalSinogram, q_axis, p_axis, *, k_max: float 
     # column n - 1 - i hold the mirrored frame (-mu, -nu)
     nodes = 0.5 * (nodes - nodes[::-1])
     half = (n_nodes + 1) // 2
+    from ._fourier import _node_spectra
 
-    spectrum = _ray_spectrum(sinogram, float(np.hypot(nodes[-1], nodes[-1])))
-    F = np.empty((half, n_nodes), dtype=complex)
-    for i, m in enumerate(nodes[:half]):
-        degenerate = (m == 0.0) & (nodes == 0.0)
-        F[i, :] = spectrum(m, np.where(degenerate, 1.0, nodes))
-        F[i, degenerate] = 1.0
-    # the row table is dropped before the matmuls
-    del spectrum
+    F = _node_spectra(sinogram, nodes[:half, np.newaxis], nodes)
 
     # separable phase factors turn the double (mu, nu) sum into two matmuls.  The
     # mirrored row n - 1 - i adds the conjugate of row i's term, so the real part
@@ -188,110 +181,16 @@ def invert_to_wigner(sinogram: OpticalSinogram, q_axis, p_axis, *, k_max: float 
     w_nodes = _uniform_trapezoid(n_nodes, _uniform_spacing(nodes, "nodes"))
     w_rows = 2.0 * w_nodes[:half]
     w_rows[n_nodes // 2:] *= 0.5
-    A = np.exp(-1j * np.outer(q_axis, nodes[:half])) * w_rows
-    B = np.exp(-1j * np.outer(nodes, p_axis)) * w_nodes[:, np.newaxis]
-    return WignerGrid(q_axis=q_axis, p_axis=p_axis, values=np.real(A @ F @ B) / (2.0 * math.pi))
-
-
-#: FFT length of a sinogram row, as a multiple of its sample count (rounded up
-#: by :func:`_fft_length`): the k grid then samples each row spectrum at least
-#: 8x finer than its bandwidth, the half-length of the X range.
-_K_OVERSAMPLE = 8
-#: Points of the Lagrange stencil that reads a row spectrum between k nodes.
-#: At 8x oversampling 16 points keep the error near 1e-12 of max |F| even for
-#: rows with their mass on the X ends; 10 points leave about 1e-9 there.
-_K_STENCIL = 16
-#: Rows per rfft call; bounds the zero-padded FFT buffers to this many rows.
-_FFT_BLOCK_ROWS = 8
-
-
-def _ray_spectrum(sinogram, k_reach: float) -> Callable:
-    """Coefficients F(m, nu) of one mu row as 1-D transforms of sinogram marginals.
-
-    The transform is linear in the marginal, so the Catmull-Rom combination of
-    four angle rows is applied to the rows' spectra from :func:`_row_spectra`.
-    A node reads each row at |k| with a ``_K_STENCIL``-point Lagrange stencil
-    in k and conjugates where k < 0 (the rows are real).  Nothing is
-    interpolated in X.
-    """
-    table, dk, n_fft, phi0, dphi, n_x = _row_spectra(sinogram, k_reach)
-    n_rows, n_cols = table.shape[0] - 2, table.shape[1]
-    flat = table.ravel()
-    odd_x = (n_x - 1) % 2
-    offsets = np.arange(_K_STENCIL) - (_K_STENCIL // 2 - 1)
-    denominators = np.array([np.prod([float(d - e) for e in offsets if e != d]) for d in offsets])
-    taps = np.arange(_K_STENCIL)[:, np.newaxis]
-
-    def spectrum(m, nu):
-        angle, k = _fold(m, nu)
-        i, w, _ = _stencil(angle, phi0, dphi, n_rows)
-        s = np.abs(k) / dk
-        # on an X axis symmetric about 0 the X sum repeats every n_fft
-        # columns up to the sign (-1)^(n_x - 1), so the table holds at most one period
-        periods = np.floor(s / n_fft)
-        s -= periods * n_fft
-        j = s.astype(int)
-        lagrange = _lagrange_weights(s - j, offsets, denominators)
-        # the stencil of |k| = (j + t) dk covers table columns j + 1 .. j + _K_STENCIL
-        at = (i * n_cols + j + 1)[np.newaxis, :] + taps
-        row_sum = sum(w[a] * (lagrange * flat[at + a * n_cols]).sum(axis=0) for a in range(4))
-        row_sum = np.where(periods % 2 * odd_x == 1.0, -row_sum, row_sum)
-        return np.where(k < 0.0, np.conj(row_sum), row_sum)
-
-    return spectrum
-
-
-def _row_spectra(sinogram, k_reach: float):
-    """Transforms of the trapezoid-weighted rows of the wrapped sinogram on a k grid.
-
-    Returns ``(table, dk, n, phi0, dphi, n_x)``: ``table[r + 1, c]`` =
-    sum_j w_rj exp(i k x_j) at k = (c - _K_STENCIL // 2) dk for row r of the
-    sinogram with two wrap rows on each side of [0, pi), whose angles start
-    at phi0 in steps of dphi; rows 0 and -1 are zero padding, as in
-    :meth:`WignerGrid.interpolate`.  The wrap rows use row(phi + pi) = row(phi)
-    with X reversed, so a 4-point Catmull-Rom stencil in phi stays on the
-    table for every angle in [0, pi]; the first two and last two rows are
-    kept aside for them, and the sinogram (an :class:`OpticalSinogram` or its
-    row blocks) is never held whole.  On the X axis symmetric about 0 that
-    the fold requires, the rows have the smallest bandwidth in k, half the X
-    range.  Each row is one zero-padded rfft of length
-    n = ``_fft_length(_K_OVERSAMPLE n_x)``, weighted and taken in blocks of
-    at most ``_FFT_BLOCK_ROWS`` rows; only the columns of 0 <= k <= ``k_reach``,
-    at most one period of n columns, and a stencil guard on each side are kept.
-    """
-    blocks = checked_rows(_blocks(sinogram), fold=True)
-    first = next(blocks)
-    x = first[1]
-    dx = _uniform_spacing(x, "x_axis")
-    trapezoid = _uniform_trapezoid(x.size, dx)
-    n_fft = _fft_length(_K_OVERSAMPLE * x.size)
-    dk = 2.0 * math.pi / (n_fft * dx)
-    half = _K_STENCIL // 2
-    cols = np.arange(min(int(k_reach / dk), n_fft) + 2 * half + 2) - half
-    # the X sum at k = c dk is conj(rfft[c mod n]) up to n / 2 and rfft[n - c mod n] past it
-    wrapped = cols % n_fft
-    upper = wrapped > n_fft // 2
-    column = np.where(upper, n_fft - wrapped, wrapped)
-    phase = np.exp(1j * (cols * dk) * x[0])
-    table = np.zeros((first[3] + 6, cols.size), dtype=complex)
-
-    def fill(at, values):
-        for start in range(0, len(values), _FFT_BLOCK_ROWS):
-            spec = np.fft.rfft(values[start:start + _FFT_BLOCK_ROWS] * trapezoid, n=n_fft)[:, column]
-            table[at + start:at + start + spec.shape[0]] = np.where(upper, spec, np.conj(spec)) * phase
-
-    n, head, tail = 0, np.empty((0, x.size)), np.empty((0, x.size))
-    for phi, _, values, _ in itertools.chain([first], blocks):
-        fill(3 + n, values)
-        head = np.concatenate((head, values[:2 - len(head)]))
-        tail = np.concatenate((tail, values[-2:]))[-2:]
-        n, last = n + len(phi), phi[-1]
-    fill(1, tail[:, ::-1])
-    fill(n + 3, head[:, ::-1])
-    # the wrapped angle axis phi[0] - 2 dphi .. phi[-1] + 2 dphi and its step, as np.linspace has them
-    step = math.pi / n
-    phi0 = first[0][0] - step * 2.0
-    return table[:n + 6], dk, n_fft, phi0, float((last + step * 2.0 - phi0) / (n + 3)), x.size
+    A = np.multiply.outer(q_axis, nodes[:half]) * -1j
+    np.exp(A, out=A)
+    A *= w_rows
+    values = np.empty((q_axis.size, p_axis.size))
+    for b in _row_blocks(p_axis.size, n_nodes):
+        B = np.multiply.outer(nodes, p_axis[b]) * -1j
+        np.exp(B, out=B)
+        B *= w_nodes[:, np.newaxis]
+        values[:, b] = np.real(A @ (F @ B)) / (2.0 * math.pi)
+    return WignerGrid(q_axis=q_axis, p_axis=p_axis, values=values)
 
 
 def _fft_length(m: int) -> int:
@@ -310,19 +209,6 @@ def _fft_length(m: int) -> int:
             p35 *= 3
         p5 *= 5
     return best
-
-
-def _lagrange_weights(t: np.ndarray, offsets: np.ndarray, denominators: np.ndarray) -> np.ndarray:
-    """Lagrange weights of the integer ``offsets`` at ``t``, one row per offset.
-
-    Products of all factors but one come from prefix and suffix products, so a
-    t exactly on a node gives weight 1 there and 0 elsewhere.
-    """
-    diffs = t[np.newaxis, :] - offsets[:, np.newaxis]
-    ones = np.ones((1, t.size))
-    before = np.cumprod(np.vstack((ones, diffs[:-1])), axis=0)
-    after = np.cumprod(np.vstack((ones, diffs[:0:-1])), axis=0)[::-1]
-    return before * after / denominators[:, np.newaxis]
 
 
 @dataclass(frozen=True)

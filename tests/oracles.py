@@ -10,6 +10,8 @@ tests the moments against the uncertainty relation.
 :func:`nested_epsilon_at` serves mode-function points by two nested retries,
 a table's own and the point's, against which ``epsilon_at``'s one retry loop
 is compared.
+:func:`table_invert_to_wigner` inverts a sinogram from a table of all its rows'
+spectra, against which the single streamed pass is compared.
 :func:`load_csv_triples_reference` reads a grid CSV with one ``np.loadtxt``
 call and a check of the whole table, against which the blockwise reader is
 compared.  No CLI step runs any of them, so they live here and not in ``src/``.
@@ -25,7 +27,7 @@ from iontomo import CatSpec, DegenerateFrameError, GaussianState, WignerGrid
 from iontomo import oscillator
 from iontomo.errors import SolverError
 from iontomo.oscillator import _check_wronskian
-from iontomo.states import _uniform_trapezoid
+from iontomo.states import _uniform_spacing, _uniform_trapezoid
 
 ROOT2 = math.sqrt(2.0)
 
@@ -347,3 +349,101 @@ def nested_epsilon_at(params, times, tol=oscillator.DEFAULT_TOL):
             prev, n_steps = drift, 2 * steps
 
     return [point(float(t)) for t in times]
+
+
+def table_invert_to_wigner(sinogram, q_axis, p_axis, *, k_max: float = 12.0, n_nodes: int = 193) -> np.ndarray:
+    """Grid values of the Fourier inversion read from a table of every wrapped row's spectrum.
+
+    The inversion as :func:`iontomo.tomography.invert_to_wigner` defines it,
+    computed the way it was before its single pass: :func:`table_ray_spectrum`
+    transforms all the rows into one table first, the half plane of F is then
+    evaluated one mu row at a time, and W = Re(A_h F_h B) / 2 pi is one
+    product.  The stencils are the package's own, so the two agree to
+    rounding.
+    """
+    q_axis = np.asarray(q_axis, dtype=float)
+    p_axis = np.asarray(p_axis, dtype=float)
+    nodes = np.linspace(-k_max, k_max, n_nodes)
+    nodes = 0.5 * (nodes - nodes[::-1])
+    half = (n_nodes + 1) // 2
+    spectrum = table_ray_spectrum(sinogram, float(np.hypot(nodes[-1], nodes[-1])))
+    F = np.empty((half, n_nodes), dtype=complex)
+    for i, m in enumerate(nodes[:half]):
+        degenerate = (m == 0.0) & (nodes == 0.0)
+        F[i, :] = spectrum(m, np.where(degenerate, 1.0, nodes))
+        F[i, degenerate] = 1.0
+    w_nodes = _uniform_trapezoid(n_nodes, _uniform_spacing(nodes, "nodes"))
+    w_rows = 2.0 * w_nodes[:half]
+    w_rows[n_nodes // 2:] *= 0.5
+    A = np.exp(-1j * np.outer(q_axis, nodes[:half])) * w_rows
+    B = np.exp(-1j * np.outer(nodes, p_axis)) * w_nodes[:, np.newaxis]
+    return np.real(A @ F @ B) / (2.0 * math.pi)
+
+
+def table_ray_spectrum(sinogram, k_reach: float) -> Callable:
+    """F(m, nu) of one mu row from :func:`row_spectra_table`, for any nonzero frames (m, nu)."""
+    from iontomo import _fourier, tomography
+
+    table, dk, n_fft, phi0, dphi, n_x = row_spectra_table(sinogram, k_reach)
+    n_rows, n_cols = table.shape[0] - 2, table.shape[1]
+    flat = table.ravel()
+    odd_x = (n_x - 1) % 2
+    offsets = np.arange(_fourier._K_STENCIL) - (_fourier._K_STENCIL // 2 - 1)
+    denominators = np.array([np.prod([float(d - e) for e in offsets if e != d]) for d in offsets])
+    taps = np.arange(_fourier._K_STENCIL)[:, np.newaxis]
+
+    def spectrum(m, nu):
+        angle, k = tomography._fold(m, nu)
+        i, w, _ = tomography._stencil(angle, phi0, dphi, n_rows)
+        s = np.abs(k) / dk
+        periods = np.floor(s / n_fft)
+        s -= periods * n_fft
+        j = s.astype(int)
+        diffs = (s - j)[np.newaxis, :] - offsets[:, np.newaxis]
+        ones = np.ones((1, s.size))
+        before = np.cumprod(np.vstack((ones, diffs[:-1])), axis=0)
+        after = np.cumprod(np.vstack((ones, diffs[:0:-1])), axis=0)[::-1]
+        lagrange = before * after / denominators[:, np.newaxis]
+        at = (i * n_cols + j + 1)[np.newaxis, :] + taps
+        row_sum = sum(w[a] * (lagrange * flat[at + a * n_cols]).sum(axis=0) for a in range(4))
+        row_sum = np.where(periods % 2 * odd_x == 1.0, -row_sum, row_sum)
+        return np.where(k < 0.0, np.conj(row_sum), row_sum)
+
+    return spectrum
+
+
+def row_spectra_table(sinogram, k_reach: float):
+    """``(table, dk, n, phi0, dphi, n_x)``: the spectra of all the wrapped rows, zero rows around them.
+
+    ``table[r + 1, c]`` = sum_j w_rj exp(i k x_j) at k = (c - _K_STENCIL // 2) dk
+    for wrapped row r, whose angles start at phi0 in steps of dphi (the
+    sinogram's rows with two wrap rows, X reversed, on each side of
+    [0, pi)).  Each row is one zero-padded rfft of length
+    n = ``_fft_length(_K_OVERSAMPLE n_x)``; only the columns of
+    0 <= k <= ``k_reach``, at most one period, and a stencil guard on each
+    side are kept.  The sinogram is checked as the package checks it.
+    """
+    from iontomo import _fourier, tomography
+    from iontomo._checks import checked_rows
+
+    rows = list(checked_rows(tomography._blocks(sinogram), fold=True))
+    phi = np.concatenate([r[0] for r in rows])
+    values = np.concatenate([r[2] for r in rows])
+    x = rows[0][1]
+    dx = tomography._uniform_spacing(x, "x_axis")
+    n_fft = tomography._fft_length(_fourier._K_OVERSAMPLE * x.size)
+    dk = 2.0 * math.pi / (n_fft * dx)
+    half = _fourier._K_STENCIL // 2
+    cols = np.arange(min(int(k_reach / dk), n_fft) + 2 * half + 2) - half
+    wrapped = cols % n_fft
+    upper = wrapped > n_fft // 2
+    column = np.where(upper, n_fft - wrapped, wrapped)
+    phase = np.exp(1j * (cols * dk) * x[0])
+    ext = np.concatenate((values[-2:, ::-1], values, values[:2, ::-1]))
+    table = np.zeros((ext.shape[0] + 2, cols.size), dtype=complex)
+    spec = np.fft.rfft(ext * _uniform_trapezoid(x.size, dx), n=n_fft)[:, column]
+    table[1:-1] = np.where(upper, spec, np.conj(spec)) * phase
+    n = phi.size
+    step = math.pi / n
+    phi0 = phi[0] - step * 2.0
+    return table, dk, n_fft, phi0, float((phi[-1] + step * 2.0 - phi0) / (n + 3)), x.size

@@ -33,7 +33,9 @@ from iontomo import (
 from iontomo import _container, _svg, cli, oscillator, states, tomography, verify
 from iontomo.cli import main
 from iontomo.oscillator import _BLOCK
+from oracles import table_invert_to_wigner
 from test_oscillator import DEPS_AT_10, EPS_AT_10
+from test_workloads import workloads
 
 
 def cfg_file(tmp_path, payload, name="cfg.json"):
@@ -551,14 +553,73 @@ def test_tomogram_scratch_is_bounded(tmp_path, large_sinogram_files, fmt):
 @pytest.mark.parametrize("method, fmt", [("fbp", "csv"), ("fourier", "bin")])
 def test_reconstruct_scratch_is_bounded(tmp_path, large_sinogram_files, method, fmt):
     # the rows go to the reconstruction as they are read: FBP keeps one angle
-    # row, and the Fourier path its row table (1030 x 383 complex) with the half
-    # plane of F (97 x 193 complex) beside it.  Loading the sinogram first
-    # peaked at 4.9 MB (FBP from CSV) and 15.2 MB (Fourier, with the wrapped
-    # copy beside the table) here
+    # row, and the Fourier path the half plane of F (97 x 193 complex), its
+    # node order and a window of row spectra, 0.88 MiB here, where the table of
+    # every row (1030 x 383 complex) with F beside it took 6.54 MiB.  Loading
+    # the sinogram first peaked at 4.9 MB (FBP from CSV) and 15.2 MB (Fourier,
+    # with the wrapped copy beside the table) here
     _, tmp = large_sinogram_files
     cfg = cfg_file(tmp_path, {"input": str(tmp / f"sino.{fmt}"), "method": method})
     peak = _traced_peak(["reconstruct", "--config", cfg, "--out", str(tmp_path / "w.bin"), "--format", "bin"])
-    assert peak <= (2 ** 20 if method == "fbp" else 16 * (1030 * 383 + 97 * 193) + 2 ** 19)
+    assert peak <= (2 ** 20 if method == "fbp" else 1.5 * 2 ** 20)
+
+
+def _fourier_peak(tmp_path, n_phi, n_x, x_max=8.0):
+    """The tracemalloc peak of ``reconstruct --method fourier`` on an n_phi x n_x cat sinogram over [-x_max, x_max]."""
+    sino = tmp_path / f"sino{n_phi}.bin"
+    tomo = tomogram_cfg({"kind": "cat", "alpha": [1.5, 0.5], "parity": "odd"},
+                        sinogram={"n_phi": n_phi, "n_x": n_x, "x_min": -x_max, "x_max": x_max})
+    assert main(["tomogram", "--config", cfg_file(tmp_path, tomo, name="t.json"), "--out", str(sino),
+                 "--format", "bin"]) == 0
+    cfg = cfg_file(tmp_path, {"input": str(sino), "method": "fourier"}, name="r.json")
+    return _traced_peak(["reconstruct", "--config", cfg, "--out", str(tmp_path / "w.bin"), "--format", "bin"])
+
+
+def test_fourier_reconstruct_scratch_of_a_wide_sinogram_is_bounded(tmp_path):
+    # 256 x 2049 over X in [-100, 100] (4.0 MiB of values, one row per block): its
+    # k grid keeps 4575 columns a row; 1.56 MiB here, where the table of every
+    # row took 19.2 MiB
+    assert _fourier_peak(tmp_path, 256, 2049, x_max=100.0) <= 3 * 2 ** 20
+
+
+def test_fourier_reconstruct_scratch_does_not_grow_with_the_angles(tmp_path, large_sinogram_files):
+    # 0.86 and 0.88 MiB here; the table of every row grew by 768 x 383 complex
+    # (4.5 MiB) from 256 to 1024 angles
+    _, tmp = large_sinogram_files
+    cfg = cfg_file(tmp_path, {"input": str(tmp / "sino.bin"), "method": "fourier"})
+    peak_1024 = _traced_peak(["reconstruct", "--config", cfg, "--out", str(tmp_path / "w.bin"), "--format", "bin"])
+    assert abs(_fourier_peak(tmp_path, 256, 513) - peak_1024) < 2 ** 16
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_benchmark_fourier_reconstruct_matches_the_row_table(tmp_path, monkeypatch, seed):
+    # the benchmark's reconstruct-fourier steps at full size: the grid written
+    # from the streamed rows against the table of every row's spectrum
+    monkeypatch.chdir(tmp_path)
+    for step in workloads.build("reconstruct-fourier", seed).steps:
+        (tmp_path / f"{step.command}.json").write_text(json.dumps(step.config))
+        assert main([step.command, "--config", f"{step.command}.json"]) == 0
+    grid = WignerGrid.load("wigner.bin")
+    want = table_invert_to_wigner(OpticalSinogram.load("sinogram.bin"), grid.q_axis, grid.p_axis)
+    assert np.max(np.abs(grid.values - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def _bytes_read():
+    with open("/proc/self/io", encoding="ascii") as fh:
+        return int(next(line for line in fh if line.startswith("rchar:")).split()[1])
+
+
+@pytest.mark.skipif(not os.path.isfile("/proc/self/io"), reason="needs /proc/self/io")
+@pytest.mark.parametrize("method", ["fbp", "fourier"])
+def test_reconstruct_reads_a_csv_once(tmp_path, cat_sinogram_file, method):
+    # the rows are parsed as they are read; counting the lines first read the file twice
+    cfg = cfg_file(tmp_path, {"input": cat_sinogram_file, "method": method})
+    argv = ["reconstruct", "--config", cfg, "--out", str(tmp_path / "w.bin"), "--format", "bin"]
+    assert main(argv) == 0  # modules the step loads on first use are read before the count
+    before = _bytes_read()
+    assert main(argv) == 0
+    read = _bytes_read() - before
+    assert read <= os.path.getsize(cat_sinogram_file) + os.path.getsize(cfg) + _container._CSV_READ_CHARS
 
 
 def test_serial_reruns_are_byte_identical(tmp_path):
@@ -830,6 +891,25 @@ def test_reconstruct_reports_the_first_fault_of_a_streamed_sinogram(tmp_path, ca
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and re.fullmatch(f"iontomo: {message}.*\n", err, flags=re.DOTALL)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "sino.csv"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "bin"])
+@pytest.mark.parametrize("step_count, message", [
+    (30, r"phi_axis must tile \[0, pi\): its 24 angles need the step pi / 24"),
+    (20, r"phi_axis must lie inside \[0, pi\)"),
+], ids=["step-of-more-angles", "step-of-fewer-angles"])
+def test_fourier_reconstruct_reports_angles_off_their_step(tmp_path, capsys, fmt, step_count, message):
+    # the Fourier path counts the angles from the first step before it has read
+    # the rows: 24 rows whose step says 30 or 20 still exit 2 with the angle check's
+    # message, and nothing is written
+    phi, x = np.linspace(0.0, 23 * math.pi / step_count, 24), np.linspace(-6.0, 6.0, 65)
+    values = tomography.optical_slice(functools.partial(tomogram_gaussian, GaussianState()), phi[:, np.newaxis], x)
+    sino = tmp_path / f"sino.{fmt}"
+    _container.save_grid(str(sino), fmt, "sinogram", phi, x, [values])
+    cfg = cfg_file(tmp_path, {"input": str(sino), "method": "fourier"})
+    assert main(["reconstruct", "--config", cfg, "--out", str(tmp_path / "w.csv")]) == 2
+    assert re.fullmatch(f"iontomo: input file invalid: {message}.*\n", capsys.readouterr().err)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", f"sino.{fmt}"]
 
 
 def test_reconstruct_rejects_a_truncated_container(tmp_path, capsys):

@@ -34,10 +34,10 @@ from iontomo import (
     wigner_cat,
     wigner_gaussian,
 )
-from iontomo import cli, states, tomography
+from iontomo import _container, _fourier, cli, states, tomography
 from iontomo.tomography import _frame_arrays
 from iontomo.verify import replacement_evolution
-from oracles import SupportTruncationWarning, project_wigner
+from oracles import SupportTruncationWarning, project_wigner, table_invert_to_wigner
 
 VACUUM = GaussianState()
 
@@ -416,14 +416,9 @@ def test_invert_cat_against_analytic_wigner():
 
 
 def invert_full_plane_reference(sinogram, q_axis, p_axis, *, k_max, n_nodes):
-    """Grid values of the Fourier inversion with ``_ray_spectrum`` evaluated on every (mu, nu) node."""
+    """Grid values of the Fourier inversion with ``_node_spectra`` evaluated on every (mu, nu) node."""
     nodes = np.linspace(-k_max, k_max, n_nodes)
-    spectrum = tomography._ray_spectrum(sinogram, math.hypot(k_max, k_max))
-    F = np.empty((n_nodes, n_nodes), dtype=complex)
-    for i, m in enumerate(nodes):
-        degenerate = (m == 0.0) & (nodes == 0.0)
-        F[i, :] = spectrum(m, np.where(degenerate, 1.0, nodes))
-        F[i, degenerate] = 1.0
+    F = _fourier._node_spectra(sinogram, nodes[:, np.newaxis], nodes)
     w_nodes = np.full(n_nodes, nodes[1] - nodes[0])
     w_nodes[[0, -1]] *= 0.5
     A = np.exp(-1j * np.outer(q_axis, nodes)) * w_nodes
@@ -447,19 +442,14 @@ def test_half_plane_inversion_matches_full_plane(monkeypatch, source, k_max, n_n
     else:
         source = _asymmetric_cat_sinogram()
     sinograms, rows = [], set()
-    ray_spectrum = tomography._ray_spectrum
+    node_spectra = _fourier._node_spectra
 
-    def recorded(sinogram, k_reach):
+    def recorded(sinogram, mu, nu):
         sinograms.append(sinogram)
-        spectrum = ray_spectrum(sinogram, k_reach)
+        rows.update(np.broadcast_arrays(mu, nu)[0][:, 0].tolist())
+        return node_spectra(sinogram, mu, nu)
 
-        def spectrum_rows(m, nu):
-            rows.add(float(m))
-            return spectrum(m, nu)
-
-        return spectrum_rows
-
-    monkeypatch.setattr(tomography, "_ray_spectrum", recorded)
+    monkeypatch.setattr(_fourier, "_node_spectra", recorded)
     axis = np.linspace(-5.0, 5.0, 41)
     grid = invert_to_wigner(source, axis, axis, k_max=k_max, n_nodes=n_nodes)
     monkeypatch.undo()
@@ -531,19 +521,25 @@ def test_off_centre_x_axis_rejected_by_both_entry_points():
 
 @pytest.mark.parametrize("n_nodes", [97, 48])
 def test_sinogram_inversion_computes_half_plane(monkeypatch, n_nodes):
-    # each computed mu row forms its angle stencil exactly once
-    rows = []
+    # each node of the half plane forms its angle stencil exactly twice: once
+    # when the nodes are sorted by their base row, and once when it is
+    # evaluated, at most _FRAME_BLOCK nodes per call; (0, 0) is never evaluated
+    frames = []
 
     def recorded(angle, *args):
-        rows.append(angle.shape)
+        frames.append(angle.size)
         return stencil(angle, *args)
 
-    stencil = tomography._stencil
-    monkeypatch.setattr(tomography, "_stencil", recorded)
+    stencil = _fourier._stencil
+    monkeypatch.setattr(_fourier, "_stencil", recorded)
     sino = _asymmetric_cat_sinogram()
     axis = np.linspace(-5.0, 5.0, 41)
     invert_to_wigner(sino, axis, axis, k_max=6.0, n_nodes=n_nodes)
-    assert rows == [(n_nodes,)] * ((n_nodes + 1) // 2)
+    half_plane = (n_nodes + 1) // 2 * n_nodes
+    sorting = -(-half_plane // _fourier._FRAME_BLOCK)
+    assert sum(frames[:sorting]) == half_plane
+    assert sum(frames[sorting:]) == half_plane - n_nodes % 2
+    assert max(frames) <= _fourier._FRAME_BLOCK
 
 
 def ray_spectrum_reference(sinogram):
@@ -571,27 +567,20 @@ def ray_spectrum_reference(sinogram):
 def test_ray_spectrum_matches_per_node_transform(x_half, n_x, n_phi, k_max, seed):
     # arbitrary nonnegative rows, so the X edges carry as much mass as the
     # middle: the hardest case for interpolating the row spectra in k
-    rng = np.random.default_rng(seed)
-    x = np.linspace(-x_half, x_half, n_x)
-    values = rng.uniform(0.0, 1.0, (n_phi, n_x))
-    values /= (values @ tomography._uniform_trapezoid(n_x, tomography._uniform_spacing(x, "x")))[:, np.newaxis]
-    sino = OpticalSinogram(phi_axis=np.arange(n_phi) * (math.pi / n_phi), x_axis=x, values=values)
+    rng = np.random.default_rng([seed, 1])  # the frames, apart from the rows
+    sino = _random_sinogram(n_phi, n_x, x_half, seed)
     k_reach = math.hypot(k_max, k_max)
-    table, dk, n_fft = tomography._row_spectra(sino, k_reach)[:3]
-
-    # the k grid is 8x finer than a row's bandwidth, and only the band |k| <= k_reach
-    # (k_max past the X Nyquist frequency included: at most one period) is kept
+    # the k grid is 8x finer than a row's bandwidth
+    n_fft = tomography._fft_length(_fourier._K_OVERSAMPLE * n_x)
+    dk = 2.0 * math.pi / (n_fft * tomography._uniform_spacing(sino.x_axis, "x"))
     assert dk * x_half <= math.pi / 8.0
-    assert table.shape[0] == n_phi + 6
-    kept = min(math.ceil(k_reach / dk), n_fft) + tomography._K_STENCIL + 2
-    assert table.size <= table.shape[0] * kept
 
     on_node = dk * np.arange(1, int(k_reach / dk) + 1, max(1, int(k_reach / dk) // 8))
     mu = np.concatenate((rng.uniform(-k_max, k_max, 64), [k_max, k_max, -k_max], on_node, 0.0 * on_node))
     # frames with nu < 0 fold back to k = -r; the on-node pair gives k = +j dk and k = -j dk
     nu = np.concatenate((rng.uniform(-k_max, k_max, 64), [k_max, -k_max, -k_max], 0.0 * on_node, -on_node))
     want = ray_spectrum_reference(sino)(mu, nu)
-    got = tomography._ray_spectrum(sino, k_reach)(mu, nu)
+    got = _fourier._node_spectra(sino, mu, nu)
     assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
 
 
@@ -610,12 +599,12 @@ def test_fft_length_is_the_smallest_even_5_smooth():
 
 
 def test_invert_scratch_is_bounded():
-    # the row table (186 x 368 complex on a k grid of 2592 points), with the half
-    # plane of F (97 x 193 complex) beside it, and stencil scratch; the table is
-    # filled row by row, with no wrapped copy of the sinogram, and the phase
-    # factors and products come after the table is dropped.  A power-of-two k
-    # grid (186 x 571) and the full F peaked at 3.08 MB here, with the wrapped
-    # sinogram kept through the F loop 2.10 MB
+    # the half plane of F (97 x 193 complex), then the phase factors A (121 x 97
+    # complex) and W (121 x 121) beside it, and scratch: a window of 15 row
+    # spectra, the node order and one block of frames.  0.80 MiB here; the table
+    # of every row's spectrum (186 x 368 complex) with F beside it peaked at
+    # 1.55 MiB, a power-of-two k grid (186 x 571) and the full F at 3.08 MB,
+    # and the wrapped sinogram kept through the F loop at 2.10 MB
     spec = CatSpec(1.2 + 0.7j, "odd")
     sino = sampled_sinogram(partial(tomogram_cat, spec), 180, 321)
     axis = np.linspace(-6.0, 6.0, 121)
@@ -626,7 +615,71 @@ def test_invert_scratch_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 16 * (186 * 368 + 97 * 193) + 2 ** 19
+    assert peak <= 16 * 97 * 193 + 16 * 121 * 97 + 8 * 121 * 121 + 2 ** 19
+
+
+def _random_sinogram(n_phi, n_x, half, seed=0):
+    """Nonnegative rows of uniform noise, each normalized: as much mass on the X ends as in the middle."""
+    rng = np.random.default_rng(seed)
+    x = np.linspace(-half, half, n_x)
+    values = rng.uniform(0.0, 1.0, (n_phi, n_x))
+    values /= (values @ tomography._uniform_trapezoid(n_x, tomography._uniform_spacing(x, "x")))[:, np.newaxis]
+    # a linspace angle axis, which the container stores as (first, last, n)
+    phi = np.linspace(0.0, (n_phi - 1) * math.pi / n_phi, n_phi)
+    return OpticalSinogram(phi_axis=phi, x_axis=x, values=values)
+
+
+def _with_blank_and_comment_lines(path):
+    lines = path.read_text().splitlines(keepends=True)
+    for i in (len(lines) - 1, 500, 100, 40, 1):  # the last within a run, the first after the header
+        lines[i:i] = ["\n", "# a comment\n", "\n"]
+    path.write_text("".join(lines))
+
+
+@pytest.mark.parametrize("n_phi, n_x, half, k_max, n_nodes, source", [
+    (37, 161, 8.0, 12.0, 97, "memory"),
+    (37, 160, 8.0, 12.0, 97, "memory"),
+    (2, 41, 6.0, 12.0, 48, "memory"),
+    (3, 40, 6.0, 12.0, 31, "memory"),
+    (12, 4097, 8.0, 12.0, 31, "bin"),
+    (6, 1025, 8.0, 12.0, 31, "csv"),
+    (16, 33, 6.0, 12.0, 48, "csv-comments"),
+    (3, 16, 1.5, 40.0, 31, "memory"),
+], ids=["odd-n-x", "even-n-x", "two-angles", "three-angles", "container-row-per-block",
+        "csv-row-past-a-parse-block", "csv-blank-and-comment-lines", "k-past-one-period"])
+def test_streamed_inversion_matches_the_row_table(tmp_path, n_phi, n_x, half, k_max, n_nodes, source):
+    # one pass over the rows, in blocks of one row (a container past 4096 X samples,
+    # a CSV row longer than a 1024-line parse block) or of all of them (in memory),
+    # against the table of every row's spectrum; the period sign (-1)^(n_x - 1)
+    # acts past one FFT period of k (X step 0.2 at k_max 40), and with 2 or 3
+    # angles every node reads a wrap row
+    sino = _random_sinogram(n_phi, n_x, half)
+    rows = sino
+    if source != "memory":
+        path = tmp_path / f"sino.{source[:3]}"
+        sino.save(str(path), fmt=source[:3])
+        if source == "csv-comments":
+            _with_blank_and_comment_lines(path)
+        rows = _container.grid_rows(str(path), "sinogram")
+    axis = np.linspace(-5.0, 5.0, 41)
+    got = invert_to_wigner(rows, axis, axis, k_max=k_max, n_nodes=n_nodes).values
+    want = table_invert_to_wigner(sino, axis, axis, k_max=k_max, n_nodes=n_nodes)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("step_count, message", [
+    (30, r"phi_axis must tile \[0, pi\): its 24 angles need the step pi / 24"),
+    (20, r"phi_axis must lie inside \[0, pi\)"),
+], ids=["step-of-more-angles", "step-of-fewer-angles"])
+def test_streamed_inversion_reports_angles_off_their_step(step_count, message):
+    # the angle count is taken from the first step, before the rows that
+    # contradict it are read; the check of the angles still decides
+    sino = vacuum_sinogram(n_phi=24, n_x=65, half=6.0)
+    phi = np.arange(24) * (math.pi / step_count)
+    blocks = [(phi[i:i + 5], sino.x_axis, sino.values[i:i + 5], None) for i in range(0, 24, 5)]
+    axis = np.linspace(-4.0, 4.0, 33)
+    with pytest.raises(ValueError, match=message):
+        invert_to_wigner(iter(blocks), axis, axis, **FAST_INVERT)
 
 
 def test_invert_truncated_cutoff_misses_normalization():
